@@ -38,7 +38,6 @@
 #include "bench_runner.h"
 #include "graph/generators.h"
 #include "service/cycle_break_service.h"
-#include "service/graph_service.h"
 #include "table_printer.h"
 #include "util/metrics.h"
 #include "util/rng.h"
@@ -101,9 +100,7 @@ int main(int argc, char** argv) {
   json.Num("k", static_cast<uint64_t>(kHop));
 
   // Content digest of the final transversal (sorted S pairs + base cover
-  // + delta size): size-preserving drift across rows must fail too. Reads
-  // the backend-neutral TransversalImage so the same digest works against
-  // any GraphService implementation.
+  // + delta size): size-preserving drift across rows must fail too.
   const auto transversal_digest = [](const TransversalImage& image) {
     uint64_t digest = 1469598103934665603ull;  // FNV-1a
     const auto mix = [&digest](uint64_t x) {
@@ -135,10 +132,7 @@ int main(int argc, char** argv) {
     options.synchronous_compaction = true;  // deterministic epoch count
     CsrGraph base_copy = base;  // the service takes ownership per row
     Timer timer;
-    CycleBreakService backend(std::move(base_copy), options);
-    // Readers and the ingest loop drive the backend-agnostic interface —
-    // the same surface tdb_serve serves either backend through.
-    GraphService& service = backend;
+    CycleBreakService service(std::move(base_copy), options);
     LatencyHistogram* admit_lat = bench_registry.AddHistogram(
         "bench_admit_t" + std::to_string(threads) + "_seconds",
         "Per-query admission latency during the ingest sweep");
@@ -277,7 +271,7 @@ int main(int argc, char** argv) {
   // per-query latency recorded into the mode's registry histogram
   // (batched mode samples batch latency / batch length per query, so
   // percentiles stay comparable across modes).
-  const auto run_mode = [&](GraphService& service, bool batched,
+  const auto run_mode = [&](CycleBreakService& service, bool batched,
                             std::vector<uint8_t>* verdicts,
                             LatencyHistogram* lat) {
     verdicts->assign(admit_queries.size(), 0);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "search/bounded_reach.h"
 #include "util/trace.h"
 
 namespace tdb {
@@ -16,6 +17,179 @@ std::shared_ptr<const BaseCover> BaseCover::FromVertexCover(
   base->solve_status = std::move(status);
   return base;
 }
+
+PathProber::PathProber(const CoverOptions& options) {
+  const uint32_t min_len = options.include_two_cycles ? 2 : 3;
+  min_path_ = min_len - 1;
+  max_path_ = options.k - 1;
+}
+
+bool PathProber::FindPath(const OverlayGraph& graph,
+                          const TransversalState& state, VertexId src,
+                          VertexId dst, std::vector<VertexId>* path) {
+  ++queries_;
+  if (path != nullptr) path->clear();
+  on_path_.clear();
+  on_path_.push_back(src);
+  const bool found = Dfs(graph, state, src, dst, 0, path);
+  if (found && path != nullptr) {
+    // Dfs appends the suffix (dst first, then intermediates as the
+    // recursion unwinds); normalize to src..dst order.
+    std::reverse(path->begin(), path->end());
+    path->insert(path->begin(), src);
+  }
+  return found;
+}
+
+bool PathProber::Dfs(const OverlayGraph& graph, const TransversalState& state,
+                     VertexId u, VertexId dst, uint32_t depth,
+                     std::vector<VertexId>* path) {
+  bool found = false;
+  graph.ForEachOut(u, [&](VertexId w, EdgeId e) {
+    if (state.EdgeCovered(graph, e)) return true;
+    if (w == dst) {
+      const uint32_t len = depth + 1;
+      if (len < min_path_ || len > max_path_) return true;
+      if (path != nullptr) path->push_back(dst);
+      found = true;
+      return false;
+    }
+    if (depth + 2 > max_path_) return true;
+    if (std::find(on_path_.begin(), on_path_.end(), w) != on_path_.end()) {
+      return true;
+    }
+    on_path_.push_back(w);
+    found = Dfs(graph, state, w, dst, depth + 1, path);
+    on_path_.pop_back();
+    if (found) {
+      if (path != nullptr) path->push_back(w);
+      return false;
+    }
+    return true;
+  });
+  return found;
+}
+
+size_t PathProber::FindPathsFrom(const OverlayGraph& graph,
+                                 const TransversalState& state, VertexId src,
+                                 std::span<const VertexId> targets,
+                                 SearchContext* ctx, uint8_t* found) {
+  // Sentinel for "marked as a target, not reached by the sweep".
+  constexpr uint32_t kUnreached = 0xffffffffu;
+  const VertexId n = graph.num_vertices();
+  target_dist_.Resize(n);
+  target_dist_.NewEpoch();
+  for (const VertexId t : targets) {
+    if (t < n) target_dist_.Set(t, kUnreached);
+  }
+  BoundedReach(
+      graph, ReachDirection::kForward, std::span<const VertexId>(&src, 1),
+      max_path_, ctx,
+      [&](EdgeId e) { return !state.EdgeCovered(graph, e); },
+      [&](VertexId w, uint32_t depth) {
+        if (target_dist_.IsSet(w) && target_dist_.Get(w) == kUnreached) {
+          target_dist_.Set(w, depth);
+        }
+      });
+  size_t fallbacks = 0;
+  for (size_t j = 0; j < targets.size(); ++j) {
+    const VertexId t = targets[j];
+    const uint32_t d = t < n ? target_dist_.Get(t) : kUnreached;
+    if (d == kUnreached) {
+      // No uncovered walk of <= k - 1 hops, hence no qualifying path.
+      found[j] = 0;
+    } else if (d >= min_path_) {
+      // The shortest uncovered walk is a simple path inside the band.
+      found[j] = 1;
+    } else {
+      // Below-band distance: a longer qualifying path may still exist.
+      ++fallbacks;
+      found[j] = FindPath(graph, state, src, t, nullptr) ? 1 : 0;
+    }
+  }
+  return fallbacks;
+}
+
+namespace {
+
+/// Edge ids along `path` (a vertex sequence whose consecutive pairs are
+/// edges of `graph`). OverlayGraph rejects duplicate (u, v) pairs, so the
+/// first match per hop is the only one.
+void PathEdgeIds(const OverlayGraph& graph,
+                 const std::vector<VertexId>& path,
+                 std::vector<EdgeId>* edges) {
+  edges->clear();
+  for (size_t i = 0; i + 1 < path.size(); ++i) {
+    graph.ForEachOut(path[i], [&](VertexId w, EdgeId e) {
+      if (w != path[i + 1]) return true;
+      edges->push_back(e);
+      return false;
+    });
+  }
+}
+
+/// Sequential AUGMENT for edge `e` against live state: cover every
+/// uncovered cycle e closes, reusing a W edge when the found cycle holds
+/// one (DARC's preference — W edges already proved removable once).
+/// Every edge committed to S lands in `pending` for the PRUNE pass.
+void AugmentEdge(OverlayGraph* graph, TransversalState* state,
+                 PathProber* prober, EdgeId e, std::vector<EdgeId>* pending,
+                 BatchAugmentStats* stats) {
+  std::vector<VertexId> path;
+  std::vector<EdgeId> cycle_edges;
+  while (!state->EdgeCovered(*graph, e)) {
+    if (!prober->FindPath(*graph, *state, graph->EdgeDst(e),
+                          graph->EdgeSrc(e), &path)) {
+      break;
+    }
+    ++stats->cycles_covered;
+    PathEdgeIds(*graph, path, &cycle_edges);
+    cycle_edges.push_back(e);
+    EdgeId w_edge = kInvalidEdge;
+    for (EdgeId ce : cycle_edges) {
+      if (state->reusable.count(ce) > 0) {
+        w_edge = ce;
+        break;
+      }
+    }
+    if (w_edge != kInvalidEdge) {
+      state->reusable.erase(w_edge);
+      state->covered.insert(w_edge);
+      pending->push_back(w_edge);
+    } else {
+      for (EdgeId ce : cycle_edges) {
+        state->covered.insert(ce);
+        pending->push_back(ce);
+      }
+    }
+  }
+}
+
+/// PRUNE over the edges this batch committed: drop an edge from S when no
+/// otherwise-uncovered cycle needs it (to W, for later reuse) or when the
+/// base layer already covers it (for good).
+void PruneCommitted(OverlayGraph* graph, TransversalState* state,
+                    PathProber* prober, std::vector<EdgeId>* pending,
+                    BatchAugmentStats* stats) {
+  while (!pending->empty()) {
+    const EdgeId e = pending->back();
+    pending->pop_back();
+    if (state->covered.erase(e) == 0) continue;
+    if (state->EdgeCovered(*graph, e)) {
+      ++stats->prunes;  // redundant: the base layer covers it anyway
+      continue;
+    }
+    if (prober->FindPath(*graph, *state, graph->EdgeDst(e),
+                         graph->EdgeSrc(e), nullptr)) {
+      state->covered.insert(e);  // still carries an otherwise-uncovered cycle
+    } else {
+      state->reusable.insert(e);
+      ++stats->prunes;
+    }
+  }
+}
+
+}  // namespace
 
 BatchAugmentStats BatchAugment(OverlayGraph* graph, TransversalState* state,
                                const CoverOptions& options,
@@ -35,7 +209,39 @@ BatchAugmentStats BatchAugment(OverlayGraph* graph, TransversalState* state,
     added.push_back(e);
   }
   stats.inserted = added.size();
-  AugmentInserted(*graph, state, options, added, pool, &stats);
+
+  // Speculative phase: probe every new edge against the state frozen
+  // after the insertions but before any commit. "Closes nothing" verdicts
+  // stay valid through the whole commit loop because coverage only grows
+  // until PRUNE (which runs after the last commit) — see the header.
+  const bool speculate = pool != nullptr && added.size() > 1;
+  std::vector<uint8_t> closes(added.size(), 1);
+  if (speculate) {
+    std::vector<PathProber> probers(pool->num_threads(),
+                                    PathProber(options));
+    pool->ParallelFor(added.size(), [&](size_t i, int w) {
+      const EdgeId e = added[i];
+      closes[i] = probers[w].FindPath(*graph, *state, graph->EdgeDst(e),
+                                      graph->EdgeSrc(e), nullptr)
+                      ? 1
+                      : 0;
+    });
+    for (const PathProber& p : probers) {
+      stats.speculative_probes += p.queries();
+    }
+  }
+
+  PathProber prober(options);
+  std::vector<EdgeId> pending;
+  for (size_t i = 0; i < added.size(); ++i) {
+    if (speculate && closes[i] == 0) {
+      ++stats.speculative_clean;
+      continue;
+    }
+    AugmentEdge(graph, state, &prober, added[i], &pending, &stats);
+  }
+  PruneCommitted(graph, state, &prober, &pending, &stats);
+  stats.path_queries = prober.queries();
   return stats;
 }
 

@@ -24,57 +24,6 @@ namespace tdb {
 /// distances TO the sources (dist(x -> s) along out-edges).
 enum class ReachDirection { kForward, kReverse };
 
-/// Cut-edge-aware form of BoundedReach (below): additionally takes
-/// expand(vertex) — a reached vertex for which it returns false is
-/// visited at its exact shortest depth but treated as ABSORBING: its own
-/// adjacency is never followed. The sharded router's boundary summaries
-/// are built on this — a per-shard sweep expands only shard-owned
-/// vertices, so foreign targets of cut edges become absorbing frontier
-/// states whose depths are exact within-shard segment distances.
-/// Depths reported for expanded vertices are exact shortest distances in
-/// the subgraph induced by filter + the expanded vertex set (a shortest
-/// walk that only passes expandable interior vertices).
-template <typename GraphT, typename FilterFn, typename VisitFn,
-          typename ExpandFn>
-void BoundedReach(const GraphT& graph, ReachDirection direction,
-                  std::span<const VertexId> sources, uint32_t max_hops,
-                  SearchContext* ctx, FilterFn&& filter, VisitFn&& visit,
-                  ExpandFn&& expand) {
-  const VertexId n = graph.num_vertices();
-  ctx->EnsureBfsSize(n);
-  ctx->visited.NewEpoch();
-  ctx->frontier.clear();
-  ctx->next_frontier.clear();
-  for (const VertexId s : sources) {
-    if (s >= n || ctx->visited.IsSet(s)) continue;
-    ctx->visited.Set(s, 1);
-    visit(s, uint32_t{0});
-    if (expand(s)) ctx->frontier.push_back(s);
-  }
-  for (uint32_t depth = 1; depth <= max_hops && !ctx->frontier.empty();
-       ++depth) {
-    ctx->next_frontier.clear();
-    for (const VertexId x : ctx->frontier) {
-      const auto step = [&](VertexId w, EdgeId e) {
-        if (!filter(e)) return true;
-        if (ctx->visited.IsSet(w)) return true;
-        ctx->visited.Set(w, 1);
-        visit(w, depth);
-        if (expand(w)) ctx->next_frontier.push_back(w);
-        return true;
-      };
-      if (direction == ReachDirection::kForward) {
-        graph.ForEachOut(x, step);
-      } else {
-        graph.ForEachIn(x, step);
-      }
-    }
-    std::swap(ctx->frontier, ctx->next_frontier);
-  }
-  ctx->frontier.clear();
-  ctx->next_frontier.clear();
-}
-
 /// Runs a level-synchronous BFS from `sources` (all at depth 0),
 /// following out-edges (kForward) or in-edges (kReverse) for which
 /// filter(edge_id) returns true, for at most `max_hops` levels.
@@ -89,9 +38,39 @@ template <typename GraphT, typename FilterFn, typename VisitFn>
 void BoundedReach(const GraphT& graph, ReachDirection direction,
                   std::span<const VertexId> sources, uint32_t max_hops,
                   SearchContext* ctx, FilterFn&& filter, VisitFn&& visit) {
-  BoundedReach(graph, direction, sources, max_hops, ctx,
-               std::forward<FilterFn>(filter), std::forward<VisitFn>(visit),
-               [](VertexId) { return true; });
+  const VertexId n = graph.num_vertices();
+  ctx->EnsureBfsSize(n);
+  ctx->visited.NewEpoch();
+  ctx->frontier.clear();
+  ctx->next_frontier.clear();
+  for (const VertexId s : sources) {
+    if (s >= n || ctx->visited.IsSet(s)) continue;
+    ctx->visited.Set(s, 1);
+    visit(s, uint32_t{0});
+    ctx->frontier.push_back(s);
+  }
+  for (uint32_t depth = 1; depth <= max_hops && !ctx->frontier.empty();
+       ++depth) {
+    ctx->next_frontier.clear();
+    for (const VertexId x : ctx->frontier) {
+      const auto step = [&](VertexId w, EdgeId e) {
+        if (!filter(e)) return true;
+        if (ctx->visited.IsSet(w)) return true;
+        ctx->visited.Set(w, 1);
+        visit(w, depth);
+        ctx->next_frontier.push_back(w);
+        return true;
+      };
+      if (direction == ReachDirection::kForward) {
+        graph.ForEachOut(x, step);
+      } else {
+        graph.ForEachIn(x, step);
+      }
+    }
+    std::swap(ctx->frontier, ctx->next_frontier);
+  }
+  ctx->frontier.clear();
+  ctx->next_frontier.clear();
 }
 
 }  // namespace tdb

@@ -507,32 +507,6 @@ TransversalImage CycleBreakService::Image() const {
   return image;
 }
 
-Status CycleBreakService::ForceCompact() {
-  // Serialize with any in-flight background solve first: its install
-  // must not land after this one and clobber the forced base with an
-  // older cut.
-  WaitForCompaction();
-  std::lock_guard<std::mutex> lock(writer_mu_);
-  if (working_.delta_edges() == 0) return state_.base->solve_status;
-  const uint64_t cut_seq = applied_seq_;
-  CoverResult solved;
-  OverlayGraph fresh = [&]() -> OverlayGraph {
-    TDB_TRACE_SPAN("service.compact_solve");
-    if (options_.compressed_base) {
-      auto input =
-          std::make_shared<const CompressedCsr>(working_.ToCompressed());
-      solved = SolveBase(*input);
-      return OverlayGraph(std::move(input));
-    }
-    auto input = std::make_shared<const CsrGraph>(working_.ToCsr());
-    solved = SolveBase(*input);
-    return OverlayGraph(std::move(input));
-  }();
-  InstallCompactionLocked(std::move(fresh), cut_seq, std::move(solved));
-  PublishLocked();
-  return state_.base->solve_status;
-}
-
 void CycleBreakService::WaitForCompaction() {
   std::lock_guard<std::mutex> lock(compact_mu_);
   if (compact_thread_.joinable()) compact_thread_.join();

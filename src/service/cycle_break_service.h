@@ -48,7 +48,6 @@
 #include "core/cover_options.h"
 #include "graph/csr_graph.h"
 #include "graph/overlay_graph.h"
-#include "service/graph_service.h"
 #include "service/journal.h"
 #include "service/snapshot.h"
 #include "service/stats.h"
@@ -123,13 +122,24 @@ struct ServiceOptions {
   Status Validate() const;
 };
 
+/// Outcome of one SubmitEdges call. Status-first: check `status` before
+/// trusting anything else.
+struct SubmitResult {
+  /// Non-ok when the write-ahead journal append failed: the batch was
+  /// NOT applied (durability-before-apply is the WAL contract) and the
+  /// published state is unchanged.
+  Status status;
+  /// Epoch of the state this call published (0 when nothing was — see
+  /// `status`).
+  uint64_t epoch = 0;
+  BatchAugmentStats stats;
+};
+
 /// Long-lived serving object. Thread-safety contract: SubmitEdges may be
 /// called from any thread (calls are serialized internally);
 /// CheckAdmission / PinSnapshot / Stats / epoch may be called from any
 /// number of threads concurrently with everything else.
-/// (SubmitResult / AdmissionVerdict live in service/graph_service.h and
-/// service/snapshot.h — shared across GraphService backends.)
-class CycleBreakService : public GraphService {
+class CycleBreakService {
  public:
   /// What a recovery replayed (all zero for fresh/in-memory services).
   struct RecoveryInfo {
@@ -178,14 +188,14 @@ class CycleBreakService : public GraphService {
   /// Ingests a batch of edges (duplicates / self-loops / out-of-universe
   /// endpoints are counted and skipped), restores the cover invariant,
   /// publishes the new state, and possibly triggers a compaction.
-  SubmitResult SubmitEdges(std::span<const Edge> batch) override;
+  SubmitResult SubmitEdges(std::span<const Edge> batch);
 
   /// Would admitting u -> v close an uncovered constrained cycle?
   /// Lock-free against the latest published snapshot. A documented thin
   /// wrapper over CheckAdmissionBatch with a batch of one: single and
   /// batched queries share one evaluation path (prechecks, cache, index,
   /// probes, stats), so the two call shapes cannot drift.
-  AdmissionVerdict CheckAdmission(VertexId u, VertexId v) const override;
+  AdmissionVerdict CheckAdmission(VertexId u, VertexId v) const;
 
   /// Batched CheckAdmission: pins ONE snapshot for the whole span and
   /// answers queries[i] (= "admit queries[i].src -> queries[i].dst?")
@@ -196,30 +206,30 @@ class CycleBreakService : public GraphService {
   /// per-query CheckAdmission on that snapshot. Lock-free; callable
   /// from any number of threads concurrently.
   std::vector<AdmissionVerdict> CheckAdmissionBatch(
-      std::span<const Edge> queries) const override;
+      std::span<const Edge> queries) const;
 
   /// Pins the latest published snapshot (never null after construction).
   std::shared_ptr<const ServiceSnapshot> PinSnapshot() const;
 
   /// Latest published epoch.
-  uint64_t epoch() const override { return published_.epoch(); }
+  uint64_t epoch() const { return published_.epoch(); }
 
   /// Vertex universe of the served graph.
-  VertexId universe() const override;
+  VertexId universe() const;
 
   /// Delta edges in the latest published snapshot's overlay.
-  uint64_t delta_edges() const override;
+  uint64_t delta_edges() const;
 
-  ServiceStatsSnapshot Stats() const override { return stats_.Snapshot(); }
+  ServiceStatsSnapshot Stats() const { return stats_.Snapshot(); }
 
   /// The live counters, for metric-registry export (see
   /// service/service_metrics.h). Read-only; the atomics stay valid for
   /// the service's lifetime.
-  const ServiceStats& raw_stats() const override { return stats_; }
+  const ServiceStats& raw_stats() const { return stats_; }
 
   /// Canonical image of the latest published state (graph + transversal),
-  /// for state dumps, digests and cross-backend equality checks.
-  TransversalImage Image() const override;
+  /// for state dumps, digests and equality checks.
+  TransversalImage Image() const;
 
   /// What Open replayed (zeros for fresh services).
   const RecoveryInfo& recovery_info() const { return recovery_; }
@@ -228,23 +238,13 @@ class CycleBreakService : public GraphService {
   /// across restarts when durable (the snapshot carries the count, the
   /// journal tail adds the rest). Stream-replay drivers resume their
   /// input at this offset after a recovery.
-  uint64_t events_ingested() const override {
+  uint64_t events_ingested() const {
     return total_events_.load(std::memory_order_relaxed);
   }
 
   /// Blocks until no background compaction is in flight. (Shutdown and
   /// test barrier; the destructor calls it.)
-  void WaitForCompaction() override;
-
-  /// Synchronously compacts NOW, regardless of compact_delta_threshold:
-  /// freeze base+delta into a fresh solved base, reset the incremental
-  /// layer, persist the cut (durable services) and publish. No-op (no
-  /// publish) when the delta is empty — the base already equals the
-  /// graph. This is the sharded router's lockstep hook: the router calls
-  /// it on every shard exactly at its global compaction cuts, so shard
-  /// base/delta splits (and hence adjacency iteration order) stay aligned
-  /// with an unsharded replay of the same stream.
-  Status ForceCompact();
+  void WaitForCompaction();
 
  private:
   /// Core init without state (factories fill state in afterwards).

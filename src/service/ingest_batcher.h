@@ -4,24 +4,23 @@
 // produce one edge at a time, while the service amortizes publication and
 // probe fan-out over batches. The batcher is the glue: accumulate, flush
 // at the configured size, flush the remainder on demand. Single-threaded
-// by design — it fronts the service's single writer; shard edges across
-// batchers/threads upstream if the source is parallel.
+// by design — it fronts the service's single writer; give each thread of
+// a parallel source its own batcher.
 #ifndef TDB_SERVICE_INGEST_BATCHER_H_
 #define TDB_SERVICE_INGEST_BATCHER_H_
 
 #include <vector>
 
-#include "service/graph_service.h"
+#include "service/cycle_break_service.h"
 
 namespace tdb {
 
 /// Accumulates edges and forwards them to SubmitEdges in fixed-size
-/// batches. Works against any GraphService backend (unsharded or the
-/// shard router).
+/// batches.
 class IngestBatcher {
  public:
   /// `batch_size` >= 1; 1 degenerates to per-edge submission.
-  IngestBatcher(GraphService* service, size_t batch_size)
+  IngestBatcher(CycleBreakService* service, size_t batch_size)
       : service_(service), batch_size_(batch_size < 1 ? 1 : batch_size) {
     pending_.reserve(batch_size_);
   }
@@ -48,7 +47,7 @@ class IngestBatcher {
   uint64_t batches_flushed() const { return batches_flushed_; }
 
  private:
-  GraphService* service_;
+  CycleBreakService* service_;
   size_t batch_size_;
   std::vector<Edge> pending_;
   uint64_t batches_flushed_ = 0;

@@ -86,52 +86,4 @@ std::vector<MetricRegistry::Registration> BindServiceStats(
   return regs;
 }
 
-std::vector<MetricRegistry::Registration> BindShardRouterStats(
-    MetricRegistry* registry, const ShardRouterStats& stats,
-    const std::string& prefix) {
-  std::vector<MetricRegistry::Registration> regs;
-  const auto bind = [&](const char* field, const char* help,
-                        const std::atomic<uint64_t>& value) {
-    regs.push_back(registry->AddCounterView(prefix + field + "_total",
-                                            help, &value));
-  };
-  bind("edges_routed", "Edges fanned out to owner shards",
-       stats.edges_routed);
-  bind("cross_shard_edges",
-       "Accepted edges whose endpoints live in different shards",
-       stats.cross_shard_edges);
-  bind("shard_submits", "Per-shard sub-batch submissions",
-       stats.shard_submits);
-  bind("summary_builds", "Boundary summaries built at publishes",
-       stats.summary_builds);
-  bind("summary_build_nanoseconds",
-       "Cumulative boundary summary build wall-clock (ns)",
-       stats.summary_build_ns);
-  bind("summary_skipped",
-       "Publishes that skipped the summary (over cap or disabled)",
-       stats.summary_skipped);
-  bind("cross_queries",
-       "Admission queries whose probe could leave the source shard",
-       stats.cross_queries);
-  bind("summary_resolved",
-       "Cross-shard admission queries resolved by the boundary summary",
-       stats.summary_resolved);
-  bind("scatter_gather_probes",
-       "Admission probe groups swept over the whole union view",
-       stats.scatter_gather_probes);
-  bind("dfs_fallbacks",
-       "Below-band admission residues re-probed by exact DFS",
-       stats.dfs_fallbacks);
-  bind("global_solves", "Full-engine solves at router compaction cuts",
-       stats.global_solves);
-  // The boundary size moves both ways with covers and compactions.
-  regs.push_back(registry->AddGaugeFn(
-      prefix + "boundary_vertices",
-      "Current targets of uncovered cross-shard edges", [&stats] {
-        return static_cast<double>(
-            stats.boundary_vertices.load(std::memory_order_relaxed));
-      }));
-  return regs;
-}
-
 }  // namespace tdb

@@ -27,15 +27,6 @@ std::vector<MetricRegistry::Registration> BindServiceStats(
     MetricRegistry* registry, const ServiceStats& stats,
     const std::string& prefix);
 
-/// Same contract for the sharded router's extra counters (use e.g.
-/// prefix "tdb_shard_" next to the router's BindServiceStats binding).
-/// summary_build_ns is exported as
-/// <prefix>summary_build_nanoseconds_total; boundary_vertices is a
-/// gauge.
-std::vector<MetricRegistry::Registration> BindShardRouterStats(
-    MetricRegistry* registry, const ShardRouterStats& stats,
-    const std::string& prefix);
-
 }  // namespace tdb
 
 #endif  // TDB_SERVICE_SERVICE_METRICS_H_

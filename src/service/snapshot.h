@@ -56,8 +56,7 @@ struct ServiceSnapshot {
 };
 
 /// Verdict of one admission query. Verdict bits first (what the caller
-/// acts on), provenance after (where the verdict came from) — the layout
-/// every GraphService backend shares.
+/// acts on), provenance after (where the verdict came from).
 struct AdmissionVerdict {
   /// True iff admitting the edge cannot close an uncovered constrained
   /// cycle (it may still close covered ones — those are already broken).
@@ -67,13 +66,6 @@ struct AdmissionVerdict {
   bool would_close = false;
   /// Epoch of the snapshot the verdict was computed against.
   uint64_t epoch = 0;
-  /// Shard whose subgraph the probe ran in (the queried edge's dst
-  /// owner, under the router's partition); -1 for unsharded backends.
-  int32_t shard = -1;
-  /// True iff deciding the verdict needed more than one shard's local
-  /// subgraph (boundary-summary composition or a global fallback probe);
-  /// always false for unsharded backends.
-  bool cross_shard = false;
   /// True iff the snapshot's distance index forced the verdict by
   /// arithmetic alone (no path search ran).
   bool via_index = false;
@@ -81,6 +73,34 @@ struct AdmissionVerdict {
   /// residue neither the prechecks nor the index could decide, and the
   /// only verdicts worth memoizing in the admission cache.
   bool probed = false;
+};
+
+/// Canonical image of a published transversal state, for state dumps,
+/// content digests and equality checks. Every ordered field is sorted by
+/// (src, dst), so hash-set layout never leaks into it. EdgeEntry::id is
+/// the edge's overlay id: its canonical CSR id for a base edge,
+/// base_edges + insertion index for a delta edge.
+struct TransversalImage {
+  struct EdgeEntry {
+    EdgeId id = 0;
+    VertexId src = 0;
+    VertexId dst = 0;
+    bool operator==(const EdgeEntry&) const = default;
+  };
+
+  uint64_t epoch = 0;
+  VertexId universe = 0;
+  /// Edges folded into the immutable base, and a CRC32 over their
+  /// (src, dst) pairs sorted by (src, dst).
+  uint64_t base_edges = 0;
+  uint32_t base_crc = 0;
+  /// Delta edges, sorted by (src, dst).
+  std::vector<Edge> delta;
+  /// Base cover vertices, sorted.
+  std::vector<VertexId> cover_vertices;
+  /// Incremental S / W sets, sorted by (src, dst).
+  std::vector<EdgeEntry> covered;
+  std::vector<EdgeEntry> reusable;
 };
 
 /// Read-only admission check against a pinned snapshot: would inserting

@@ -139,69 +139,6 @@ struct ServiceStats {
   }
 };
 
-/// Plain-value snapshot of ShardRouterStats.
-struct ShardRouterStatsSnapshot {
-  uint64_t edges_routed = 0;
-  uint64_t cross_shard_edges = 0;
-  uint64_t shard_submits = 0;
-  /// Current boundary size (targets of uncovered cross-shard edges).
-  uint64_t boundary_vertices = 0;
-  uint64_t summary_builds = 0;
-  double summary_build_seconds = 0.0;
-  /// Publishes that skipped the summary (boundary over cap / disabled).
-  uint64_t summary_skipped = 0;
-  /// Admission queries whose probe could not stay within one shard.
-  uint64_t cross_queries = 0;
-  /// Cross-shard queries the boundary summary resolved locally.
-  uint64_t summary_resolved = 0;
-  /// Cross-shard queries that fell back to a global scatter/gather sweep.
-  uint64_t scatter_gather_probes = 0;
-  /// Below-band residue re-probed by the exact global DFS.
-  uint64_t dfs_fallbacks = 0;
-  /// Full-engine solves at router compaction cuts.
-  uint64_t global_solves = 0;
-};
-
-/// Counters specific to the sharded router (ShardedCycleBreakService),
-/// alongside its regular ServiceStats. Same discipline: relaxed atomics,
-/// monitoring data only. boundary_vertices is a gauge (store), the rest
-/// are monotonic (fetch_add).
-struct ShardRouterStats {
-  std::atomic<uint64_t> edges_routed{0};
-  std::atomic<uint64_t> cross_shard_edges{0};
-  std::atomic<uint64_t> shard_submits{0};
-  std::atomic<uint64_t> boundary_vertices{0};
-  std::atomic<uint64_t> summary_builds{0};
-  std::atomic<uint64_t> summary_build_ns{0};
-  std::atomic<uint64_t> summary_skipped{0};
-  std::atomic<uint64_t> cross_queries{0};
-  std::atomic<uint64_t> summary_resolved{0};
-  std::atomic<uint64_t> scatter_gather_probes{0};
-  std::atomic<uint64_t> dfs_fallbacks{0};
-  std::atomic<uint64_t> global_solves{0};
-
-  ShardRouterStatsSnapshot Snapshot() const {
-    ShardRouterStatsSnapshot out;
-    const auto get = [](const std::atomic<uint64_t>& c) {
-      return c.load(std::memory_order_relaxed);
-    };
-    out.edges_routed = get(edges_routed);
-    out.cross_shard_edges = get(cross_shard_edges);
-    out.shard_submits = get(shard_submits);
-    out.boundary_vertices = get(boundary_vertices);
-    out.summary_builds = get(summary_builds);
-    out.summary_build_seconds =
-        static_cast<double>(get(summary_build_ns)) * 1e-9;
-    out.summary_skipped = get(summary_skipped);
-    out.cross_queries = get(cross_queries);
-    out.summary_resolved = get(summary_resolved);
-    out.scatter_gather_probes = get(scatter_gather_probes);
-    out.dfs_fallbacks = get(dfs_fallbacks);
-    out.global_solves = get(global_solves);
-    return out;
-  }
-};
-
 }  // namespace tdb
 
 #endif  // TDB_SERVICE_STATS_H_

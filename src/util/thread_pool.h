@@ -107,23 +107,6 @@ class ThreadPool {
   bool stop_ = false;
 };
 
-/// Null-pool-safe fan-out: runs body(index, worker) for every index in
-/// [0, count) — across `pool` when one is given, inline in index order
-/// (worker 0) when `pool` is null or there is only one index. The same
-/// pool-global Wait() barrier as ParallelFor applies. This is the
-/// orchestration primitive of the sharded router: per-shard submits,
-/// recovery re-routing and boundary-summary row builds all fan out
-/// through it, and a router configured for sequential ingest simply
-/// passes a null pool.
-inline void FanOut(ThreadPool* pool, size_t count,
-                   const std::function<void(size_t index, int worker)>& body) {
-  if (pool == nullptr || count <= 1) {
-    for (size_t i = 0; i < count; ++i) body(i, 0);
-    return;
-  }
-  pool->ParallelFor(count, body);
-}
-
 /// Parallel gather with deterministic output order: runs
 /// body(begin, end, &buffer, worker) over the same chunk decomposition as
 /// ParallelForChunks — each chunk appends to its own buffer — and then

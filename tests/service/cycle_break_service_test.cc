@@ -183,6 +183,54 @@ TEST(CycleBreakServiceTest, AdmissionCacheDropsAtPublish) {
   EXPECT_TRUE(service.CheckAdmission(2, 0).admissible);
 }
 
+TEST(CycleBreakServiceTest, CheckAdmissionIsABatchOfOne) {
+  // CheckAdmission is documented as CheckAdmissionBatch over one query:
+  // both call shapes must produce the same verdict, provenance included,
+  // and both must be counted as batches. Checked with and without the
+  // distance index, since the index decides provenance (via_index vs a
+  // probe) before any path search runs.
+  constexpr VertexId kN = 40;
+  constexpr int kQueries = 60;
+  for (const int landmarks : {0, 4}) {
+    SCOPED_TRACE(landmarks);
+    ServiceOptions options = MakeOptions(4);
+    options.admission_index_landmarks = landmarks;
+    CycleBreakService service(GenerateErdosRenyi(kN, 120, /*seed=*/14),
+                              options);
+    // A delta with covered edges, so verdicts depend on both layers.
+    for (const auto& batch : MakeBatches(kN, 40, 10, /*seed=*/16)) {
+      ASSERT_TRUE(service.SubmitEdges(batch).status.ok());
+    }
+    const ServiceStatsSnapshot before = service.Stats();
+    Rng rng(15);
+    uint64_t probed = 0;
+    uint64_t via_index = 0;
+    for (int q = 0; q < kQueries; ++q) {
+      const VertexId u = static_cast<VertexId>(rng.NextBounded(kN));
+      const VertexId v = static_cast<VertexId>(rng.NextBounded(kN));
+      const AdmissionVerdict single = service.CheckAdmission(u, v);
+      const Edge one{u, v};
+      const AdmissionVerdict batched =
+          service.CheckAdmissionBatch(std::span<const Edge>(&one, 1)).front();
+      EXPECT_EQ(single.admissible, batched.admissible) << u << "->" << v;
+      EXPECT_EQ(single.would_close, batched.would_close) << u << "->" << v;
+      EXPECT_EQ(single.probed, batched.probed) << u << "->" << v;
+      EXPECT_EQ(single.via_index, batched.via_index) << u << "->" << v;
+      EXPECT_EQ(single.epoch, batched.epoch);
+      probed += single.probed ? 1 : 0;
+      via_index += single.via_index ? 1 : 0;
+    }
+    EXPECT_GT(probed, 0u);
+    if (landmarks > 0) EXPECT_GT(via_index, 0u);
+    // Both call shapes went through the one batched path.
+    const ServiceStatsSnapshot after = service.Stats();
+    EXPECT_EQ(after.admission_batches - before.admission_batches,
+              2u * kQueries);
+    EXPECT_EQ(after.admission_queries - before.admission_queries,
+              2u * kQueries);
+  }
+}
+
 TEST(CycleBreakServiceTest, ConstructorCoversTheBaseSnapshot) {
   // A base that already contains cycles: the initial solve must cover
   // them, and admission against epoch 1 must see them as broken.
@@ -269,11 +317,8 @@ void RunConsistencyTest(int reader_threads, bool indexed_batched = false) {
   std::vector<std::vector<Recorded>> per_thread(reader_threads);
 
   {
-    CycleBreakService backend(GenerateErdosRenyi(kN, 140, /*seed=*/32),
+    CycleBreakService service(GenerateErdosRenyi(kN, 140, /*seed=*/32),
                               options);
-    // The readers and the ingest loop drive the backend-agnostic
-    // interface — the same harness shape tdb_serve and the benches use.
-    GraphService& service = backend;
     std::atomic<bool> done{false};
     std::vector<std::thread> readers;
     for (int t = 0; t < reader_threads; ++t) {

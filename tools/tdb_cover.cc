@@ -10,7 +10,6 @@
 // computes a hop-constrained cycle cover, and prints it (original vertex
 // ids) one per line to stdout or --output.
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -21,6 +20,7 @@
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
 #include "util/metrics.h"
+#include "util/parse_number.h"
 
 namespace {
 
@@ -99,30 +99,25 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (arg == "--k") {
       const char* v = next();
       if (v == nullptr) return false;
-      args->k = static_cast<uint32_t>(std::atoi(v));
+      if (!ParseInteger(v, &args->k)) {
+        std::fprintf(stderr, "invalid --k value: %s\n", v);
+        return false;
+      }
     } else if (arg == "--threads") {
       const char* v = next();
       if (v == nullptr) return false;
-      // Strict parse: atoi's silent 0 on garbage would mean "all cores".
-      char* end = nullptr;
-      args->threads = static_cast<int>(std::strtol(v, &end, 10));
-      if (end == v || *end != '\0') {
+      if (!ParseInteger(v, &args->threads)) {
         std::fprintf(stderr, "invalid --threads value: %s\n", v);
         return false;
       }
     } else if (arg == "--intra-threshold") {
       const char* v = next();
       if (v == nullptr) return false;
-      // strtol rather than strtoul: the latter silently wraps "-1" into
-      // a huge threshold instead of erroring.
-      char* end = nullptr;
-      const long parsed = std::strtol(v, &end, 10);
-      if (end == v || *end != '\0' || parsed < 1 ||
-          parsed > static_cast<long>(0xFFFFFFFEu)) {
+      if (!ParseInteger(v, &args->intra_threshold, VertexId{1},
+                        VertexId{0xFFFFFFFEu})) {
         std::fprintf(stderr, "invalid --intra-threshold value: %s\n", v);
         return false;
       }
-      args->intra_threshold = static_cast<VertexId>(parsed);
     } else if (arg == "--scc-algo") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -130,7 +125,10 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (arg == "--time-limit") {
       const char* v = next();
       if (v == nullptr) return false;
-      args->time_limit = std::atof(v);
+      if (!ParseFiniteDouble(v, &args->time_limit)) {
+        std::fprintf(stderr, "invalid --time-limit value: %s\n", v);
+        return false;
+      }
     } else if (arg == "--binary") {
       args->binary = true;
     } else if (arg == "--compressed-base") {

@@ -19,6 +19,7 @@
 #include "graph/generators.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
+#include "util/parse_number.h"
 #include "util/rng.h"
 
 namespace {
@@ -70,6 +71,11 @@ int main(int argc, char** argv) {
   EdgeId m = 0;
   double theta = 0.7;
   double recip = 0.2;
+  // A malformed numeric value is a usage error, never a silent 0.
+  const auto bad_value = [](const std::string& flag, const char* v) {
+    std::fprintf(stderr, "invalid %s value: %s\n", flag.c_str(), v);
+    return 2;
+  };
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -87,25 +93,29 @@ int main(int argc, char** argv) {
     } else if (arg == "--scale") {
       const char* v = next();
       if (v == nullptr) break;
-      scale = std::atof(v);
+      if (!ParseFiniteDouble(v, &scale)) return bad_value(arg, v);
     } else if (arg == "--seed") {
       const char* v = next();
       if (v == nullptr) break;
-      seed = static_cast<uint64_t>(std::atoll(v));
+      if (!ParseInteger(v, &seed)) return bad_value(arg, v);
     } else if (arg == "--binary") {
       binary = true;
     } else if (arg == "--stream") {
       stream = true;
     } else if (arg == "--er" && i + 2 < argc) {
       use_er = true;
-      n = static_cast<VertexId>(std::atoll(argv[++i]));
-      m = static_cast<EdgeId>(std::atoll(argv[++i]));
+      if (!ParseInteger(argv[++i], &n)) return bad_value(arg, argv[i]);
+      if (!ParseInteger(argv[++i], &m)) return bad_value(arg, argv[i]);
     } else if (arg == "--powerlaw" && i + 4 < argc) {
       use_pl = true;
-      n = static_cast<VertexId>(std::atoll(argv[++i]));
-      m = static_cast<EdgeId>(std::atoll(argv[++i]));
-      theta = std::atof(argv[++i]);
-      recip = std::atof(argv[++i]);
+      if (!ParseInteger(argv[++i], &n)) return bad_value(arg, argv[i]);
+      if (!ParseInteger(argv[++i], &m)) return bad_value(arg, argv[i]);
+      if (!ParseFiniteDouble(argv[++i], &theta)) {
+        return bad_value(arg, argv[i]);
+      }
+      if (!ParseFiniteDouble(argv[++i], &recip)) {
+        return bad_value(arg, argv[i]);
+      }
     } else {
       PrintUsage();
       return 2;

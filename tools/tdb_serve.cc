@@ -7,14 +7,9 @@
 //             [--scc-algo tarjan|fwbw|uf] [--admission-cache [LOG2]]
 //             [--data-dir DIR] [--durability none|batch|always]
 //             [--compressed-base] [--kill-after N] [--state-dump FILE]
-//             [--shards N] [--boundary-cap N]
 //
 // Replays a timestamped edge stream (tdb_graphgen --stream) through a
-// GraphService backend — the unsharded CycleBreakService by default, or
-// with --shards N the in-process sharded router
-// (ShardedCycleBreakService), which partitions the universe across N
-// shard services and answers cross-shard admissions through per-publish
-// boundary summaries. Either way: the main thread ingests in batches while
+// CycleBreakService: the main thread ingests in batches while
 // --admit-threads reader threads fire CheckAdmission queries drawn from
 // the same vertex universe, concurrently and without coordination. With
 // --gate, each stream edge is admission-checked first and dropped when it
@@ -49,24 +44,21 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_set>
 #include <vector>
 
 #include "graph/graph_io.h"
 #include "service/cycle_break_service.h"
-#include "service/graph_service.h"
 #include "service/ingest_batcher.h"
 #include "service/service_metrics.h"
-#include "service/sharded_service.h"
 #include "service/stats.h"
-#include "util/crc32.h"
 #include "util/metrics.h"
 #include "util/metrics_http.h"
+#include "util/parse_number.h"
 #include "util/rng.h"
 #include "util/timer.h"
 #include "util/trace.h"
@@ -101,8 +93,6 @@ struct CliArgs {
   size_t admission_batch = 0;
   uint32_t k = 5;
   size_t batch = 256;
-  int shards = 0;  // 0 = unsharded CycleBreakService
-  int boundary_cap = 128;
   int admit_threads = 2;
   int ingest_threads = 1;
   EdgeId compact_threshold = 4096;
@@ -153,13 +143,6 @@ void PrintUsage() {
       "                        ingested batch of this process\n"
       "  --state-dump FILE     write the final graph + transversal in\n"
       "                        canonical text form (crash-drill oracle)\n"
-      "  --shards N            serve through the in-process sharded\n"
-      "                        router with N shard services (0 = the\n"
-      "                        unsharded backend; excludes the admission\n"
-      "                        cache/index flags)\n"
-      "  --boundary-cap N      largest cross-shard boundary for which the\n"
-      "                        router builds per-publish summaries\n"
-      "                        (default 128; 0 = always scatter/gather)\n"
       "  --sync-compaction     compact inline instead of in background\n"
       "  --compressed-base     keep the immutable base in the\n"
       "                        delta/varint CompressedCsr backend\n"
@@ -183,6 +166,23 @@ void PrintUsage() {
       "                        trace_event JSON to FILE at exit\n");
 }
 
+/// Strict numeric flag values: anything ParseInteger / ParseFiniteDouble
+/// rejects prints "invalid FLAG value: V" and fails the parse.
+template <typename T>
+bool IntFlag(const std::string& flag, const char* v, T* out,
+             T lo = std::numeric_limits<T>::min(),
+             T hi = std::numeric_limits<T>::max()) {
+  if (ParseInteger(v, out, lo, hi)) return true;
+  std::fprintf(stderr, "invalid %s value: %s\n", flag.c_str(), v);
+  return false;
+}
+
+bool DoubleFlag(const std::string& flag, const char* v, double* out) {
+  if (ParseFiniteDouble(v, out)) return true;
+  std::fprintf(stderr, "invalid %s value: %s\n", flag.c_str(), v);
+  return false;
+}
+
 bool ParseArgs(int argc, char** argv, CliArgs* args) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -190,6 +190,7 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
     const char* v = nullptr;
+    bool ok = true;
     if (arg == "--stream" && (v = next()) != nullptr) {
       args->stream_path = v;
     } else if (arg == "--base" && (v = next()) != nullptr) {
@@ -197,23 +198,19 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (arg == "--algo" && (v = next()) != nullptr) {
       args->algo = v;
     } else if (arg == "--k" && (v = next()) != nullptr) {
-      args->k = static_cast<uint32_t>(std::atoi(v));
+      ok = IntFlag(arg, v, &args->k);
     } else if (arg == "--batch" && (v = next()) != nullptr) {
-      args->batch = static_cast<size_t>(std::atoll(v));
-    } else if (arg == "--shards" && (v = next()) != nullptr) {
-      args->shards = std::atoi(v);
-    } else if (arg == "--boundary-cap" && (v = next()) != nullptr) {
-      args->boundary_cap = std::atoi(v);
+      ok = IntFlag(arg, v, &args->batch);
     } else if (arg == "--admit-threads" && (v = next()) != nullptr) {
-      args->admit_threads = std::atoi(v);
+      ok = IntFlag(arg, v, &args->admit_threads, 0, 4096);
     } else if (arg == "--ingest-threads" && (v = next()) != nullptr) {
-      args->ingest_threads = std::atoi(v);
+      ok = IntFlag(arg, v, &args->ingest_threads);
     } else if (arg == "--compact-threshold" && (v = next()) != nullptr) {
-      args->compact_threshold = static_cast<EdgeId>(std::atoll(v));
+      ok = IntFlag(arg, v, &args->compact_threshold);
     } else if (arg == "--compact-budget" && (v = next()) != nullptr) {
-      args->compact_budget = std::atof(v);
+      ok = DoubleFlag(arg, v, &args->compact_budget);
     } else if (arg == "--seed" && (v = next()) != nullptr) {
-      args->seed = static_cast<uint64_t>(std::atoll(v));
+      ok = IntFlag(arg, v, &args->seed);
     } else if (arg == "--scc-algo" && (v = next()) != nullptr) {
       args->scc_algo = v;
     } else if (arg == "--data-dir" && (v = next()) != nullptr) {
@@ -221,29 +218,29 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
     } else if (arg == "--durability" && (v = next()) != nullptr) {
       args->durability = v;
     } else if (arg == "--kill-after" && (v = next()) != nullptr) {
-      args->kill_after = static_cast<uint64_t>(std::atoll(v));
+      ok = IntFlag(arg, v, &args->kill_after);
     } else if (arg == "--state-dump" && (v = next()) != nullptr) {
       args->state_dump = v;
     } else if (arg == "--metrics-port" && (v = next()) != nullptr) {
-      args->metrics_port = std::atoi(v);
+      ok = IntFlag(arg, v, &args->metrics_port, 0, 65535);
     } else if (arg == "--metrics-hold" && (v = next()) != nullptr) {
-      args->metrics_hold = std::atof(v);
+      ok = DoubleFlag(arg, v, &args->metrics_hold);
     } else if (arg == "--metrics-dump" && (v = next()) != nullptr) {
       args->metrics_dump = v;
     } else if (arg == "--metrics-interval" && (v = next()) != nullptr) {
-      args->metrics_interval = std::atof(v);
+      ok = DoubleFlag(arg, v, &args->metrics_interval);
     } else if (arg == "--trace-out" && (v = next()) != nullptr) {
       args->trace_out = v;
     } else if (arg == "--admission-index" && (v = next()) != nullptr) {
-      args->admission_index = std::atoi(v);
+      ok = IntFlag(arg, v, &args->admission_index);
     } else if (arg == "--admission-batch" && (v = next()) != nullptr) {
-      args->admission_batch = static_cast<size_t>(std::atoll(v));
+      ok = IntFlag(arg, v, &args->admission_batch);
     } else if (arg == "--admission-cache") {
       // Optional value: a following numeric token is the log2 capacity.
       args->admission_cache_log2 = 16;
       if (i + 1 < argc && std::isdigit(static_cast<unsigned char>(
                               argv[i + 1][0])) != 0) {
-        args->admission_cache_log2 = std::atoi(argv[++i]);
+        ok = IntFlag(arg, argv[++i], &args->admission_cache_log2);
       }
     } else if (arg == "--sync-compaction") {
       args->sync_compaction = true;
@@ -259,6 +256,7 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       }
       return false;
     }
+    if (!ok) return false;
   }
   return !args->stream_path.empty();
 }
@@ -266,12 +264,11 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
 /// Canonical text form of the final service state, for byte-equality
 /// comparison across runs (the crash drill's oracle). Everything that
 /// defines the served state is included: epoch, graph (base checksum +
-/// delta in insertion order), base cover and the S/W edge sets. Built
-/// from the backend's canonical TransversalImage, so it works — and
-/// means the same thing — for the unsharded service and the sharded
-/// router alike (byte-identical to the pre-GraphService dump for the
-/// unsharded backend).
-bool WriteStateDump(const GraphService& service, const std::string& path) {
+/// delta sorted by (src, dst)), base cover and the S/W edge sets, all
+/// read from the service's canonical TransversalImage. Fails on any
+/// write error, so a truncated dump never passes as an oracle.
+bool WriteStateDump(const CycleBreakService& service,
+                    const std::string& path) {
   const TransversalImage image = service.Image();
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
@@ -295,8 +292,8 @@ bool WriteStateDump(const GraphService& service, const std::string& path) {
   for (VertexId v : image.cover_vertices) {
     std::fprintf(f, "C %u\n", v);
   }
-  // Endpoint pairs only: edge ids are backend-scoped, and the dump's
-  // whole point is byte-comparability across backends.
+  // Endpoint pairs only: the pairs identify the edges, and the dump stays
+  // independent of overlay id assignment.
   auto dump_set = [&](const char* tag,
                       const std::vector<TransversalImage::EdgeEntry>& set) {
     std::fprintf(f, "%s_count %zu\n", tag, set.size());
@@ -306,7 +303,11 @@ bool WriteStateDump(const GraphService& service, const std::string& path) {
   };
   dump_set("S", image.covered);
   dump_set("W", image.reusable);
-  std::fclose(f);
+  const bool written = std::ferror(f) == 0;
+  if (std::fclose(f) != 0 || !written) {
+    std::fprintf(stderr, "cannot write state dump %s\n", path.c_str());
+    return false;
+  }
   return true;
 }
 
@@ -420,17 +421,7 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "--gate cannot be combined with --data-dir\n");
     return 2;
   }
-  ShardedServiceOptions sharded_options;
-  if (args.shards > 0) {
-    sharded_options.base = options;
-    sharded_options.base.data_dir.clear();  // the router owns the layout
-    sharded_options.num_shards = args.shards;
-    sharded_options.boundary_cap = args.boundary_cap;
-    sharded_options.data_dir = args.data_dir;
-    st = sharded_options.Validate();
-  } else {
-    st = options.Validate();
-  }
+  st = options.Validate();
   if (!st.ok()) {
     std::fprintf(stderr, "bad options: %s\n", st.ToString().c_str());
     return 2;
@@ -443,75 +434,34 @@ int main(int argc, char** argv) {
                stream.size());
 
   Timer setup_timer;
-  std::unique_ptr<CycleBreakService> unsharded;
-  std::unique_ptr<ShardedCycleBreakService> sharded;
+  std::unique_ptr<CycleBreakService> service_ptr;
   size_t resume_offset = 0;
-  const auto report_recovery = [&](uint64_t snapshot_epoch,
-                                   uint64_t replayed_batches,
-                                   uint64_t replayed_events,
-                                   uint64_t truncated_bytes,
-                                   uint64_t events_ingested) -> bool {
-    resume_offset = static_cast<size_t>(events_ingested);
-    std::fprintf(stderr,
-                 "recovered %s: snapshot epoch %llu + %llu journal "
-                 "batches (%llu events, %llu torn bytes dropped), "
-                 "resuming stream at event %zu\n",
-                 args.data_dir.c_str(),
-                 static_cast<unsigned long long>(snapshot_epoch),
-                 static_cast<unsigned long long>(replayed_batches),
-                 static_cast<unsigned long long>(replayed_events),
-                 static_cast<unsigned long long>(truncated_bytes),
-                 resume_offset);
-    if (resume_offset > stream.size()) {
-      std::fprintf(stderr,
-                   "store is ahead of the stream (%zu > %zu events)\n",
-                   resume_offset, stream.size());
-      return false;
-    }
-    return true;
-  };
-  if (args.shards > 0) {
-    if (!args.data_dir.empty()) {
-      st = ShardedCycleBreakService::Open(sharded_options, &sharded);
-      if (st.ok()) {
-        const auto& rec = sharded->recovery_info();
-        if (!report_recovery(rec.snapshot_epoch, rec.replayed_batches,
-                             rec.replayed_events,
-                             rec.journal_truncated_bytes,
-                             sharded->events_ingested())) {
-          return 1;
-        }
-      } else if (st.IsNotFound()) {
-        st = ShardedCycleBreakService::Create(std::move(base),
-                                              sharded_options, &sharded);
-        if (!st.ok()) {
-          std::fprintf(stderr, "cannot create store: %s\n",
-                       st.ToString().c_str());
-          return 1;
-        }
-      } else {
-        std::fprintf(stderr, "cannot recover store: %s\n",
-                     st.ToString().c_str());
-        return 1;
-      }
-    } else {
-      sharded = std::make_unique<ShardedCycleBreakService>(
-          std::move(base), sharded_options);
-    }
-  } else if (!args.data_dir.empty()) {
+  if (!args.data_dir.empty()) {
     // An existing store is recovered; a fresh directory is initialized.
-    st = CycleBreakService::Open(options, &unsharded);
+    st = CycleBreakService::Open(options, &service_ptr);
     if (st.ok()) {
-      const auto& rec = unsharded->recovery_info();
-      if (!report_recovery(rec.snapshot_epoch, rec.replayed_batches,
-                           rec.replayed_events,
-                           rec.journal_truncated_bytes,
-                           unsharded->events_ingested())) {
+      const auto& rec = service_ptr->recovery_info();
+      resume_offset = static_cast<size_t>(service_ptr->events_ingested());
+      std::fprintf(stderr,
+                   "recovered %s: snapshot epoch %llu + %llu journal "
+                   "batches (%llu events, %llu torn bytes dropped), "
+                   "resuming stream at event %zu\n",
+                   args.data_dir.c_str(),
+                   static_cast<unsigned long long>(rec.snapshot_epoch),
+                   static_cast<unsigned long long>(rec.replayed_batches),
+                   static_cast<unsigned long long>(rec.replayed_events),
+                   static_cast<unsigned long long>(
+                       rec.journal_truncated_bytes),
+                   resume_offset);
+      if (resume_offset > stream.size()) {
+        std::fprintf(stderr,
+                     "store is ahead of the stream (%zu > %zu events)\n",
+                     resume_offset, stream.size());
         return 1;
       }
     } else if (st.IsNotFound()) {
       st = CycleBreakService::Create(std::move(base), options,
-                                     &unsharded);
+                                     &service_ptr);
       if (!st.ok()) {
         std::fprintf(stderr, "cannot create store: %s\n",
                      st.ToString().c_str());
@@ -523,12 +473,10 @@ int main(int argc, char** argv) {
       return 1;
     }
   } else {
-    unsharded = std::make_unique<CycleBreakService>(std::move(base),
-                                                    options);
+    service_ptr = std::make_unique<CycleBreakService>(std::move(base),
+                                                      options);
   }
-  GraphService& service =
-      sharded != nullptr ? static_cast<GraphService&>(*sharded)
-                         : static_cast<GraphService&>(*unsharded);
+  CycleBreakService& service = *service_ptr;
   if (service.universe() != universe) {
     std::fprintf(stderr,
                  "store universe (%u) does not match the stream's "
@@ -567,12 +515,6 @@ int main(int argc, char** argv) {
       "Delta edges in the published snapshot's overlay", [&service] {
         return static_cast<double>(service.delta_edges());
       }));
-  if (sharded != nullptr) {
-    std::vector<MetricRegistry::Registration> shard_regs =
-        BindShardRouterStats(&registry, sharded->raw_router_stats(),
-                             "tdb_shard_");
-    for (auto& reg : shard_regs) metric_regs.push_back(std::move(reg));
-  }
 
   MetricsHttpServer metrics_server(&registry, args.metrics_port);
   if (args.metrics_port >= 0) {
@@ -753,27 +695,6 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(s.cycles_covered),
               image.covered.size(), image.cover_vertices.size(),
               image.delta.size());
-  if (sharded != nullptr) {
-    const ShardRouterStatsSnapshot r = sharded->RouterStats();
-    const double summary_rate =
-        r.cross_queries > 0
-            ? 100.0 * static_cast<double>(r.summary_resolved) /
-                  static_cast<double>(r.cross_queries)
-            : 0.0;
-    std::printf(
-        "router:     %d shards, %llu/%llu edges cross-shard, boundary "
-        "%llu, %llu summaries (%.3fs), cross queries %llu (%.1f%% "
-        "summary-resolved, %llu scatter/gather, %llu DFS fallbacks)\n",
-        sharded->num_shards(),
-        static_cast<unsigned long long>(r.cross_shard_edges),
-        static_cast<unsigned long long>(r.edges_routed),
-        static_cast<unsigned long long>(r.boundary_vertices),
-        static_cast<unsigned long long>(r.summary_builds),
-        r.summary_build_seconds,
-        static_cast<unsigned long long>(r.cross_queries), summary_rate,
-        static_cast<unsigned long long>(r.scatter_gather_probes),
-        static_cast<unsigned long long>(r.dfs_fallbacks));
-  }
   if (!args.data_dir.empty()) {
     std::printf("store:      %llu journal records, %llu rotations, "
                 "%llu snapshots, %llu persist failures (durability %s)\n",
