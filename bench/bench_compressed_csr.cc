@@ -20,7 +20,6 @@
 // tools/check_bench_regression.py.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -37,11 +36,6 @@ namespace {
 
 using namespace tdb;
 using namespace tdb::bench;
-
-uint64_t EnvOr(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
-}
 
 double Now() {
   return std::chrono::duration<double>(
@@ -112,10 +106,11 @@ bool EdgesIdentical(const CsrGraph& a, const CsrGraph& b) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const VertexId n = static_cast<VertexId>(EnvOr("TDB_BENCH_N", 4000));
-  const VertexId degree =
-      static_cast<VertexId>(EnvOr("TDB_BENCH_DEGREE", 8));
-  const int repeats = static_cast<int>(EnvOr("TDB_BENCH_REPEATS", 3));
+  const VertexId n = EnvInteger<VertexId>("TDB_BENCH_N", 4000);
+  const VertexId degree = EnvInteger<VertexId>("TDB_BENCH_DEGREE", 8);
+  const int repeats = EnvInteger<int>("TDB_BENCH_REPEATS", 3);
+  const double ratio_floor =
+      EnvDouble("TDB_BENCH_MIN_COMPRESSION_RATIO", 0.0);
   const EdgeId m = static_cast<EdgeId>(n) * degree;
 
   std::vector<std::pair<std::string, CsrGraph>> shapes;
@@ -253,16 +248,12 @@ int main(int argc, char** argv) {
   }
   table.Print();
 
-  if (const char* floor_env =
-          std::getenv("TDB_BENCH_MIN_COMPRESSION_RATIO")) {
-    const double floor = std::atof(floor_env);
-    if (min_ratio < floor) {
-      std::fprintf(stderr,
-                   "COMPRESSION REGRESSION: worst shape ratio %.2fx is "
-                   "below the %.2fx floor\n",
-                   min_ratio, floor);
-      ok = false;
-    }
+  if (min_ratio < ratio_floor) {
+    std::fprintf(stderr,
+                 "COMPRESSION REGRESSION: worst shape ratio %.2fx is "
+                 "below the %.2fx floor\n",
+                 min_ratio, ratio_floor);
+    ok = false;
   }
 
   if (!json.Write(JsonSink::PathFromArgs(argc, argv))) ok = false;

@@ -14,7 +14,6 @@
 // `--json <path>` additionally writes machine-readable rows for
 // tools/check_bench_regression.py.
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -30,11 +29,6 @@ namespace {
 
 using namespace tdb;
 using namespace tdb::bench;
-
-uint64_t EnvOr(const char* name, uint64_t fallback) {
-  const char* v = std::getenv(name);
-  return v != nullptr ? std::strtoull(v, nullptr, 10) : fallback;
-}
 
 /// `blocks` disjoint strongly connected blocks of `block_n` vertices: a
 /// cycle backbone (guarantees one SCC per block) plus `chords_per_vertex`
@@ -63,11 +57,9 @@ CsrGraph MakeMultiSccGraph(VertexId blocks, VertexId block_n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const VertexId blocks =
-      static_cast<VertexId>(EnvOr("TDB_BENCH_BLOCKS", 12));
-  const VertexId block_n =
-      static_cast<VertexId>(EnvOr("TDB_BENCH_BLOCK_N", 600));
-  const VertexId degree = static_cast<VertexId>(EnvOr("TDB_BENCH_DEGREE", 6));
+  const VertexId blocks = EnvInteger<VertexId>("TDB_BENCH_BLOCKS", 12);
+  const VertexId block_n = EnvInteger<VertexId>("TDB_BENCH_BLOCK_N", 600);
+  const VertexId degree = EnvInteger<VertexId>("TDB_BENCH_DEGREE", 6);
 
   CsrGraph g = MakeMultiSccGraph(blocks, block_n, degree, /*seed=*/71);
   SccResult scc = ComputeScc(g);
@@ -87,7 +79,7 @@ int main(int argc, char** argv) {
   opts.k = 5;
   opts.min_component_parallel_size = 1;
 
-  const int repeats = static_cast<int>(EnvOr("TDB_BENCH_REPEATS", 3));
+  const int repeats = EnvInteger<int>("TDB_BENCH_REPEATS", 3);
 
   JsonSink json("parallel_scaling");
   json.BeginRow();

@@ -13,6 +13,7 @@
 #include "core/solver.h"
 #include "core/verifier.h"
 #include "graph/csr_graph.h"
+#include "util/parse_number.h"
 
 namespace tdb::bench {
 
@@ -98,11 +99,38 @@ struct Cell {
   bool failed = false;  // e.g. line-graph budget exhausted
 };
 
+/// Environment variable `name` parsed strictly as a T; `fallback` when
+/// unset. A malformed or out-of-range value prints the variable's name
+/// and exits 2 — a typo in a CI floor must fail loudly, not parse as 0
+/// and disable the gate.
+template <typename T>
+T EnvInteger(const char* name, T fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  T value{};
+  if (!ParseInteger(env, &value)) {
+    std::fprintf(stderr, "invalid %s value: %s\n", name, env);
+    std::exit(2);
+  }
+  return value;
+}
+
+/// Floating-point twin of EnvInteger (finite values only).
+inline double EnvDouble(const char* name, double fallback) {
+  const char* env = std::getenv(name);
+  if (env == nullptr) return fallback;
+  double value = 0.0;
+  if (!ParseFiniteDouble(env, &value)) {
+    std::fprintf(stderr, "invalid %s value: %s\n", name, env);
+    std::exit(2);
+  }
+  return value;
+}
+
 /// Per-run wall-clock budget from TDB_BENCH_TIMEOUT (seconds; default
 /// `fallback`). Runs over budget report the paper's "INF".
 inline double BenchTimeout(double fallback = 30.0) {
-  const char* env = std::getenv("TDB_BENCH_TIMEOUT");
-  return env != nullptr ? std::atof(env) : fallback;
+  return EnvDouble("TDB_BENCH_TIMEOUT", fallback);
 }
 
 /// Set TDB_BENCH_VERIFY=1 to verify feasibility of every produced cover

@@ -27,7 +27,6 @@
 // --json PATH emits rows for tools/check_bench_regression.py.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <span>
 #include <string>
@@ -48,20 +47,23 @@ namespace {
 using namespace tdb;
 using namespace tdb::bench;
 
-uint64_t EnvOr(const char* name, uint64_t fallback) {
-  const char* env = std::getenv(name);
-  return env != nullptr ? static_cast<uint64_t>(std::atoll(env)) : fallback;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
   const VertexId n =
-      static_cast<VertexId>(EnvOr("TDB_BENCH_SERVICE_N", 2000));
-  const EdgeId base_m = EnvOr("TDB_BENCH_SERVICE_BASE_M", 6000);
-  const EdgeId stream_m = EnvOr("TDB_BENCH_SERVICE_STREAM_M", 8000);
-  const size_t batch = EnvOr("TDB_BENCH_SERVICE_BATCH", 256);
-  const uint64_t queries = EnvOr("TDB_BENCH_SERVICE_QUERIES", 40000);
+      EnvInteger<VertexId>("TDB_BENCH_SERVICE_N", 2000);
+  const EdgeId base_m = EnvInteger<EdgeId>("TDB_BENCH_SERVICE_BASE_M", 6000);
+  const EdgeId stream_m =
+      EnvInteger<EdgeId>("TDB_BENCH_SERVICE_STREAM_M", 8000);
+  const size_t batch = EnvInteger<size_t>("TDB_BENCH_SERVICE_BATCH", 256);
+  const uint64_t queries =
+      EnvInteger<uint64_t>("TDB_BENCH_SERVICE_QUERIES", 40000);
+  const int landmarks = EnvInteger<int>("TDB_BENCH_SERVICE_LANDMARKS", 512);
+  const uint64_t admit_q =
+      EnvInteger<uint64_t>("TDB_BENCH_SERVICE_ADMIT_Q", 80000);
+  const size_t admit_batch =
+      EnvInteger<size_t>("TDB_BENCH_SERVICE_ADMIT_BATCH", 256);
+  const double min_speedup = EnvDouble("TDB_BENCH_MIN_ADMIT_SPEEDUP", 0.0);
   constexpr uint32_t kHop = 4;
 
   // Deterministic workload shared by every row.
@@ -208,14 +210,6 @@ int main(int argc, char** argv) {
   }
 
   // ---- Steady-state admission mode sweep (fixed 4 reader threads) ----
-  const int landmarks =
-      static_cast<int>(EnvOr("TDB_BENCH_SERVICE_LANDMARKS", 512));
-  const uint64_t admit_q = EnvOr("TDB_BENCH_SERVICE_ADMIT_Q", 80000);
-  const size_t admit_batch = EnvOr("TDB_BENCH_SERVICE_ADMIT_BATCH", 256);
-  const double min_speedup = [] {
-    const char* env = std::getenv("TDB_BENCH_MIN_ADMIT_SPEEDUP");
-    return env != nullptr ? std::atof(env) : 0.0;
-  }();
   constexpr int kAdmitThreads = 4;
   json.BeginRow();
   json.Str("row", "admit_params");

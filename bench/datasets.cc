@@ -1,8 +1,8 @@
 #include "datasets.h"
 
 #include <algorithm>
-#include <cstdlib>
 
+#include "bench_runner.h"
 #include "graph/generators.h"
 #include "util/check.h"
 
@@ -87,10 +87,8 @@ CsrGraph BuildProxy(const DatasetSpec& spec, double scale) {
 }
 
 double BenchScale() {
-  const char* env = std::getenv("TDB_BENCH_SCALE");
-  if (env == nullptr) return 1.0;
-  const double v = std::atof(env);
-  TDB_CHECK_MSG(v > 0.0, "TDB_BENCH_SCALE must be positive, got %s", env);
+  const double v = EnvDouble("TDB_BENCH_SCALE", 1.0);
+  TDB_CHECK_MSG(v > 0.0, "TDB_BENCH_SCALE must be positive, got %g", v);
   return v;
 }
 

@@ -68,14 +68,6 @@ Status CoverOptions::Validate() const {
   if (min_intra_parallel_size < 1) {
     return Status::InvalidArgument("min_intra_parallel_size must be >= 1");
   }
-  if (scc_algorithm != SccAlgorithm::kTarjan &&
-      scc_algorithm != SccAlgorithm::kParallelFwBw &&
-      scc_algorithm != SccAlgorithm::kUnionFind) {
-    return Status::InvalidArgument("unknown scc_algorithm");
-  }
-  if (min_parallel_scc_size < 1) {
-    return Status::InvalidArgument("min_parallel_scc_size must be >= 1");
-  }
   return Status::OK();
 }
 

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "graph/scc.h"
 #include "search/search_types.h"
 #include "util/status.h"
 
@@ -95,17 +94,6 @@ struct CoverOptions {
   /// sequential solve — see core/probe_executor.h). DARC-DV is exempt:
   /// its line-graph construction needs a materialized subgraph.
   VertexId min_intra_parallel_size = 2048;
-  /// Condensation strategy of the engine's SCC front end (graph/scc.h;
-  /// docs/CONDENSATION.md). kTarjan is the sequential classic;
-  /// kParallelFwBw peels trivial SCCs with trim-1/trim-2 and decomposes
-  /// the rest with parallel forward-backward reachability on the pool;
-  /// kUnionFind runs Bloemen-style on-the-fly UFSCC workers over a
-  /// concurrent union-find. The SccResult — and therefore every cover —
-  /// is bit-identical between all three at every thread count.
-  SccAlgorithm scc_algorithm = SccAlgorithm::kTarjan;
-  /// Graphs/partitions smaller than this run sequential Tarjan inside
-  /// the parallel condensers (ignored by kTarjan).
-  VertexId min_parallel_scc_size = 1u << 14;
   /// Keep the base graph as delta/varint-compressed CSR blocks
   /// (graph/compressed_csr.h) instead of raw offset+edge arrays. The
   /// whole-graph phases (condensation, candidate ranking, SCC discharge)
@@ -161,13 +149,6 @@ struct CoverStats {
   double scc_seconds = 0.0;
   /// Components produced by the condensation front end.
   uint64_t scc_components = 0;
-  /// Vertices peeled as trivial SCCs by trim-1/trim-2 (kParallelFwBw
-  /// only; 0 under kTarjan).
-  uint64_t scc_trim_peeled = 0;
-  /// FW-BW pivot steps / sequential-Tarjan fallback partitions executed
-  /// by the parallel condenser (kParallelFwBw only).
-  uint64_t scc_fwbw_partitions = 0;
-  uint64_t scc_tarjan_partitions = 0;
 };
 
 /// A solver run's outcome. `cover` is sorted ascending.

@@ -203,7 +203,6 @@ struct EngineRun {
   Deadline master;
   int requested = 1;
   VertexId min_scc = 3;
-  SccOptions scc_options;
 };
 
 /// In-place solve of one component through a SubgraphView, with the
@@ -247,7 +246,7 @@ CoverResult SolveMaterialized(const EngineRun<GraphT>& run,
 /// work-budget split needs every component's edge mass upfront to
 /// compute the shares.
 template <typename GraphT>
-CoverResult BarrierSolve(const EngineRun<GraphT>& run, SccStats* scc_stats,
+CoverResult BarrierSolve(const EngineRun<GraphT>& run, double* scc_seconds,
                          uint64_t* scc_components) {
   // The in-place SubgraphView route is raw-only: on the compressed
   // backend every component materializes (see engine.h).
@@ -263,12 +262,14 @@ CoverResult BarrierSolve(const EngineRun<GraphT>& run, SccStats* scc_stats,
   Deadline condense_deadline =
       split_budget ? Deadline::AfterSeconds(run.options.time_limit_seconds)
                    : run.master;
-  SccOptions scc_options = run.scc_options;
+  SccOptions scc_options;
   scc_options.deadline = &condense_deadline;
   SccResult scc;
   {
     TDB_TRACE_SPAN("engine.condense");
-    scc = CondenseScc(run.graph, scc_options, nullptr, scc_stats);
+    Timer condense_timer;
+    scc = CondenseScc(run.graph, scc_options);
+    *scc_seconds = condense_timer.ElapsedSeconds();
   }
   *scc_components = scc.num_components;
   if (scc.timed_out) {
@@ -495,18 +496,18 @@ CoverResult BarrierSolve(const EngineRun<GraphT>& run, SccStats* scc_stats,
 ///     submitted to the solver pool as materialized solves;
 ///   * the calling thread drains the big-component queue, solving each
 ///     in place with the intra-component probe executor — so the giant
-///     SCC starts solving as soon as FW ∩ BW finalizes it, typically
-///     long before the remainder partitions are fully decomposed;
+///     SCC starts solving as soon as Tarjan closes it, while the rest of
+///     the graph is still being decomposed;
 ///   * `requested` solver-pool workers chew the materialized tail.
 ///
-/// The condenser's BFS pool, the probe pool and the solver pool coexist,
-/// so thread oversubscription is transiently possible; condensation and
+/// The condenser thread, the probe pool and the solver pool coexist, so
+/// thread oversubscription is transiently possible; condensation and
 /// probing alternate with solving in practice, and correctness never
 /// depends on the overlap. Covers are bit-identical to the barrier path:
 /// per-component solves are unchanged and the merge orders components
 /// canonically.
 template <typename GraphT>
-CoverResult PipelineSolve(const EngineRun<GraphT>& run, SccStats* scc_stats,
+CoverResult PipelineSolve(const EngineRun<GraphT>& run, double* scc_seconds,
                           uint64_t* scc_components) {
   // Raw-only in-place route, as in BarrierSolve: on the compressed
   // backend the sink sends every solvable component to the materialized
@@ -518,7 +519,7 @@ CoverResult PipelineSolve(const EngineRun<GraphT>& run, SccStats* scc_stats,
   std::condition_variable queue_cv;
   std::deque<std::vector<VertexId>> big_queue;
   bool condense_done = false;
-  uint64_t scc_filtered = 0;  // sink calls are serialized
+  uint64_t scc_filtered = 0;  // only the condenser thread touches it
 
   // Materialized tail: one context per solver worker; extractors (O(n)
   // scratch each) materialize lazily on the worker that first needs one,
@@ -595,8 +596,8 @@ CoverResult PipelineSolve(const EngineRun<GraphT>& run, SccStats* scc_stats,
         return;
       }
     }
-    // Sink calls are serialized by the condenser, so the batching state
-    // and the lazy pool emplace cannot race; Submit is thread-safe.
+    // Sink calls all come from the condenser thread, so the batching
+    // state and the lazy pool emplace cannot race; Submit is thread-safe.
     if (static_cast<VertexId>(members.size()) <
         run.options.min_component_parallel_size) {
       small_batch.emplace_back(members.begin(), members.end());
@@ -615,7 +616,7 @@ CoverResult PipelineSolve(const EngineRun<GraphT>& run, SccStats* scc_stats,
     // Count-only condensation: the components all arrive through the
     // sink, so the canonical SccResult arrays would be built and thrown
     // away — and their O(n) finalization would delay condense_done.
-    SccOptions scc_options = run.scc_options;
+    SccOptions scc_options;
     scc_options.canonical_result = false;
     // Private Deadline copy: shared expiry instant, thread-local
     // amortized check state.
@@ -624,7 +625,9 @@ CoverResult PipelineSolve(const EngineRun<GraphT>& run, SccStats* scc_stats,
     SccResult scc;
     {
       TDB_TRACE_SPAN("engine.condense");
-      scc = CondenseScc(run.graph, scc_options, sink, scc_stats);
+      Timer condense_timer;
+      scc = CondenseScc(run.graph, scc_options, sink);
+      *scc_seconds = condense_timer.ElapsedSeconds();
     }
     if (scc.timed_out) scc_timed_out.store(true, std::memory_order_relaxed);
     if (!small_batch.empty()) submit_batch(std::exchange(small_batch, {}));
@@ -746,27 +749,21 @@ CoverResult SolveCycleCoverPartitionedT(const GraphT& graph,
   run.component_options = options;
   run.component_options.scc_prefilter = false;
   if (IsTopDown(algorithm)) run.rank = MakeRank(graph, options);
-  run.scc_options.algorithm = options.scc_algorithm;
-  run.scc_options.num_threads = run.requested;
-  run.scc_options.min_parallel_size = options.min_parallel_scc_size;
 
-  SccStats scc_stats;
+  double scc_seconds = 0.0;
   uint64_t scc_components = 0;
   // The pipeline needs spare threads to overlap condensation with
   // solving, and the budget split needs the full component list before
   // any solve (shares are proportional to total edge mass).
   CoverResult solved =
       run.requested > 1 && !split_budget
-          ? PipelineSolve(run, &scc_stats, &scc_components)
-          : BarrierSolve(run, &scc_stats, &scc_components);
+          ? PipelineSolve(run, &scc_seconds, &scc_components)
+          : BarrierSolve(run, &scc_seconds, &scc_components);
   result.status = std::move(solved.status);
   result.cover = std::move(solved.cover);
   result.stats = solved.stats;
-  result.stats.scc_seconds = scc_stats.seconds;
+  result.stats.scc_seconds = scc_seconds;
   result.stats.scc_components = scc_components;
-  result.stats.scc_trim_peeled = scc_stats.trim_peeled;
-  result.stats.scc_fwbw_partitions = scc_stats.fwbw_partitions;
-  result.stats.scc_tarjan_partitions = scc_stats.tarjan_partitions;
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

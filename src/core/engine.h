@@ -8,14 +8,13 @@
 // coordination. This engine is the single execution path behind
 // SolveCycleCover for every CoverAlgorithm:
 //
-//   1. condense via the pluggable SCC front end (graph/scc.h,
-//      options.scc_algorithm: sequential Tarjan or trim + parallel
-//      forward-backward decomposition). With num_threads > 1 (and no
-//      work-budget split) condensation runs as a *pipeline*: a condenser
-//      thread streams each finalized component through a ComponentSink
-//      while still decomposing the rest, so the giant SCC starts solving
-//      before condensation finishes — condensation is no longer a
-//      barrier in front of the parallel engine;
+//   1. condense with sequential iterative Tarjan (graph/scc.h). With
+//      num_threads > 1 (and no work-budget split) condensation runs as a
+//      *pipeline*: a condenser thread streams each finalized component
+//      through a ComponentSink while still decomposing the rest, so the
+//      giant SCC starts solving before condensation finishes —
+//      condensation is no longer a barrier in front of the parallel
+//      engine;
 //   2. discharge components too small to host a qualifying cycle
 //      (size < 3, or < 2 when 2-cycles count) — counted as scc_filtered;
 //   3. route each remaining component by size:

@@ -149,6 +149,9 @@ Status SaveEdgeListText(const CsrGraph& graph, const std::string& path) {
       std::fprintf(f.get(), "%u %u\n", u, v);
     }
   }
+  if (!CloseChecked(f.release())) {
+    return Status::IOError("cannot write " + path);
+  }
   return Status::OK();
 }
 
@@ -212,6 +215,9 @@ Status SaveBinary(const CsrGraph& graph, const std::string& path) {
   }
   Status st = WriteEdgeArrayBinary(graph, f.get(), /*crc=*/nullptr);
   if (!st.ok()) return Status::IOError(path + ": " + st.message());
+  if (!CloseChecked(f.release())) {
+    return Status::IOError("cannot write " + path);
+  }
   return Status::OK();
 }
 
@@ -254,6 +260,9 @@ Status SaveEdgeStreamText(std::span<const TimedEdge> stream,
   for (const TimedEdge& e : stream) {
     std::fprintf(f.get(), "%u %u %llu\n", e.src, e.dst,
                  static_cast<unsigned long long>(e.timestamp));
+  }
+  if (!CloseChecked(f.release())) {
+    return Status::IOError("cannot write " + path);
   }
   return Status::OK();
 }

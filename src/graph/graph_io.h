@@ -51,10 +51,12 @@ struct TimedEdge {
 Status LoadEdgeListText(const std::string& path, CsrGraph* graph,
                         std::vector<uint64_t>* original_ids = nullptr);
 
-/// Writes `graph` as a text edge list (dense ids).
+/// Writes `graph` as a text edge list (dense ids). IOError when any
+/// write fails, including the flush at close (e.g. a full disk).
 Status SaveEdgeListText(const CsrGraph& graph, const std::string& path);
 
-/// Writes `graph` in the TDBG binary format.
+/// Writes `graph` in the TDBG binary format. IOError as for
+/// SaveEdgeListText.
 Status SaveBinary(const CsrGraph& graph, const std::string& path);
 
 /// Loads a TDBG binary file.
@@ -74,6 +76,7 @@ Status ReadEdgeArrayBinary(std::FILE* f, uint64_t m, VertexId n, Crc32* crc,
                            std::vector<Edge>* edges);
 
 /// Writes a timestamped edge stream as text ("src dst timestamp" lines).
+/// IOError as for SaveEdgeListText.
 Status SaveEdgeStreamText(std::span<const TimedEdge> stream,
                           const std::string& path);
 

@@ -1,17 +1,9 @@
 #include "graph/scc.h"
 
 #include <algorithm>
-#include <atomic>
-#include <cctype>
 #include <deque>
-#include <memory>
-#include <mutex>
-#include <utility>
 
 #include "graph/compressed_csr.h"
-#include "util/concurrent_union_find.h"
-#include "util/thread_pool.h"
-#include "util/timer.h"
 
 namespace tdb {
 
@@ -19,27 +11,23 @@ namespace {
 
 constexpr VertexId kUnvisited = kInvalidVertex;
 
-/// Shared emission state of one condensation run: provisional labels (an
-/// arbitrary numbering, canonicalized at the end) plus the optional
-/// streaming sink. Emission may happen concurrently from pool workers
-/// (the FW-BW backlog), so the label counter is atomic and sink calls are
-/// serialized.
+/// Emission state of one condensation run: provisional labels (Tarjan's
+/// closing order, canonicalized at the end) plus the optional streaming
+/// sink.
 struct EmitCtx {
   std::vector<VertexId> label;
-  std::atomic<VertexId> next_label{0};
+  VertexId next_label = 0;
   const ComponentSink* sink = nullptr;
-  std::mutex sink_mu;
 };
 
 /// Labels one finished component and streams it to the sink. `members`
-/// holds global vertex ids; it is sorted in place when a sink needs it
-/// (the canonical member lists are rebuilt from labels either way).
+/// is sorted in place when a sink needs it (the canonical member lists
+/// are rebuilt from labels either way).
 void EmitComponent(EmitCtx& ctx, std::vector<VertexId>& members) {
-  const VertexId id = ctx.next_label.fetch_add(1, std::memory_order_relaxed);
+  const VertexId id = ctx.next_label++;
   for (VertexId v : members) ctx.label[v] = id;
   if (ctx.sink != nullptr && *ctx.sink) {
     std::sort(members.begin(), members.end());
-    std::lock_guard<std::mutex> lock(ctx.sink_mu);
     (*ctx.sink)(members);
   }
 }
@@ -47,8 +35,7 @@ void EmitComponent(EmitCtx& ctx, std::vector<VertexId>& members) {
 /// Canonicalizes provisional labels into an SccResult: components are
 /// renumbered by first appearance when scanning vertices ascending —
 /// i.e. ordered by minimum member — and member lists are produced by a
-/// counting sort, which leaves each list sorted ascending. This is what
-/// makes SccResult bit-identical across algorithms and thread counts.
+/// counting sort, which leaves each list sorted ascending.
 SccResult FinalizeCanonical(VertexId n, const std::vector<VertexId>& label,
                             VertexId provisional_count) {
   SccResult result;
@@ -93,7 +80,7 @@ std::span<const VertexId> DecodeDepth(const GraphT& g, VertexId v,
 /// amortizes the clock reads — and returns false on expiry, leaving the
 /// labeling incomplete.
 template <typename GraphT>
-bool TarjanWhole(const GraphT& graph, EmitCtx& ctx, Deadline* deadline) {
+bool RunTarjan(const GraphT& graph, EmitCtx& ctx, Deadline* deadline) {
   const VertexId n = graph.num_vertices();
   std::vector<VertexId> index(n, kUnvisited);
   std::vector<VertexId> lowlink(n, 0);
@@ -164,685 +151,28 @@ bool TarjanWhole(const GraphT& graph, EmitCtx& ctx, Deadline* deadline) {
   return true;
 }
 
-/// Iterative Tarjan restricted to one partition: `subset` lists its
-/// vertices and membership is part[v] == tag. Scratch is dense over local
-/// ids; `local_of` is a graph-sized map shared across concurrent calls —
-/// partitions are disjoint, so writes never race.
-template <typename GraphT>
-void TarjanSubset(const GraphT& graph, std::span<const VertexId> subset,
-                  const std::vector<uint32_t>& part, uint32_t tag,
-                  std::vector<VertexId>& local_of, EmitCtx& ctx) {
-  const VertexId m = static_cast<VertexId>(subset.size());
-  for (VertexId i = 0; i < m; ++i) local_of[subset[i]] = i;
-
-  std::vector<VertexId> index(m, kUnvisited);
-  std::vector<VertexId> lowlink(m, 0);
-  std::vector<uint8_t> on_stack(m, 0);
-  std::vector<VertexId> scc_stack;  // local ids
-  std::vector<VertexId> members;    // global ids
-
-  struct Frame {
-    VertexId v;  // local id
-    EdgeId idx;
-    EdgeId deg;
-    const VertexId* nbrs;  // global ids (decoded per-depth)
-  };
-  std::vector<Frame> dfs;
-  std::deque<std::vector<VertexId>> bufs;
-
-  auto push = [&](VertexId local) {
-    const std::span<const VertexId> nbrs =
-        DecodeDepth(graph, subset[local], bufs, dfs.size());
-    dfs.push_back({local, 0, static_cast<EdgeId>(nbrs.size()), nbrs.data()});
-  };
-
-  VertexId next_index = 0;
-  for (VertexId root = 0; root < m; ++root) {
-    if (index[root] != kUnvisited) continue;
-    push(root);
-    index[root] = lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    on_stack[root] = 1;
-
-    while (!dfs.empty()) {
-      Frame& frame = dfs.back();
-      VertexId v = frame.v;
-      if (frame.idx < frame.deg) {
-        VertexId wg = frame.nbrs[frame.idx++];
-        if (part[wg] != tag) continue;  // edge leaves the partition
-        VertexId w = local_of[wg];
-        if (index[w] == kUnvisited) {
-          index[w] = lowlink[w] = next_index++;
-          scc_stack.push_back(w);
-          on_stack[w] = 1;
-          push(w);
-        } else if (on_stack[w]) {
-          lowlink[v] = std::min(lowlink[v], index[w]);
-        }
-        continue;
-      }
-      if (lowlink[v] == index[v]) {
-        members.clear();
-        VertexId w;
-        do {
-          w = scc_stack.back();
-          scc_stack.pop_back();
-          on_stack[w] = 0;
-          members.push_back(subset[w]);
-        } while (w != v);
-        EmitComponent(ctx, members);
-      }
-      dfs.pop_back();
-      if (!dfs.empty()) {
-        VertexId parent = dfs.back().v;
-        lowlink[parent] = std::min(lowlink[parent], lowlink[v]);
-      }
-    }
-  }
-}
-
-/// The trim + forward-backward condenser. Recursion is orchestrated on
-/// the calling thread (an explicit partition stack); the pool is used for
-/// flat data-parallel sweeps (degree scans, BFS frontiers, partition
-/// splits) and for the final backlog of below-cutoff partitions, which
-/// run sequential Tarjan concurrently. Neighbor sweeps stream through the
-/// ForEachOut/ForEachIn seam; the CompressedCsr cursors are function
-/// locals, so concurrent sweeps over one graph stay race-free.
-template <typename GraphT>
-class FwBwCondenser {
- public:
-  FwBwCondenser(const GraphT& graph, const SccOptions& options,
-                int threads, EmitCtx& ctx, SccStats* stats,
-                Deadline* deadline)
-      : g_(graph),
-        n_(graph.num_vertices()),
-        cutoff_(std::max<VertexId>(options.min_parallel_size, 1)),
-        ctx_(ctx),
-        stats_(stats),
-        deadline_(deadline) {
-    if (threads > 1 && n_ >= cutoff_) {
-      pool_ = std::make_unique<ThreadPool>(threads);
-    }
-  }
-
-  /// False when the deadline expired mid-run (labels incomplete). Polls
-  /// at phase boundaries — after each trim pass, before each FW-BW pivot
-  /// step and before each backlog partition — so the run aborts within
-  /// one phase of the expiry instead of finishing the decomposition.
-  bool Run() {
-    part_.assign(n_, 1);
-    fw_mark_.assign(n_, 0);
-    bw_mark_.assign(n_, 0);
-    deg_in_.resize(n_);
-    deg_out_.resize(n_);
-    local_of_.resize(n_);
-
-    std::vector<VertexId> all(n_);
-    for (VertexId v = 0; v < n_; ++v) all[v] = v;
-    TrimOne(&all, /*tag=*/1);
-    if (PhaseExpired()) return false;
-    TrimTwo(&all, /*tag=*/1);
-    if (PhaseExpired()) return false;
-
-    std::vector<std::pair<std::vector<VertexId>, uint32_t>> stack;
-    std::vector<std::pair<std::vector<VertexId>, uint32_t>> backlog;
-    if (!all.empty()) stack.emplace_back(std::move(all), 1u);
-
-    while (!stack.empty()) {
-      if (PhaseExpired()) return false;
-      auto [partition, tag] = std::move(stack.back());
-      stack.pop_back();
-      if (partition.empty()) continue;
-      if (partition.size() < cutoff_) {
-        backlog.emplace_back(std::move(partition), tag);
-        continue;
-      }
-      // With one thread the same FW-BW structure runs sequentially (the
-      // BFS and split sweeps fall back to their inline branches), so the
-      // recursion tree — and every emitted component — is identical.
-      FwBwStep(std::move(partition), tag, &stack);
-    }
-
-    if (stats_ != nullptr) {
-      stats_->tarjan_partitions += static_cast<uint32_t>(backlog.size());
-    }
-    if (pool_ != nullptr && backlog.size() > 1) {
-      // The fan-out is one phase: polled once before, not per partition
-      // (a Deadline's amortized state is not shareable across workers).
-      if (PhaseExpired()) return false;
-      pool_->ParallelFor(backlog.size(), [&](size_t i, int) {
-        TarjanSubset(g_, backlog[i].first, part_, backlog[i].second,
-                     local_of_, ctx_);
-      });
-    } else {
-      for (const auto& [partition, tag] : backlog) {
-        if (PhaseExpired()) return false;
-        TarjanSubset(g_, partition, part_, tag, local_of_, ctx_);
-      }
-    }
-    return true;
-  }
-
- private:
-  static constexpr size_t kGrain = 2048;
-
-  ThreadPool* pool() { return pool_.get(); }
-
-  bool PhaseExpired() {
-    return deadline_ != nullptr && deadline_->ExpiredNow();
-  }
-
-  void EmitTrivial(VertexId u) {
-    trivial_[0] = u;
-    EmitComponent(ctx_, trivial_);
-    if (stats_ != nullptr) ++stats_->trim_peeled;
-  }
-
-  /// Trim-1: iteratively peels vertices with no in- or no out-neighbor
-  /// inside the partition — each is a singleton SCC (partitions are
-  /// SCC-closed, so a vertex unreachable-from or unable-to-reach within
-  /// its partition lies on no cycle at all). Compacts `partition` to the
-  /// survivors, preserving order. Runs once, on the whole graph, before
-  /// the FW-BW recursion: re-trimming every remainder partition would
-  /// cost a full neighbor-list rescan per level, which measures as
-  /// expensive as the FW/BW sweeps themselves, while the below-cutoff
-  /// Tarjan fallback disposes of the DAG-like shards a recursive trim
-  /// would have peeled.
-  void TrimOne(std::vector<VertexId>* partition, uint32_t tag) {
-    std::vector<VertexId> queue;
-    ParallelGather<VertexId>(
-        pool(), partition->size(), kGrain, &queue,
-        [&](size_t begin, size_t end, std::vector<VertexId>* out, int) {
-          for (size_t i = begin; i < end; ++i) {
-            const VertexId v = (*partition)[i];
-            // Whole-graph trim: CSR degrees are the restricted degrees.
-            const VertexId din = static_cast<VertexId>(g_.in_degree(v));
-            const VertexId dout = static_cast<VertexId>(g_.out_degree(v));
-            deg_in_[v] = din;
-            deg_out_[v] = dout;
-            if (din == 0 || dout == 0) out->push_back(v);
-          }
-        });
-    for (size_t i = 0; i < queue.size(); ++i) {
-      const VertexId v = queue[i];
-      if (part_[v] != tag) continue;  // already peeled via the other side
-      part_[v] = 0;
-      EmitTrivial(v);
-      g_.ForEachOut(v, [&](VertexId w, EdgeId) {
-        if (part_[w] == tag && --deg_in_[w] == 0) queue.push_back(w);
-        return true;
-      });
-      g_.ForEachIn(v, [&](VertexId w, EdgeId) {
-        if (part_[w] == tag && --deg_out_[w] == 0) queue.push_back(w);
-        return true;
-      });
-    }
-    if (queue.empty()) return;
-    std::erase_if(*partition, [&](VertexId v) { return part_[v] != tag; });
-  }
-
-  /// Active in-/out-neighbor count of `u` (self-loops included).
-  template <bool kOut>
-  VertexId CountActive(VertexId u, uint32_t tag) const {
-    VertexId count = 0;
-    auto body = [&](VertexId w, EdgeId) {
-      count += part_[w] == tag ? 1 : 0;
-      return true;
-    };
-    if constexpr (kOut) {
-      g_.ForEachOut(u, body);
-    } else {
-      g_.ForEachIn(u, body);
-    }
-    return count;
-  }
-
-  /// The unique active in-/out-neighbor of `u` other than itself,
-  /// kInvalidVertex when there are zero or two-plus.
-  template <bool kOut>
-  VertexId OnlyActive(VertexId u, uint32_t tag) const {
-    VertexId only = kInvalidVertex;
-    bool multiple = false;
-    auto body = [&](VertexId w, EdgeId) {
-      if (w == u || part_[w] != tag) return true;
-      if (only != kInvalidVertex) {
-        multiple = true;
-        return false;
-      }
-      only = w;
-      return true;
-    };
-    if constexpr (kOut) {
-      g_.ForEachOut(u, body);
-    } else {
-      g_.ForEachIn(u, body);
-    }
-    return multiple ? kInvalidVertex : only;
-  }
-
-  /// Trim-2: peels two-vertex SCCs. If u's only active in-neighbor
-  /// (besides itself) is v and v's is u, every path into u threads
-  /// ...→u→v→u, so SCC(u) = {u, v}; symmetrically for out-neighbors. A
-  /// vertex whose only active in- or out-neighbor is itself (a self-loop
-  /// survivor of trim-1) is a singleton, encoded as the pair (u, u).
-  /// The restricted-degree arrays trim-1 left behind prefilter the
-  /// candidates, so only near-degree-1 vertices pay a neighbor scan.
-  void TrimTwo(std::vector<VertexId>* partition, uint32_t tag) {
-    std::vector<std::pair<VertexId, VertexId>> pairs;
-    ParallelGather<std::pair<VertexId, VertexId>>(
-        pool(), partition->size(), kGrain, &pairs,
-        [&](size_t begin, size_t end,
-            std::vector<std::pair<VertexId, VertexId>>* out, int) {
-          for (size_t i = begin; i < end; ++i) {
-            const VertexId u = (*partition)[i];
-            // The in/out pattern needs exactly one non-self active
-            // neighbor; a self-loop contributes at most one more to the
-            // restricted degree, so degree > 2 can never match.
-            if (deg_in_[u] <= 2) {
-              const VertexId vin = OnlyActive<false>(u, tag);
-              if (vin == kInvalidVertex) {
-                // Trim-1 guarantees at least one active in-neighbor; zero
-                // non-self means only a self-loop feeds u: singleton.
-                if (CountActive<false>(u, tag) ==
-                    (g_.HasEdge(u, u) ? 1u : 0u)) {
-                  out->emplace_back(u, u);
-                }
-              } else if (u < vin && deg_in_[vin] <= 2 &&
-                         OnlyActive<false>(vin, tag) == u) {
-                out->emplace_back(u, vin);
-                continue;
-              }
-            }
-            if (deg_out_[u] <= 2) {
-              const VertexId vout = OnlyActive<true>(u, tag);
-              if (vout != kInvalidVertex && u < vout && deg_out_[vout] <= 2 &&
-                  OnlyActive<true>(vout, tag) == u) {
-                out->emplace_back(u, vout);
-              }
-            }
-          }
-        });
-    if (pairs.empty()) return;
-    std::vector<VertexId> members;
-    for (const auto& [u, v] : pairs) {
-      if (part_[u] != tag || part_[v] != tag) continue;
-      part_[u] = 0;
-      if (u == v) {
-        EmitTrivial(u);
-        continue;
-      }
-      part_[v] = 0;
-      members.assign({u, v});
-      EmitComponent(ctx_, members);
-      if (stats_ != nullptr) stats_->trim_peeled += 2;
-    }
-    std::erase_if(*partition, [&](VertexId v) { return part_[v] != tag; });
-  }
-
-  /// Marks every vertex of the pivot's forward (kForward) or backward
-  /// closure within the partition with the current epoch, one frontier
-  /// level at a time; big frontiers fan out across the pool with CAS
-  /// claiming and chunk-ordered concatenation.
-  template <bool kForward>
-  void BfsMark(VertexId pivot, uint32_t tag, std::vector<uint32_t>& mark) {
-    auto sweep = [this](VertexId u, auto&& body) {
-      if constexpr (kForward) {
-        g_.ForEachOut(u, body);
-      } else {
-        g_.ForEachIn(u, body);
-      }
-    };
-    mark[pivot] = epoch_;
-    std::vector<VertexId> frontier{pivot};
-    std::vector<VertexId> next;
-    while (!frontier.empty()) {
-      next.clear();
-      if (pool_ == nullptr || frontier.size() <= kGrain) {
-        for (VertexId u : frontier) {
-          sweep(u, [&](VertexId w, EdgeId) {
-            if (part_[w] == tag && mark[w] != epoch_) {
-              mark[w] = epoch_;
-              next.push_back(w);
-            }
-            return true;
-          });
-        }
-      } else {
-        ParallelGather<VertexId>(
-            pool(), frontier.size(), kGrain, &next,
-            [&](size_t begin, size_t end, std::vector<VertexId>* out, int) {
-              for (size_t i = begin; i < end; ++i) {
-                sweep(frontier[i], [&](VertexId w, EdgeId) {
-                  if (part_[w] != tag) return true;
-                  std::atomic_ref<uint32_t> claimed(mark[w]);
-                  uint32_t seen = claimed.load(std::memory_order_relaxed);
-                  if (seen == epoch_) return true;
-                  if (claimed.compare_exchange_strong(
-                          seen, epoch_, std::memory_order_relaxed)) {
-                    out->push_back(w);
-                  }
-                  return true;
-                });
-              }
-            });
-      }
-      frontier.swap(next);
-    }
-  }
-
-  /// One pivot step: FW/BW closures, emit FW ∩ BW, retag and push the
-  /// three remainder partitions.
-  void FwBwStep(std::vector<VertexId> partition, uint32_t tag,
-                std::vector<std::pair<std::vector<VertexId>, uint32_t>>*
-                    stack) {
-    if (stats_ != nullptr) ++stats_->fwbw_partitions;
-    // Pivot: max degree product, ties to the minimum id — a function of
-    // the partition's *membership*, not its order, so the recursion tree
-    // is deterministic.
-    VertexId pivot = partition[0];
-    uint64_t best = 0;
-    for (VertexId v : partition) {
-      const uint64_t score = (static_cast<uint64_t>(g_.in_degree(v)) + 1) *
-                             (static_cast<uint64_t>(g_.out_degree(v)) + 1);
-      if (score > best || (score == best && v < pivot)) {
-        best = score;
-        pivot = v;
-      }
-    }
-
-    ++epoch_;
-    BfsMark<true>(pivot, tag, fw_mark_);
-    BfsMark<false>(pivot, tag, bw_mark_);
-
-    // Four-way split, chunk buffers concatenated in order.
-    struct Split {
-      std::vector<VertexId> scc, fw, bw, rest;
-    };
-    const size_t count = partition.size();
-    const size_t chunks =
-        pool_ != nullptr ? pool_->NumChunks(count, kGrain) : 1;
-    const size_t step = (count + chunks - 1) / chunks;
-    std::vector<Split> buffers((count + step - 1) / step);
-    auto classify = [&](size_t begin, size_t end, Split* out) {
-      for (size_t i = begin; i < end; ++i) {
-        const VertexId v = partition[i];
-        const bool in_fw = fw_mark_[v] == epoch_;
-        const bool in_bw = bw_mark_[v] == epoch_;
-        if (in_fw && in_bw) {
-          out->scc.push_back(v);
-        } else if (in_fw) {
-          out->fw.push_back(v);
-        } else if (in_bw) {
-          out->bw.push_back(v);
-        } else {
-          out->rest.push_back(v);
-        }
-      }
-    };
-    if (chunks == 1) {
-      classify(0, count, &buffers[0]);
-    } else {
-      pool_->ParallelForChunks(count, kGrain,
-                               [&](size_t begin, size_t end, int) {
-                                 classify(begin, end, &buffers[begin / step]);
-                               });
-    }
-    Split merged;
-    for (Split& b : buffers) {
-      auto append = [](std::vector<VertexId>* dst, std::vector<VertexId>& s) {
-        dst->insert(dst->end(), s.begin(), s.end());
-      };
-      append(&merged.scc, b.scc);
-      append(&merged.fw, b.fw);
-      append(&merged.bw, b.bw);
-      append(&merged.rest, b.rest);
-    }
-
-    for (VertexId v : merged.scc) part_[v] = 0;
-    EmitComponent(ctx_, merged.scc);
-
-    // Push smaller partitions first so the biggest pops next (LIFO):
-    // depth-first on the heavy side streams the next big SCC early.
-    std::vector<VertexId>* remainders[3] = {&merged.fw, &merged.bw,
-                                            &merged.rest};
-    std::sort(
-        std::begin(remainders), std::end(remainders),
-        [](const auto* a, const auto* b) { return a->size() < b->size(); });
-    for (std::vector<VertexId>* r : remainders) {
-      if (r->empty()) continue;
-      const uint32_t fresh = next_tag_++;
-      for (VertexId v : *r) part_[v] = fresh;
-      stack->emplace_back(std::move(*r), fresh);
-    }
-  }
-
-  const GraphT& g_;
-  const VertexId n_;
-  const VertexId cutoff_;
-  EmitCtx& ctx_;
-  SccStats* stats_;
-  Deadline* deadline_;
-  std::unique_ptr<ThreadPool> pool_;
-
-  std::vector<uint32_t> part_;  // partition tag per vertex; 0 = retired
-  uint32_t next_tag_ = 2;       // 1 is the initial whole-graph partition
-  std::vector<uint32_t> fw_mark_, bw_mark_;
-  uint32_t epoch_ = 0;
-  std::vector<VertexId> deg_in_, deg_out_;  // trim scratch
-  std::vector<VertexId> local_of_;          // Tarjan-subset scratch
-  std::vector<VertexId> trivial_ = {0};     // singleton emission scratch
-};
-
-/// Bloemen-style on-the-fly SCC search over a concurrent union-find
-/// (UFSCC, per "Multi-core on-the-fly SCC decomposition" / ltsmin's
-/// ufscc.c). Each worker runs the same whole-graph search from
-/// interleaved start vertices; partial SCCs merge through the shared
-/// union-find, workers cooperate on a set via its work ring, and each
-/// dead set is emitted exactly once — by whichever worker performed its
-/// LIVE -> DEAD transition. No global barriers, no per-pivot rescans:
-/// a component streams into the sink the moment its set retires, and
-/// trivial SCCs fall out of the same pass (no separate trim peel).
-template <typename GraphT>
-class UfSccWorker {
- public:
-  UfSccWorker(const GraphT& graph, ConcurrentUnionFind& uf, EmitCtx& ctx,
-              std::atomic<bool>& abort)
-      : g_(graph), uf_(uf), ctx_(ctx), abort_(&abort) {}
-
-  /// Explores start vertices worker, worker + stride, ... — the union
-  /// over workers covers every vertex. `deadline` is this worker's
-  /// private copy (amortized check state is per-thread); on expiry the
-  /// shared abort flag stops every worker and the labeling is left
-  /// incomplete.
-  void Run(int worker, int stride, Deadline deadline) {
-    const VertexId n = g_.num_vertices();
-    for (VertexId start = static_cast<VertexId>(worker); start < n;
-         start += static_cast<VertexId>(stride)) {
-      if (abort_->load(std::memory_order_relaxed)) return;
-      if (!Explore(start, worker, deadline)) return;
-    }
-  }
-
- private:
-  /// One search frame: the set being explored (represented by the
-  /// element whose claim created the frame), the element currently
-  /// picked from the set's work ring, and the cursor through that
-  /// element's decoded out-neighbor list (per-depth buffer).
-  struct Frame {
-    VertexId v;
-    VertexId picked = kInvalidVertex;
-    EdgeId idx = 0;
-    EdgeId deg = 0;
-    const VertexId* nbrs = nullptr;
-  };
-
-  bool Explore(VertexId start, int worker, Deadline& deadline) {
-    using Claim = ConcurrentUnionFind::Claim;
-    using Pick = ConcurrentUnionFind::Pick;
-    if (uf_.ClaimSet(start, worker) != Claim::kSuccess) return true;
-    stack_.push_back(Frame{start});
-    rp_.push_back(start);
-    while (!stack_.empty()) {
-      if (abort_->load(std::memory_order_relaxed) || deadline.Expired()) {
-        abort_->store(true, std::memory_order_relaxed);
-        stack_.clear();
-        rp_.clear();
-        return false;
-      }
-      Frame& f = stack_.back();
-      if (f.picked == kInvalidVertex) {
-        VertexId picked = kInvalidVertex;
-        const Pick pick = uf_.PickActive(f.v, &picked, &members_);
-        if (pick != Pick::kPicked) {
-          // The set is dead (fully explored): emitted by whoever saw it
-          // die. Frames only ever pop here, so every live set claimed by
-          // this worker has a frame on the stack — the invariant behind
-          // the kFound merge below.
-          if (pick == Pick::kDied) EmitComponent(ctx_, members_);
-          const VertexId v = f.v;
-          stack_.pop_back();
-          // The set's rp entry pops with its deepest frame; shallower
-          // frames of a merged set find a non-matching back() and leave
-          // the entry alone (it was popped already).
-          if (!rp_.empty() && uf_.SameSet(rp_.back(), v)) rp_.pop_back();
-          continue;
-        }
-        f.picked = picked;
-        const std::span<const VertexId> nbrs =
-            DecodeDepth(g_, picked, bufs_, stack_.size() - 1);
-        f.nbrs = nbrs.data();
-        f.idx = 0;
-        f.deg = static_cast<EdgeId>(nbrs.size());
-      }
-      bool descended = false;
-      while (f.idx < f.deg) {
-        const VertexId w = f.nbrs[f.idx++];
-        const Claim claim = uf_.ClaimSet(w, worker);
-        if (claim == Claim::kDead) continue;
-        if (claim == Claim::kSuccess) {
-          stack_.push_back(Frame{w});  // invalidates f
-          rp_.push_back(w);
-          descended = true;
-          break;
-        }
-        // kFound: this worker already claimed w's set, and a live
-        // claimed set is on the current path (see the pop invariant
-        // above) — the edge closes a cycle. Merge every set between the
-        // path top and w's set; rp keeps one entry per distinct set.
-        while (!uf_.SameSet(w, f.v)) {
-          const VertexId r = rp_.back();
-          rp_.pop_back();
-          // The Unite guard covers the set dying mid-merge (another
-          // worker finished it): the unwind then proceeds via kDead
-          // picks, so breaking out is safe.
-          if (rp_.empty() || !uf_.Unite(r, rp_.back())) break;
-        }
-      }
-      if (descended) continue;
-      // Every out-edge of the picked element has been processed (claims
-      // and merges included): only now may it leave the work ring, which
-      // is what keeps a set from dying with unexplored edges.
-      uf_.Retire(f.picked);
-      f.picked = kInvalidVertex;
-    }
-    rp_.clear();
-    return true;
-  }
-
-  const GraphT& g_;
-  ConcurrentUnionFind& uf_;
-  EmitCtx& ctx_;
-  std::atomic<bool>* abort_;
-  std::vector<Frame> stack_;
-  std::vector<VertexId> rp_;       // one entry per distinct set on the path
-  std::vector<VertexId> members_;  // death-extraction scratch
-  std::deque<std::vector<VertexId>> bufs_;  // per-depth decode buffers
-};
-
-/// Runs the UFSCC workers: inline when single-threaded, one per pool
-/// worker otherwise. Returns false when the deadline expired (labels
-/// incomplete); `deadline`'s state is synced so the caller observes the
-/// expiry too.
-template <typename GraphT>
-bool UnionFindCondense(const GraphT& graph, EmitCtx& ctx, int threads,
-                       Deadline* deadline) {
-  ConcurrentUnionFind uf(graph.num_vertices());
-  std::atomic<bool> abort{false};
-  const Deadline budget = deadline != nullptr ? *deadline : Deadline();
-  if (threads <= 1) {
-    UfSccWorker<GraphT>(graph, uf, ctx, abort).Run(0, 1, budget);
-  } else {
-    std::vector<std::unique_ptr<UfSccWorker<GraphT>>> workers;
-    workers.reserve(threads);
-    for (int t = 0; t < threads; ++t) {
-      workers.push_back(
-          std::make_unique<UfSccWorker<GraphT>>(graph, uf, ctx, abort));
-    }
-    ThreadPool pool(threads);
-    for (int t = 0; t < threads; ++t) {
-      pool.Submit([&workers, budget, t, threads](int) {
-        workers[t]->Run(t, threads, budget);
-      });
-    }
-    pool.Wait();
-  }
-  if (abort.load(std::memory_order_relaxed)) {
-    if (deadline != nullptr) deadline->ExpiredNow();
-    return false;
-  }
-  return true;
-}
-
 template <typename GraphT>
 SccResult CondenseSccT(const GraphT& graph, const SccOptions& options,
-                       const ComponentSink& sink, SccStats* stats) {
-  Timer timer;
+                       const ComponentSink& sink) {
   const VertexId n = graph.num_vertices();
   EmitCtx ctx;
   ctx.label.assign(n, kInvalidVertex);
   ctx.sink = &sink;
 
-  const int threads = options.num_threads == 0 ? ThreadPool::HardwareThreads()
-                                               : options.num_threads;
-  // Below the cutoff the parallel strategies would only add overhead
-  // (FW-BW would immediately fall back; UFSCC pays atomics per edge);
-  // run plain Tarjan instead.
-  const bool big = n >= std::max<VertexId>(options.min_parallel_size, 1);
-  bool timed_out = false;
-  if (options.deadline != nullptr && options.deadline->ExpiredNow()) {
-    // The budget was gone before condensation started: abort before the
-    // first traversal rather than after it.
-    timed_out = true;
-  } else if (options.algorithm == SccAlgorithm::kParallelFwBw && big) {
-    FwBwCondenser<GraphT> condenser(graph, options, threads, ctx, stats,
-                                    options.deadline);
-    timed_out = !condenser.Run();
-  } else if (options.algorithm == SccAlgorithm::kUnionFind && big) {
-    timed_out = !UnionFindCondense(
-        graph, ctx, std::min(threads, ConcurrentUnionFind::kMaxWorkers),
-        options.deadline);
-  } else {
-    timed_out = !TarjanWhole(graph, ctx, options.deadline);
-    if (stats != nullptr && options.algorithm != SccAlgorithm::kTarjan &&
-        n > 0) {
-      ++stats->tarjan_partitions;
-    }
-  }
+  // A budget that was gone before condensation started aborts before the
+  // first traversal rather than after it.
+  const bool timed_out =
+      (options.deadline != nullptr && options.deadline->ExpiredNow()) ||
+      !RunTarjan(graph, ctx, options.deadline);
 
   SccResult result;
-  result.timed_out = timed_out;
   if (!timed_out && options.canonical_result) {
     // An aborted run must never reach here: some labels are still
     // kInvalidVertex, which the canonical renumbering cannot represent.
-    result = FinalizeCanonical(
-        n, ctx.label, ctx.next_label.load(std::memory_order_relaxed));
-    result.timed_out = false;
+    result = FinalizeCanonical(n, ctx.label, ctx.next_label);
   } else {
-    result.num_components = ctx.next_label.load(std::memory_order_relaxed);
-  }
-  if (stats != nullptr) {
-    stats->components = result.num_components;
-    stats->seconds = timer.ElapsedSeconds();
+    result.num_components = ctx.next_label;
+    result.timed_out = timed_out;
   }
   return result;
 }
@@ -850,7 +180,7 @@ SccResult CondenseSccT(const GraphT& graph, const SccOptions& options,
 template <typename GraphT>
 std::vector<uint8_t> SccAtLeastMaskT(const GraphT& graph,
                                      VertexId min_size) {
-  SccResult scc = CondenseSccT(graph, SccOptions{}, nullptr, nullptr);
+  SccResult scc = CondenseSccT(graph, SccOptions{}, nullptr);
   std::vector<uint8_t> mask(graph.num_vertices(), 0);
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     mask[v] = scc.SizeOf(v) >= min_size ? 1 : 0;
@@ -860,43 +190,14 @@ std::vector<uint8_t> SccAtLeastMaskT(const GraphT& graph,
 
 }  // namespace
 
-const char* SccAlgorithmName(SccAlgorithm algo) {
-  switch (algo) {
-    case SccAlgorithm::kTarjan:
-      return "tarjan";
-    case SccAlgorithm::kParallelFwBw:
-      return "fwbw";
-    case SccAlgorithm::kUnionFind:
-      return "uf";
-  }
-  return "?";
-}
-
-Status ParseSccAlgorithm(const std::string& name, SccAlgorithm* algo) {
-  std::string lower(name);
-  std::transform(lower.begin(), lower.end(), lower.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (lower == "tarjan") {
-    *algo = SccAlgorithm::kTarjan;
-  } else if (lower == "fwbw" || lower == "fw-bw" || lower == "parallel") {
-    *algo = SccAlgorithm::kParallelFwBw;
-  } else if (lower == "uf" || lower == "ufscc" || lower == "unionfind" ||
-             lower == "union-find") {
-    *algo = SccAlgorithm::kUnionFind;
-  } else {
-    return Status::NotFound("unknown SCC algorithm: " + name);
-  }
-  return Status::OK();
-}
-
 SccResult CondenseScc(const CsrGraph& graph, const SccOptions& options,
-                      const ComponentSink& sink, SccStats* stats) {
-  return CondenseSccT(graph, options, sink, stats);
+                      const ComponentSink& sink) {
+  return CondenseSccT(graph, options, sink);
 }
 
 SccResult CondenseScc(const CompressedCsr& graph, const SccOptions& options,
-                      const ComponentSink& sink, SccStats* stats) {
-  return CondenseSccT(graph, options, sink, stats);
+                      const ComponentSink& sink) {
+  return CondenseSccT(graph, options, sink);
 }
 
 SccResult ComputeScc(const CsrGraph& graph) {

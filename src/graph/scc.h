@@ -1,4 +1,4 @@
-// Strongly connected components: pluggable condensation strategies.
+// Strongly connected components: the condensation front end.
 //
 // Every directed cycle lies inside one SCC, and a simple cycle of length
 // >= 3 needs an SCC of at least 3 vertices (>= 2 when 2-cycles count), so
@@ -6,53 +6,33 @@
 // the graph by component and the top-down solver uses component sizes as
 // an optional prefilter.
 //
-// Three interchangeable algorithms sit behind CondenseScc (see
-// docs/CONDENSATION.md for when each wins):
-//
-//   * kTarjan — the classic single-threaded iterative Tarjan traversal
-//     (no recursion, safe for multi-million-vertex graphs).
-//   * kParallelFwBw — trim-1/trim-2 peeling followed by forward-backward
-//     reachability decomposition: pick a pivot, compute its forward and
-//     backward reachable sets with parallel frontier BFS on a ThreadPool,
-//     emit FW ∩ BW as one SCC, and recurse on the three remainder
-//     partitions (FW \ SCC, BW \ SCC, rest). Partitions below
-//     SccOptions::min_parallel_size fall back to sequential Tarjan,
-//     fanned across the pool. This is the scalable front end of the
-//     parallel-cycle literature (trim + FW-BW feeding per-SCC work to a
-//     pool) and the path for billion-edge graphs.
-//   * kUnionFind — Bloemen-style on-the-fly UFSCC ("Multi-core on-the-fly
-//     SCC decomposition", the algorithm behind ltsmin's ufscc): workers
-//     run simultaneous searches over the whole graph, merge partial SCCs
-//     through a concurrent union-find (util/concurrent_union_find.h) and
-//     emit each SCC the moment its set retires. No global barriers, no
-//     per-pivot rescans — components stream into the sink strictly
-//     earlier than FW-BW's partition rounds allow, and chain-of-SCCs
-//     shapes that defeat FW-BW parallelize cleanly.
+// The algorithm is the classic single-threaded Tarjan traversal, run
+// iteratively (an explicit frame stack, no recursion, so
+// multi-million-vertex chains cannot overflow). Each component streams
+// into the optional ComponentSink the moment it closes.
 //
 // Determinism: component ids are canonicalized — components are numbered
 // by their minimum member vertex, ascending, and member lists are sorted
-// — so the SccResult is bit-identical across algorithms and thread
-// counts. Both the engine's covers and the condensation tests rely on
-// this. Thread-safety: CondenseScc is a pure function of its inputs;
-// concurrent calls on the same (immutable) graph are safe, but one call's
+// — so the SccResult is identical for both storage backends. Both the
+// engine's covers and the condensation tests rely on this.
+// Thread-safety: CondenseScc is a pure function of its inputs; concurrent
+// calls on the same (immutable) graph are safe, but one call's
 // SccOptions::deadline must not be shared with another thread.
 #ifndef TDB_GRAPH_SCC_H_
 #define TDB_GRAPH_SCC_H_
 
 #include <functional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "util/status.h"
 #include "util/timer.h"
 
 namespace tdb {
 
 /// Result of an SCC decomposition. Canonical: component c's id is the
 /// rank of its minimum member among all components' minimum members, so
-/// the whole struct is identical for every algorithm and thread count.
+/// the whole struct is identical for both storage backends.
 struct SccResult {
   /// Component id of each vertex, in [0, num_components).
   std::vector<VertexId> component;
@@ -84,34 +64,8 @@ struct SccResult {
   }
 };
 
-/// Condensation strategy behind CondenseScc.
-enum class SccAlgorithm {
-  kTarjan,        ///< Sequential iterative Tarjan.
-  kParallelFwBw,  ///< Trim + parallel forward-backward decomposition.
-  kUnionFind,     ///< On-the-fly UFSCC over a concurrent union-find.
-};
-
-/// Short name ("tarjan", "fwbw", "uf").
-const char* SccAlgorithmName(SccAlgorithm algo);
-
-/// Inverse of SccAlgorithmName (case-insensitive; "parallel" is accepted
-/// as an alias of "fwbw", "ufscc" and "unionfind" as aliases of "uf").
-/// NotFound on unknown names.
-Status ParseSccAlgorithm(const std::string& name, SccAlgorithm* algo);
-
 /// Configuration of one condensation run.
 struct SccOptions {
-  SccAlgorithm algorithm = SccAlgorithm::kTarjan;
-  /// Worker threads for kParallelFwBw / kUnionFind (0 = one per hardware
-  /// thread; ignored by kTarjan; kUnionFind caps at
-  /// ConcurrentUnionFind::kMaxWorkers = 64). 1 runs the parallel
-  /// structure sequentially — same output, no pool.
-  int num_threads = 1;
-  /// Partitions smaller than this fall back to sequential Tarjan instead
-  /// of further FW-BW recursion (kParallelFwBw); graphs smaller than
-  /// this run plain Tarjan instead of the parallel strategies
-  /// (kParallelFwBw and kUnionFind).
-  VertexId min_parallel_size = 1u << 14;
   /// When false, the returned SccResult carries only num_components —
   /// the canonical per-vertex arrays and member lists are not built.
   /// For callers that consume the decomposition entirely through the
@@ -119,58 +73,38 @@ struct SccOptions {
   /// finalization passes and ~20 bytes/vertex of allocation at the tail
   /// of condensation.
   bool canonical_result = true;
-  /// Cooperative wall-clock budget, polled at phase boundaries (between
-  /// trim passes, FW-BW pivot steps and backlog partitions; per DFS step
-  /// inside Tarjan). When it expires the run aborts with
-  /// SccResult::timed_out set, so a timed-out solve no longer pays for a
-  /// full condensation before it can report. Borrowed, not owned; the
+  /// Cooperative wall-clock budget, polled once per DFS step (the
+  /// Deadline amortizes the clock reads). When it expires the run aborts
+  /// with SccResult::timed_out set, so a timed-out solve does not pay for
+  /// a full condensation before it can report. Borrowed, not owned; the
   /// Deadline's amortized check state is mutated, so it must not be
   /// shared with another thread for the duration of the call. Null =
   /// unlimited.
   Deadline* deadline = nullptr;
 };
 
-/// Instrumentation from one condensation run (never part of the
-/// bit-identical SccResult contract — timings and partition counts vary
-/// with thread count).
-struct SccStats {
-  double seconds = 0.0;
-  VertexId components = 0;
-  /// Vertices peeled as trivial SCCs by trim-1/trim-2.
-  VertexId trim_peeled = 0;
-  /// FW-BW pivot steps executed.
-  uint32_t fwbw_partitions = 0;
-  /// Partitions finished by the sequential-Tarjan cutoff.
-  uint32_t tarjan_partitions = 0;
-};
-
 /// Streaming consumer of finalized components: called once per SCC with
-/// its member list, sorted ascending. Calls are serialized (an internal
-/// mutex) but may come from different threads; the span is only valid
-/// during the call. Components arrive in no particular order — canonical
-/// ids exist only in the returned SccResult. The engine's
-/// condense-to-solve pipeline hangs off this hook: a finalized component
-/// starts solving while the condenser is still decomposing the rest.
+/// its member list, sorted ascending, on the thread that called
+/// CondenseScc; the span is only valid during the call. Components arrive
+/// in Tarjan's closing order (sinks before sources) — canonical ids exist
+/// only in the returned SccResult. The engine's condense-to-solve
+/// pipeline hangs off this hook: a finalized component starts solving
+/// while the condenser is still decomposing the rest.
 using ComponentSink = std::function<void(std::span<const VertexId> members)>;
 
 class CompressedCsr;
 
-/// Computes the SCC decomposition of `graph` with the chosen strategy.
-/// The returned SccResult is canonical (see above) and bit-identical
-/// across algorithms, thread counts AND storage backends — every
-/// traversal runs through the ForEachOut/ForEachIn seam, so condensing a
+/// Computes the SCC decomposition of `graph`. The returned SccResult is
+/// canonical (see above) and identical across storage backends — every
+/// traversal runs through the DecodeNeighbors seam, so condensing a
 /// CompressedCsr base never materializes a raw copy. `sink`, when
-/// non-null, receives every component as it is finalized; `stats`, when
-/// non-null, receives run instrumentation.
+/// non-null, receives every component as it is finalized.
 SccResult CondenseScc(const CsrGraph& graph, const SccOptions& options,
-                      const ComponentSink& sink = nullptr,
-                      SccStats* stats = nullptr);
+                      const ComponentSink& sink = nullptr);
 SccResult CondenseScc(const CompressedCsr& graph, const SccOptions& options,
-                      const ComponentSink& sink = nullptr,
-                      SccStats* stats = nullptr);
+                      const ComponentSink& sink = nullptr);
 
-/// Computes SCCs with the default sequential Tarjan strategy (canonical
-/// ids, like every CondenseScc result).
+/// CondenseScc with default options (canonical result, no deadline).
 SccResult ComputeScc(const CsrGraph& graph);
 SccResult ComputeScc(const CompressedCsr& graph);
 

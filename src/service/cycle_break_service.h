@@ -81,11 +81,6 @@ struct ServiceOptions {
   /// initial solve); <= 0 = unlimited. When set, the engine runs with
   /// split_budget_by_work so a timed-out solve still yields a feasible
   /// partial cover instead of failing the compaction.
-  ///
-  /// Note `cover.scc_algorithm` / `cover.min_parallel_scc_size` flow into
-  /// these solves too: a compaction with the parallel FW-BW condenser
-  /// spends less wall-clock in its background solve, which shrinks the
-  /// window during which the delta overlay keeps growing.
   double compact_time_limit_seconds = 0.0;
   /// Admission verdict cache: log2 of the per-epoch table capacity
   /// (entries of 8 bytes; e.g. 16 = 512 KiB per live epoch). 0 disables

@@ -20,6 +20,14 @@ struct FileCloser {
 /// Owning FILE* handle; closes on scope exit, release() to hand off.
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
+/// Closes `f` and reports whether every buffered write reached the file:
+/// a write error (e.g. a full disk) may surface only in the stream's
+/// error flag or in the flush at close.
+inline bool CloseChecked(std::FILE* f) {
+  const bool written = std::ferror(f) == 0;
+  return std::fclose(f) == 0 && written;
+}
+
 }  // namespace tdb
 
 #endif  // TDB_UTIL_CFILE_H_

@@ -56,35 +56,6 @@ void ThreadPool::ParallelFor(
   Wait();
 }
 
-size_t ThreadPool::NumChunks(size_t count, size_t grain) const {
-  if (count == 0) return 1;
-  grain = std::max<size_t>(grain, 1);
-  // Enough chunks to keep every worker fed with a little slack for load
-  // imbalance, but never chunks smaller than the grain (task overhead
-  // would dominate tiny slices).
-  const size_t cap = static_cast<size_t>(num_threads()) * 4;
-  const size_t wanted = (count + grain - 1) / grain;
-  return std::max<size_t>(1, std::min(wanted, cap));
-}
-
-void ThreadPool::ParallelForChunks(
-    size_t count, size_t grain,
-    const std::function<void(size_t begin, size_t end, int worker)>& body) {
-  if (count == 0) return;
-  const size_t chunks = NumChunks(count, grain);
-  const size_t step = (count + chunks - 1) / chunks;
-  if (chunks == 1) {
-    body(0, count, 0);
-    return;
-  }
-  // `body` is captured by reference: Wait() below outlives every task.
-  for (size_t begin = 0; begin < count; begin += step) {
-    const size_t end = std::min(begin + step, count);
-    Submit([&body, begin, end](int worker) { body(begin, end, worker); });
-  }
-  Wait();
-}
-
 int ThreadPool::HardwareThreads() {
   return std::max(1u, std::thread::hardware_concurrency());
 }

@@ -13,7 +13,6 @@
 #ifndef TDB_UTIL_THREAD_POOL_H_
 #define TDB_UTIL_THREAD_POOL_H_
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -33,9 +32,8 @@ namespace tdb {
 /// for ALL in-flight work, not just the caller's). Determinism: the
 /// pool itself guarantees nothing about execution order — callers that
 /// need reproducible results must make task outputs order-independent
-/// (disjoint slots, or ParallelGather's chunk-ordered concatenation)
-/// and serialize commits elsewhere; every deterministic sweep in the
-/// engine and the condenser is built that way on top of this pool.
+/// (disjoint slots) and serialize commits elsewhere; every deterministic
+/// sweep in the engine is built that way on top of this pool.
 class ThreadPool {
  public:
   /// A task plus the index of the worker that runs it,
@@ -63,23 +61,6 @@ class ThreadPool {
   void ParallelFor(size_t count,
                    const std::function<void(size_t index, int worker)>& body);
 
-  /// Chunked variant for flat scans: splits [0, count) into at most
-  /// ceil(count / grain) contiguous chunks (capped at a few per worker,
-  /// so task overhead stays amortized) and runs body(begin, end, worker)
-  /// per chunk. Even splitting can make individual chunks somewhat
-  /// smaller than `grain` — it bounds the chunk COUNT, not a minimum
-  /// size. Chunk boundaries depend only on count, grain and the pool
-  /// size — not on scheduling. Same pool-global Wait() barrier as
-  /// ParallelFor. This is the frontier primitive behind the parallel SCC
-  /// condenser's trim and BFS sweeps.
-  void ParallelForChunks(
-      size_t count, size_t grain,
-      const std::function<void(size_t begin, size_t end, int worker)>& body);
-
-  /// Number of chunks ParallelForChunks / ParallelGather split `count`
-  /// indices into (pure; exposed so callers can pre-size side tables).
-  size_t NumChunks(size_t count, size_t grain) const;
-
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
   /// std::thread::hardware_concurrency with a floor of 1.
@@ -106,40 +87,6 @@ class ThreadPool {
   uint64_t next_queue_ = 0;  // round-robin submission cursor
   bool stop_ = false;
 };
-
-/// Parallel gather with deterministic output order: runs
-/// body(begin, end, &buffer, worker) over the same chunk decomposition as
-/// ParallelForChunks — each chunk appends to its own buffer — and then
-/// concatenates the buffers in chunk index order. When every chunk's
-/// output depends only on its input slice, the result is byte-identical
-/// to a sequential left-to-right run, regardless of scheduling or pool
-/// size. With a null pool (or a gather no bigger than one grain) the body
-/// runs inline on the calling thread with `out` as its buffer.
-///
-/// This is the per-worker-buffer frontier primitive of the parallel SCC
-/// condenser: BFS levels and partition splits gather into chunk-local
-/// buffers and concatenate deterministically.
-template <typename T, typename Body>
-void ParallelGather(ThreadPool* pool, size_t count, size_t grain,
-                    std::vector<T>* out, Body&& body) {
-  if (pool == nullptr || count <= std::max<size_t>(grain, 1)) {
-    if (count > 0) body(size_t{0}, count, out, /*worker=*/0);
-    return;
-  }
-  const size_t chunks = pool->NumChunks(count, grain);
-  const size_t step = (count + chunks - 1) / chunks;
-  std::vector<std::vector<T>> buffers((count + step - 1) / step);
-  pool->ParallelForChunks(count, grain, [&](size_t begin, size_t end,
-                                            int worker) {
-    body(begin, end, &buffers[begin / step], worker);
-  });
-  size_t total = out->size();
-  for (const std::vector<T>& b : buffers) total += b.size();
-  out->reserve(total);
-  for (std::vector<T>& b : buffers) {
-    out->insert(out->end(), b.begin(), b.end());
-  }
-}
 
 }  // namespace tdb
 

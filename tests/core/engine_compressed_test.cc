@@ -66,7 +66,7 @@ TEST(EngineCompressedTest, CoverMatchesRawAcrossThreadCounts) {
   }
 }
 
-TEST(EngineCompressedTest, CoverMatchesRawAcrossSccAlgorithms) {
+TEST(EngineCompressedTest, PipelineCoverMatchesRawBarrierCover) {
   for (const auto& [name, g] : TestGraphs()) {
     const CompressedCsr cg = CompressedCsr::FromCsr(g);
     CoverOptions opts;
@@ -75,18 +75,11 @@ TEST(EngineCompressedTest, CoverMatchesRawAcrossSccAlgorithms) {
     const CoverResult raw =
         SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
     ASSERT_TRUE(raw.status.ok()) << name;
-    for (SccAlgorithm scc : {SccAlgorithm::kTarjan,
-                             SccAlgorithm::kParallelFwBw,
-                             SccAlgorithm::kUnionFind}) {
-      opts.scc_algorithm = scc;
-      opts.num_threads = 4;
-      const CoverResult compressed =
-          SolveCycleCover(cg, CoverAlgorithm::kTdbPlusPlus, opts);
-      ASSERT_TRUE(compressed.status.ok())
-          << name << " " << SccAlgorithmName(scc);
-      EXPECT_EQ(raw.cover, compressed.cover)
-          << name << " " << SccAlgorithmName(scc);
-    }
+    opts.num_threads = 4;
+    const CoverResult compressed =
+        SolveCycleCover(cg, CoverAlgorithm::kTdbPlusPlus, opts);
+    ASSERT_TRUE(compressed.status.ok()) << name;
+    EXPECT_EQ(raw.cover, compressed.cover) << name;
   }
 }
 

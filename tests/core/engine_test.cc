@@ -127,13 +127,10 @@ TEST(EngineTest, InlineAndPooledSchedulingAgree) {
   EXPECT_EQ(pooled.cover, inlined.cover);
 }
 
-// The condensation front end is pluggable; covers must be bit-identical
-// across (scc_algorithm x thread count) for every solver. The small
-// min_parallel_scc_size forces real FW-BW recursion (trim, pivots,
-// Tarjan cutoff) instead of the whole-graph fallback, and thread counts
-// above 1 additionally exercise the streaming condense-to-solve
-// pipeline against the 1-thread barrier path.
-TEST(EngineTest, CoversIdenticalAcrossSccAlgorithms) {
+// Thread counts above 1 run the streaming condense-to-solve pipeline;
+// its covers and component counts must match the 1-thread barrier path
+// for every solver.
+TEST(EngineTest, PipelineMatchesBarrierPath) {
   for (const auto& [name, g] : TestGraphs()) {
     for (CoverAlgorithm algo : kAll) {
       CoverOptions opts;
@@ -143,38 +140,18 @@ TEST(EngineTest, CoversIdenticalAcrossSccAlgorithms) {
       CoverResult baseline = SolveCycleCover(g, algo, opts);
       ASSERT_TRUE(baseline.status.ok()) << name << " " << AlgorithmName(algo);
       EXPECT_GT(baseline.stats.scc_components, 0u) << name;
-      for (SccAlgorithm scc_algo :
-           {SccAlgorithm::kTarjan, SccAlgorithm::kParallelFwBw}) {
-        for (int threads : {1, 2, 8}) {
-          opts.scc_algorithm = scc_algo;
-          opts.min_parallel_scc_size = 4;
-          opts.num_threads = threads;
-          CoverResult run = SolveCycleCover(g, algo, opts);
-          ASSERT_TRUE(run.status.ok())
-              << name << " " << AlgorithmName(algo) << " "
-              << SccAlgorithmName(scc_algo) << " threads=" << threads;
-          EXPECT_EQ(baseline.cover, run.cover)
-              << name << " " << AlgorithmName(algo) << " "
-              << SccAlgorithmName(scc_algo) << " threads=" << threads;
-          EXPECT_EQ(baseline.stats.scc_components, run.stats.scc_components)
-              << name;
-        }
+      for (int threads : {1, 2, 8}) {
+        opts.num_threads = threads;
+        CoverResult run = SolveCycleCover(g, algo, opts);
+        ASSERT_TRUE(run.status.ok())
+            << name << " " << AlgorithmName(algo) << " threads=" << threads;
+        EXPECT_EQ(baseline.cover, run.cover)
+            << name << " " << AlgorithmName(algo) << " threads=" << threads;
+        EXPECT_EQ(baseline.stats.scc_components, run.stats.scc_components)
+            << name;
       }
     }
   }
-}
-
-TEST(EngineTest, SccKnobsAreValidated) {
-  CsrGraph g = MakeFigure1Ecommerce();
-  CoverOptions opts;
-  opts.k = 4;
-  opts.min_parallel_scc_size = 0;
-  EXPECT_TRUE(SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts)
-                  .status.IsInvalidArgument());
-  opts.min_parallel_scc_size = 1;
-  opts.scc_algorithm = static_cast<SccAlgorithm>(99);
-  EXPECT_TRUE(SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts)
-                  .status.IsInvalidArgument());
 }
 
 TEST(EngineTest, OptionVariantsStayDeterministic) {

@@ -49,29 +49,25 @@ TEST(WorkBudgetTest, ExhaustedBudgetStillYieldsFeasibleCover) {
 TEST(WorkBudgetTest, CondensationAbortsOnExpiredDeadlineUnderSplit) {
   // Regression (ROADMAP condensation item): a timed-out solve used to
   // pay for a FULL condensation before any fallback could trigger.
-  // CondenseScc now polls the deadline between its phases, so with an
-  // exhausted budget no components are ever decomposed — and the split
-  // contract (ok + feasible) still holds through the whole-graph
+  // CondenseScc checks the deadline before its first traversal, so with
+  // an exhausted budget no components are ever decomposed — and the
+  // split contract (ok + feasible) still holds through the whole-graph
   // fallback.
   CsrGraph g = MakeBlocks(4, 60, /*seed=*/7);
   CoverOptions opts;
   opts.k = 4;
   opts.time_limit_seconds = 1e-9;
   opts.split_budget_by_work = true;
-  for (SccAlgorithm scc :
-       {SccAlgorithm::kTarjan, SccAlgorithm::kParallelFwBw}) {
-    opts.scc_algorithm = scc;
-    CoverResult r = SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
-    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-    // The proof that condensation aborted: zero components decomposed
-    // (a full condensation of this graph finds 4).
-    EXPECT_EQ(r.stats.scc_components, 0u);
-    EXPECT_EQ(r.stats.components_timed_out, 1u);
-    EXPECT_EQ(r.cover.size(), g.num_vertices());
-    const VerifyReport report =
-        VerifyCover(g, r.cover, opts, /*check_minimality=*/false);
-    EXPECT_TRUE(report.feasible) << report.ToString();
-  }
+  CoverResult r = SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  // The proof that condensation aborted: zero components decomposed
+  // (a full condensation of this graph finds 4).
+  EXPECT_EQ(r.stats.scc_components, 0u);
+  EXPECT_EQ(r.stats.components_timed_out, 1u);
+  EXPECT_EQ(r.cover.size(), g.num_vertices());
+  const VerifyReport report =
+      VerifyCover(g, r.cover, opts, /*check_minimality=*/false);
+  EXPECT_TRUE(report.feasible) << report.ToString();
 }
 
 TEST(WorkBudgetTest, CondensationAbortsOnExpiredDeadlineWithoutSplit) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 
 #include "graph/generators.h"
@@ -229,6 +230,25 @@ TEST_F(GraphIoTest, BinaryRejectsTruncatedEdges) {
   }
   CsrGraph loaded;
   EXPECT_TRUE(LoadBinary(truncated_path, &loaded).IsIOError());
+}
+
+TEST_F(GraphIoTest, WritesToAFullDeviceReportIOError) {
+  // /dev/full accepts open() and fails every write with ENOSPC. A small
+  // file fits in the stdio buffer, so its error surfaces only at close; a
+  // large one fails mid-stream.
+  if (!std::filesystem::exists("/dev/full")) {
+    GTEST_SKIP() << "/dev/full is not available";
+  }
+  for (const CsrGraph& g : {GenerateErdosRenyi(50, 300, /*seed=*/3),
+                            GenerateErdosRenyi(2000, 20000, /*seed=*/3)}) {
+    EXPECT_TRUE(SaveEdgeListText(g, "/dev/full").IsIOError());
+    EXPECT_TRUE(SaveBinary(g, "/dev/full").IsIOError());
+    std::vector<TimedEdge> stream;
+    for (EdgeId e = 0; e < g.num_edges(); ++e) {
+      stream.push_back({g.EdgeSrc(e), g.EdgeDst(e), e});
+    }
+    EXPECT_TRUE(SaveEdgeStreamText(stream, "/dev/full").IsIOError());
+  }
 }
 
 }  // namespace

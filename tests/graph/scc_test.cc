@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <queue>
+#include <string>
+#include <vector>
 
+#include "graph/compressed_csr.h"
 #include "graph/generators.h"
+#include "util/timer.h"
 
 namespace tdb {
 namespace {
@@ -28,16 +32,52 @@ std::vector<uint8_t> ReachableFrom(const CsrGraph& g, VertexId s) {
   return seen;
 }
 
+/// The random shapes every membership and backend check runs over:
+/// Erdos-Renyi at five seeds, a dense graph (one big SCC plus fringe), a
+/// sparse one (many components) and a power-law graph.
+std::vector<std::pair<std::string, CsrGraph>> RandomSweep() {
+  std::vector<std::pair<std::string, CsrGraph>> graphs;
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    graphs.emplace_back("erdos-" + std::to_string(seed),
+                        GenerateErdosRenyi(200, 700, seed));
+  }
+  graphs.emplace_back("dense", GenerateErdosRenyi(400, 2400, /*seed=*/11));
+  graphs.emplace_back("sparse", GenerateErdosRenyi(500, 500, /*seed=*/13));
+  PowerLawParams p;
+  p.n = 300;
+  p.m = 1200;
+  p.reciprocity = 0.25;
+  p.seed = 17;
+  graphs.emplace_back("powerlaw", GeneratePowerLaw(p));
+  return graphs;
+}
+
+void ExpectSccEqual(const SccResult& expected, const SccResult& actual,
+                    const std::string& label) {
+  EXPECT_EQ(expected.num_components, actual.num_components) << label;
+  EXPECT_EQ(expected.component, actual.component) << label;
+  EXPECT_EQ(expected.component_size, actual.component_size) << label;
+  EXPECT_EQ(expected.vertex_offsets, actual.vertex_offsets) << label;
+  EXPECT_EQ(expected.vertices, actual.vertices) << label;
+  EXPECT_EQ(expected.timed_out, actual.timed_out) << label;
+}
+
 TEST(SccTest, SingleCycleIsOneComponent) {
   SccResult r = ComputeScc(MakeDirectedCycle(7));
   EXPECT_EQ(r.num_components, 1u);
   EXPECT_EQ(r.SizeOf(0), 7u);
+  EXPECT_EQ(ComputeScc(MakeDirectedCycle(5000)).num_components, 1u);
+  EXPECT_EQ(ComputeScc(GenerateChordedCycle(2000, 4, /*seed=*/23))
+                .num_components,
+            1u);
 }
 
-TEST(SccTest, PathIsAllSingletons) {
-  SccResult r = ComputeScc(MakeDirectedPath(6));
-  EXPECT_EQ(r.num_components, 6u);
-  for (VertexId v = 0; v < 6; ++v) EXPECT_EQ(r.SizeOf(v), 1u);
+TEST(SccTest, DagIsAllSingletons) {
+  for (const CsrGraph& g : {MakeDirectedPath(6), MakeLayeredFunnel(8, 6)}) {
+    const SccResult r = ComputeScc(g);
+    EXPECT_EQ(r.num_components, g.num_vertices());
+    for (VertexId v = 0; v < g.num_vertices(); ++v) EXPECT_EQ(r.SizeOf(v), 1u);
+  }
 }
 
 TEST(SccTest, TwoCyclesJoinedByBridge) {
@@ -61,18 +101,20 @@ TEST(SccTest, ComponentSizesSumToVertexCount) {
 }
 
 TEST(SccTest, MembershipMatchesMutualReachability) {
-  CsrGraph g = GenerateErdosRenyi(60, 200, /*seed=*/33);
-  SccResult r = ComputeScc(g);
-  std::vector<std::vector<uint8_t>> reach;
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    reach.push_back(ReachableFrom(g, v));
-  }
-  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+  for (const auto& [label, g] : RandomSweep()) {
+    const SccResult r = ComputeScc(g);
+    std::vector<std::vector<uint8_t>> reach;
     for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      const bool mutual = reach[u][v] && reach[v][u];
-      EXPECT_EQ(r.component[u] == r.component[v], mutual)
-          << "u=" << u << " v=" << v;
+      reach.push_back(ReachableFrom(g, v));
     }
+    uint64_t mismatches = 0;
+    for (VertexId u = 0; u < g.num_vertices(); ++u) {
+      for (VertexId v = 0; v < g.num_vertices(); ++v) {
+        const bool mutual = reach[u][v] && reach[v][u];
+        if ((r.component[u] == r.component[v]) != mutual) ++mismatches;
+      }
+    }
+    EXPECT_EQ(mismatches, 0u) << label;
   }
 }
 
@@ -99,6 +141,105 @@ TEST(SccTest, VertexListsPartitionTheGraph) {
       EXPECT_FALSE(seen[members[i]]);
       seen[members[i]] = 1;
     }
+  }
+}
+
+TEST(SccTest, SelfLoopsIsolatedAndEmpty) {
+  // Self-loops do not merge components: a looped vertex is a singleton
+  // unless it also sits on a longer cycle.
+  std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 0},  // triangle
+                             {3, 3},                  // pure self-loop
+                             {4, 5}, {5, 4}, {4, 4},  // 2-cycle + loop
+                             {6, 7}};                 // 8, 9 isolated
+  CsrGraph g = CsrGraph::FromEdges(10, std::move(edges),
+                                   /*keep_self_loops=*/true);
+  const SccResult r = ComputeScc(g);
+  EXPECT_EQ(r.num_components, 7u);
+  EXPECT_EQ(r.SizeOf(0), 3u);
+  EXPECT_EQ(r.SizeOf(3), 1u);
+  EXPECT_EQ(r.SizeOf(4), 2u);
+  EXPECT_EQ(r.SizeOf(6), 1u);
+  EXPECT_EQ(r.SizeOf(9), 1u);
+
+  const SccResult empty = ComputeScc(CsrGraph());
+  EXPECT_EQ(empty.num_components, 0u);
+  EXPECT_EQ(empty.vertex_offsets, std::vector<VertexId>{0});
+  EXPECT_EQ(ComputeScc(CsrGraph::FromEdges(64, {})).num_components, 64u);
+}
+
+TEST(SccTest, CanonicalIdsAreMinMemberOrdered) {
+  // 3-cycle {2,5,7}, 2-cycle {0,9}, singletons elsewhere: component 0
+  // must be the one containing vertex 0, and ids ascend with minimum
+  // members.
+  CsrGraph g = CsrGraph::FromEdges(
+      10, {{2, 5}, {5, 7}, {7, 2}, {0, 9}, {9, 0}, {1, 2}});
+  const SccResult r = ComputeScc(g);
+  ASSERT_EQ(r.num_components, 7u);
+  for (VertexId c = 1; c < r.num_components; ++c) {
+    EXPECT_GT(r.VerticesOf(c).front(), r.VerticesOf(c - 1).front());
+  }
+  EXPECT_EQ(r.component[0], 0u);
+  EXPECT_EQ(r.component[9], 0u);
+}
+
+TEST(SccTest, SinkStreamsEveryComponentExactlyOnce) {
+  CsrGraph g = GenerateErdosRenyi(300, 900, /*seed=*/7);
+  std::vector<uint8_t> seen(g.num_vertices(), 0);
+  uint64_t streamed_components = 0;
+  bool sorted = true;
+  const SccResult r = CondenseScc(
+      g, SccOptions{}, [&](std::span<const VertexId> members) {
+        ++streamed_components;
+        for (size_t i = 0; i < members.size(); ++i) {
+          if (i > 0 && members[i - 1] >= members[i]) sorted = false;
+          seen[members[i]] += 1;
+        }
+      });
+  EXPECT_TRUE(sorted);
+  EXPECT_EQ(streamed_components, r.num_components);
+  for (VertexId v = 0; v < g.num_vertices(); ++v) {
+    EXPECT_EQ(seen[v], 1u) << "vertex " << v;
+  }
+}
+
+TEST(SccTest, CountOnlyResultWithoutCanonicalArrays) {
+  CsrGraph g = GenerateErdosRenyi(300, 900, /*seed=*/7);
+  SccOptions options;
+  options.canonical_result = false;
+  const SccResult r = CondenseScc(g, options);
+  EXPECT_EQ(r.num_components, ComputeScc(g).num_components);
+  EXPECT_FALSE(r.timed_out);
+  EXPECT_TRUE(r.component.empty());
+  EXPECT_TRUE(r.component_size.empty());
+  EXPECT_TRUE(r.vertex_offsets.empty());
+  EXPECT_TRUE(r.vertices.empty());
+}
+
+TEST(SccTest, CompressedCsrMatchesCsr) {
+  for (const auto& [label, g] : RandomSweep()) {
+    ExpectSccEqual(ComputeScc(g), ComputeScc(CompressedCsr::FromCsr(g)),
+                   label);
+  }
+  const CsrGraph cycle = MakeDirectedCycle(5000);
+  ExpectSccEqual(ComputeScc(cycle), ComputeScc(CompressedCsr::FromCsr(cycle)),
+                 "giant-cycle");
+}
+
+TEST(SccTest, ExpiredDeadlineTimesOut) {
+  CsrGraph g = GenerateErdosRenyi(300, 900, /*seed=*/7);
+  for (bool canonical : {true, false}) {
+    Deadline expired = Deadline::AfterSeconds(0);
+    SccOptions options;
+    options.canonical_result = canonical;
+    options.deadline = &expired;
+    uint64_t streamed = 0;
+    const SccResult r = CondenseScc(
+        g, options, [&](std::span<const VertexId>) { ++streamed; });
+    EXPECT_TRUE(r.timed_out);
+    EXPECT_EQ(r.num_components, 0u);
+    EXPECT_EQ(streamed, 0u);
+    EXPECT_TRUE(r.component.empty());
+    EXPECT_TRUE(r.vertices.empty());
   }
 }
 

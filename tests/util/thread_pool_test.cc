@@ -104,71 +104,5 @@ TEST(ThreadPoolTest, HardwareThreadsIsPositive) {
   EXPECT_GE(ThreadPool::HardwareThreads(), 1);
 }
 
-TEST(ThreadPoolTest, ParallelForChunksCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  for (size_t count : {0ul, 1ul, 7ul, 100ul, 10001ul}) {
-    std::vector<std::atomic<int>> hits(count);
-    pool.ParallelForChunks(count, 16,
-                           [&](size_t begin, size_t end, int worker) {
-                             EXPECT_GE(worker, 0);
-                             EXPECT_LT(worker, 4);
-                             EXPECT_LE(begin, end);
-                             for (size_t i = begin; i < end; ++i) {
-                               hits[i].fetch_add(1);
-                             }
-                           });
-    for (size_t i = 0; i < count; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-    }
-  }
-}
-
-TEST(ThreadPoolTest, ParallelForChunksRespectsGrain) {
-  // 10 indices with grain 8 -> at most 2 chunks, never 1-index slivers.
-  ThreadPool pool(4);
-  std::atomic<int> chunks{0};
-  pool.ParallelForChunks(10, 8, [&](size_t begin, size_t end, int) {
-    EXPECT_GE(end - begin, 5u);  // ceil(10 / 2)
-    chunks.fetch_add(1);
-  });
-  EXPECT_LE(chunks.load(), 2);
-}
-
-TEST(ThreadPoolTest, ParallelGatherIsDeterministicAndOrdered) {
-  // Gathering f(i) for ascending i must produce exactly the sequential
-  // left-to-right output, for any pool size.
-  std::vector<int> expected;
-  for (int i = 0; i < 5000; ++i) {
-    if (i % 3 == 0) expected.push_back(i * 2);
-  }
-  for (int threads : {1, 2, 4}) {
-    ThreadPool pool(threads);
-    std::vector<int> out;
-    ParallelGather<int>(
-        &pool, 5000, 64, &out,
-        [](size_t begin, size_t end, std::vector<int>* buf, int) {
-          for (size_t i = begin; i < end; ++i) {
-            if (i % 3 == 0) buf->push_back(static_cast<int>(i) * 2);
-          }
-        });
-    EXPECT_EQ(out, expected) << "threads=" << threads;
-  }
-}
-
-TEST(ThreadPoolTest, ParallelGatherNullPoolRunsInline) {
-  std::vector<int> out;
-  ParallelGather<int>(nullptr, 100, 8, &out,
-                      [](size_t begin, size_t end, std::vector<int>* buf,
-                         int worker) {
-                        EXPECT_EQ(worker, 0);
-                        for (size_t i = begin; i < end; ++i) {
-                          buf->push_back(static_cast<int>(i));
-                        }
-                      });
-  ASSERT_EQ(out.size(), 100u);
-  EXPECT_EQ(out.front(), 0);
-  EXPECT_EQ(out.back(), 99);
-}
-
 }  // namespace
 }  // namespace tdb

@@ -3,8 +3,8 @@
 //   tdb_cover --graph edges.txt --k 5 --algo TDB++ [--verify]
 //             [--two-cycles] [--unconstrained] [--time-limit 60]
 //             [--order deg-asc|id|deg-desc|random] [--threads N]
-//             [--intra-threshold N] [--scc-algo tarjan|fwbw|uf]
-//             [--output cover.txt] [--stats] [--stats-json FILE]
+//             [--intra-threshold N] [--output cover.txt] [--stats]
+//             [--stats-json FILE]
 //
 // Reads a SNAP-style text edge list (or TDBG binary with --binary),
 // computes a hop-constrained cycle cover, and prints it (original vertex
@@ -19,6 +19,7 @@
 #include "graph/compressed_csr.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
+#include "util/cfile.h"
 #include "util/metrics.h"
 #include "util/parse_number.h"
 
@@ -31,7 +32,6 @@ struct CliArgs {
   std::string output_path;
   std::string algo = "TDB++";
   std::string order = "deg-asc";
-  std::string scc_algo = "tarjan";
   std::string stats_json;
   uint32_t k = 5;
   int threads = 1;
@@ -58,10 +58,6 @@ void PrintUsage() {
       "default 1)\n"
       "  --intra-threshold N  min SCC size for in-place solving with\n"
       "                      intra-SCC parallel probing (default 2048)\n"
-      "  --scc-algo NAME     condensation strategy: tarjan | fwbw\n"
-      "                      (parallel trim + forward-backward) | uf\n"
-      "                      (concurrent union-find UFSCC; the cover is\n"
-      "                      identical for all three)\n"
       "  --compressed-base   solve from the delta/varint CompressedCsr\n"
       "                      backend (identical cover, smaller residency)\n"
       "  --two-cycles        also cover 2-cycles\n"
@@ -69,8 +65,8 @@ void PrintUsage() {
       "  --time-limit SEC    wall-clock budget (0 = unlimited)\n"
       "  --verify            check feasibility + minimality afterwards\n"
       "  --stats             print solver statistics to stderr\n"
-      "  --stats-json FILE   write CoverStats + SccStats as JSON (the\n"
-      "                      metric-registry dump schema)\n"
+      "  --stats-json FILE   write CoverStats as JSON (the metric-registry\n"
+      "                      dump schema)\n"
       "  --output FILE       write the cover here instead of stdout\n");
 }
 
@@ -118,10 +114,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
         std::fprintf(stderr, "invalid --intra-threshold value: %s\n", v);
         return false;
       }
-    } else if (arg == "--scc-algo") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      args->scc_algo = v;
     } else if (arg == "--time-limit") {
       const char* v = next();
       if (v == nullptr) return false;
@@ -192,11 +184,6 @@ int main(int argc, char** argv) {
   if (args.intra_threshold > 0) {
     options.min_intra_parallel_size = args.intra_threshold;
   }
-  st = ParseSccAlgorithm(args.scc_algo, &options.scc_algorithm);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
   if (args.order == "deg-asc") {
     options.order = VertexOrder::kByDegreeAsc;
   } else if (args.order == "id") {
@@ -258,19 +245,9 @@ int main(int argc, char** argv) {
                  static_cast<unsigned long long>(result.stats.bfs_filtered),
                  static_cast<unsigned long long>(
                      result.stats.prune_removed));
-    std::fprintf(stderr,
-                 "scc: %s %.3fs, %llu components, trim_peeled=%llu "
-                 "fwbw_partitions=%llu tarjan_partitions=%llu\n",
-                 SccAlgorithmName(options.scc_algorithm),
+    std::fprintf(stderr, "scc: %.3fs, %llu components\n",
                  result.stats.scc_seconds,
-                 static_cast<unsigned long long>(
-                     result.stats.scc_components),
-                 static_cast<unsigned long long>(
-                     result.stats.scc_trim_peeled),
-                 static_cast<unsigned long long>(
-                     result.stats.scc_fwbw_partitions),
-                 static_cast<unsigned long long>(
-                     result.stats.scc_tarjan_partitions));
+                 static_cast<unsigned long long>(result.stats.scc_components));
   }
 
   if (args.verify) {
@@ -313,12 +290,6 @@ int main(int argc, char** argv) {
             cs.components_timed_out);
     counter("scc_components", "Components from condensation",
             cs.scc_components);
-    counter("scc_trim_peeled", "Vertices peeled as trivial SCCs",
-            cs.scc_trim_peeled);
-    counter("scc_fwbw_partitions", "FW-BW pivot partitions",
-            cs.scc_fwbw_partitions);
-    counter("scc_tarjan_partitions", "Sequential-Tarjan partitions",
-            cs.scc_tarjan_partitions);
     registry
         .AddGauge("tdb_cover_elapsed_seconds", "Solve wall-clock seconds")
         ->Set(cs.elapsed_seconds);
@@ -330,13 +301,15 @@ int main(int argc, char** argv) {
         ->Set(static_cast<double>(result.cover.size()));
     const std::string body = registry.RenderJson();
     std::FILE* jf = std::fopen(args.stats_json.c_str(), "w");
-    if (jf == nullptr ||
-        std::fwrite(body.data(), 1, body.size(), jf) != body.size()) {
-      std::fprintf(stderr, "cannot write %s\n", args.stats_json.c_str());
-      if (jf != nullptr) std::fclose(jf);
+    if (jf == nullptr) {
+      std::fprintf(stderr, "cannot open %s\n", args.stats_json.c_str());
       return 1;
     }
-    std::fclose(jf);
+    std::fwrite(body.data(), 1, body.size(), jf);
+    if (!CloseChecked(jf)) {
+      std::fprintf(stderr, "cannot write %s\n", args.stats_json.c_str());
+      return 1;
+    }
   }
 
   std::FILE* out = stdout;
@@ -352,6 +325,14 @@ int main(int argc, char** argv) {
         v < original_ids.size() ? original_ids[v] : v;
     std::fprintf(out, "%llu\n", id);
   }
-  if (out != stdout) std::fclose(out);
+  const bool written =
+      out == stdout ? std::fflush(out) == 0 && std::ferror(out) == 0
+                    : CloseChecked(out);
+  if (!written) {
+    std::fprintf(stderr, "cannot write %s\n",
+                 args.output_path.empty() ? "cover to stdout"
+                                          : args.output_path.c_str());
+    return 1;
+  }
   return 0;
 }

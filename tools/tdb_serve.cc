@@ -4,7 +4,7 @@
 //             [--admit-threads 2] [--ingest-threads 1] [--algo TDB++]
 //             [--compact-threshold 4096] [--sync-compaction] [--gate]
 //             [--two-cycles] [--seed 42] [--compact-budget SEC]
-//             [--scc-algo tarjan|fwbw|uf] [--admission-cache [LOG2]]
+//             [--admission-cache [LOG2]]
 //             [--data-dir DIR] [--durability none|batch|always]
 //             [--compressed-base] [--kill-after N] [--state-dump FILE]
 //
@@ -56,6 +56,7 @@
 #include "service/ingest_batcher.h"
 #include "service/service_metrics.h"
 #include "service/stats.h"
+#include "util/cfile.h"
 #include "util/metrics.h"
 #include "util/metrics_http.h"
 #include "util/parse_number.h"
@@ -79,7 +80,6 @@ struct CliArgs {
   std::string stream_path;
   std::string base_path;
   std::string algo = "TDB++";
-  std::string scc_algo = "tarjan";
   std::string data_dir;
   std::string durability = "batch";
   std::string state_dump;
@@ -122,9 +122,6 @@ void PrintUsage() {
       "  --compact-threshold N delta size triggering compaction "
       "(default 4096, 0 = never)\n"
       "  --compact-budget SEC  work-budget-split deadline per compaction\n"
-      "  --scc-algo NAME       condensation strategy for compaction\n"
-      "                        solves: tarjan | fwbw (parallel) | uf\n"
-      "                        (concurrent union-find UFSCC)\n"
       "  --admission-cache [L] memoize admission verdicts per epoch in a\n"
       "                        2^L-entry cache (default L=16 when the\n"
       "                        flag is given; off otherwise)\n"
@@ -211,8 +208,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       ok = DoubleFlag(arg, v, &args->compact_budget);
     } else if (arg == "--seed" && (v = next()) != nullptr) {
       ok = IntFlag(arg, v, &args->seed);
-    } else if (arg == "--scc-algo" && (v = next()) != nullptr) {
-      args->scc_algo = v;
     } else if (arg == "--data-dir" && (v = next()) != nullptr) {
       args->data_dir = v;
     } else if (arg == "--durability" && (v = next()) != nullptr) {
@@ -303,8 +298,7 @@ bool WriteStateDump(const CycleBreakService& service,
   };
   dump_set("S", image.covered);
   dump_set("W", image.reusable);
-  const bool written = std::ferror(f) == 0;
-  if (std::fclose(f) != 0 || !written) {
+  if (!CloseChecked(f)) {
     std::fprintf(stderr, "cannot write state dump %s\n", path.c_str());
     return false;
   }
@@ -400,11 +394,6 @@ int main(int argc, char** argv) {
   options.compressed_base = args.compressed_base;
   options.data_dir = args.data_dir;
   st = ParseAlgorithm(args.algo, &options.compact_algorithm);
-  if (!st.ok()) {
-    std::fprintf(stderr, "%s\n", st.ToString().c_str());
-    return 2;
-  }
-  st = ParseSccAlgorithm(args.scc_algo, &options.cover.scc_algorithm);
   if (!st.ok()) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
