@@ -3,16 +3,23 @@
 // The graph is a disjoint union of strongly connected blocks (a cycle
 // backbone per block keeps each one a single SCC, random chords make the
 // per-component solve non-trivial), so the engine has independent work for
-// every worker. Covers are asserted identical across thread counts — the
-// engine's exactness guarantee, measured rather than assumed.
+// every worker. The default blocks have 4000 vertices, above the 2048 at
+// which the engine solves a component in place, so the sweep runs the
+// in-place route as concurrent pool tasks. Covers are asserted identical
+// across thread counts — the engine's exactness guarantee, measured rather
+// than assumed.
 //
-//   TDB_BENCH_BLOCKS    number of SCC blocks        (default 12)
-//   TDB_BENCH_BLOCK_N   vertices per block          (default 600)
-//   TDB_BENCH_DEGREE    extra chords per vertex     (default 6)
-//   TDB_BENCH_REPEATS   runs per thread count, best kept (default 3)
+//   TDB_BENCH_BLOCKS       number of SCC blocks             (default 16)
+//   TDB_BENCH_BLOCK_N      vertices per block               (default 4000)
+//   TDB_BENCH_DEGREE       extra chords per vertex          (default 8)
+//   TDB_BENCH_REPEATS      runs per thread count, best kept (default 3)
+//   TDB_BENCH_MIN_SPEEDUP  if set, fail unless TDB++ at 4 threads reaches
+//                          this speedup; checked only on hosts with at
+//                          least 4 hardware threads
 //
 // `--json <path>` additionally writes machine-readable rows for
-// tools/check_bench_regression.py.
+// tools/check_bench_regression.py, including a host row (hardware threads
+// and build type).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -57,9 +64,12 @@ CsrGraph MakeMultiSccGraph(VertexId blocks, VertexId block_n,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const VertexId blocks = EnvInteger<VertexId>("TDB_BENCH_BLOCKS", 12);
-  const VertexId block_n = EnvInteger<VertexId>("TDB_BENCH_BLOCK_N", 600);
-  const VertexId degree = EnvInteger<VertexId>("TDB_BENCH_DEGREE", 6);
+  const VertexId blocks = EnvInteger<VertexId>("TDB_BENCH_BLOCKS", 16);
+  const VertexId block_n = EnvInteger<VertexId>("TDB_BENCH_BLOCK_N", 4000);
+  const VertexId degree = EnvInteger<VertexId>("TDB_BENCH_DEGREE", 8);
+  const int repeats = EnvInteger<int>("TDB_BENCH_REPEATS", 3);
+  const double min_speedup = EnvDouble("TDB_BENCH_MIN_SPEEDUP", 0.0);
+  const int nproc = ThreadPool::HardwareThreads();
 
   CsrGraph g = MakeMultiSccGraph(blocks, block_n, degree, /*seed=*/71);
   SccResult scc = ComputeScc(g);
@@ -69,17 +79,14 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "== Parallel scaling: TDB++ over %u SCC blocks "
-      "(%u vertices, %llu edges, %u non-trivial SCCs, %d hardware "
-      "threads) ==\n",
+      "(%u vertices, %llu edges, %u non-trivial SCCs; host: %d hardware "
+      "threads, %s build) ==\n",
       blocks, g.num_vertices(),
-      static_cast<unsigned long long>(g.num_edges()), nontrivial,
-      ThreadPool::HardwareThreads());
+      static_cast<unsigned long long>(g.num_edges()), nontrivial, nproc,
+      JsonSink::BuildType());
 
   CoverOptions opts;
   opts.k = 5;
-  opts.min_component_parallel_size = 1;
-
-  const int repeats = EnvInteger<int>("TDB_BENCH_REPEATS", 3);
 
   JsonSink json("parallel_scaling");
   json.BeginRow();
@@ -87,9 +94,11 @@ int main(int argc, char** argv) {
   json.Num("blocks", static_cast<uint64_t>(blocks));
   json.Num("block_n", static_cast<uint64_t>(block_n));
   json.Num("degree", static_cast<uint64_t>(degree));
+  json.HostRow();
 
   TablePrinter table({"threads", "seconds", "speedup", "cover"});
   double base_seconds = 0.0;
+  double speedup_at_4 = 0.0;
   std::vector<VertexId> base_cover;
   for (int threads : {1, 2, 4, 8}) {
     opts.num_threads = threads;
@@ -117,18 +126,34 @@ int main(int argc, char** argv) {
                    threads);
       return 1;
     }
-    char seconds[32], speedup[32];
+    const double speedup = base_seconds / best_seconds;
+    if (threads == 4) speedup_at_4 = speedup;
+    char seconds[32], speedup_text[32];
     std::snprintf(seconds, sizeof seconds, "%.3f", best_seconds);
-    std::snprintf(speedup, sizeof speedup, "%.2fx",
-                  base_seconds / best_seconds);
-    table.AddRow({std::to_string(threads), seconds, speedup,
+    std::snprintf(speedup_text, sizeof speedup_text, "%.2fx", speedup);
+    table.AddRow({std::to_string(threads), seconds, speedup_text,
                   FormatCount(r.cover.size())});
     json.BeginRow();
     json.Num("threads", static_cast<uint64_t>(threads));
     json.Num("seconds", best_seconds);
-    json.Num("speedup", base_seconds / best_seconds);
+    json.Num("speedup", speedup);
     json.Num("cover", static_cast<uint64_t>(r.cover.size()));
   }
   table.Print();
-  return json.Write(JsonSink::PathFromArgs(argc, argv)) ? 0 : 1;
+
+  bool ok = true;
+  if (min_speedup > 0) {
+    if (nproc < 4) {
+      std::printf(
+          "speedup floor %.2fx skipped: %d hardware threads, need 4\n",
+          min_speedup, nproc);
+    } else if (speedup_at_4 < min_speedup) {
+      std::fprintf(stderr,
+                   "SPEEDUP REGRESSION: TDB++ at 4 threads reached %.2fx, "
+                   "below the %.2fx floor\n",
+                   speedup_at_4, min_speedup);
+      ok = false;
+    }
+  }
+  return json.Write(JsonSink::PathFromArgs(argc, argv)) && ok ? 0 : 1;
 }

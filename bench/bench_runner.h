@@ -13,7 +13,9 @@
 #include "core/solver.h"
 #include "core/verifier.h"
 #include "graph/csr_graph.h"
+#include "util/cfile.h"
 #include "util/parse_number.h"
+#include "util/thread_pool.h"
 
 namespace tdb::bench {
 
@@ -22,7 +24,9 @@ namespace tdb::bench {
 ///   {"bench": "<name>", "rows": [{"k1": v1, ...}, ...]}
 /// Enabled by a `--json <path>` argument pair; a bench without it runs
 /// human-readable only. tools/check_bench_regression.py consumes the
-/// files and compares them against bench/baselines/.
+/// files and compares them against bench/baselines/. A failed write
+/// (including one that only surfaces when the file is closed) makes
+/// Write return false, and the bench then exits 1.
 class JsonSink {
  public:
   explicit JsonSink(std::string bench_name)
@@ -37,6 +41,24 @@ class JsonSink {
   }
 
   void BeginRow() { rows_.emplace_back(); }
+
+  /// Appends the {"row": "host", "nproc": N, "build_type": "..."} row: a
+  /// timing baseline only means something next to the host it ran on.
+  void HostRow() {
+    BeginRow();
+    Str("row", "host");
+    Num("nproc", static_cast<uint64_t>(ThreadPool::HardwareThreads()));
+    Str("build_type", BuildType());
+  }
+
+  /// "Release" for optimized builds (NDEBUG), "Debug" otherwise.
+  static const char* BuildType() {
+#ifdef NDEBUG
+    return "Release";
+#else
+    return "Debug";
+#endif
+  }
 
   void Num(const std::string& key, double value) {
     char buf[64];
@@ -72,7 +94,10 @@ class JsonSink {
       std::fprintf(f, "}");
     }
     std::fprintf(f, "]}\n");
-    std::fclose(f);
+    if (!CloseChecked(f)) {
+      std::fprintf(stderr, "failed writing JSON to %s\n", path.c_str());
+      return false;
+    }
     return true;
   }
 

@@ -7,7 +7,7 @@
 // number of admission queries. The final transversal size ("cover") must
 // be identical across rows (readers never mutate; ingest is
 // deterministic); any drift is a correctness bug and the bench exits
-// non-zero, mirroring bench_giant_scc's determinism hard-fail.
+// non-zero, mirroring bench_parallel_scaling's determinism hard-fail.
 //
 // A second sweep measures steady-state admission QPS at a fixed 4 reader
 // threads over the SAME post-ingest state, in three modes: "plain"

@@ -1,6 +1,7 @@
 #include "core/bottom_up.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "core/minimal_prune.h"
 #include "search/cycle_finder.h"
@@ -11,20 +12,33 @@ CoverResult SolveBottomUpWithContext(const CsrGraph& graph,
                                      const CoverOptions& options,
                                      bool minimal, SearchContext* context,
                                      Deadline* deadline) {
+  std::vector<VertexId> all(graph.num_vertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
+  return SolveBottomUpInPlace(graph, all, options, minimal, context,
+                              deadline);
+}
+
+CoverResult SolveBottomUpInPlace(const CsrGraph& graph,
+                                 std::span<const VertexId> members,
+                                 const CoverOptions& options, bool minimal,
+                                 SearchContext* context, Deadline* deadline) {
   CoverResult result;
   const CycleConstraint constraint =
-      options.Constraint(graph.num_vertices());
+      options.Constraint(static_cast<VertexId>(members.size()));
 
   CycleFinder finder(graph, context);
   // H[v]: how many discovered cycles v participated in so far (paper's
   // hit-times array). Never reset across iterations.
   std::vector<uint32_t> hits(graph.num_vertices(), 0);
   // active[v] == 0 once v joined the cover (its edges are "removed").
-  std::vector<uint8_t> active(graph.num_vertices(), 1);
+  // Non-members start (and stay) inactive, so the mask doubles as the
+  // component restriction.
+  std::vector<uint8_t> active(graph.num_vertices(), 0);
+  for (VertexId v : members) active[v] = 1;
   std::vector<VertexId> cover;
   std::vector<VertexId> cycle;
 
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+  for (VertexId v : members) {
     if (!active[v]) continue;  // already covered; its edges are gone
     for (;;) {
       ++result.stats.searches;
@@ -51,177 +65,7 @@ CoverResult SolveBottomUpWithContext(const CsrGraph& graph,
   if (minimal) {
     Status prune_status =
         MinimalPrune(graph, options, PruneEngine::kPlainDfs, &cover,
-                     &result.stats.prune_removed, deadline, context);
-    if (!prune_status.ok()) result.status = prune_status;
-  }
-
-  std::sort(cover.begin(), cover.end());
-  result.cover = std::move(cover);
-  return result;
-}
-
-CoverResult SolveBottomUpOnView(const SubgraphView& view,
-                                const CoverOptions& options, bool minimal,
-                                const ProbeExecutor& executor,
-                                Deadline* deadline) {
-  CoverResult result;
-  const CsrGraph& graph = view.parent();
-  const CycleConstraint constraint =
-      options.Constraint(view.num_vertices());
-  const std::span<const VertexId> members = view.members();
-
-  // Global-id state; non-members start (and stay) inactive, so the mask
-  // doubles as the component restriction.
-  std::vector<uint8_t> active;
-  view.FillMemberMask(&active);
-  std::vector<uint32_t> hits(graph.num_vertices(), 0);
-  std::vector<VertexId> cover;
-  std::vector<VertexId> cycle;
-
-  Deadline main_deadline = *deadline;
-  CycleFinder finder(graph, executor.main_context);
-
-  // True once any commit mutated `active` inside the current probe batch
-  // (always true on the sequential path, where it is unused).
-  bool dirty = false;
-
-  // Algorithm 6: commit the hottest vertex of a discovered cycle.
-  auto process_cycle = [&](const std::vector<VertexId>& cyc) -> VertexId {
-    ++result.stats.cycles_found;
-    for (VertexId u : cyc) ++hits[u];
-    VertexId cover_node = cyc.front();
-    for (VertexId u : cyc) {
-      if (hits[u] > hits[cover_node]) cover_node = u;
-    }
-    cover.push_back(cover_node);
-    active[cover_node] = 0;
-    dirty = true;
-    return cover_node;
-  };
-
-  // The sequential inner loop for candidate v: walk uncovered cycles
-  // through v until none remain or v itself leaves the graph. Returns
-  // false on timeout.
-  auto drain = [&](VertexId v) -> bool {
-    for (;;) {
-      ++result.stats.searches;
-      const SearchOutcome outcome = finder.FindCycleThrough(
-          v, constraint, active.data(), &cycle, &main_deadline);
-      if (outcome == SearchOutcome::kTimedOut) return false;
-      if (outcome == SearchOutcome::kNotFound) return true;
-      if (process_cycle(cycle) == v) return true;  // v left the graph
-    }
-  };
-
-  if (executor.pool == nullptr || members.size() < 2) {
-    for (VertexId v : members) {
-      if (!active[v]) continue;  // already covered; its edges are gone
-      if (!drain(v)) {
-        result.status = Status::TimedOut("bottom-up solve exceeded budget");
-        return result;
-      }
-    }
-  } else {
-    // Speculative parallel probing (see core/probe_executor.h). The
-    // active mask only shrinks, so a speculative kNotFound — the
-    // exhaustive proof that ends every candidate's inner loop — stays
-    // valid under any interleaved commit. A speculative witness cycle is
-    // exact only while the batch snapshot is clean; afterwards the
-    // candidate's inner loop is redone sequentially.
-    const int workers = executor.pool->num_threads();
-    struct Probe {
-      Deadline deadline;
-      CycleFinder finder;
-    };
-    std::vector<Probe> probes;
-    probes.reserve(workers);
-    for (int w = 0; w < workers; ++w) {
-      probes.push_back(
-          Probe{*deadline, CycleFinder(graph, &executor.worker_contexts[w])});
-    }
-    std::vector<SearchOutcome> outcomes(executor.MaxBatch());
-    std::vector<std::vector<VertexId>> cycles(executor.MaxBatch());
-    std::vector<VertexId> batch_vs;
-    batch_vs.reserve(executor.MaxBatch());
-
-    size_t batch_size = executor.StartBatch();
-    size_t pos = 0;
-    while (pos < members.size()) {
-      if (batch_size == 1) {
-        // Inline 1-batch: sequential semantics, zero speculative waste.
-        // Grows once a candidate finishes without touching the graph —
-        // the exhaustive-proof phase, where speculation never misses.
-        const VertexId v = members[pos++];
-        if (!active[v]) continue;
-        dirty = false;
-        if (!drain(v)) {
-          result.status =
-              Status::TimedOut("bottom-up solve exceeded budget");
-          return result;
-        }
-        if (!dirty) batch_size = 2;
-        continue;
-      }
-      batch_vs.clear();
-      while (batch_vs.size() < batch_size && pos < members.size()) {
-        const VertexId v = members[pos++];
-        if (active[v]) batch_vs.push_back(v);
-      }
-      if (batch_vs.empty()) continue;
-      executor.pool->ParallelFor(batch_vs.size(), [&](size_t i, int w) {
-        outcomes[i] = probes[w].finder.FindCycleThrough(
-            batch_vs[i], constraint, active.data(), &cycles[i],
-            &probes[w].deadline);
-      });
-      result.stats.intra_probes += batch_vs.size();
-      dirty = false;
-      size_t restarts = 0;
-      for (size_t i = 0; i < batch_vs.size(); ++i) {
-        const VertexId v = batch_vs[i];
-        if (!active[v]) continue;  // covered earlier in this batch
-        const SearchOutcome outcome = outcomes[i];
-        if (outcome == SearchOutcome::kTimedOut) {
-          result.status =
-              Status::TimedOut("bottom-up solve exceeded budget");
-          return result;
-        }
-        if (outcome == SearchOutcome::kNotFound) {
-          // Valid regardless of dirtiness: no cycle through v existed in
-          // the snapshot graph, a supergraph of the current one.
-          ++result.stats.searches;
-          continue;
-        }
-        if (!dirty) {
-          // Clean snapshot: the speculative search IS the sequential
-          // first search, witness cycle included.
-          ++result.stats.searches;
-          if (process_cycle(cycles[i]) == v) continue;
-          if (!drain(v)) {
-            result.status =
-                Status::TimedOut("bottom-up solve exceeded budget");
-            return result;
-          }
-        } else {
-          // Stale witness: redo v's inner loop from scratch.
-          ++restarts;
-          if (!drain(v)) {
-            result.status =
-                Status::TimedOut("bottom-up solve exceeded budget");
-            return result;
-          }
-        }
-      }
-      result.stats.intra_restarts += restarts;
-      batch_size = NextBatchSize(batch_size, batch_vs.size(), restarts,
-                                 executor.MaxBatch());
-    }
-  }
-
-  if (minimal) {
-    Status prune_status =
-        MinimalPrune(graph, options, PruneEngine::kPlainDfs, &cover,
-                     &result.stats.prune_removed, deadline,
-                     executor.main_context, members, &executor);
+                     &result.stats.prune_removed, deadline, context, members);
     if (!prune_status.ok()) result.status = prune_status;
   }
 

@@ -7,10 +7,10 @@
 #ifndef TDB_CORE_BOTTOM_UP_H_
 #define TDB_CORE_BOTTOM_UP_H_
 
+#include <span>
+
 #include "core/cover_options.h"
-#include "core/probe_executor.h"
 #include "graph/csr_graph.h"
-#include "graph/subgraph.h"
 #include "search/search_context.h"
 #include "util/timer.h"
 
@@ -31,20 +31,15 @@ CoverResult SolveBottomUpWithContext(const CsrGraph& graph,
                                      Deadline* deadline);
 
 /// Engine entry point for one component solved *in place* on the parent
-/// graph through `view` — no materialized subgraph. Candidates are the
-/// members in ascending global order (matching the materialized solve's
-/// ascending local-id sweep); the returned cover is in global ids.
-///
-/// With executor.pool set, the per-candidate cycle searches run as
-/// speculative parallel probes (see core/probe_executor.h). The active
-/// mask only shrinks, so a speculative exhaustive no-cycle proof — the
-/// expensive kind — is valid forever; speculative witness cycles are
-/// re-validated when a commit preceded them. The cover, the hit counters
-/// and the cycle sequence are bit-identical to the sequential solve.
-CoverResult SolveBottomUpOnView(const SubgraphView& view,
-                                const CoverOptions& options, bool minimal,
-                                const ProbeExecutor& executor,
-                                Deadline* deadline);
+/// graph — no materialized subgraph. `members` is the component's sorted
+/// vertex list; candidates are processed in that ascending global order
+/// (matching the materialized solve's ascending local-id sweep) and the
+/// returned cover is in global ids. SolveBottomUpWithContext is this with
+/// every vertex a member.
+CoverResult SolveBottomUpInPlace(const CsrGraph& graph,
+                                 std::span<const VertexId> members,
+                                 const CoverOptions& options, bool minimal,
+                                 SearchContext* context, Deadline* deadline);
 
 }  // namespace tdb
 

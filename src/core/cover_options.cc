@@ -61,13 +61,6 @@ Status CoverOptions::Validate() const {
   if (num_threads > 4096) {
     return Status::InvalidArgument("num_threads implausibly large");
   }
-  if (min_component_parallel_size < 1) {
-    return Status::InvalidArgument(
-        "min_component_parallel_size must be >= 1");
-  }
-  if (min_intra_parallel_size < 1) {
-    return Status::InvalidArgument("min_intra_parallel_size must be >= 1");
-  }
   return Status::OK();
 }
 

@@ -78,22 +78,11 @@ struct CoverOptions {
   EdgeId line_graph_max_arcs = EdgeId{1} << 27;
   /// Worker threads for the SCC-partitioned engine: every solve decomposes
   /// the graph into strongly connected components and runs the chosen
-  /// algorithm per component. 1 solves the components sequentially on the
-  /// calling thread; 0 means one worker per hardware thread. The cover is
-  /// identical for every thread count (components are independent).
+  /// algorithm per component, each component one task on a thread pool.
+  /// 1 solves the components sequentially on the calling thread; 0 means
+  /// one worker per hardware thread. The cover is identical for every
+  /// thread count (components are independent).
   int num_threads = 1;
-  /// Components with fewer vertices than this are solved inline on the
-  /// submitting thread instead of being scheduled as pool tasks, which
-  /// amortizes task overhead over the long tail of tiny SCCs.
-  VertexId min_component_parallel_size = 32;
-  /// Components with at least this many vertices are solved *in place* on
-  /// the parent graph through a SubgraphView (no per-component edge copy)
-  /// and, when num_threads > 1, with intra-component speculative parallel
-  /// candidate probing (batched validation on the pool + sequential
-  /// commit in canonical order; the cover stays bit-identical to the
-  /// sequential solve — see core/probe_executor.h). DARC-DV is exempt:
-  /// its line-graph construction needs a materialized subgraph.
-  VertexId min_intra_parallel_size = 2048;
   /// Keep the base graph as delta/varint-compressed CSR blocks
   /// (graph/compressed_csr.h) instead of raw offset+edge arrays. The
   /// whole-graph phases (condensation, candidate ranking, SCC discharge)
@@ -131,21 +120,19 @@ struct CoverStats {
   uint64_t scc_filtered = 0;
   /// Vertices removed by the minimal-pruning pass (BUR+ only).
   uint64_t prune_removed = 0;
-  /// Speculative intra-component candidate validations executed by the
-  /// parallel probing engine (0 on sequential runs). Unlike the fields
-  /// above, this depends on the thread count and batch schedule.
+  /// Always 0. The engine no longer validates candidates speculatively
+  /// inside a component; the field stays because existing readers of
+  /// CoverStats (bench/e2e/bench_e2e.cc) still report it.
   uint64_t intra_probes = 0;
-  /// Speculative validations that were stale at commit time (an earlier
-  /// candidate in the batch mutated the solver state) and were redone
-  /// sequentially.
+  /// Always 0, for the same reason as intra_probes.
   uint64_t intra_restarts = 0;
   /// Components that exhausted their split work budget and fell back to
   /// their full vertex set (split_budget_by_work mode only; always 0
   /// otherwise — a shared-clock timeout voids the result instead).
   uint64_t components_timed_out = 0;
-  /// Wall-clock seconds spent in SCC condensation. Under the pipeline
-  /// engine (num_threads > 1) condensation overlaps solving, so this can
-  /// exceed the critical-path cost it actually added.
+  /// Wall-clock seconds spent in SCC condensation. Condensation finishes
+  /// before any component solve starts, so this is all on the critical
+  /// path.
   double scc_seconds = 0.0;
   /// Components produced by the condensation front end.
   uint64_t scc_components = 0;

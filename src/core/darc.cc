@@ -186,16 +186,6 @@ CoverResult SolveDarcDvWithContext(const CsrGraph& graph,
   return result;
 }
 
-CoverResult SolveDarcDvOnView(const SubgraphView& view,
-                              const CoverOptions& options,
-                              SearchContext* context, Deadline* deadline) {
-  InducedSubgraph sub = view.Materialize();
-  CoverResult result =
-      SolveDarcDvWithContext(sub.graph, options, context, deadline);
-  for (VertexId& v : result.cover) v = sub.to_global[v];
-  return result;
-}
-
 CoverResult SolveDarcDv(const CsrGraph& graph, const CoverOptions& options) {
   CoverResult result;
   result.status = options.Validate();

@@ -24,7 +24,6 @@
 
 #include "core/cover_options.h"
 #include "graph/csr_graph.h"
-#include "graph/subgraph.h"
 #include "search/search_context.h"
 #include "util/timer.h"
 
@@ -67,17 +66,6 @@ CoverResult SolveDarcDvWithContext(const CsrGraph& graph,
                                    const CoverOptions& options,
                                    SearchContext* context,
                                    Deadline* deadline);
-
-/// Engine entry point for one component expressed as a SubgraphView.
-/// DARC-DV cannot solve in place — BuildLineGraph needs a materialized
-/// CSR — so this materializes through the view (the engine's single
-/// extraction currency) and remaps the cover back to global ids. DARC's
-/// augment/prune state is one long dependency chain, so it is also exempt
-/// from intra-component parallel probing; a giant component runs the
-/// baseline sequentially, as the paper does.
-CoverResult SolveDarcDvOnView(const SubgraphView& view,
-                              const CoverOptions& options,
-                              SearchContext* context, Deadline* deadline);
 
 }  // namespace tdb
 

@@ -1,21 +1,14 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <numeric>
 #include <optional>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/bottom_up.h"
 #include "core/darc.h"
-#include "core/probe_executor.h"
 #include "core/top_down.h"
 #include "graph/compressed_csr.h"
 #include "graph/scc.h"
@@ -59,12 +52,21 @@ bool IsKnownAlgorithm(CoverAlgorithm algo) {
 }
 
 /// DARC-DV builds a line graph per component, which needs a materialized
-/// CSR and has a strictly sequential augment/prune chain — everything
-/// else can solve in place through a SubgraphView with mask-restricted
-/// searches and, above the intra threshold, parallel candidate probing.
+/// CSR — everything else can solve in place on the parent graph with
+/// mask-restricted searches.
 bool SupportsInPlaceSolve(CoverAlgorithm algo) {
   return algo != CoverAlgorithm::kDarcDv;
 }
+
+/// Raw-backend components with at least this many vertices solve in place
+/// on the parent graph instead of materializing: for a giant component the
+/// per-component edge copy would nearly duplicate the graph.
+constexpr VertexId kInPlaceMinSize = 2048;
+
+/// With more than one thread, components with at least this many vertices
+/// are pool tasks; smaller ones run inline on the submitting thread, which
+/// keeps per-task overhead off the long tail of tiny SCCs.
+constexpr VertexId kPoolMinSize = 32;
 
 /// One component solve on a materialized subgraph. `order` is required
 /// for the top-down family and ignored otherwise (BUR and DARC process by
@@ -162,8 +164,6 @@ void MergeTagged(std::vector<TaggedResult>* tagged, CoverResult* result) {
     result->stats.bfs_filtered += r.stats.bfs_filtered;
     result->stats.scc_filtered += r.stats.scc_filtered;
     result->stats.prune_removed += r.stats.prune_removed;
-    result->stats.intra_probes += r.stats.intra_probes;
-    result->stats.intra_restarts += r.stats.intra_restarts;
     result->stats.components_timed_out += r.stats.components_timed_out;
     result->cover.insert(result->cover.end(), r.cover.begin(),
                          r.cover.end());
@@ -186,10 +186,10 @@ void MergeTagged(std::vector<TaggedResult>* tagged, CoverResult* result) {
   }
 }
 
-/// Everything both execution paths share. Templated over the storage
-/// backend: the raw backend additionally routes big components through
-/// the in-place SubgraphView path, the compressed backend materializes
-/// every component (see engine.h).
+/// Per-run state shared by every component task. Templated over the
+/// storage backend: the raw backend additionally routes big components
+/// through the in-place route, the compressed backend materializes every
+/// component (see engine.h).
 template <typename GraphT>
 struct EngineRun {
   EngineRun(const GraphT& g, CoverAlgorithm a, const CoverOptions& o)
@@ -205,22 +205,22 @@ struct EngineRun {
   VertexId min_scc = 3;
 };
 
-/// In-place solve of one component through a SubgraphView, with the
-/// borrowed probe executor (sequential when its pool is null). Raw
-/// backend only — the compressed engine materializes instead.
+/// In-place solve of one component on the parent graph: searches are
+/// restricted by the solver's kept/active masks, no edges are copied.
+/// Raw backend only — the compressed engine materializes instead.
 CoverResult SolveInPlace(const EngineRun<CsrGraph>& run,
                          std::span<const VertexId> members,
-                         ProbeExecutor& executor, Deadline* deadline) {
-  const SubgraphView view(run.graph, members);
+                         SearchContext* context, Deadline* deadline) {
+  TDB_TRACE_SPAN("engine.solve_in_place");
   if (IsTopDown(run.algorithm)) {
-    return SolveTopDownOnView(view, run.component_options,
-                              VariantOf(run.algorithm),
-                              GlobalOrderOf(members, run.rank), executor,
-                              deadline);
+    return SolveTopDownInPlace(run.graph, members, run.component_options,
+                               VariantOf(run.algorithm),
+                               GlobalOrderOf(members, run.rank), context,
+                               deadline);
   }
-  return SolveBottomUpOnView(view, run.component_options,
-                             run.algorithm == CoverAlgorithm::kBurPlus,
-                             executor, deadline);
+  return SolveBottomUpInPlace(run.graph, members, run.component_options,
+                              run.algorithm == CoverAlgorithm::kBurPlus,
+                              context, deadline);
 }
 
 /// Materialized solve of one component; the cover comes back in global
@@ -241,16 +241,40 @@ CoverResult SolveMaterialized(const EngineRun<GraphT>& run,
   return r;
 }
 
-/// Barrier path: condense fully, then solve. Used when the pipeline
-/// cannot run — a single thread gains nothing from overlap, and the
-/// work-budget split needs every component's edge mass upfront to
-/// compute the shares.
+/// One thread's scratch: a search context, and a subgraph extractor
+/// (O(n) each) created on the first materialized component, so a thread
+/// that only solves in place never pays for one.
 template <typename GraphT>
-CoverResult BarrierSolve(const EngineRun<GraphT>& run, double* scc_seconds,
-                         uint64_t* scc_components) {
-  // The in-place SubgraphView route is raw-only: on the compressed
-  // backend every component materializes (see engine.h).
-  constexpr bool kInPlaceCapable = std::is_same_v<GraphT, CsrGraph>;
+struct WorkerScratch {
+  SearchContext context;
+  std::optional<SubgraphExtractorT<GraphT>> extractor;
+};
+
+/// One component solve, routed by size: raw-backend components of at
+/// least kInPlaceMinSize vertices solve in place (DARC-DV excepted), all
+/// others materialize. The cover comes back in global ids.
+template <typename GraphT>
+CoverResult SolveComponent(const EngineRun<GraphT>& run,
+                           std::span<const VertexId> members,
+                           WorkerScratch<GraphT>* scratch,
+                           Deadline* deadline) {
+  if constexpr (std::is_same_v<GraphT, CsrGraph>) {
+    if (SupportsInPlaceSolve(run.algorithm) &&
+        members.size() >= kInPlaceMinSize) {
+      return SolveInPlace(run, members, &scratch->context, deadline);
+    }
+  }
+  if (!scratch->extractor.has_value()) scratch->extractor.emplace(run.graph);
+  return SolveMaterialized(run, members, &scratch->context,
+                           &*scratch->extractor, deadline);
+}
+
+/// Condenses the graph fully, then solves every solvable component as one
+/// task: biggest first on a ThreadPool, with the tail below kPoolMinSize
+/// inline on the calling thread. Each task picks its route by size.
+template <typename GraphT>
+CoverResult CondenseAndSolve(const EngineRun<GraphT>& run,
+                             double* scc_seconds, uint64_t* scc_components) {
   CoverResult result;
   const bool split_budget = run.options.split_budget_by_work &&
                             run.options.time_limit_seconds > 0;
@@ -296,6 +320,9 @@ CoverResult BarrierSolve(const EngineRun<GraphT>& run, double* scc_seconds,
       result.stats.scc_filtered += scc.component_size[c];
     }
   }
+  auto size_of = [&](size_t slot) {
+    return scc.component_size[solvable[slot]];
+  };
 
   // Work-budget deadline split: divide the wall-clock budget across the
   // solvable components in proportion to their edge mass (vertices +
@@ -321,392 +348,85 @@ CoverResult BarrierSolve(const EngineRun<GraphT>& run, double* scc_seconds,
     }
   }
 
-  // Routing: components at or above the intra threshold solve *in place*
-  // on the parent graph through a SubgraphView (no edge copy; searches
-  // are restricted by the kept/active masks) and, with more than one
-  // thread, with intra-component parallel candidate probing. The long
-  // tail still materializes compact per-component subgraphs.
-  std::vector<uint8_t> in_place(solvable.size(), 0);
-  for (size_t s = 0; s < solvable.size(); ++s) {
-    if (kInPlaceCapable && SupportsInPlaceSolve(run.algorithm) &&
-        scc.component_size[solvable[s]] >=
-            run.options.min_intra_parallel_size) {
-      in_place[s] = 1;
-    }
-  }
-
   std::vector<TaggedResult> slots(solvable.size());
   for (size_t s = 0; s < solvable.size(); ++s) {
     slots[s].min_member = scc.VerticesOf(solvable[s]).front();
   }
 
-  // Split-budget fallback: a component that exhausted its share keeps its
-  // full vertex set in the cover (trivially feasible there) and the slot
-  // reports ok, so the merged result is a usable partial cover.
-  auto fallback_cover = [&](size_t slot, CoverResult* r) {
-    const auto members = scc.VerticesOf(solvable[slot]);
-    r->cover.assign(members.begin(), members.end());
-    r->stats.components_timed_out = 1;
-    r->status = Status::OK();
-  };
-
-  auto slot_deadline = [&](size_t slot) {
-    return split_budget ? Deadline::AfterSeconds(budget_share[slot])
-                        : run.master;  // private copy; shared expiry
-  };
-
-  auto solve_slot = [&](size_t slot, SearchContext* context,
-                        SubgraphExtractorT<GraphT>* extractor) {
-    Deadline deadline = slot_deadline(slot);
+  // One component task. Split-budget fallback: a component that exhausted
+  // its share keeps its full vertex set in the cover (trivially feasible
+  // there) and the slot reports ok, so the merged result is a usable
+  // partial cover.
+  auto solve_slot = [&](size_t slot, WorkerScratch<GraphT>* scratch) {
+    const std::span<const VertexId> members = scc.VerticesOf(solvable[slot]);
+    Deadline deadline = split_budget
+                            ? Deadline::AfterSeconds(budget_share[slot])
+                            : run.master;  // private copy; shared expiry
+    CoverResult r;
     if (deadline.ExpiredNow()) {
-      slots[slot].result.status =
-          Status::TimedOut("engine: budget exhausted before component");
-      if (split_budget) fallback_cover(slot, &slots[slot].result);
-      return;
+      r.status = Status::TimedOut("engine: budget exhausted before component");
+    } else {
+      r = SolveComponent(run, members, scratch, &deadline);
     }
-    CoverResult r =
-        SolveMaterialized(run, scc.VerticesOf(solvable[slot]), context,
-                          extractor, &deadline);
     if (split_budget && r.status.IsTimedOut()) {
-      fallback_cover(slot, &r);  // member list is already global ids
+      r.cover.assign(members.begin(), members.end());
+      r.stats.components_timed_out = 1;
+      r.status = Status::OK();
     }
-    slots[slot].result = std::move(r);
+    slots[slot].result = std::move(r);  // cover already in global ids
   };
+
+  // Biggest first, so the pool's long poles start early; ties keep the
+  // canonical order.
+  std::vector<size_t> order(solvable.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return size_of(a) > size_of(b);
+  });
+  size_t num_pooled = 0;
+  if (run.requested > 1) {
+    while (num_pooled < order.size() &&
+           size_of(order[num_pooled]) >= kPoolMinSize) {
+      ++num_pooled;
+    }
+  }
+
+  WorkerScratch<GraphT> inline_scratch;
+  std::vector<WorkerScratch<GraphT>> pool_scratch;
+  // Pool only when there is a component to offload AND other work to
+  // overlap it with; a single solvable component runs inline.
+  if (num_pooled > 0 && order.size() > 1) {
+    // The calling thread solves the inline tail concurrently, so it counts
+    // against the requested parallelism: live compute threads stay ==
+    // requested.
+    const bool has_inline_tail = num_pooled < order.size();
+    const int workers = std::max<int>(
+        1, static_cast<int>(std::min<size_t>(run.requested, num_pooled)) -
+               (has_inline_tail ? 1 : 0));
+    pool_scratch.resize(workers);
+    ThreadPool pool(workers);
+    for (size_t i = 0; i < num_pooled; ++i) {
+      pool.Submit([&, slot = order[i]](int w) {
+        solve_slot(slot, &pool_scratch[w]);
+      });
+    }
+    for (size_t i = num_pooled; i < order.size(); ++i) {
+      solve_slot(order[i], &inline_scratch);
+    }
+    pool.Wait();
+  } else {
+    for (size_t slot : order) solve_slot(slot, &inline_scratch);
+  }
 
   auto merge_context = [&](const SearchContext& context) {
     result.stats.expansions += context.stats.expansions;
     result.stats.block_prunes += context.stats.block_prunes;
   };
-
-  // Split the slots: in-place components run first, biggest first, each
-  // using the whole pool internally; the materialized tail then runs
-  // under the across-component scheduler.
-  std::vector<size_t> big_desc;
-  std::vector<size_t> rest;
-  for (size_t s = 0; s < solvable.size(); ++s) {
-    (in_place[s] ? big_desc : rest).push_back(s);
+  merge_context(inline_scratch.context);
+  for (const WorkerScratch<GraphT>& scratch : pool_scratch) {
+    merge_context(scratch.context);
   }
-  auto size_desc = [&](std::vector<size_t>* v) {
-    std::stable_sort(v->begin(), v->end(), [&](size_t a, size_t b) {
-      return scc.component_size[solvable[a]] >
-             scc.component_size[solvable[b]];
-    });
-  };
-  size_desc(&big_desc);
-  size_desc(&rest);
-
-  // ------------------------------------------------ in-place components
-  if constexpr (kInPlaceCapable) if (!big_desc.empty()) {
-    std::optional<ThreadPool> pool;
-    std::vector<SearchContext> worker_contexts;
-    SearchContext main_context;
-    ProbeExecutor executor;
-    executor.main_context = &main_context;
-    if (run.requested > 1) {
-      // All `requested` workers probe while this thread commits; the two
-      // phases alternate, so live compute threads stay <= requested.
-      pool.emplace(run.requested);
-      worker_contexts.resize(run.requested);
-      executor.pool = &*pool;
-      executor.worker_contexts = worker_contexts;
-    }
-    for (size_t slot : big_desc) {
-      Deadline deadline = slot_deadline(slot);
-      if (deadline.ExpiredNow()) {
-        slots[slot].result.status =
-            Status::TimedOut("engine: budget exhausted before component");
-        if (split_budget) fallback_cover(slot, &slots[slot].result);
-        continue;
-      }
-      CoverResult r = SolveInPlace(run, scc.VerticesOf(solvable[slot]),
-                                   executor, &deadline);
-      if (split_budget && r.status.IsTimedOut()) fallback_cover(slot, &r);
-      slots[slot].result = std::move(r);  // cover already in global ids
-    }
-    merge_context(main_context);
-    for (const SearchContext& context : worker_contexts) {
-      merge_context(context);
-    }
-  }
-
-  // --------------------------------------------- materialized components
-  // Schedule big components first so the pool's long poles start early;
-  // the tail of small components runs inline on this thread meanwhile.
-  size_t num_pooled = 0;
-  if (run.requested > 1) {
-    while (num_pooled < rest.size() &&
-           scc.component_size[solvable[rest[num_pooled]]] >=
-               run.options.min_component_parallel_size) {
-      ++num_pooled;
-    }
-  }
-
-  // Pool when there is any component to offload AND other work to overlap
-  // it with (the one-giant-SCC-plus-tail shape overlaps the giant on a
-  // worker with the tail inline; a single solvable component runs inline).
-  if (num_pooled > 0 && rest.size() > 1) {
-    // The submitting thread solves the inline tail concurrently, so it
-    // counts against the requested parallelism: total live compute
-    // threads stay == requested.
-    const bool has_inline_tail = num_pooled < rest.size();
-    const int workers = std::max<int>(
-        1, static_cast<int>(std::min<size_t>(run.requested, num_pooled)) -
-               (has_inline_tail ? 1 : 0));
-    std::vector<SearchContext> contexts(workers);
-    std::vector<SubgraphExtractorT<GraphT>> extractors;
-    extractors.reserve(workers);
-    for (int w = 0; w < workers; ++w) extractors.emplace_back(run.graph);
-    {
-      ThreadPool pool(workers);
-      for (size_t i = 0; i < num_pooled; ++i) {
-        const size_t slot = rest[i];
-        pool.Submit([&, slot](int w) {
-          solve_slot(slot, &contexts[w], &extractors[w]);
-        });
-      }
-      SearchContext inline_context;
-      SubgraphExtractorT<GraphT> inline_extractor(run.graph);
-      for (size_t i = num_pooled; i < rest.size(); ++i) {
-        solve_slot(rest[i], &inline_context, &inline_extractor);
-      }
-      pool.Wait();
-      merge_context(inline_context);
-    }
-    for (const SearchContext& context : contexts) merge_context(context);
-  } else if (!rest.empty()) {
-    SearchContext context;
-    SubgraphExtractorT<GraphT> extractor(run.graph);
-    for (size_t i = 0; i < rest.size(); ++i) {
-      solve_slot(rest[i], &context, &extractor);
-    }
-    merge_context(context);
-  }
-
   MergeTagged(&slots, &result);
-  return result;
-}
-
-/// Pipeline path: condensation streams finalized components into the
-/// solve while it is still decomposing the rest. Three actors —
-///
-///   * a condenser thread runs CondenseScc with the engine's sink;
-///     finalized components are dispatched from the sink: too-small ones
-///     are discharged, big ones (>= min_intra_parallel_size, in-place
-///     capable) are queued for the calling thread, the rest are
-///     submitted to the solver pool as materialized solves;
-///   * the calling thread drains the big-component queue, solving each
-///     in place with the intra-component probe executor — so the giant
-///     SCC starts solving as soon as Tarjan closes it, while the rest of
-///     the graph is still being decomposed;
-///   * `requested` solver-pool workers chew the materialized tail.
-///
-/// The condenser thread, the probe pool and the solver pool coexist, so
-/// thread oversubscription is transiently possible; condensation and
-/// probing alternate with solving in practice, and correctness never
-/// depends on the overlap. Covers are bit-identical to the barrier path:
-/// per-component solves are unchanged and the merge orders components
-/// canonically.
-template <typename GraphT>
-CoverResult PipelineSolve(const EngineRun<GraphT>& run, double* scc_seconds,
-                          uint64_t* scc_components) {
-  // Raw-only in-place route, as in BarrierSolve: on the compressed
-  // backend the sink sends every solvable component to the materialized
-  // tail, and the calling thread just waits for condensation.
-  constexpr bool kInPlaceCapable = std::is_same_v<GraphT, CsrGraph>;
-  CoverResult result;
-
-  std::mutex queue_mu;
-  std::condition_variable queue_cv;
-  std::deque<std::vector<VertexId>> big_queue;
-  bool condense_done = false;
-  uint64_t scc_filtered = 0;  // only the condenser thread touches it
-
-  // Materialized tail: one context per solver worker; extractors (O(n)
-  // scratch each) materialize lazily on the worker that first needs one,
-  // and the pool itself is created on the first tail component — a
-  // one-giant-SCC graph spawns neither. Likewise the probe pool below
-  // only spawns on the first in-place component, so a solve only pays
-  // for the threads and scratch its component mix actually uses. Live
-  // compute threads can still transiently exceed `requested` while
-  // condensation overlaps solving; that overlap is the pipeline's point,
-  // and the phases alternate in practice.
-  std::vector<SearchContext> tail_contexts(run.requested);
-  std::vector<std::unique_ptr<SubgraphExtractorT<GraphT>>> tail_extractors(
-      run.requested);
-  std::mutex results_mu;
-  std::vector<TaggedResult> tagged;
-  std::optional<ThreadPool> tail_pool;
-
-  // One pool task per component batch. Worker indices are stable per
-  // pool thread, so the lazy extractor slot is touched by one thread.
-  auto solve_tail_batch = [&](std::vector<std::vector<VertexId>> batch,
-                              int w) {
-    TDB_TRACE_SPAN("engine.solve_tail_batch");
-    if (tail_extractors[w] == nullptr) {
-      tail_extractors[w] =
-          std::make_unique<SubgraphExtractorT<GraphT>>(run.graph);
-    }
-    std::vector<TaggedResult> results;
-    results.reserve(batch.size());
-    for (const std::vector<VertexId>& m : batch) {
-      TaggedResult t;
-      t.min_member = m.front();
-      Deadline deadline = run.master;
-      if (deadline.ExpiredNow()) {
-        t.result.status =
-            Status::TimedOut("engine: budget exhausted before component");
-      } else {
-        t.result = SolveMaterialized(run, m, &tail_contexts[w],
-                                     tail_extractors[w].get(), &deadline);
-      }
-      results.push_back(std::move(t));
-    }
-    std::lock_guard<std::mutex> lock(results_mu);
-    for (TaggedResult& t : results) tagged.push_back(std::move(t));
-  };
-
-  // Components below min_component_parallel_size batch up before being
-  // submitted, amortizing per-task overhead over the long tail of tiny
-  // SCCs — the same job the knob does for the barrier path's inline
-  // tail. Bigger components dispatch immediately as their own task.
-  constexpr size_t kSmallBatch = 64;
-  std::vector<std::vector<VertexId>> small_batch;
-
-  auto submit_batch = [&](std::vector<std::vector<VertexId>> batch) {
-    if (!tail_pool.has_value()) tail_pool.emplace(run.requested);
-    tail_pool->Submit([&, b = std::move(batch)](int w) mutable {
-      solve_tail_batch(std::move(b), w);
-    });
-  };
-
-  ComponentSink sink = [&](std::span<const VertexId> members) {
-    if (static_cast<VertexId>(members.size()) < run.min_scc) {
-      scc_filtered += members.size();
-      return;
-    }
-    if constexpr (kInPlaceCapable) {
-      if (SupportsInPlaceSolve(run.algorithm) &&
-          static_cast<VertexId>(members.size()) >=
-              run.options.min_intra_parallel_size) {
-        {
-          std::lock_guard<std::mutex> lock(queue_mu);
-          big_queue.emplace_back(members.begin(), members.end());
-        }
-        queue_cv.notify_one();
-        return;
-      }
-    }
-    // Sink calls all come from the condenser thread, so the batching
-    // state and the lazy pool emplace cannot race; Submit is thread-safe.
-    if (static_cast<VertexId>(members.size()) <
-        run.options.min_component_parallel_size) {
-      small_batch.emplace_back(members.begin(), members.end());
-      if (small_batch.size() >= kSmallBatch) {
-        submit_batch(std::exchange(small_batch, {}));
-      }
-      return;
-    }
-    std::vector<std::vector<VertexId>> single;
-    single.emplace_back(members.begin(), members.end());
-    submit_batch(std::move(single));
-  };
-
-  std::atomic<bool> scc_timed_out{false};
-  std::thread condenser([&] {
-    // Count-only condensation: the components all arrive through the
-    // sink, so the canonical SccResult arrays would be built and thrown
-    // away — and their O(n) finalization would delay condense_done.
-    SccOptions scc_options;
-    scc_options.canonical_result = false;
-    // Private Deadline copy: shared expiry instant, thread-local
-    // amortized check state.
-    Deadline condense_deadline = run.master;
-    scc_options.deadline = &condense_deadline;
-    SccResult scc;
-    {
-      TDB_TRACE_SPAN("engine.condense");
-      Timer condense_timer;
-      scc = CondenseScc(run.graph, scc_options, sink);
-      *scc_seconds = condense_timer.ElapsedSeconds();
-    }
-    if (scc.timed_out) scc_timed_out.store(true, std::memory_order_relaxed);
-    if (!small_batch.empty()) submit_batch(std::exchange(small_batch, {}));
-    {
-      std::lock_guard<std::mutex> lock(queue_mu);
-      *scc_components = scc.num_components;
-      condense_done = true;
-    }
-    queue_cv.notify_all();
-  });
-
-  // Calling thread: in-place solves of the big components, with the
-  // intra-component probe executor (requested > 1 always holds here).
-  // The probe pool spawns on the first big component only.
-  std::optional<ThreadPool> probe_pool;
-  std::vector<SearchContext> probe_contexts(run.requested);
-  SearchContext main_context;
-  ProbeExecutor executor;
-  executor.main_context = &main_context;
-  executor.worker_contexts = probe_contexts;
-
-  std::vector<TaggedResult> in_place_results;
-  if constexpr (kInPlaceCapable) {
-    for (;;) {
-      std::vector<VertexId> members;
-      {
-        std::unique_lock<std::mutex> lock(queue_mu);
-        queue_cv.wait(lock,
-                      [&] { return !big_queue.empty() || condense_done; });
-        if (big_queue.empty()) break;
-        members = std::move(big_queue.front());
-        big_queue.pop_front();
-      }
-      if (!probe_pool.has_value()) {
-        probe_pool.emplace(run.requested);
-        executor.pool = &*probe_pool;
-      }
-      TaggedResult t;
-      t.min_member = members.front();
-      Deadline deadline = run.master;
-      if (deadline.ExpiredNow()) {
-        t.result.status =
-            Status::TimedOut("engine: budget exhausted before component");
-      } else {
-        TDB_TRACE_SPAN("engine.solve_in_place");
-        t.result = SolveInPlace(run, members, executor, &deadline);
-      }
-      in_place_results.push_back(std::move(t));
-    }
-  } else {
-    // Nothing routes to the big queue on this backend; just wait for the
-    // condenser to drain into the materialized tail.
-    std::unique_lock<std::mutex> lock(queue_mu);
-    queue_cv.wait(lock, [&] { return condense_done; });
-  }
-
-  condenser.join();
-  if (tail_pool.has_value()) tail_pool->Wait();
-
-  result.stats.scc_filtered += scc_filtered;
-  result.stats.expansions += main_context.stats.expansions;
-  result.stats.block_prunes += main_context.stats.block_prunes;
-  for (const SearchContext& context : probe_contexts) {
-    result.stats.expansions += context.stats.expansions;
-    result.stats.block_prunes += context.stats.block_prunes;
-  }
-  for (const SearchContext& context : tail_contexts) {
-    result.stats.expansions += context.stats.expansions;
-    result.stats.block_prunes += context.stats.block_prunes;
-  }
-  for (TaggedResult& t : in_place_results) tagged.push_back(std::move(t));
-  MergeTagged(&tagged, &result);
-  if (scc_timed_out.load(std::memory_order_relaxed)) {
-    // The decomposition is incomplete: whatever components did solve
-    // cannot add up to a feasible cover, so the run reports the timeout
-    // like the sequential solvers do.
-    result.status = Status::TimedOut("engine: condensation timed out");
-    result.cover.clear();
-  }
   return result;
 }
 
@@ -735,8 +455,8 @@ CoverResult SolveCycleCoverPartitionedT(const GraphT& graph,
   run.requested = options.num_threads == 0 ? ThreadPool::HardwareThreads()
                                            : options.num_threads;
   // With the work-budget split every component carries a private deadline
-  // (computed in the barrier path); the shared master clock applies
-  // otherwise.
+  // (computed once the components are known); the shared master clock
+  // applies otherwise.
   const bool split_budget =
       options.split_budget_by_work && options.time_limit_seconds > 0;
   run.master = options.time_limit_seconds > 0 && !split_budget
@@ -752,13 +472,7 @@ CoverResult SolveCycleCoverPartitionedT(const GraphT& graph,
 
   double scc_seconds = 0.0;
   uint64_t scc_components = 0;
-  // The pipeline needs spare threads to overlap condensation with
-  // solving, and the budget split needs the full component list before
-  // any solve (shares are proportional to total edge mass).
-  CoverResult solved =
-      run.requested > 1 && !split_budget
-          ? PipelineSolve(run, &scc_seconds, &scc_components)
-          : BarrierSolve(run, &scc_seconds, &scc_components);
+  CoverResult solved = CondenseAndSolve(run, &scc_seconds, &scc_components);
   result.status = std::move(solved.status);
   result.cover = std::move(solved.cover);
   result.stats = solved.stats;

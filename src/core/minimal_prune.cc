@@ -7,39 +7,11 @@
 
 namespace tdb {
 
-namespace {
-
-/// Witness-search engines for one worker (or the commit path), with a
-/// private deadline copy (Deadline's amortized polling is stateful).
-struct PruneEngines {
-  PruneEngines(const CsrGraph& graph, PruneEngine engine,
-               SearchContext* context, const Deadline& master)
-      : deadline(master), plain(graph, context), block(graph, context),
-        use_plain(engine == PruneEngine::kPlainDfs) {}
-
-  SearchOutcome Probe(VertexId v, const CycleConstraint& constraint,
-                      const uint8_t* active) {
-    return use_plain
-               ? plain.FindCycleThrough(v, constraint, active, nullptr,
-                                        &deadline)
-               : block.FindCycleThrough(v, constraint, active, nullptr,
-                                        &deadline);
-  }
-
-  Deadline deadline;
-  CycleFinder plain;
-  BlockSearch block;
-  bool use_plain;
-};
-
-}  // namespace
-
 Status MinimalPrune(const CsrGraph& graph, const CoverOptions& options,
                     PruneEngine engine, std::vector<VertexId>* cover,
                     uint64_t* removed, Deadline* deadline,
                     SearchContext* context,
-                    std::span<const VertexId> domain,
-                    const ProbeExecutor* executor) {
+                    std::span<const VertexId> domain) {
   // The constraint of the (sub)problem being pruned: the domain's size
   // when restricted to one component, mirroring a solve on the
   // materialized component.
@@ -59,110 +31,40 @@ Status MinimalPrune(const CsrGraph& graph, const CoverOptions& options,
   for (VertexId v : *cover) active[v] = 0;
 
   SearchContext own_context;
-  SearchContext* ctx = executor != nullptr ? executor->main_context
-                       : context != nullptr ? context
-                                            : &own_context;
-  Deadline no_deadline;
-  Deadline* dl = deadline != nullptr ? deadline : &no_deadline;
-  PruneEngines main_engines(graph, engine, ctx, *dl);
+  SearchContext* ctx = context != nullptr ? context : &own_context;
+  CycleFinder plain(graph, ctx);
+  BlockSearch block(graph, ctx);
 
   std::vector<VertexId> kept;
   kept.reserve(cover->size());
   uint64_t drops = 0;
-
-  auto finish = [&](Status status) {
-    *cover = std::move(kept);
-    std::sort(cover->begin(), cover->end());
-    if (removed != nullptr) *removed = drops;
-    return status;
-  };
-  auto timed_out_at = [&](size_t i) {
-    // Keep v and everything not yet examined: the cover stays feasible.
-    kept.insert(kept.end(), cover->begin() + i, cover->end());
-    return finish(Status::TimedOut("minimal pruning exceeded budget"));
-  };
-
-  if (executor == nullptr || executor->pool == nullptr ||
-      cover->size() < 2) {
-    for (size_t i = 0; i < cover->size(); ++i) {
-      const VertexId v = (*cover)[i];
-      const SearchOutcome outcome =
-          main_engines.Probe(v, constraint, active.data());
-      if (outcome == SearchOutcome::kTimedOut) return timed_out_at(i);
-      if (outcome == SearchOutcome::kNotFound) {
-        // No witness cycle: v is redundant; return it to the graph.
-        active[v] = 1;
-        ++drops;
-      } else {
-        kept.push_back(v);
-      }
+  Status status = Status::OK();
+  for (size_t i = 0; i < cover->size(); ++i) {
+    const VertexId v = (*cover)[i];
+    const SearchOutcome outcome =
+        engine == PruneEngine::kPlainDfs
+            ? plain.FindCycleThrough(v, constraint, active.data(), nullptr,
+                                     deadline)
+            : block.FindCycleThrough(v, constraint, active.data(), nullptr,
+                                     deadline);
+    if (outcome == SearchOutcome::kTimedOut) {
+      // Keep v and everything not yet examined: the cover stays feasible.
+      kept.insert(kept.end(), cover->begin() + i, cover->end());
+      status = Status::TimedOut("minimal pruning exceeded budget");
+      break;
     }
-    return finish(Status::OK());
-  }
-
-  // Speculative parallel probing (see core/probe_executor.h). The active
-  // mask only grows during the commit loop (drops return vertices to the
-  // graph), so a speculative kFound — a witness cycle in a smaller
-  // subgraph — is valid forever; only speculative kNotFound proofs can be
-  // invalidated by an earlier drop and are then re-validated inline.
-  const int workers = executor->pool->num_threads();
-  std::vector<PruneEngines> probe_engines;
-  probe_engines.reserve(workers);
-  for (int w = 0; w < workers; ++w) {
-    probe_engines.emplace_back(graph, engine,
-                               &executor->worker_contexts[w], *dl);
-  }
-  std::vector<SearchOutcome> outcomes(executor->MaxBatch());
-  size_t batch_size = executor->StartBatch();
-  size_t pos = 0;
-  while (pos < cover->size()) {
-    if (batch_size == 1) {
-      // Inline 1-batch: sequential semantics, zero speculative waste.
-      const VertexId v = (*cover)[pos];
-      const SearchOutcome outcome =
-          main_engines.Probe(v, constraint, active.data());
-      if (outcome == SearchOutcome::kTimedOut) return timed_out_at(pos);
-      ++pos;
-      if (outcome == SearchOutcome::kNotFound) {
-        active[v] = 1;
-        ++drops;
-      } else {
-        kept.push_back(v);
-        batch_size = 2;  // keeps are mutation-free: speculation is safe
-      }
-      continue;
+    if (outcome == SearchOutcome::kNotFound) {
+      // No witness cycle: v is redundant; return it to the graph.
+      active[v] = 1;
+      ++drops;
+    } else {
+      kept.push_back(v);
     }
-    const size_t batch = std::min(batch_size, cover->size() - pos);
-    executor->pool->ParallelFor(batch, [&](size_t i, int w) {
-      outcomes[i] = probe_engines[w].Probe((*cover)[pos + i], constraint,
-                                           active.data());
-    });
-    bool dirty = false;
-    size_t restarts = 0;
-    for (size_t i = 0; i < batch; ++i) {
-      const VertexId v = (*cover)[pos + i];
-      SearchOutcome outcome = outcomes[i];
-      if (outcome == SearchOutcome::kTimedOut) return timed_out_at(pos + i);
-      if (dirty && outcome == SearchOutcome::kNotFound) {
-        ++restarts;
-        outcome = main_engines.Probe(v, constraint, active.data());
-        if (outcome == SearchOutcome::kTimedOut) {
-          return timed_out_at(pos + i);
-        }
-      }
-      if (outcome == SearchOutcome::kNotFound) {
-        active[v] = 1;
-        ++drops;
-        dirty = true;
-      } else {
-        kept.push_back(v);
-      }
-    }
-    pos += batch;
-    batch_size =
-        NextBatchSize(batch_size, batch, restarts, executor->MaxBatch());
   }
-  return finish(Status::OK());
+  *cover = std::move(kept);
+  std::sort(cover->begin(), cover->end());
+  if (removed != nullptr) *removed = drops;
+  return status;
 }
 
 }  // namespace tdb

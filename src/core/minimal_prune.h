@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/cover_options.h"
-#include "core/probe_executor.h"
 #include "graph/csr_graph.h"
 #include "search/search_context.h"
 #include "util/timer.h"
@@ -28,24 +27,17 @@ enum class PruneEngine {
 /// of vertices removed, or a TimedOut error leaving `cover` still feasible
 /// (pruning only ever removes provably redundant vertices, so stopping
 /// early preserves feasibility, just not minimality). `context` (may be
-/// null = private scratch) lets the parallel engine reuse per-worker
-/// search state for the witness searches.
+/// null = private scratch) lets the engine reuse per-worker search state
+/// for the witness searches.
 ///
 /// `domain` (empty = the whole graph) restricts the active universe to one
 /// component's members: used by the in-place component solvers so witness
-/// searches cannot wander into other components. `executor` (may be null =
-/// sequential) enables speculative parallel probing of the witness
-/// searches: keeps (kFound) survive any interleaved drop because the
-/// active mask only grows, drops are re-validated when stale, and the
-/// pruned cover is bit-identical to the sequential pass at every thread
-/// count. When `executor` is non-null its main_context takes precedence
-/// over `context`.
+/// searches cannot wander into other components.
 Status MinimalPrune(const CsrGraph& graph, const CoverOptions& options,
                     PruneEngine engine, std::vector<VertexId>* cover,
                     uint64_t* removed, Deadline* deadline = nullptr,
                     SearchContext* context = nullptr,
-                    std::span<const VertexId> domain = {},
-                    const ProbeExecutor* executor = nullptr);
+                    std::span<const VertexId> domain = {});
 
 }  // namespace tdb
 

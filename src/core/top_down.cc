@@ -51,264 +51,113 @@ template std::vector<VertexId> MakeCandidateOrder<CsrGraph>(
 template std::vector<VertexId> MakeCandidateOrder<CompressedCsr>(
     const CompressedCsr&, const CoverOptions&);
 
+namespace {
+
+/// The candidate sweep shared by the whole-graph and in-place entry
+/// points: processes `order`, discharging candidates into `kept`. A
+/// non-null `scc_mask` discharges vertices on no qualifying SCC without a
+/// search. Engines are built per variant, so a plain-DFS solve does not
+/// pay for block/BFS scratch. Returns TimedOut on budget expiry.
+Status SweepTopDown(const CsrGraph& graph, const CycleConstraint& constraint,
+                    TopDownVariant variant, std::span<const VertexId> order,
+                    const uint8_t* scc_mask, uint8_t* kept, CoverStats* stats,
+                    SearchContext* context, Deadline* deadline) {
+  std::optional<CycleFinder> plain;
+  std::optional<BlockSearch> blocks;
+  std::optional<BfsFilter> filter;
+  if (variant == TopDownVariant::kPlain) {
+    plain.emplace(graph, context);
+  } else {
+    blocks.emplace(graph, context);
+  }
+  if (variant == TopDownVariant::kBlocksFilter) filter.emplace(graph, context);
+
+  for (VertexId v : order) {
+    // A vertex on no directed cycle at all can never be necessary; the
+    // optional SCC mask catches everything off-cycle.
+    if (scc_mask != nullptr && !scc_mask[v]) {
+      kept[v] = 1;
+      ++stats->scc_filtered;
+      continue;
+    }
+    if (filter.has_value()) {
+      const uint32_t walk =
+          filter->ShortestClosedWalk(v, constraint.max_hops, kept, deadline);
+      if (walk == BfsFilter::kTimedOutWalk) {
+        return Status::TimedOut("top-down solve exceeded budget");
+      }
+      if (walk > constraint.max_hops) {
+        // Not even a closed walk within budget: discharge immediately.
+        kept[v] = 1;
+        ++stats->bfs_filtered;
+        continue;
+      }
+    }
+    ++stats->searches;
+    const SearchOutcome outcome =
+        plain.has_value()
+            ? plain->FindCycleThrough(v, constraint, kept, nullptr, deadline)
+            : blocks->FindCycleThrough(v, constraint, kept, nullptr,
+                                       deadline);
+    if (outcome == SearchOutcome::kTimedOut) {
+      return Status::TimedOut("top-down solve exceeded budget");
+    }
+    if (outcome == SearchOutcome::kFound) {
+      ++stats->cycles_found;  // v stays in the cover
+    } else {
+      kept[v] = 1;  // v's edges join G0
+    }
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 CoverResult SolveTopDownOrdered(const CsrGraph& graph,
                                 const CoverOptions& options,
                                 TopDownVariant variant,
                                 const std::vector<VertexId>& order,
                                 SearchContext* context, Deadline* deadline) {
   CoverResult result;
-  const CycleConstraint constraint =
-      options.Constraint(graph.num_vertices());
-
   // kept[v] == 1 once v has been discharged from the cover: v and its
   // edges belong to the growing subgraph G0.
   std::vector<uint8_t> kept(graph.num_vertices(), 0);
-
   std::vector<uint8_t> scc_mask;
   if (options.scc_prefilter) {
     scc_mask = SccAtLeastMask(
         graph, options.include_two_cycles ? VertexId{2} : VertexId{3});
   }
-
-  CycleFinder plain(graph, context);
-  BlockSearch blocks(graph, context);
-  BfsFilter filter(graph, context);
-
-  for (VertexId v : order) {
-    // A vertex on no directed cycle at all can never be necessary; the
-    // cheap degree test catches sources/sinks, the optional SCC mask
-    // catches everything off-cycle.
-    if (options.scc_prefilter && !scc_mask[v]) {
-      kept[v] = 1;
-      ++result.stats.scc_filtered;
-      continue;
-    }
-    if (variant == TopDownVariant::kBlocksFilter) {
-      const uint32_t walk = filter.ShortestClosedWalk(
-          v, constraint.max_hops, kept.data(), deadline);
-      if (walk == BfsFilter::kTimedOutWalk) {
-        result.status = Status::TimedOut("top-down solve exceeded budget");
-        return result;
-      }
-      if (walk > constraint.max_hops) {
-        // Not even a closed walk within budget: discharge immediately.
-        kept[v] = 1;
-        ++result.stats.bfs_filtered;
-        continue;
-      }
-    }
-    ++result.stats.searches;
-    SearchOutcome outcome =
-        variant == TopDownVariant::kPlain
-            ? plain.FindCycleThrough(v, constraint, kept.data(), nullptr,
-                                     deadline)
-            : blocks.FindCycleThrough(v, constraint, kept.data(), nullptr,
-                                      deadline);
-    if (outcome == SearchOutcome::kTimedOut) {
-      result.status = Status::TimedOut("top-down solve exceeded budget");
-      return result;
-    }
-    if (outcome == SearchOutcome::kFound) {
-      ++result.stats.cycles_found;  // v stays in the cover
-    } else {
-      kept[v] = 1;  // v's edges join G0
-    }
-  }
-
+  result.status = SweepTopDown(
+      graph, options.Constraint(graph.num_vertices()), variant, order,
+      options.scc_prefilter ? scc_mask.data() : nullptr, kept.data(),
+      &result.stats, context, deadline);
+  if (!result.status.ok()) return result;
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     if (!kept[v]) result.cover.push_back(v);
   }
   return result;
 }
 
-namespace {
-
-/// Speculative validation outcome of one top-down candidate.
-enum class ProbeVerdict : uint8_t {
-  kBfsDischarge,  ///< BFS filter proved no closed walk: discharge.
-  kKeep,          ///< Witness cycle found: the candidate stays covered.
-  kDischarge,     ///< Exhaustive proof of absence: discharge.
-  kTimedOut,
-};
-
-/// One worker's (or the commit path's) search machinery over the parent
-/// graph. Engines are built lazily per variant so a plain-DFS solve does
-/// not pay for block/BFS scratch.
-struct TopDownEngines {
-  TopDownEngines(const CsrGraph& graph, TopDownVariant variant,
-                 SearchContext* context, const Deadline& master)
-      : deadline(master) {
-    if (variant == TopDownVariant::kPlain) {
-      plain.emplace(graph, context);
-    } else {
-      blocks.emplace(graph, context);
-    }
-    if (variant == TopDownVariant::kBlocksFilter) {
-      filter.emplace(graph, context);
-    }
-  }
-
-  /// Runs the full candidate pipeline (optional BFS filter, then the
-  /// variant's search) against the given kept mask.
-  ProbeVerdict Validate(VertexId v, const CycleConstraint& constraint,
-                        const uint8_t* kept) {
-    if (filter.has_value()) {
-      const uint32_t walk =
-          filter->ShortestClosedWalk(v, constraint.max_hops, kept, &deadline);
-      if (walk == BfsFilter::kTimedOutWalk) return ProbeVerdict::kTimedOut;
-      if (walk > constraint.max_hops) return ProbeVerdict::kBfsDischarge;
-    }
-    const SearchOutcome outcome =
-        plain.has_value()
-            ? plain->FindCycleThrough(v, constraint, kept, nullptr,
-                                      &deadline)
-            : blocks->FindCycleThrough(v, constraint, kept, nullptr,
-                                       &deadline);
-    if (outcome == SearchOutcome::kTimedOut) return ProbeVerdict::kTimedOut;
-    return outcome == SearchOutcome::kFound ? ProbeVerdict::kKeep
-                                            : ProbeVerdict::kDischarge;
-  }
-
-  /// Private deadline copy: Deadline's amortized polling is stateful, so
-  /// concurrent workers must not share one instance.
-  Deadline deadline;
-  std::optional<CycleFinder> plain;
-  std::optional<BlockSearch> blocks;
-  std::optional<BfsFilter> filter;
-};
-
-/// Applies a committed verdict to the solver state and stats. Returns
-/// true when the commit mutated the kept mask (dischargers only).
-bool CommitVerdict(ProbeVerdict verdict, VertexId v, uint8_t* kept,
-                   CoverStats* stats) {
-  switch (verdict) {
-    case ProbeVerdict::kBfsDischarge:
-      ++stats->bfs_filtered;
-      kept[v] = 1;
-      return true;
-    case ProbeVerdict::kKeep:
-      ++stats->searches;
-      ++stats->cycles_found;
-      return false;
-    case ProbeVerdict::kDischarge:
-      ++stats->searches;
-      kept[v] = 1;
-      return true;
-    case ProbeVerdict::kTimedOut:
-      break;
-  }
-  return false;
-}
-
-}  // namespace
-
-CoverResult SolveTopDownOnView(const SubgraphView& view,
-                               const CoverOptions& options,
-                               TopDownVariant variant,
-                               const std::vector<VertexId>& order,
-                               const ProbeExecutor& executor,
-                               Deadline* deadline) {
+CoverResult SolveTopDownInPlace(const CsrGraph& graph,
+                                std::span<const VertexId> members,
+                                const CoverOptions& options,
+                                TopDownVariant variant,
+                                const std::vector<VertexId>& order,
+                                SearchContext* context, Deadline* deadline) {
   CoverResult result;
-  const CsrGraph& graph = view.parent();
-  // Constraint of the *component*: identical to what a solve on the
-  // materialized subgraph would use (matters for `unconstrained`, whose
-  // hop budget is the vertex count).
-  const CycleConstraint constraint =
-      options.Constraint(view.num_vertices());
-
   // kept[g] == 1 once global vertex g has been discharged into G0. Only
   // members are candidates, so non-members stay 0 forever and the mask
   // doubles as the component restriction.
   std::vector<uint8_t> kept(graph.num_vertices(), 0);
-
-  TopDownEngines main_engines(graph, variant, executor.main_context,
-                              *deadline);
-
-  if (executor.pool == nullptr || order.size() < 2) {
-    // Sequential in-place sweep: the classic loop, minus materialization.
-    for (VertexId v : order) {
-      const ProbeVerdict verdict =
-          main_engines.Validate(v, constraint, kept.data());
-      if (verdict == ProbeVerdict::kTimedOut) {
-        result.status = Status::TimedOut("top-down solve exceeded budget");
-        return result;
-      }
-      CommitVerdict(verdict, v, kept.data(), &result.stats);
-    }
-  } else {
-    const int workers = executor.pool->num_threads();
-    std::vector<TopDownEngines> probe_engines;
-    probe_engines.reserve(workers);
-    for (int w = 0; w < workers; ++w) {
-      probe_engines.emplace_back(graph, variant,
-                                 &executor.worker_contexts[w], *deadline);
-    }
-
-    std::vector<ProbeVerdict> verdicts(executor.MaxBatch());
-    size_t batch_size = executor.StartBatch();
-    size_t pos = 0;
-    while (pos < order.size()) {
-      if (batch_size == 1) {
-        // Inline 1-batch: sequential validate-and-commit with zero
-        // speculative waste. Grows back to real batches as soon as a
-        // candidate commits without mutating the kept mask — the signal
-        // that the keep-heavy (perfectly parallel) phase has started.
-        const VertexId v = order[pos++];
-        const ProbeVerdict verdict =
-            main_engines.Validate(v, constraint, kept.data());
-        if (verdict == ProbeVerdict::kTimedOut) {
-          result.status =
-              Status::TimedOut("top-down solve exceeded budget");
-          return result;
-        }
-        const bool mutated =
-            CommitVerdict(verdict, v, kept.data(), &result.stats);
-        if (!mutated) batch_size = 2;
-        continue;
-      }
-      const size_t batch = std::min(batch_size, order.size() - pos);
-      // Validation phase: the kept mask is frozen, so workers share it
-      // read-only; each probes with its own context and deadline copy.
-      executor.pool->ParallelFor(batch, [&](size_t i, int w) {
-        verdicts[i] =
-            probe_engines[w].Validate(order[pos + i], constraint,
-                                      kept.data());
-      });
-      // Commit phase: replay in candidate order. kKeep verdicts survive
-      // any interleaved discharge (kept only grows and cycle existence is
-      // monotone in it); discharge verdicts are exact only while the
-      // snapshot is clean, so the first discharge forces every later
-      // discharge verdict in the batch to be re-validated inline.
-      result.stats.intra_probes += batch;
-      bool dirty = false;
-      size_t restarts = 0;
-      for (size_t i = 0; i < batch; ++i) {
-        const VertexId v = order[pos + i];
-        ProbeVerdict verdict = verdicts[i];
-        if (verdict == ProbeVerdict::kTimedOut) {
-          result.status =
-              Status::TimedOut("top-down solve exceeded budget");
-          return result;
-        }
-        if (dirty && verdict != ProbeVerdict::kKeep) {
-          ++restarts;
-          verdict = main_engines.Validate(v, constraint, kept.data());
-          if (verdict == ProbeVerdict::kTimedOut) {
-            result.status =
-                Status::TimedOut("top-down solve exceeded budget");
-            return result;
-          }
-        }
-        dirty |= CommitVerdict(verdict, v, kept.data(), &result.stats);
-      }
-      pos += batch;
-      result.stats.intra_restarts += restarts;
-      batch_size =
-          NextBatchSize(batch_size, batch, restarts, executor.MaxBatch());
-    }
-  }
-
-  for (VertexId g : view.members()) {
+  // Constraint of the *component*: identical to what a solve on the
+  // materialized subgraph would use (matters for `unconstrained`, whose
+  // hop budget is the vertex count).
+  result.status = SweepTopDown(
+      graph, options.Constraint(static_cast<VertexId>(members.size())),
+      variant, order, /*scc_mask=*/nullptr, kept.data(), &result.stats,
+      context, deadline);
+  if (!result.status.ok()) return result;
+  for (VertexId g : members) {
     if (!kept[g]) result.cover.push_back(g);
   }
   return result;

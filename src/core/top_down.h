@@ -17,12 +17,11 @@
 #ifndef TDB_CORE_TOP_DOWN_H_
 #define TDB_CORE_TOP_DOWN_H_
 
+#include <span>
 #include <vector>
 
 #include "core/cover_options.h"
-#include "core/probe_executor.h"
 #include "graph/csr_graph.h"
-#include "graph/subgraph.h"
 #include "search/search_context.h"
 #include "util/timer.h"
 
@@ -64,28 +63,21 @@ CoverResult SolveTopDownOrdered(const CsrGraph& graph,
                                 SearchContext* context, Deadline* deadline);
 
 /// Engine entry point for one component solved *in place* on the parent
-/// graph through `view` — no materialized subgraph. `order` holds the
-/// component's candidates in GLOBAL ids (the whole-graph candidate order
-/// projected onto the members); the returned cover is likewise in global
-/// ids. Searches run on view.parent() restricted by the kept mask, which
-/// only ever contains members, so results are bit-identical to a solve on
-/// the materialized component.
-///
-/// With executor.pool set, candidate validation runs as speculative
-/// parallel probing (see core/probe_executor.h): batches validate against
-/// a frozen kept mask on the pool, the commit step replays decisions in
-/// `order`, and speculative discharges that a state change preceded are
-/// re-validated inline — the committed decision sequence, and therefore
-/// the cover, equals the sequential sweep's exactly.
+/// graph — no materialized subgraph. `members` is the component's sorted
+/// vertex list; `order` holds its candidates in GLOBAL ids (the
+/// whole-graph candidate order projected onto the members), and the
+/// returned cover is likewise in global ids. Searches run on `graph`
+/// restricted by the kept mask, which only ever contains members, so
+/// results are bit-identical to a solve on the materialized component.
 ///
 /// Assumes options were validated and options.scc_prefilter handling was
 /// done by the caller (the engine discharges non-member vertices itself).
-CoverResult SolveTopDownOnView(const SubgraphView& view,
-                               const CoverOptions& options,
-                               TopDownVariant variant,
-                               const std::vector<VertexId>& order,
-                               const ProbeExecutor& executor,
-                               Deadline* deadline);
+CoverResult SolveTopDownInPlace(const CsrGraph& graph,
+                                std::span<const VertexId> members,
+                                const CoverOptions& options,
+                                TopDownVariant variant,
+                                const std::vector<VertexId>& order,
+                                SearchContext* context, Deadline* deadline);
 
 }  // namespace tdb
 

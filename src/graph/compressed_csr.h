@@ -30,7 +30,7 @@
 //
 // The iteration seam — ForEachOut/ForEachIn(v, fn) and
 // DecodeNeighbors/DecodeInNeighbors(v, scratch) — is shared with
-// CsrGraph, OverlayGraph and SubgraphView: generic traversal code works
+// CsrGraph and OverlayGraph: generic traversal code works
 // on either backend, and on CsrGraph the seam degenerates to the raw
 // span loop (DecodeNeighbors returns the internal span, ignoring the
 // scratch), so the uncompressed fast path stays branch-free.

@@ -80,7 +80,7 @@ class CsrGraph {
   }
 
   // Compression-aware iteration seam, shared with CompressedCsr (and
-  // OverlayGraph/SubgraphView): generic traversal code calls these and
+  // OverlayGraph): generic traversal code calls these and
   // statically degenerates to the raw span loops here — no per-edge
   // decode, no runtime backend branch.
 

@@ -11,27 +11,6 @@ namespace {
 
 constexpr VertexId kUnvisited = kInvalidVertex;
 
-/// Emission state of one condensation run: provisional labels (Tarjan's
-/// closing order, canonicalized at the end) plus the optional streaming
-/// sink.
-struct EmitCtx {
-  std::vector<VertexId> label;
-  VertexId next_label = 0;
-  const ComponentSink* sink = nullptr;
-};
-
-/// Labels one finished component and streams it to the sink. `members`
-/// is sorted in place when a sink needs it (the canonical member lists
-/// are rebuilt from labels either way).
-void EmitComponent(EmitCtx& ctx, std::vector<VertexId>& members) {
-  const VertexId id = ctx.next_label++;
-  for (VertexId v : members) ctx.label[v] = id;
-  if (ctx.sink != nullptr && *ctx.sink) {
-    std::sort(members.begin(), members.end());
-    (*ctx.sink)(members);
-  }
-}
-
 /// Canonicalizes provisional labels into an SccResult: components are
 /// renumbered by first appearance when scanning vertices ascending —
 /// i.e. ordered by minimum member — and member lists are produced by a
@@ -75,18 +54,19 @@ std::span<const VertexId> DecodeDepth(const GraphT& g, VertexId v,
 }
 
 /// Iterative Tarjan over the whole graph (no recursion, safe for
-/// multi-million-vertex graphs). Emits each component as it closes.
-/// Polls `deadline` (when non-null) once per DFS step — the Deadline
-/// amortizes the clock reads — and returns false on expiry, leaving the
-/// labeling incomplete.
+/// multi-million-vertex graphs). Labels each component provisionally, in
+/// closing order, as it closes; `*num_labels` counts the components
+/// closed so far. Polls `deadline` (when non-null) once per DFS step — the
+/// Deadline amortizes the clock reads — and returns false on expiry,
+/// leaving the labeling incomplete.
 template <typename GraphT>
-bool RunTarjan(const GraphT& graph, EmitCtx& ctx, Deadline* deadline) {
+bool RunTarjan(const GraphT& graph, std::vector<VertexId>* label,
+               VertexId* num_labels, Deadline* deadline) {
   const VertexId n = graph.num_vertices();
   std::vector<VertexId> index(n, kUnvisited);
   std::vector<VertexId> lowlink(n, 0);
   std::vector<uint8_t> on_stack(n, 0);
   std::vector<VertexId> scc_stack;
-  std::vector<VertexId> members;
 
   // Explicit DFS frame: vertex, cursor into its decoded out-neighbor
   // list, and the list itself (stable per-depth buffer).
@@ -131,15 +111,14 @@ bool RunTarjan(const GraphT& graph, EmitCtx& ctx, Deadline* deadline) {
       }
       // All children explored: close v.
       if (lowlink[v] == index[v]) {
-        members.clear();
         VertexId w;
         do {
           w = scc_stack.back();
           scc_stack.pop_back();
           on_stack[w] = 0;
-          members.push_back(w);
+          (*label)[w] = *num_labels;
         } while (w != v);
-        EmitComponent(ctx, members);
+        ++*num_labels;
       }
       dfs.pop_back();
       if (!dfs.empty()) {
@@ -152,35 +131,31 @@ bool RunTarjan(const GraphT& graph, EmitCtx& ctx, Deadline* deadline) {
 }
 
 template <typename GraphT>
-SccResult CondenseSccT(const GraphT& graph, const SccOptions& options,
-                       const ComponentSink& sink) {
+SccResult CondenseSccT(const GraphT& graph, const SccOptions& options) {
   const VertexId n = graph.num_vertices();
-  EmitCtx ctx;
-  ctx.label.assign(n, kInvalidVertex);
-  ctx.sink = &sink;
+  std::vector<VertexId> label(n, kInvalidVertex);
+  VertexId num_labels = 0;
 
   // A budget that was gone before condensation started aborts before the
   // first traversal rather than after it.
   const bool timed_out =
       (options.deadline != nullptr && options.deadline->ExpiredNow()) ||
-      !RunTarjan(graph, ctx, options.deadline);
-
-  SccResult result;
-  if (!timed_out && options.canonical_result) {
-    // An aborted run must never reach here: some labels are still
-    // kInvalidVertex, which the canonical renumbering cannot represent.
-    result = FinalizeCanonical(n, ctx.label, ctx.next_label);
-  } else {
-    result.num_components = ctx.next_label;
-    result.timed_out = timed_out;
+      !RunTarjan(graph, &label, &num_labels, options.deadline);
+  if (timed_out) {
+    // Some labels are still kInvalidVertex, which the canonical
+    // renumbering cannot represent.
+    SccResult result;
+    result.num_components = num_labels;
+    result.timed_out = true;
+    return result;
   }
-  return result;
+  return FinalizeCanonical(n, label, num_labels);
 }
 
 template <typename GraphT>
 std::vector<uint8_t> SccAtLeastMaskT(const GraphT& graph,
                                      VertexId min_size) {
-  SccResult scc = CondenseSccT(graph, SccOptions{}, nullptr);
+  SccResult scc = CondenseSccT(graph, SccOptions{});
   std::vector<uint8_t> mask(graph.num_vertices(), 0);
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     mask[v] = scc.SizeOf(v) >= min_size ? 1 : 0;
@@ -190,14 +165,12 @@ std::vector<uint8_t> SccAtLeastMaskT(const GraphT& graph,
 
 }  // namespace
 
-SccResult CondenseScc(const CsrGraph& graph, const SccOptions& options,
-                      const ComponentSink& sink) {
-  return CondenseSccT(graph, options, sink);
+SccResult CondenseScc(const CsrGraph& graph, const SccOptions& options) {
+  return CondenseSccT(graph, options);
 }
 
-SccResult CondenseScc(const CompressedCsr& graph, const SccOptions& options,
-                      const ComponentSink& sink) {
-  return CondenseSccT(graph, options, sink);
+SccResult CondenseScc(const CompressedCsr& graph, const SccOptions& options) {
+  return CondenseSccT(graph, options);
 }
 
 SccResult ComputeScc(const CsrGraph& graph) {

@@ -8,8 +8,7 @@
 //
 // The algorithm is the classic single-threaded Tarjan traversal, run
 // iteratively (an explicit frame stack, no recursion, so
-// multi-million-vertex chains cannot overflow). Each component streams
-// into the optional ComponentSink the moment it closes.
+// multi-million-vertex chains cannot overflow).
 //
 // Determinism: component ids are canonicalized — components are numbered
 // by their minimum member vertex, ascending, and member lists are sorted
@@ -21,7 +20,6 @@
 #ifndef TDB_GRAPH_SCC_H_
 #define TDB_GRAPH_SCC_H_
 
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -66,13 +64,6 @@ struct SccResult {
 
 /// Configuration of one condensation run.
 struct SccOptions {
-  /// When false, the returned SccResult carries only num_components —
-  /// the canonical per-vertex arrays and member lists are not built.
-  /// For callers that consume the decomposition entirely through the
-  /// streaming sink (the engine's pipeline), this skips several O(n)
-  /// finalization passes and ~20 bytes/vertex of allocation at the tail
-  /// of condensation.
-  bool canonical_result = true;
   /// Cooperative wall-clock budget, polled once per DFS step (the
   /// Deadline amortizes the clock reads). When it expires the run aborts
   /// with SccResult::timed_out set, so a timed-out solve does not pay for
@@ -83,28 +74,16 @@ struct SccOptions {
   Deadline* deadline = nullptr;
 };
 
-/// Streaming consumer of finalized components: called once per SCC with
-/// its member list, sorted ascending, on the thread that called
-/// CondenseScc; the span is only valid during the call. Components arrive
-/// in Tarjan's closing order (sinks before sources) — canonical ids exist
-/// only in the returned SccResult. The engine's condense-to-solve
-/// pipeline hangs off this hook: a finalized component starts solving
-/// while the condenser is still decomposing the rest.
-using ComponentSink = std::function<void(std::span<const VertexId> members)>;
-
 class CompressedCsr;
 
 /// Computes the SCC decomposition of `graph`. The returned SccResult is
 /// canonical (see above) and identical across storage backends — every
 /// traversal runs through the DecodeNeighbors seam, so condensing a
-/// CompressedCsr base never materializes a raw copy. `sink`, when
-/// non-null, receives every component as it is finalized.
-SccResult CondenseScc(const CsrGraph& graph, const SccOptions& options,
-                      const ComponentSink& sink = nullptr);
-SccResult CondenseScc(const CompressedCsr& graph, const SccOptions& options,
-                      const ComponentSink& sink = nullptr);
+/// CompressedCsr base never materializes a raw copy.
+SccResult CondenseScc(const CsrGraph& graph, const SccOptions& options);
+SccResult CondenseScc(const CompressedCsr& graph, const SccOptions& options);
 
-/// CondenseScc with default options (canonical result, no deadline).
+/// CondenseScc with default options (no deadline).
 SccResult ComputeScc(const CsrGraph& graph);
 SccResult ComputeScc(const CompressedCsr& graph);
 

@@ -43,43 +43,7 @@ InducedSubgraph SubgraphExtractorT<GraphT>::Extract(
   return sub;
 }
 
-template <typename GraphT>
-SubgraphViewT<GraphT>::SubgraphViewT(const GraphT& parent,
-                                     std::span<const VertexId> members)
-    : parent_(&parent), members_(members) {
-  for (size_t i = 0; i < members_.size(); ++i) {
-    TDB_CHECK(members_[i] < parent.num_vertices());
-    TDB_CHECK_MSG(i == 0 || members_[i - 1] < members_[i],
-                  "members must be sorted ascending and unique");
-  }
-}
-
-template <typename GraphT>
-EdgeId SubgraphViewT<GraphT>::CountEdges() const {
-  EdgeId count = 0;
-  for (VertexId g : members_) {
-    parent_->ForEachOut(g, [&](VertexId w, EdgeId) {
-      if (Contains(w)) ++count;
-      return true;
-    });
-  }
-  return count;
-}
-
-template <typename GraphT>
-void SubgraphViewT<GraphT>::FillMemberMask(std::vector<uint8_t>* mask) const {
-  mask->assign(parent_->num_vertices(), 0);
-  for (VertexId g : members_) (*mask)[g] = 1;
-}
-
-template <typename GraphT>
-InducedSubgraph SubgraphViewT<GraphT>::Materialize() const {
-  return ExtractInducedSubgraph(*parent_, members_);
-}
-
 template class SubgraphExtractorT<CsrGraph>;
 template class SubgraphExtractorT<CompressedCsr>;
-template class SubgraphViewT<CsrGraph>;
-template class SubgraphViewT<CompressedCsr>;
 
 }  // namespace tdb

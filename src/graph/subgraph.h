@@ -1,31 +1,24 @@
-// Induced-subgraph extraction and views with vertex-id remapping.
+// Induced-subgraph extraction with vertex-id remapping.
 //
-// The parallel engine solves each SCC in isolation. Two currencies exist
-// for that:
+// The engine solves each SCC in isolation. SubgraphExtractor materializes
+// a component's induced subgraph as a self-contained CsrGraph over dense
+// local ids — right for the long tail of small components, where the copy
+// is tiny and the solver then touches perfectly compact memory. (Raw-
+// backend components of at least 2048 vertices skip the copy and solve in
+// place on the parent graph through mask-restricted searches; see
+// core/engine.h.)
 //
-//   * SubgraphExtractor materializes the induced subgraph as a
-//     self-contained CsrGraph over dense local ids — right for the long
-//     tail of small components, where the copy is tiny and the solver
-//     then touches perfectly compact memory.
-//   * SubgraphView wraps the parent graph with an id remap and a
-//     membership test but copies no edges — right for the giant
-//     component, where materializing would nearly duplicate the whole
-//     graph. Mask-based solvers run directly on the parent through the
-//     view (see core/engine.h), cutting peak memory from O(m) per copy
-//     to O(1) beyond the member list itself.
-//
-// Both are templated over the storage backend (CsrGraph or
+// The extractor is templated over the storage backend (CsrGraph or
 // CompressedCsr). Extraction always materializes to a *raw* CsrGraph:
 // per-component solves want the fastest possible adjacency, and the
 // compressed base keeps only one full-graph copy resident. Local ids are
-// assigned in ascending global order in both forms, so an id-ordered
-// sweep of the subgraph visits vertices in the same relative order as an
-// id-ordered sweep of the full graph — the property that keeps
-// per-component solves bit-identical to a whole-graph solve.
+// assigned in ascending global order, so an id-ordered sweep of the
+// subgraph visits vertices in the same relative order as an id-ordered
+// sweep of the full graph — the property that keeps per-component solves
+// bit-identical to a whole-graph solve.
 #ifndef TDB_GRAPH_SUBGRAPH_H_
 #define TDB_GRAPH_SUBGRAPH_H_
 
-#include <algorithm>
 #include <span>
 #include <vector>
 
@@ -74,87 +67,6 @@ InducedSubgraph ExtractInducedSubgraph(const GraphT& parent,
   SubgraphExtractorT<GraphT> extractor(parent);
   return extractor.Extract(members);
 }
-
-/// Non-materializing view of the subgraph induced by a sorted member set.
-///
-/// Stores only a borrowed span over the member list (which must outlive
-/// the view): ToGlobal is an array lookup, ToLocal a binary search over
-/// the ascending members, and neighbor iteration filters the parent's
-/// adjacency on the fly. No edge is ever copied, so a view over the giant
-/// SCC of a billion-edge graph costs nothing beyond the SCC decomposition
-/// that produced the member list.
-template <typename GraphT>
-class SubgraphViewT {
- public:
-  /// `members` must be sorted ascending with no duplicates and all
-  /// < parent.num_vertices(); the span is borrowed, not copied.
-  SubgraphViewT(const GraphT& parent, std::span<const VertexId> members);
-
-  VertexId num_vertices() const {
-    return static_cast<VertexId>(members_.size());
-  }
-  const GraphT& parent() const { return *parent_; }
-  std::span<const VertexId> members() const { return members_; }
-
-  /// Global id of a local id (must be < num_vertices()).
-  VertexId ToGlobal(VertexId local) const { return members_[local]; }
-
-  /// Local id of a global id, or kInvalidVertex for non-members.
-  /// O(log |members|).
-  VertexId ToLocal(VertexId global) const {
-    const auto it =
-        std::lower_bound(members_.begin(), members_.end(), global);
-    if (it == members_.end() || *it != global) return kInvalidVertex;
-    return static_cast<VertexId>(it - members_.begin());
-  }
-
-  bool Contains(VertexId global) const {
-    return ToLocal(global) != kInvalidVertex;
-  }
-
-  /// Calls fn(local_neighbor) for each out-neighbor of `local` inside the
-  /// view, in ascending local order (parent lists are sorted and local
-  /// ids ascend with global ids).
-  template <typename Fn>
-  void ForEachOutNeighbor(VertexId local, Fn&& fn) const {
-    parent_->ForEachOut(ToGlobal(local), [&](VertexId w, EdgeId) {
-      const VertexId wl = ToLocal(w);
-      if (wl != kInvalidVertex) fn(wl);
-      return true;
-    });
-  }
-
-  /// In-neighbor analogue of ForEachOutNeighbor (ascending *global*
-  /// neighbor order — the raw backend's in-lists are source-sorted).
-  template <typename Fn>
-  void ForEachInNeighbor(VertexId local, Fn&& fn) const {
-    parent_->ForEachIn(ToGlobal(local), [&](VertexId w, EdgeId) {
-      const VertexId wl = ToLocal(w);
-      if (wl != kInvalidVertex) fn(wl);
-      return true;
-    });
-  }
-
-  /// Number of edges of the induced subgraph. O(sum of member degrees).
-  EdgeId CountEdges() const;
-
-  /// Sizes `mask` to parent().num_vertices() with 1 for members and 0
-  /// elsewhere — the active-mask currency of the in-place solvers.
-  void FillMemberMask(std::vector<uint8_t>* mask) const;
-
-  /// Copies the view into a standalone CsrGraph; identical to
-  /// ExtractInducedSubgraph(parent(), members()).
-  InducedSubgraph Materialize() const;
-
- private:
-  const GraphT* parent_;
-  std::span<const VertexId> members_;
-};
-
-extern template class SubgraphViewT<CsrGraph>;
-extern template class SubgraphViewT<CompressedCsr>;
-
-using SubgraphView = SubgraphViewT<CsrGraph>;
 
 }  // namespace tdb
 

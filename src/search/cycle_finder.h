@@ -23,10 +23,8 @@ namespace tdb {
 
 /// Reusable plain-DFS searcher. Reentrant across instances: all mutable
 /// state lives in the SearchContext, so concurrent searches need only
-/// distinct contexts — the intra-SCC probing engine runs one instance per
-/// pool worker against a shared `active` mask, which is sound exactly
-/// while the mask is frozen (its batch-validate / sequential-commit cycle
-/// guarantees that). A single (instance, context) pair is not
+/// distinct contexts — the engine runs one instance per pool worker, each
+/// over its own component. A single (instance, context) pair is not
 /// thread-safe.
 ///
 /// Templated over the storage backend (CsrGraph or CompressedCsr); each

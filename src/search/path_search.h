@@ -33,9 +33,9 @@ namespace tdb {
 /// Reusable block-based searcher. Per-vertex block state is epoch-versioned
 /// so consecutive searches pay O(1) reset. Reentrant across instances: all
 /// mutable state lives in the SearchContext, so concurrent searches need
-/// only distinct contexts — the intra-SCC probing engine runs one instance
-/// per pool worker against a shared frozen `active` mask. A single
-/// (instance, context) pair is not thread-safe.
+/// only distinct contexts — the engine runs one instance per pool worker,
+/// each over its own component. A single (instance, context) pair is not
+/// thread-safe.
 ///
 /// Templated over the storage backend (CsrGraph or CompressedCsr): the
 /// DFS decodes each pushed vertex's neighbor list once into the frame

@@ -7,12 +7,10 @@
 // explicit SearchContext — one per worker thread — and the searcher classes
 // are thin reentrant views over (graph, context). A context is reused
 // across any number of graphs (the parallel engine solves many per-SCC
-// subgraphs with one context per worker, and the intra-component probing
-// engine points every worker's searchers at the same parent graph); the
+// subgraphs, in place or materialized, with one context per worker); the
 // Ensure*Size helpers grow it lazily and never shrink, so reuse is
-// allocation-free once warm. Concurrent probes against one shared
-// kept/active mask are safe exactly while the mask is frozen — the
-// engine's batch-validate / sequential-commit cycle guarantees that.
+// allocation-free once warm. Concurrent searches against one shared
+// kept/active mask are safe exactly while the mask is frozen.
 //
 // Invariants between searches: `on_path` is all-zero and `stack` is empty
 // (every search restores them on exit, including timeout paths); the epoch

@@ -1,6 +1,8 @@
 // Determinism and exactness of the SCC-partitioned parallel engine: for
 // every algorithm, the cover must be independent of the thread count and
-// bit-identical to the classic whole-graph sequential solvers.
+// bit-identical to the classic whole-graph sequential solvers — on small
+// components (materialized) and on components of at least 2048 vertices
+// (solved in place on the parent graph).
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
@@ -23,6 +25,9 @@ const CoverAlgorithm kAll[] = {
     CoverAlgorithm::kTdbPlusPlus, CoverAlgorithm::kDarcDv,
 };
 
+/// Smallest component the engine solves in place (raw backend).
+constexpr VertexId kInPlaceSize = 2048;
+
 /// Fixture + generator graphs with varied SCC structure: one dense SCC,
 /// a giant-component random graph, and a DAG with many planted SCCs.
 std::vector<std::pair<std::string, CsrGraph>> TestGraphs() {
@@ -42,24 +47,70 @@ std::vector<std::pair<std::string, CsrGraph>> TestGraphs() {
   return graphs;
 }
 
+/// One chorded cycle (a single SCC) per entry of `sizes`, relabelled
+/// consecutively, plus a forward edge from each block to the next: the
+/// blocks stay separate SCCs, but the in-place solvers must ignore the
+/// edges that leave their component.
+CsrGraph MakeBlocks(const std::vector<VertexId>& sizes, uint64_t seed) {
+  std::vector<Edge> edges;
+  VertexId offset = 0;
+  for (size_t b = 0; b < sizes.size(); ++b) {
+    const CsrGraph block = GenerateChordedCycle(sizes[b], 2, seed + b);
+    for (EdgeId e = 0; e < block.num_edges(); ++e) {
+      edges.push_back(
+          Edge{offset + block.EdgeSrc(e), offset + block.EdgeDst(e)});
+    }
+    if (b + 1 < sizes.size()) {
+      edges.push_back(Edge{offset, offset + sizes[b]});
+    }
+    offset += sizes[b];
+  }
+  return CsrGraph::FromEdges(offset, std::move(edges));
+}
+
+/// The classic whole-graph sequential solver for `algo`.
+CoverResult ClassicSolve(const CsrGraph& g, CoverAlgorithm algo,
+                         const CoverOptions& opts) {
+  switch (algo) {
+    case CoverAlgorithm::kBur:
+      return SolveBottomUp(g, opts, /*minimal=*/false);
+    case CoverAlgorithm::kBurPlus:
+      return SolveBottomUp(g, opts, /*minimal=*/true);
+    case CoverAlgorithm::kTdb:
+      return SolveTopDown(g, opts, TopDownVariant::kPlain);
+    case CoverAlgorithm::kTdbPlus:
+      return SolveTopDown(g, opts, TopDownVariant::kBlocks);
+    case CoverAlgorithm::kTdbPlusPlus:
+      return SolveTopDown(g, opts, TopDownVariant::kBlocksFilter);
+    case CoverAlgorithm::kDarcDv:
+      return SolveDarcDv(g, opts);
+  }
+  return {};
+}
+
 TEST(EngineTest, CoversIdenticalAcrossThreadCounts) {
   for (const auto& [name, g] : TestGraphs()) {
     for (CoverAlgorithm algo : kAll) {
       CoverOptions opts;
       opts.k = 4;
-      opts.min_component_parallel_size = 1;  // pool-schedule every SCC
       opts.num_threads = 1;
       CoverResult sequential = SolveCycleCover(g, algo, opts);
       ASSERT_TRUE(sequential.status.ok())
           << name << " " << AlgorithmName(algo);
-      opts.num_threads = 8;
-      CoverResult parallel = SolveCycleCover(g, algo, opts);
-      ASSERT_TRUE(parallel.status.ok())
+      EXPECT_GT(sequential.stats.scc_components, 0u) << name;
+      EXPECT_TRUE(VerifyCover(g, sequential.cover, opts, false).feasible)
           << name << " " << AlgorithmName(algo);
-      EXPECT_EQ(sequential.cover, parallel.cover)
-          << name << " " << AlgorithmName(algo);
-      EXPECT_TRUE(VerifyCover(g, parallel.cover, opts, false).feasible)
-          << name << " " << AlgorithmName(algo);
+      for (int threads : {2, 8}) {
+        opts.num_threads = threads;
+        CoverResult parallel = SolveCycleCover(g, algo, opts);
+        ASSERT_TRUE(parallel.status.ok())
+            << name << " " << AlgorithmName(algo) << " threads=" << threads;
+        EXPECT_EQ(sequential.cover, parallel.cover)
+            << name << " " << AlgorithmName(algo) << " threads=" << threads;
+        EXPECT_EQ(sequential.stats.scc_components,
+                  parallel.stats.scc_components)
+            << name;
+      }
     }
   }
 }
@@ -79,7 +130,6 @@ TEST(EngineTest, MatchesClassicTopDownForEveryOrder) {
       opts.order = order;
       CoverResult direct = SolveTopDown(g, opts, variant);
       opts.num_threads = 8;
-      opts.min_component_parallel_size = 1;
       CoverResult engine = SolveCycleCover(g, algo, opts);
       ASSERT_TRUE(direct.status.ok());
       ASSERT_TRUE(engine.status.ok());
@@ -98,7 +148,6 @@ TEST(EngineTest, MatchesClassicBottomUpAndDarc) {
   CoverResult burp_direct = SolveBottomUp(g, opts, /*minimal=*/true);
   CoverResult darc_direct = SolveDarcDv(g, opts);
   opts.num_threads = 8;
-  opts.min_component_parallel_size = 1;
   CoverResult bur = SolveCycleCover(g, CoverAlgorithm::kBur, opts);
   CoverResult burp = SolveCycleCover(g, CoverAlgorithm::kBurPlus, opts);
   CoverResult darc = SolveCycleCover(g, CoverAlgorithm::kDarcDv, opts);
@@ -110,47 +159,23 @@ TEST(EngineTest, MatchesClassicBottomUpAndDarc) {
   EXPECT_EQ(darc_direct.cover, darc.cover);
 }
 
-TEST(EngineTest, InlineAndPooledSchedulingAgree) {
-  CsrGraph g =
-      GeneratePlantedCycles(150, 400, /*num_cycles=*/15, 3, 6, /*seed=*/7)
-          .graph;
-  CoverOptions opts;
-  opts.k = 5;
-  opts.num_threads = 4;
-  opts.min_component_parallel_size = 1;  // everything on the pool
-  CoverResult pooled = SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
-  opts.min_component_parallel_size = 1000000;  // everything inline
-  CoverResult inlined =
-      SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
-  ASSERT_TRUE(pooled.status.ok());
-  ASSERT_TRUE(inlined.status.ok());
-  EXPECT_EQ(pooled.cover, inlined.cover);
-}
-
-// Thread counts above 1 run the streaming condense-to-solve pipeline;
-// its covers and component counts must match the 1-thread barrier path
-// for every solver.
-TEST(EngineTest, PipelineMatchesBarrierPath) {
-  for (const auto& [name, g] : TestGraphs()) {
-    for (CoverAlgorithm algo : kAll) {
-      CoverOptions opts;
-      opts.k = 4;
-      opts.min_component_parallel_size = 1;
-      opts.num_threads = 1;
-      CoverResult baseline = SolveCycleCover(g, algo, opts);
-      ASSERT_TRUE(baseline.status.ok()) << name << " " << AlgorithmName(algo);
-      EXPECT_GT(baseline.stats.scc_components, 0u) << name;
-      for (int threads : {1, 2, 8}) {
-        opts.num_threads = threads;
-        CoverResult run = SolveCycleCover(g, algo, opts);
-        ASSERT_TRUE(run.status.ok())
-            << name << " " << AlgorithmName(algo) << " threads=" << threads;
-        EXPECT_EQ(baseline.cover, run.cover)
-            << name << " " << AlgorithmName(algo) << " threads=" << threads;
-        EXPECT_EQ(baseline.stats.scc_components, run.stats.scc_components)
-            << name;
-      }
-    }
+// Components of at least 32 vertices are pool tasks at threads > 1, the
+// smaller ones run inline on the calling thread; both must give the
+// sequential cover.
+TEST(EngineTest, PooledAndInlineComponentsMatchSequential) {
+  CsrGraph g = MakeBlocks({3, 10, 20, 31, 32, 40, 100, 500, 5, 64}, 19);
+  for (CoverAlgorithm algo :
+       {CoverAlgorithm::kTdbPlusPlus, CoverAlgorithm::kBurPlus}) {
+    CoverOptions opts;
+    opts.k = 5;
+    opts.num_threads = 1;
+    CoverResult sequential = SolveCycleCover(g, algo, opts);
+    opts.num_threads = 4;
+    CoverResult parallel = SolveCycleCover(g, algo, opts);
+    ASSERT_TRUE(sequential.status.ok()) << AlgorithmName(algo);
+    ASSERT_TRUE(parallel.status.ok()) << AlgorithmName(algo);
+    EXPECT_EQ(sequential.stats.scc_components, 10u);
+    EXPECT_EQ(sequential.cover, parallel.cover) << AlgorithmName(algo);
   }
 }
 
@@ -167,7 +192,6 @@ TEST(EngineTest, OptionVariantsStayDeterministic) {
       opts.k = 4;
       opts.include_two_cycles = two_cycles;
       opts.unconstrained = unconstrained;
-      opts.min_component_parallel_size = 1;
       opts.num_threads = 1;
       CoverResult a = SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
       opts.num_threads = 8;
@@ -181,126 +205,144 @@ TEST(EngineTest, OptionVariantsStayDeterministic) {
   }
 }
 
-// The tentpole regression net: on a graph that is ONE giant SCC, the
-// across-component engine degenerates to a single worker, so these tests
-// pin down the intra-component machinery — in-place view solving and
-// speculative parallel probing — for every algorithm.
-TEST(EngineTest, GiantSingleSccIdenticalAcrossThreadCounts) {
-  CsrGraph g = GenerateChordedCycle(150, 3, /*seed=*/9);
-  ASSERT_EQ(ComputeScc(g).num_components, 1);
+// One SCC big enough for the in-place route: the cover must equal the
+// classic whole-graph solver's (which is the materialized solve of that
+// one component) at every thread count, for every algorithm.
+TEST(EngineTest, GiantSingleSccMatchesClassicAcrossThreadCounts) {
+  CsrGraph g = GenerateChordedCycle(2100, 2, /*seed=*/9);
+  ASSERT_EQ(ComputeScc(g).num_components, 1u);
+  ASSERT_GE(g.num_vertices(), kInPlaceSize);
   for (CoverAlgorithm algo : kAll) {
     CoverOptions opts;
     opts.k = 4;
-    opts.min_component_parallel_size = 1;
-    opts.min_intra_parallel_size = 1;  // force the in-place path
-    opts.num_threads = 1;
-    CoverResult sequential = SolveCycleCover(g, algo, opts);
-    ASSERT_TRUE(sequential.status.ok()) << AlgorithmName(algo);
-    EXPECT_TRUE(VerifyCover(g, sequential.cover, opts, false).feasible)
+    const CoverResult classic = ClassicSolve(g, algo, opts);
+    ASSERT_TRUE(classic.status.ok()) << AlgorithmName(algo);
+    EXPECT_TRUE(VerifyCover(g, classic.cover, opts, false).feasible)
         << AlgorithmName(algo);
-    for (int threads : {2, 8}) {
+    for (int threads : {1, 2, 8}) {
       opts.num_threads = threads;
-      CoverResult parallel = SolveCycleCover(g, algo, opts);
-      ASSERT_TRUE(parallel.status.ok())
+      CoverResult engine = SolveCycleCover(g, algo, opts);
+      ASSERT_TRUE(engine.status.ok())
           << AlgorithmName(algo) << " threads=" << threads;
-      EXPECT_EQ(sequential.cover, parallel.cover)
+      EXPECT_EQ(classic.cover, engine.cover)
           << AlgorithmName(algo) << " threads=" << threads;
     }
   }
 }
 
-TEST(EngineTest, InPlaceViewMatchesMaterializedSolve) {
-  CsrGraph g = GenerateChordedCycle(120, 3, /*seed=*/17);
-  for (CoverAlgorithm algo : kAll) {
-    CoverOptions opts;
-    opts.k = 4;
-    opts.num_threads = 1;
-    opts.min_intra_parallel_size = 1;  // in place through the view
-    CoverResult in_place = SolveCycleCover(g, algo, opts);
-    opts.min_intra_parallel_size = 1000000;  // materialized subgraph
-    CoverResult materialized = SolveCycleCover(g, algo, opts);
-    ASSERT_TRUE(in_place.status.ok()) << AlgorithmName(algo);
-    ASSERT_TRUE(materialized.status.ok()) << AlgorithmName(algo);
-    EXPECT_EQ(in_place.cover, materialized.cover) << AlgorithmName(algo);
-  }
-}
-
-TEST(EngineTest, IntraParallelMatchesForEveryOrder) {
-  CsrGraph g = GenerateChordedCycle(100, 3, /*seed=*/23);
+TEST(EngineTest, InPlaceMatchesClassicForEveryOrder) {
+  CsrGraph g = GenerateChordedCycle(2100, 2, /*seed=*/23);
   for (VertexOrder order :
        {VertexOrder::kByDegreeAsc, VertexOrder::kById,
         VertexOrder::kByDegreeDesc, VertexOrder::kRandom}) {
     CoverOptions opts;
     opts.k = 4;
     opts.order = order;
-    opts.min_intra_parallel_size = 1;
-    opts.num_threads = 1;
-    CoverResult sequential =
-        SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
-    opts.num_threads = 8;
-    CoverResult parallel =
-        SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
-    ASSERT_TRUE(sequential.status.ok());
-    ASSERT_TRUE(parallel.status.ok());
-    EXPECT_EQ(sequential.cover, parallel.cover)
-        << "order=" << static_cast<int>(order);
+    const CoverResult classic =
+        SolveTopDown(g, opts, TopDownVariant::kBlocksFilter);
+    ASSERT_TRUE(classic.status.ok());
+    for (int threads : {1, 2, 8}) {
+      opts.num_threads = threads;
+      CoverResult engine =
+          SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
+      ASSERT_TRUE(engine.status.ok());
+      EXPECT_EQ(classic.cover, engine.cover)
+          << "order=" << static_cast<int>(order) << " threads=" << threads;
+    }
   }
 }
 
-TEST(EngineTest, IntraParallelOptionVariantsStayDeterministic) {
-  CsrGraph g = GenerateChordedCycle(90, 3, /*seed=*/31);
+TEST(EngineTest, InPlaceOptionVariantsStayDeterministic) {
+  CsrGraph g = GenerateChordedCycle(2100, 2, /*seed=*/31);
   for (bool two_cycles : {false, true}) {
     for (bool unconstrained : {false, true}) {
       CoverOptions opts;
       opts.k = 4;
       opts.include_two_cycles = two_cycles;
       opts.unconstrained = unconstrained;
-      opts.min_intra_parallel_size = 1;
-      opts.num_threads = 1;
-      CoverResult a = SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
-      opts.num_threads = 8;
-      CoverResult b = SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
-      ASSERT_TRUE(a.status.ok());
-      ASSERT_TRUE(b.status.ok());
-      EXPECT_EQ(a.cover, b.cover) << "two_cycles=" << two_cycles
-                                  << " unconstrained=" << unconstrained;
+      const CoverResult classic =
+          SolveTopDown(g, opts, TopDownVariant::kBlocksFilter);
+      ASSERT_TRUE(classic.status.ok());
+      for (int threads : {1, 2, 8}) {
+        opts.num_threads = threads;
+        CoverResult engine =
+            SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
+        ASSERT_TRUE(engine.status.ok());
+        EXPECT_EQ(classic.cover, engine.cover)
+            << "two_cycles=" << two_cycles
+            << " unconstrained=" << unconstrained << " threads=" << threads;
+      }
     }
   }
 }
 
-TEST(EngineTest, IntraParallelReportsProbes) {
-  CsrGraph g = GenerateChordedCycle(100, 3, /*seed=*/41);
-  CoverOptions opts;
-  opts.k = 4;
-  opts.min_intra_parallel_size = 1;
-  opts.num_threads = 4;
-  CoverResult r = SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
-  ASSERT_TRUE(r.status.ok());
-  // Some candidates validate speculatively (the adaptive batch falls back
-  // to inline 1-batches during mutation-heavy phases, so not all do).
-  EXPECT_GT(r.stats.intra_probes, 0u);
-  EXPECT_LE(r.stats.intra_probes,
-            static_cast<uint64_t>(2 * g.num_vertices()));
-  opts.num_threads = 1;
-  CoverResult seq = SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
-  ASSERT_TRUE(seq.status.ok());
-  EXPECT_EQ(seq.stats.intra_probes, 0u);
-  // Deterministic solver-decision stats stay thread-count independent.
-  EXPECT_EQ(seq.stats.searches, r.stats.searches);
-  EXPECT_EQ(seq.stats.cycles_found, r.stats.cycles_found);
-  EXPECT_EQ(seq.stats.bfs_filtered, r.stats.bfs_filtered);
+// Several in-place components run concurrently as pool tasks, next to a
+// tail of small materialized ones: the merged cover must not depend on
+// which thread solved what.
+TEST(EngineTest, ConcurrentInPlaceComponentsMatchSequential) {
+  CsrGraph g = MakeBlocks(
+      {2100, 4, 2200, 12, 40, 2050, 3, 7, 33, 90, 2, 2}, /*seed=*/41);
+  const SccResult scc = ComputeScc(g);
+  int in_place = 0;
+  for (VertexId c = 0; c < scc.num_components; ++c) {
+    if (scc.component_size[c] >= kInPlaceSize) ++in_place;
+  }
+  ASSERT_EQ(in_place, 3);
+  for (CoverAlgorithm algo : kAll) {
+    CoverOptions opts;
+    opts.k = 4;
+    opts.num_threads = 1;
+    CoverResult sequential = SolveCycleCover(g, algo, opts);
+    ASSERT_TRUE(sequential.status.ok()) << AlgorithmName(algo);
+    EXPECT_TRUE(VerifyCover(g, sequential.cover, opts, false).feasible)
+        << AlgorithmName(algo);
+    opts.num_threads = 4;
+    CoverResult parallel = SolveCycleCover(g, algo, opts);
+    ASSERT_TRUE(parallel.status.ok()) << AlgorithmName(algo);
+    EXPECT_EQ(sequential.cover, parallel.cover) << AlgorithmName(algo);
+    EXPECT_EQ(sequential.stats.searches, parallel.stats.searches)
+        << AlgorithmName(algo);
+    EXPECT_EQ(sequential.stats.expansions, parallel.stats.expansions)
+        << AlgorithmName(algo);
+  }
 }
 
-TEST(EngineTest, IntraParallelTimeoutStillTimesOut) {
-  CsrGraph g = MakeCompleteDigraph(60);
+TEST(EngineTest, InPlaceTimeoutStillTimesOut) {
+  CsrGraph g = GenerateChordedCycle(2100, 2, /*seed=*/43);
   CoverOptions opts;
   opts.k = 6;
   opts.time_limit_seconds = 1e-9;
-  opts.num_threads = 4;
-  opts.min_intra_parallel_size = 1;
-  CoverResult r = SolveCycleCover(g, CoverAlgorithm::kTdbPlus, opts);
-  EXPECT_TRUE(r.status.IsTimedOut());
-  EXPECT_TRUE(r.cover.empty());
+  for (int threads : {1, 2, 8}) {
+    opts.num_threads = threads;
+    CoverResult r = SolveCycleCover(g, CoverAlgorithm::kTdbPlus, opts);
+    EXPECT_TRUE(r.status.IsTimedOut()) << "threads=" << threads;
+    EXPECT_TRUE(r.cover.empty()) << "threads=" << threads;
+  }
+}
+
+// A budget that outlives condensation but not the in-place solve (BUR
+// at k = 12 runs for many seconds on this component): the shared clock
+// voids the result, the split budget falls back to the component's
+// vertex set.
+TEST(EngineTest, InPlaceSolveTimesOutMidComponent) {
+  CsrGraph g = GenerateChordedCycle(2100, 4, /*seed=*/47);
+  CoverOptions opts;
+  opts.k = 12;
+  opts.time_limit_seconds = 0.2;
+  for (int threads : {1, 8}) {
+    opts.num_threads = threads;
+    opts.split_budget_by_work = false;
+    CoverResult shared = SolveCycleCover(g, CoverAlgorithm::kBur, opts);
+    EXPECT_EQ(shared.stats.scc_components, 1u) << "threads=" << threads;
+    EXPECT_TRUE(shared.status.IsTimedOut()) << "threads=" << threads;
+    EXPECT_TRUE(shared.cover.empty()) << "threads=" << threads;
+    opts.split_budget_by_work = true;
+    CoverResult split = SolveCycleCover(g, CoverAlgorithm::kBur, opts);
+    EXPECT_EQ(split.stats.scc_components, 1u) << "threads=" << threads;
+    ASSERT_TRUE(split.status.ok()) << "threads=" << threads;
+    EXPECT_EQ(split.stats.components_timed_out, 1u) << "threads=" << threads;
+    EXPECT_EQ(split.cover.size(), g.num_vertices()) << "threads=" << threads;
+  }
 }
 
 TEST(EngineTest, SkippedComponentsCountAsSccFiltered) {
@@ -335,8 +377,7 @@ TEST(EngineTest, RejectsInvalidThreadOptions) {
   opts.num_threads = -1;
   EXPECT_TRUE(SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts)
                   .status.IsInvalidArgument());
-  opts.num_threads = 1;
-  opts.min_component_parallel_size = 0;
+  opts.num_threads = 5000;
   EXPECT_TRUE(SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts)
                   .status.IsInvalidArgument());
 }
@@ -346,7 +387,6 @@ TEST(EngineTest, AutoThreadCountSolves) {
   CoverOptions opts;
   opts.k = 4;
   opts.num_threads = 0;  // one worker per hardware thread
-  opts.min_component_parallel_size = 1;
   CoverResult r = SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);
   ASSERT_TRUE(r.status.ok());
   opts.num_threads = 1;

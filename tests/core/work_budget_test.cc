@@ -77,8 +77,7 @@ TEST(WorkBudgetTest, CondensationAbortsOnExpiredDeadlineWithoutSplit) {
   CoverOptions opts;
   opts.k = 4;
   opts.time_limit_seconds = 1e-9;
-  // num_threads 1 exercises the barrier path, > 1 the streaming
-  // pipeline's condenser thread.
+  // Condensation runs on the calling thread at every thread count.
   for (int threads : {1, 2}) {
     opts.num_threads = threads;
     CoverResult r = SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, opts);

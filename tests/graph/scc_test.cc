@@ -182,39 +182,6 @@ TEST(SccTest, CanonicalIdsAreMinMemberOrdered) {
   EXPECT_EQ(r.component[9], 0u);
 }
 
-TEST(SccTest, SinkStreamsEveryComponentExactlyOnce) {
-  CsrGraph g = GenerateErdosRenyi(300, 900, /*seed=*/7);
-  std::vector<uint8_t> seen(g.num_vertices(), 0);
-  uint64_t streamed_components = 0;
-  bool sorted = true;
-  const SccResult r = CondenseScc(
-      g, SccOptions{}, [&](std::span<const VertexId> members) {
-        ++streamed_components;
-        for (size_t i = 0; i < members.size(); ++i) {
-          if (i > 0 && members[i - 1] >= members[i]) sorted = false;
-          seen[members[i]] += 1;
-        }
-      });
-  EXPECT_TRUE(sorted);
-  EXPECT_EQ(streamed_components, r.num_components);
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(seen[v], 1u) << "vertex " << v;
-  }
-}
-
-TEST(SccTest, CountOnlyResultWithoutCanonicalArrays) {
-  CsrGraph g = GenerateErdosRenyi(300, 900, /*seed=*/7);
-  SccOptions options;
-  options.canonical_result = false;
-  const SccResult r = CondenseScc(g, options);
-  EXPECT_EQ(r.num_components, ComputeScc(g).num_components);
-  EXPECT_FALSE(r.timed_out);
-  EXPECT_TRUE(r.component.empty());
-  EXPECT_TRUE(r.component_size.empty());
-  EXPECT_TRUE(r.vertex_offsets.empty());
-  EXPECT_TRUE(r.vertices.empty());
-}
-
 TEST(SccTest, CompressedCsrMatchesCsr) {
   for (const auto& [label, g] : RandomSweep()) {
     ExpectSccEqual(ComputeScc(g), ComputeScc(CompressedCsr::FromCsr(g)),
@@ -227,20 +194,14 @@ TEST(SccTest, CompressedCsrMatchesCsr) {
 
 TEST(SccTest, ExpiredDeadlineTimesOut) {
   CsrGraph g = GenerateErdosRenyi(300, 900, /*seed=*/7);
-  for (bool canonical : {true, false}) {
-    Deadline expired = Deadline::AfterSeconds(0);
-    SccOptions options;
-    options.canonical_result = canonical;
-    options.deadline = &expired;
-    uint64_t streamed = 0;
-    const SccResult r = CondenseScc(
-        g, options, [&](std::span<const VertexId>) { ++streamed; });
-    EXPECT_TRUE(r.timed_out);
-    EXPECT_EQ(r.num_components, 0u);
-    EXPECT_EQ(streamed, 0u);
-    EXPECT_TRUE(r.component.empty());
-    EXPECT_TRUE(r.vertices.empty());
-  }
+  Deadline expired = Deadline::AfterSeconds(0);
+  SccOptions options;
+  options.deadline = &expired;
+  const SccResult r = CondenseScc(g, options);
+  EXPECT_TRUE(r.timed_out);
+  EXPECT_EQ(r.num_components, 0u);
+  EXPECT_TRUE(r.component.empty());
+  EXPECT_TRUE(r.vertices.empty());
 }
 
 TEST(SccAtLeastMaskTest, FiltersByComponentSize) {

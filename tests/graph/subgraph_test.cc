@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <numeric>
 
 #include "graph/generators.h"
@@ -87,93 +86,6 @@ TEST(SubgraphTest, EmptyMemberSet) {
   EXPECT_EQ(sub.graph.num_vertices(), 0u);
   EXPECT_EQ(sub.graph.num_edges(), 0u);
   EXPECT_TRUE(sub.to_global.empty());
-}
-
-TEST(SubgraphViewTest, IdRoundTripAndMembership) {
-  CsrGraph g = GenerateErdosRenyi(30, 120, /*seed=*/4);
-  const std::vector<VertexId> members{1, 4, 9, 16, 25};
-  SubgraphView view(g, members);
-  ASSERT_EQ(view.num_vertices(), members.size());
-  for (VertexId local = 0; local < view.num_vertices(); ++local) {
-    EXPECT_EQ(view.ToGlobal(local), members[local]);
-    EXPECT_EQ(view.ToLocal(view.ToGlobal(local)), local);
-    EXPECT_TRUE(view.Contains(members[local]));
-  }
-  for (VertexId g_id = 0; g_id < g.num_vertices(); ++g_id) {
-    const bool member =
-        std::find(members.begin(), members.end(), g_id) != members.end();
-    EXPECT_EQ(view.Contains(g_id), member);
-    if (!member) EXPECT_EQ(view.ToLocal(g_id), kInvalidVertex);
-  }
-}
-
-TEST(SubgraphViewTest, NeighborIterationMatchesMaterialized) {
-  CsrGraph g = GenerateErdosRenyi(60, 420, /*seed=*/12);
-  const std::vector<VertexId> members{0,  3,  7,  12, 18, 19, 20,
-                                      27, 33, 41, 48, 55, 59};
-  SubgraphView view(g, members);
-  InducedSubgraph sub = ExtractInducedSubgraph(g, members);
-  for (VertexId local = 0; local < view.num_vertices(); ++local) {
-    std::vector<VertexId> out;
-    view.ForEachOutNeighbor(local, [&](VertexId w) { out.push_back(w); });
-    auto expected_out = sub.graph.OutNeighbors(local);
-    EXPECT_EQ(out, std::vector<VertexId>(expected_out.begin(),
-                                         expected_out.end()));
-    std::vector<VertexId> in;
-    view.ForEachInNeighbor(local, [&](VertexId w) { in.push_back(w); });
-    auto expected_in = sub.graph.InNeighbors(local);
-    EXPECT_EQ(in, std::vector<VertexId>(expected_in.begin(),
-                                        expected_in.end()));
-  }
-  EXPECT_EQ(view.CountEdges(), sub.graph.num_edges());
-}
-
-TEST(SubgraphViewTest, MaterializeEqualsExtractOnRandomGraphs) {
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    CsrGraph g = GenerateErdosRenyi(80, 560, seed);
-    // Random-ish member subset: every vertex with id % 3 != seed % 3.
-    std::vector<VertexId> members;
-    for (VertexId v = 0; v < g.num_vertices(); ++v) {
-      if (v % 3 != seed % 3) members.push_back(v);
-    }
-    SubgraphView view(g, members);
-    InducedSubgraph from_view = view.Materialize();
-    InducedSubgraph direct = ExtractInducedSubgraph(g, members);
-    ASSERT_EQ(from_view.to_global, direct.to_global);
-    ASSERT_EQ(from_view.graph.num_vertices(), direct.graph.num_vertices());
-    ASSERT_EQ(from_view.graph.num_edges(), direct.graph.num_edges());
-    for (VertexId v = 0; v < direct.graph.num_vertices(); ++v) {
-      auto a = from_view.graph.OutNeighbors(v);
-      auto b = direct.graph.OutNeighbors(v);
-      ASSERT_EQ(std::vector<VertexId>(a.begin(), a.end()),
-                std::vector<VertexId>(b.begin(), b.end()));
-    }
-  }
-}
-
-TEST(SubgraphViewTest, FillMemberMask) {
-  CsrGraph g = MakeDirectedCycle(8);
-  const std::vector<VertexId> members{2, 3, 6};
-  SubgraphView view(g, members);
-  std::vector<uint8_t> mask;
-  view.FillMemberMask(&mask);
-  ASSERT_EQ(mask.size(), g.num_vertices());
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    EXPECT_EQ(mask[v] != 0, view.Contains(v));
-  }
-}
-
-TEST(SubgraphViewTest, SccMembersOfGiantComponent) {
-  // Giant SCC plus a pendant tail: the view over the SCC's member list
-  // must see exactly the component, no materialization involved.
-  CsrGraph g = CsrGraph::FromEdges(
-      7, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {1, 3}, {3, 4}, {4, 5}, {5, 6}});
-  SccResult scc = ComputeScc(g);
-  const VertexId giant = scc.component[0];
-  SubgraphView view(g, scc.VerticesOf(giant));
-  EXPECT_EQ(view.num_vertices(), 4u);
-  EXPECT_EQ(view.CountEdges(), 5u);  // the 4-cycle + chord, tail excluded
-  EXPECT_FALSE(view.Contains(5));
 }
 
 }  // namespace

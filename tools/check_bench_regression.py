@@ -2,13 +2,16 @@
 """Compare a benchmark's --json output against a committed baseline.
 
 Usage:
-  check_bench_regression.py --baseline bench/baselines/giant_scc.json \
-      --current out/giant_scc.json [--max-slowdown 3.0]
+  check_bench_regression.py --baseline bench/baselines/parallel_scaling.json \
+      --current out/parallel_scaling.json [--max-slowdown 3.0]
 
 Row semantics (see bench/bench_runner.h JsonSink):
   * the row with "row": "params" pins the benchmark's shape; it must match
     the baseline exactly, otherwise the comparison is meaningless and the
     script fails loudly rather than comparing apples to oranges;
+  * the row with "row": "host" records where the bench ran (hardware
+    threads, build type); it is printed for both files but not compared,
+    and a baseline without one is accepted;
   * every other row is identified by its non-metric keys (algo, threads,
     ...) and carries the metrics "seconds", "speedup" and "cover".
 
@@ -47,15 +50,18 @@ def load(path):
         doc = json.load(f)
     params = {}
     rows = {}
+    host = None
     for row in doc.get("rows", []):
         tag = row.get("row")
-        if tag is not None:
+        if tag == "host":
+            host = {k: v for k, v in row.items() if k != "row"}
+        elif tag is not None:
             # A tagged row ("params", "admit_params", ...) pins benchmark
             # shape rather than carrying metrics.
             params[tag] = {k: v for k, v in row.items() if k != "row"}
         else:
             rows[identity(row)] = row
-    return doc.get("bench", "?"), params or None, rows
+    return doc.get("bench", "?"), params or None, rows, host
 
 
 def main():
@@ -65,8 +71,8 @@ def main():
     parser.add_argument("--max-slowdown", type=float, default=3.0)
     args = parser.parse_args()
 
-    base_name, base_params, base_rows = load(args.baseline)
-    cur_name, cur_params, cur_rows = load(args.current)
+    base_name, base_params, base_rows, base_host = load(args.baseline)
+    cur_name, cur_params, cur_rows, cur_host = load(args.current)
 
     failures = []
     if base_name != cur_name:
@@ -78,6 +84,8 @@ def main():
 
     print(f"== {cur_name}: {len(base_rows)} baseline rows, "
           f"max slowdown {args.max_slowdown:.2f}x ==")
+    print(f"  host: baseline {base_host or 'not recorded'}, "
+          f"current {cur_host or 'not recorded'}")
     for key, base in sorted(base_rows.items()):
         label = " ".join(f"{k}={v}" for k, v in key)
         cur = cur_rows.get(key)

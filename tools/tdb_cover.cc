@@ -3,8 +3,7 @@
 //   tdb_cover --graph edges.txt --k 5 --algo TDB++ [--verify]
 //             [--two-cycles] [--unconstrained] [--time-limit 60]
 //             [--order deg-asc|id|deg-desc|random] [--threads N]
-//             [--intra-threshold N] [--output cover.txt] [--stats]
-//             [--stats-json FILE]
+//             [--output cover.txt] [--stats] [--stats-json FILE]
 //
 // Reads a SNAP-style text edge list (or TDBG binary with --binary),
 // computes a hop-constrained cycle cover, and prints it (original vertex
@@ -35,7 +34,6 @@ struct CliArgs {
   std::string stats_json;
   uint32_t k = 5;
   int threads = 1;
-  VertexId intra_threshold = 0;  // 0 = keep the library default
   bool binary = false;
   bool compressed_base = false;
   bool verify = false;
@@ -56,8 +54,6 @@ void PrintUsage() {
       "  --order NAME        deg-asc | id | deg-desc | random\n"
       "  --threads N         SCC-parallel workers (0 = all cores, "
       "default 1)\n"
-      "  --intra-threshold N  min SCC size for in-place solving with\n"
-      "                      intra-SCC parallel probing (default 2048)\n"
       "  --compressed-base   solve from the delta/varint CompressedCsr\n"
       "                      backend (identical cover, smaller residency)\n"
       "  --two-cycles        also cover 2-cycles\n"
@@ -104,14 +100,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       if (v == nullptr) return false;
       if (!ParseInteger(v, &args->threads)) {
         std::fprintf(stderr, "invalid --threads value: %s\n", v);
-        return false;
-      }
-    } else if (arg == "--intra-threshold") {
-      const char* v = next();
-      if (v == nullptr) return false;
-      if (!ParseInteger(v, &args->intra_threshold, VertexId{1},
-                        VertexId{0xFFFFFFFEu})) {
-        std::fprintf(stderr, "invalid --intra-threshold value: %s\n", v);
         return false;
       }
     } else if (arg == "--time-limit") {
@@ -181,9 +169,6 @@ int main(int argc, char** argv) {
   options.unconstrained = args.unconstrained;
   options.time_limit_seconds = args.time_limit;
   options.num_threads = args.threads;
-  if (args.intra_threshold > 0) {
-    options.min_intra_parallel_size = args.intra_threshold;
-  }
   if (args.order == "deg-asc") {
     options.order = VertexOrder::kByDegreeAsc;
   } else if (args.order == "id") {
@@ -281,10 +266,6 @@ int main(int argc, char** argv) {
             cs.scc_filtered);
     counter("prune_removed", "Vertices removed by minimal pruning",
             cs.prune_removed);
-    counter("intra_probes", "Speculative intra-component validations",
-            cs.intra_probes);
-    counter("intra_restarts", "Stale speculative validations redone",
-            cs.intra_restarts);
     counter("components_timed_out",
             "Components that exhausted their budget share",
             cs.components_timed_out);
