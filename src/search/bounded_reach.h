@@ -1,8 +1,6 @@
 // Multi-source hop-bounded BFS over a filtered graph view.
 //
-// This is the shared traversal primitive behind the admission fast path:
-// the landmark distance index (service/admission_index.h) runs it
-// forward and backward from each hub over the uncovered subgraph, and
+// This is the traversal primitive behind batched admission:
 // PathProber::FindPathsFrom runs it once per shared probe source to
 // answer a whole group of s-t existence queries with a single sweep.
 // Level-synchronous BFS computes exact shortest hop counts in the

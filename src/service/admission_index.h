@@ -34,6 +34,14 @@
 // cannot force falls back to a real probe. Distances are valid only for
 // the exact (graph, cover) they were built from — each publish builds a
 // fresh index, mirroring the per-epoch AdmissionCache lifecycle.
+//
+// A build costs one classification sweep over the overlay plus
+// 2 * ceil(L / 64) array-only BFS passes. The sweep writes U into a
+// transient out-CSR (the in-CSR follows by one counting sort), so no
+// BFS step touches the overlay's delta hash or the covered-edge set.
+// Each pass then advances up to 64 landmarks level by level at once,
+// one bit per landmark in a 64-bit seen/frontier/next mask per vertex.
+// All of that scratch is freed before Build returns.
 #ifndef TDB_SERVICE_ADMISSION_INDEX_H_
 #define TDB_SERVICE_ADMISSION_INDEX_H_
 
@@ -71,10 +79,11 @@ class AdmissionIndex {
 
   /// Builds the index for exactly this (graph, cover, options) triple —
   /// the published snapshot state. Landmarks are the `num_landmarks`
-  /// vertices of highest uncovered degree (ties to the lower id), and
-  /// each landmark's forward/backward BFS runs as one task on `pool`
-  /// (inline when null). Returns null when k's hop budget cannot be
-  /// represented in the byte-packed level arrays (k >= 254).
+  /// vertices of highest uncovered degree (ties to the lower id). Each
+  /// (direction, chunk of 64 landmarks) pair is one bit-parallel BFS
+  /// task on `pool` (inline when null). Returns null when k's hop budget
+  /// cannot be represented in the byte-packed level arrays (k >= 254);
+  /// ServiceOptions::Validate refuses that combination up front.
   static std::shared_ptr<const AdmissionIndex> Build(
       const OverlayGraph& graph, const TransversalState& cover,
       const CoverOptions& options, int num_landmarks, ThreadPool* pool);
@@ -95,7 +104,6 @@ class AdmissionIndex {
 
   AdmissionIndex() = default;
 
-  VertexId n_ = 0;
   /// Hop budget k - 1: paths longer than this close nothing.
   uint32_t max_path_ = 0;
   /// min_len - 1: paths shorter than this are below the qualifying band.

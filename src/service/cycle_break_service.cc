@@ -54,6 +54,12 @@ Status ServiceOptions::Validate() const {
     return Status::InvalidArgument(
         "admission_index_landmarks must be in [0 (off), 4096]");
   }
+  if (admission_index_landmarks > 0 && cover.k >= 254) {
+    // The byte-packed level arrays cannot hold a k - 1 hop budget this
+    // large; refuse rather than silently serve without the index.
+    return Status::InvalidArgument(
+        "admission_index_landmarks requires k < 254");
+  }
   return Status::OK();
 }
 
@@ -257,8 +263,6 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
   applied_seq_ = snap.last_seq;
   events_at_cut_ = snap.events_ingested;
   total_events_.store(snap.events_ingested, kRelaxed);
-  published_.SeedEpoch(snap.epoch - 1);
-  PublishLocked();  // republishes the snapshot state at snap.epoch
 
   // Replay the journal tail through the normal ingest path. Compactions
   // re-trigger at the same batch boundaries (forced synchronous), so the
@@ -266,7 +270,10 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
   // sequential run of the same batches — but nothing is re-journaled and
   // no snapshot is cut: until the next live compaction, the durable
   // truth stays "this snapshot + this journal", which replays to exactly
-  // the state being built here.
+  // the state being built here. No reader can pin a state before Open
+  // returns, so replay publishes nothing; the one publish after it lands
+  // at the epoch a live run reached (the snapshot's, plus one per
+  // replayed batch).
   replaying_ = true;
   for (const JournalRecord& record : records) {
     SubmitLocked(record.edges, /*append_to_journal=*/false);
@@ -274,6 +281,8 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
     recovery_.replayed_events += record.edges.size();
   }
   replaying_ = false;
+  published_.SeedEpoch(snap.epoch - 1 + records.size());
+  PublishLocked();
   return Status::OK();
 }
 
@@ -388,7 +397,8 @@ SubmitResult CycleBreakService::ApplyLocked(uint64_t seq,
   apply_cv_.notify_all();
   if (ShouldCompactLocked()) CompactLocked();
   result.stats = s;
-  result.epoch = PublishLocked();
+  // Recovery publishes once, after the whole replay.
+  if (!replaying_) result.epoch = PublishLocked();
   return result;
 }
 

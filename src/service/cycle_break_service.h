@@ -93,7 +93,9 @@ struct ServiceOptions {
   /// (service/admission_index.h); 0 disables indexing. Every publish
   /// (including compaction installs) rebuilds the index on the ingest
   /// pool. Memory: ~2 bytes per vertex per landmark per live epoch;
-  /// build cost: one forward + one backward k-bounded BFS per landmark.
+  /// build cost: one sweep that flattens the uncovered subgraph, then
+  /// one forward + one backward bit-parallel BFS per 64 landmarks.
+  /// Requires cover.k < 254 (Validate refuses larger hop budgets).
   int admission_index_landmarks = 0;
   /// Store directory for the durability layer (snapshot + write-ahead
   /// journal + manifest). Empty = in-memory service, no persistence.
@@ -138,7 +140,8 @@ class CycleBreakService {
  public:
   /// What a recovery replayed (all zero for fresh/in-memory services).
   struct RecoveryInfo {
-    /// Epoch the loaded snapshot republished at.
+    /// Epoch the loaded snapshot was cut at (recovery publishes once,
+    /// at this plus replayed_batches).
     uint64_t snapshot_epoch = 0;
     /// Journal records replayed on top of the snapshot.
     uint64_t replayed_batches = 0;
@@ -248,7 +251,8 @@ class CycleBreakService {
   void BootstrapFresh(CsrGraph base);
   /// Creates the initial snapshot + journal + manifest in data_dir.
   Status InitStoreFresh();
-  /// Loads `snap`, opens the journal and replays its tail.
+  /// Loads `snap`, opens the journal, replays its tail and publishes
+  /// the result once, at the epoch the pre-close process had reached.
   Status RecoverFromStore(const StoreManifest& manifest,
                           SnapshotState snap);
   /// The whole SubmitEdges path; `append_to_journal` is false only for
@@ -266,7 +270,8 @@ class CycleBreakService {
   SubmitResult SubmitGroupCommit(std::span<const Edge> batch,
                                  std::unique_lock<std::mutex> lock);
   /// Apply half shared by every submit path: augment, stats, compaction
-  /// trigger, publish; advances applied_seq_. Requires writer_mu_.
+  /// trigger, publish (skipped while replaying: recovery publishes once,
+  /// after the tail); advances applied_seq_. Requires writer_mu_.
   SubmitResult ApplyLocked(uint64_t seq, std::span<const Edge> batch);
   /// Writes the cut snapshot, rotates the journal (re-appending the
   /// post-cut pending batches) and commits both through the manifest.

@@ -27,8 +27,9 @@ namespace tdb {
 /// (pointer, epoch) pair from ONE Store, never a mix. Determinism
 /// follows from the single-writer discipline of the caller: published
 /// states are immutable, so everything computed from a Pinned state is
-/// a pure function of its epoch (SeedEpoch lets recovery republish at
-/// the original epoch so that function is crash-stable too).
+/// a pure function of its epoch (SeedEpoch lets recovery publish at the
+/// epoch the state originally held, so that function is crash-stable
+/// too).
 template <typename T>
 class EpochPtr {
  public:
@@ -55,8 +56,8 @@ class EpochPtr {
   }
 
   /// Seeds the epoch counter so the next Store publishes at `epoch` + 1.
-  /// Recovery hook: a restored service republishes its snapshot at the
-  /// epoch the state originally held. Call before the first Store.
+  /// Recovery hook: a restored service publishes its replayed state at
+  /// the epoch that state originally held. Call before the first Store.
   void SeedEpoch(uint64_t epoch) {
     std::unique_lock<std::shared_mutex> lock(mu_);
     epoch_ = epoch;

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "graph/generators.h"
+#include "search/bounded_reach.h"
+#include "search/search_context.h"
 #include "service/cycle_break_service.h"
 #include "service/snapshot.h"
 #include "util/rng.h"
@@ -68,30 +70,126 @@ TEST(AdmissionIndexTest, ProbeSoundOnAllPairs) {
   EXPECT_GT(forced, 0u);
 }
 
-TEST(AdmissionIndexTest, LandmarkChoiceIsDeterministic) {
-  CsrGraph base = GenerateErdosRenyi(60, 300, /*seed=*/13);
+/// Builds with and without a pool must agree on landmarks and on every
+/// pair's probe answer. Counts past 64 split the landmarks over several
+/// bit-parallel BFS chunks, i.e. several pool tasks per direction.
+void RunLandmarkDeterminism(VertexId n, EdgeId m, int num_landmarks) {
+  CsrGraph base = GenerateErdosRenyi(n, m, /*seed=*/13);
   ServiceOptions options;
   options.cover.k = 4;
   options.compact_delta_threshold = 0;
   CycleBreakService service(std::move(base), options);
   const auto snap = service.PinSnapshot();
   const auto a = AdmissionIndex::Build(snap->graph, snap->cover,
-                                       snap->options, 6, nullptr);
+                                       snap->options, num_landmarks, nullptr);
   ThreadPool pool(4);
   const auto b = AdmissionIndex::Build(snap->graph, snap->cover,
-                                       snap->options, 6, &pool);
+                                       snap->options, num_landmarks, &pool);
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
+  EXPECT_EQ(a->num_landmarks(), static_cast<size_t>(num_landmarks));
   // Same landmarks regardless of the build pool...
   ASSERT_EQ(a->num_landmarks(), b->num_landmarks());
   for (size_t i = 0; i < a->num_landmarks(); ++i) {
     EXPECT_EQ(a->landmarks()[i], b->landmarks()[i]);
   }
   // ...and the same probe answer for every pair (the level arrays are
-  // filled by disjoint-slot tasks, so pool size cannot matter).
-  for (VertexId v = 0; v < 60; ++v) {
-    for (VertexId u = 0; u < 60; ++u) {
+  // filled by disjoint-byte tasks, so pool size cannot matter).
+  for (VertexId v = 0; v < n; ++v) {
+    for (VertexId u = 0; u < n; ++u) {
       if (u != v) EXPECT_EQ(a->Query(v, u), b->Query(v, u));
+    }
+  }
+}
+
+TEST(AdmissionIndexTest, LandmarkChoiceIsDeterministic) {
+  RunLandmarkDeterminism(60, 300, 6);
+}
+
+TEST(AdmissionIndexTest, LandmarkChoiceIsDeterministicAtChunkBoundaries) {
+  for (const int num_landmarks : {64, 65, 130}) {
+    RunLandmarkDeterminism(200, 1000, num_landmarks);
+  }
+}
+
+/// Exact BFS distances in the uncovered subgraph from `source`, along
+/// out-edges (kForward) or in-edges (kReverse); kUnreached where none.
+constexpr uint32_t kUnreached = 0xffffffffu;
+std::vector<uint32_t> ReferenceDistances(const ServiceSnapshot& snap,
+                                         VertexId source,
+                                         ReachDirection direction) {
+  std::vector<uint32_t> dist(snap.graph.num_vertices(), kUnreached);
+  SearchContext ctx;
+  BoundedReach(
+      snap.graph, direction, std::span<const VertexId>(&source, 1),
+      snap.graph.num_vertices(), &ctx,
+      [&](EdgeId e) { return !snap.cover.EdgeCovered(snap.graph, e); },
+      [&](VertexId w, uint32_t d) { dist[w] = d; });
+  return dist;
+}
+
+TEST(AdmissionIndexTest, HubRowsAreExactOverDeltaAndIncrementalCover) {
+  // Landmark rows must hold the exact uncovered distances on a state
+  // that uses every covering layer: a base vertex cover, delta edges in
+  // the overlay and a non-empty incremental S set. A hub-endpoint query
+  // decides from one row alone, so its verdict is pinned by the
+  // reference distance d: d > k - 1 (or unreached) forces kNoPath, d in
+  // [min_len - 1, k - 1] forces kWouldClose, and only d below the band
+  // stays kUnknown. 70 landmarks span two BFS chunks.
+  constexpr VertexId kN = 90;
+  constexpr int kLandmarks = 70;
+  for (const uint32_t k : {3u, 4u, 6u}) {
+    for (const bool two_cycles : {false, true}) {
+      ServiceOptions options;
+      options.cover.k = k;
+      options.cover.include_two_cycles = two_cycles;
+      options.compact_delta_threshold = 0;
+      CycleBreakService service(
+          GeneratePowerLaw({.n = kN,
+                            .m = 360,
+                            .theta = 0.6,
+                            .reciprocity = 0.3,
+                            .seed = 201 + k}),
+          options);
+      Rng rng(300 + k);
+      for (int b = 0; b < 6; ++b) {
+        std::vector<Edge> batch;
+        for (int i = 0; i < 20; ++i) {
+          batch.push_back(Edge{static_cast<VertexId>(rng.NextBounded(kN)),
+                               static_cast<VertexId>(rng.NextBounded(kN))});
+        }
+        service.SubmitEdges(batch);
+      }
+      const auto snap = service.PinSnapshot();
+      ASSERT_GT(snap->graph.delta_edges(), 0u);
+      ASSERT_FALSE(snap->cover.covered.empty()) << "k=" << k;
+      ASSERT_FALSE(snap->cover.base->vertices.empty());
+      const auto index = AdmissionIndex::Build(
+          snap->graph, snap->cover, snap->options, kLandmarks, nullptr);
+      ASSERT_NE(index, nullptr);
+      ASSERT_GT(index->num_landmarks(), 64u);
+      const uint32_t max_path = k - 1;
+      const uint32_t min_path = two_cycles ? 1 : 2;
+      const auto expected = [&](uint32_t d) {
+        if (d == kUnreached || d > max_path) {
+          return AdmissionIndex::Probe::kNoPath;
+        }
+        return d >= min_path ? AdmissionIndex::Probe::kWouldClose
+                             : AdmissionIndex::Probe::kUnknown;
+      };
+      for (const VertexId h : index->landmarks()) {
+        const std::vector<uint32_t> from_h =
+            ReferenceDistances(*snap, h, ReachDirection::kForward);
+        const std::vector<uint32_t> to_h =
+            ReferenceDistances(*snap, h, ReachDirection::kReverse);
+        for (VertexId x = 0; x < kN; ++x) {
+          if (x == h) continue;
+          EXPECT_EQ(index->Query(h, x), expected(from_h[x]))
+              << h << " ->* " << x << " k=" << k << " 2c=" << two_cycles;
+          EXPECT_EQ(index->Query(x, h), expected(to_h[x]))
+              << x << " ->* " << h << " k=" << k << " 2c=" << two_cycles;
+        }
+      }
     }
   }
 }
@@ -112,8 +210,8 @@ TEST(AdmissionIndexTest, UnrepresentableHopBudgetRefusesToBuild) {
 /// indexed per-query path, the batched path, and the plain probe return
 /// identical verdicts at EVERY published epoch.
 void RunEquivalenceSweep(uint32_t k, bool include_two_cycles,
-                         int num_landmarks, uint64_t seed) {
-  constexpr VertexId kN = 36;
+                         int num_landmarks, uint64_t seed,
+                         VertexId n = 36) {
   ServiceOptions plain_options;
   plain_options.cover.k = k;
   plain_options.cover.include_two_cycles = include_two_cycles;
@@ -122,8 +220,8 @@ void RunEquivalenceSweep(uint32_t k, bool include_two_cycles,
   ServiceOptions indexed_options = plain_options;
   indexed_options.admission_index_landmarks = num_landmarks;
 
-  CsrGraph base = GeneratePowerLaw({.n = kN,
-                                    .m = 150,
+  CsrGraph base = GeneratePowerLaw({.n = n,
+                                    .m = 4 * EdgeId{n} + 6,
                                     .theta = 0.6,
                                     .reciprocity = 0.2,
                                     .seed = seed});
@@ -136,9 +234,9 @@ void RunEquivalenceSweep(uint32_t k, bool include_two_cycles,
   for (int b = 0; b < 10; ++b) {
     std::vector<Edge> batch;
     for (int i = 0; i < 12; ++i) {
-      VertexId u = static_cast<VertexId>(rng.NextBounded(kN));
-      VertexId v = static_cast<VertexId>(rng.NextBounded(kN));
-      if (u == v) v = (v + 1) % kN;
+      VertexId u = static_cast<VertexId>(rng.NextBounded(n));
+      VertexId v = static_cast<VertexId>(rng.NextBounded(n));
+      if (u == v) v = (v + 1) % n;
       batch.push_back(Edge{u, v});
     }
     batches.push_back(std::move(batch));
@@ -150,8 +248,8 @@ void RunEquivalenceSweep(uint32_t k, bool include_two_cycles,
   const auto check_epoch = [&]() {
     ASSERT_EQ(plain.epoch(), indexed.epoch());
     std::vector<Edge> all_pairs;
-    for (VertexId u = 0; u < kN; ++u) {
-      for (VertexId v = 0; v < kN; ++v) {
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v = 0; v < n; ++v) {
         all_pairs.push_back(Edge{u, v});
       }
     }
@@ -174,6 +272,11 @@ void RunEquivalenceSweep(uint32_t k, bool include_two_cycles,
   };
 
   check_epoch();
+  if (num_landmarks > 64) {
+    // The sweep is only meaningful past one 64-landmark BFS chunk if the
+    // graph really yields that many hubs.
+    EXPECT_GT(indexed.PinSnapshot()->admission_index->num_landmarks(), 64u);
+  }
   for (const auto& batch : batches) {
     const SubmitResult a = plain.SubmitEdges(batch);
     const SubmitResult b = indexed.SubmitEdges(batch);
@@ -201,6 +304,18 @@ TEST(AdmissionIndexTest, EquivalenceK4TwoCyclesSixteenLandmarks) {
 
 TEST(AdmissionIndexTest, EquivalenceK6SixteenLandmarks) {
   RunEquivalenceSweep(6, false, 16, 104);
+}
+
+TEST(AdmissionIndexTest, EquivalenceK4SixtyFourLandmarks) {
+  RunEquivalenceSweep(4, false, 64, 105, /*n=*/100);
+}
+
+TEST(AdmissionIndexTest, EquivalenceK5TwoCyclesSixtyFiveLandmarks) {
+  RunEquivalenceSweep(5, true, 65, 106, /*n=*/100);
+}
+
+TEST(AdmissionIndexTest, EquivalenceK6HundredThirtyLandmarks) {
+  RunEquivalenceSweep(6, false, 130, 107, /*n=*/170);
 }
 
 TEST(AdmissionIndexTest, BatchGroupingMatchesPerQueryOnSharedSources) {

@@ -86,6 +86,26 @@ TEST(ServiceOptionsTest, Validation) {
   EXPECT_FALSE(options.Validate().ok());
 }
 
+TEST(ServiceOptionsTest, IndexRefusesUnrepresentableHopBudget) {
+  // The index's byte-packed level arrays hold hop budgets up to k = 253;
+  // asking for an index past that is an error, not a silent fallback to
+  // unindexed serving.
+  ServiceOptions options = MakeOptions(253);
+  options.admission_index_landmarks = 4;
+  EXPECT_TRUE(options.Validate().ok());
+  options.cover.k = 254;
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+  options.cover.k = 300;
+  EXPECT_TRUE(options.Validate().IsInvalidArgument());
+  std::unique_ptr<CycleBreakService> service;
+  EXPECT_TRUE(CycleBreakService::Create(GenerateErdosRenyi(10, 30, 3),
+                                        options, &service)
+                  .IsInvalidArgument());
+  // Without an index, any representable k still serves.
+  options.admission_index_landmarks = 0;
+  EXPECT_TRUE(options.Validate().ok());
+}
+
 TEST(CycleBreakServiceTest, AdmissionSemanticsOnAPath) {
   // Base path 0 -> 1 -> 2 -> 3, k = 4.
   CsrGraph base = CsrGraph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});

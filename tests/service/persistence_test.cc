@@ -236,6 +236,48 @@ TEST(PersistenceTest, RecoveryIsIdenticalAcrossIngestThreads) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(PersistenceTest, RecoveryPublishesOnceAtThePreCloseEpoch) {
+  // Replay applies the whole journal tail before anything is visible, so
+  // Open publishes (and builds the admission index) exactly once — at
+  // the epoch the closed process had reached, with the same verdicts.
+  constexpr VertexId kN = 40;
+  const std::string dir = FreshDir("publish_once");
+  const CsrGraph base = GenerateErdosRenyi(kN, 120, 21);
+  const auto batches = MakeBatches(kN, 6, 10, 37);
+  ServiceOptions durable = BaseOptions();
+  durable.data_dir = dir;
+  durable.admission_index_landmarks = 8;
+  std::unique_ptr<CycleBreakService> service;
+  ASSERT_TRUE(CycleBreakService::Create(base, durable, &service).ok());
+  for (const auto& batch : batches) service->SubmitEdges(batch);
+  const uint64_t closed_epoch = service->epoch();
+  service.reset();
+
+  std::unique_ptr<CycleBreakService> recovered;
+  ASSERT_TRUE(CycleBreakService::Open(durable, &recovered).ok());
+  EXPECT_EQ(recovered->recovery_info().replayed_batches, batches.size());
+  EXPECT_EQ(recovered->epoch(), closed_epoch);
+  const ServiceStatsSnapshot stats = recovered->Stats();
+  EXPECT_EQ(stats.epochs_published, 1u);
+  EXPECT_EQ(stats.index_builds, 1u);
+
+  ServiceOptions memory = BaseOptions();
+  memory.admission_index_landmarks = 8;
+  CycleBreakService reference(base, memory);
+  for (const auto& batch : batches) reference.SubmitEdges(batch);
+  EXPECT_EQ(ImageOf(*recovered), ImageOf(reference));
+  for (VertexId u = 0; u < kN; ++u) {
+    for (VertexId v = 0; v < kN; ++v) {
+      const AdmissionVerdict got = recovered->CheckAdmission(u, v);
+      const AdmissionVerdict want = reference.CheckAdmission(u, v);
+      EXPECT_EQ(got.would_close, want.would_close) << u << "->" << v;
+      EXPECT_EQ(got.epoch, want.epoch);
+    }
+  }
+  recovered.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PersistenceTest, SubmitResultReportsJournalFailure) {
   // Once the journal cannot be appended to (here: its file is replaced
   // by a directory to force the write error), SubmitEdges must refuse to
