@@ -2,7 +2,8 @@
 // (Table II). Each proxy is generated deterministically to match the
 // published statistics in shape — scaled-down vertex count, the same
 // average degree, Zipf-skewed hubs, and a per-dataset reciprocity chosen to
-// mirror the 2-cycle structure implied by Table IV. See DESIGN.md §4.
+// mirror the 2-cycle structure implied by Table IV. See
+// docs/ARCHITECTURE.md, "Proxy datasets".
 #ifndef TDB_BENCH_DATASETS_H_
 #define TDB_BENCH_DATASETS_H_
 

@@ -83,17 +83,6 @@ struct CoverOptions {
   /// one worker per hardware thread. The cover is identical for every
   /// thread count (components are independent).
   int num_threads = 1;
-  /// Keep the base graph as delta/varint-compressed CSR blocks
-  /// (graph/compressed_csr.h) instead of raw offset+edge arrays. The
-  /// whole-graph phases (condensation, candidate ranking, SCC discharge)
-  /// run directly on the compressed blocks; solvable components
-  /// materialize to compact raw subgraphs as usual, so peak memory is the
-  /// compressed base plus in-flight components. Covers are bit-identical
-  /// to the raw backend at every thread count. Consumed by the tools and
-  /// the service (which pick the backend before calling SolveCycleCover —
-  /// the CsrGraph overload ignores it); typical adjacency footprint is
-  /// 2.5-4x smaller on locally clustered graphs.
-  bool compressed_base = false;
 
   /// Rejects inconsistent settings (e.g. k < 3 without 2-cycles).
   Status Validate() const;
@@ -116,6 +105,9 @@ struct CoverStats {
   uint64_t block_prunes = 0;
   /// Candidates discharged by the BFS filter.
   uint64_t bfs_filtered = 0;
+  /// Vertices the BFS filter dequeued across all its calls (TDB++ only):
+  /// the filter's own work, which `expansions` does not include.
+  uint64_t filter_visits = 0;
   /// Candidates discharged by the SCC prefilter.
   uint64_t scc_filtered = 0;
   /// Vertices removed by the minimal-pruning pass (BUR+ only).

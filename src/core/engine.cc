@@ -3,14 +3,12 @@
 #include <algorithm>
 #include <numeric>
 #include <optional>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/bottom_up.h"
 #include "core/darc.h"
 #include "core/top_down.h"
-#include "graph/compressed_csr.h"
 #include "graph/scc.h"
 #include "graph/subgraph.h"
 #include "search/search_context.h"
@@ -58,8 +56,8 @@ bool SupportsInPlaceSolve(CoverAlgorithm algo) {
   return algo != CoverAlgorithm::kDarcDv;
 }
 
-/// Raw-backend components with at least this many vertices solve in place
-/// on the parent graph instead of materializing: for a giant component the
+/// Components with at least this many vertices solve in place on the
+/// parent graph instead of materializing: for a giant component the
 /// per-component edge copy would nearly duplicate the graph.
 constexpr VertexId kInPlaceMinSize = 2048;
 
@@ -115,8 +113,7 @@ struct TaggedResult {
 /// component (rank is a permutation, so the sort has no ties) — the
 /// property that keeps per-component covers bit-identical to the classic
 /// sequential solvers.
-template <typename GraphT>
-std::vector<VertexId> MakeRank(const GraphT& graph,
+std::vector<VertexId> MakeRank(const CsrGraph& graph,
                                const CoverOptions& options) {
   std::vector<VertexId> rank(graph.num_vertices());
   const std::vector<VertexId> order = MakeCandidateOrder(graph, options);
@@ -186,16 +183,12 @@ void MergeTagged(std::vector<TaggedResult>* tagged, CoverResult* result) {
   }
 }
 
-/// Per-run state shared by every component task. Templated over the
-/// storage backend: the raw backend additionally routes big components
-/// through the in-place route, the compressed backend materializes every
-/// component (see engine.h).
-template <typename GraphT>
+/// Per-run state shared by every component task.
 struct EngineRun {
-  EngineRun(const GraphT& g, CoverAlgorithm a, const CoverOptions& o)
+  EngineRun(const CsrGraph& g, CoverAlgorithm a, const CoverOptions& o)
       : graph(g), algorithm(a), options(o) {}
 
-  const GraphT& graph;
+  const CsrGraph& graph;
   CoverAlgorithm algorithm;
   const CoverOptions& options;
   CoverOptions component_options;  // scc_prefilter disabled
@@ -207,8 +200,7 @@ struct EngineRun {
 
 /// In-place solve of one component on the parent graph: searches are
 /// restricted by the solver's kept/active masks, no edges are copied.
-/// Raw backend only — the compressed engine materializes instead.
-CoverResult SolveInPlace(const EngineRun<CsrGraph>& run,
+CoverResult SolveInPlace(const EngineRun& run,
                          std::span<const VertexId> members,
                          SearchContext* context, Deadline* deadline) {
   TDB_TRACE_SPAN("engine.solve_in_place");
@@ -225,11 +217,10 @@ CoverResult SolveInPlace(const EngineRun<CsrGraph>& run,
 
 /// Materialized solve of one component; the cover comes back in global
 /// ids.
-template <typename GraphT>
-CoverResult SolveMaterialized(const EngineRun<GraphT>& run,
+CoverResult SolveMaterialized(const EngineRun& run,
                               std::span<const VertexId> members,
                               SearchContext* context,
-                              SubgraphExtractorT<GraphT>* extractor,
+                              SubgraphExtractor* extractor,
                               Deadline* deadline) {
   InducedSubgraph sub = extractor->Extract(members);
   std::vector<VertexId> order;
@@ -244,25 +235,20 @@ CoverResult SolveMaterialized(const EngineRun<GraphT>& run,
 /// One thread's scratch: a search context, and a subgraph extractor
 /// (O(n) each) created on the first materialized component, so a thread
 /// that only solves in place never pays for one.
-template <typename GraphT>
 struct WorkerScratch {
   SearchContext context;
-  std::optional<SubgraphExtractorT<GraphT>> extractor;
+  std::optional<SubgraphExtractor> extractor;
 };
 
-/// One component solve, routed by size: raw-backend components of at
-/// least kInPlaceMinSize vertices solve in place (DARC-DV excepted), all
-/// others materialize. The cover comes back in global ids.
-template <typename GraphT>
-CoverResult SolveComponent(const EngineRun<GraphT>& run,
+/// One component solve, routed by size: components of at least
+/// kInPlaceMinSize vertices solve in place (DARC-DV excepted), all others
+/// materialize. The cover comes back in global ids.
+CoverResult SolveComponent(const EngineRun& run,
                            std::span<const VertexId> members,
-                           WorkerScratch<GraphT>* scratch,
-                           Deadline* deadline) {
-  if constexpr (std::is_same_v<GraphT, CsrGraph>) {
-    if (SupportsInPlaceSolve(run.algorithm) &&
-        members.size() >= kInPlaceMinSize) {
-      return SolveInPlace(run, members, &scratch->context, deadline);
-    }
+                           WorkerScratch* scratch, Deadline* deadline) {
+  if (SupportsInPlaceSolve(run.algorithm) &&
+      members.size() >= kInPlaceMinSize) {
+    return SolveInPlace(run, members, &scratch->context, deadline);
   }
   if (!scratch->extractor.has_value()) scratch->extractor.emplace(run.graph);
   return SolveMaterialized(run, members, &scratch->context,
@@ -272,9 +258,8 @@ CoverResult SolveComponent(const EngineRun<GraphT>& run,
 /// Condenses the graph fully, then solves every solvable component as one
 /// task: biggest first on a ThreadPool, with the tail below kPoolMinSize
 /// inline on the calling thread. Each task picks its route by size.
-template <typename GraphT>
-CoverResult CondenseAndSolve(const EngineRun<GraphT>& run,
-                             double* scc_seconds, uint64_t* scc_components) {
+CoverResult CondenseAndSolve(const EngineRun& run, double* scc_seconds,
+                             uint64_t* scc_components) {
   CoverResult result;
   const bool split_budget = run.options.split_budget_by_work &&
                             run.options.time_limit_seconds > 0;
@@ -357,7 +342,7 @@ CoverResult CondenseAndSolve(const EngineRun<GraphT>& run,
   // its share keeps its full vertex set in the cover (trivially feasible
   // there) and the slot reports ok, so the merged result is a usable
   // partial cover.
-  auto solve_slot = [&](size_t slot, WorkerScratch<GraphT>* scratch) {
+  auto solve_slot = [&](size_t slot, WorkerScratch* scratch) {
     const std::span<const VertexId> members = scc.VerticesOf(solvable[slot]);
     Deadline deadline = split_budget
                             ? Deadline::AfterSeconds(budget_share[slot])
@@ -391,8 +376,8 @@ CoverResult CondenseAndSolve(const EngineRun<GraphT>& run,
     }
   }
 
-  WorkerScratch<GraphT> inline_scratch;
-  std::vector<WorkerScratch<GraphT>> pool_scratch;
+  WorkerScratch inline_scratch;
+  std::vector<WorkerScratch> pool_scratch;
   // Pool only when there is a component to offload AND other work to
   // overlap it with; a single solvable component runs inline.
   if (num_pooled > 0 && order.size() > 1) {
@@ -421,20 +406,21 @@ CoverResult CondenseAndSolve(const EngineRun<GraphT>& run,
   auto merge_context = [&](const SearchContext& context) {
     result.stats.expansions += context.stats.expansions;
     result.stats.block_prunes += context.stats.block_prunes;
+    result.stats.filter_visits += context.stats.filter_visits;
   };
   merge_context(inline_scratch.context);
-  for (const WorkerScratch<GraphT>& scratch : pool_scratch) {
+  for (const WorkerScratch& scratch : pool_scratch) {
     merge_context(scratch.context);
   }
   MergeTagged(&slots, &result);
   return result;
 }
 
-/// Backend-generic body of SolveCycleCoverPartitioned.
-template <typename GraphT>
-CoverResult SolveCycleCoverPartitionedT(const GraphT& graph,
-                                        CoverAlgorithm algorithm,
-                                        const CoverOptions& options) {
+}  // namespace
+
+CoverResult SolveCycleCoverPartitioned(const CsrGraph& graph,
+                                       CoverAlgorithm algorithm,
+                                       const CoverOptions& options) {
   TDB_TRACE_SPAN("engine.solve");
   CoverResult result;
   if (!IsKnownAlgorithm(algorithm)) {
@@ -451,7 +437,7 @@ CoverResult SolveCycleCoverPartitionedT(const GraphT& graph,
     return result;
   }
 
-  EngineRun<GraphT> run(graph, algorithm, options);
+  EngineRun run(graph, algorithm, options);
   run.requested = options.num_threads == 0 ? ThreadPool::HardwareThreads()
                                            : options.num_threads;
   // With the work-budget split every component carries a private deadline
@@ -480,20 +466,6 @@ CoverResult SolveCycleCoverPartitionedT(const GraphT& graph,
   result.stats.scc_components = scc_components;
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   return result;
-}
-
-}  // namespace
-
-CoverResult SolveCycleCoverPartitioned(const CsrGraph& graph,
-                                       CoverAlgorithm algorithm,
-                                       const CoverOptions& options) {
-  return SolveCycleCoverPartitionedT(graph, algorithm, options);
-}
-
-CoverResult SolveCycleCoverPartitioned(const CompressedCsr& graph,
-                                       CoverAlgorithm algorithm,
-                                       const CoverOptions& options) {
-  return SolveCycleCoverPartitionedT(graph, algorithm, options);
 }
 
 }  // namespace tdb

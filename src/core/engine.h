@@ -17,10 +17,10 @@
 //      components runs inline on the calling thread; with one thread
 //      every task runs inline. The pool is the engine's only parallelism:
 //      a component is never split across threads;
-//   4. each task picks its route by size. On the raw backend, components
-//      of at least 2048 vertices solve IN PLACE on the parent graph,
-//      with searches restricted by the solver's kept/active masks — no
-//      edge copy, which keeps peak memory down on giant components.
+//   4. each task picks its route by size. Components of at least 2048
+//      vertices solve IN PLACE on the parent graph, with searches
+//      restricted by the solver's kept/active masks — no edge copy,
+//      which keeps peak memory down on giant components.
 //      DARC-DV (its line graph needs a CSR) and every smaller component
 //      materialize a compact induced subgraph over dense local ids
 //      (graph/subgraph.h). Each pool thread owns one SearchContext
@@ -57,25 +57,10 @@
 
 namespace tdb {
 
-class CompressedCsr;
-
 /// Runs `algorithm` per SCC of `graph` on options.num_threads workers and
 /// merges the per-component results. SolveCycleCover routes here; call
 /// directly only to bypass the front door's documentation.
 CoverResult SolveCycleCoverPartitioned(const CsrGraph& graph,
-                                       CoverAlgorithm algorithm,
-                                       const CoverOptions& options);
-
-/// Compressed-base overload: condensation, candidate ranking and the SCC
-/// discharge all run directly on the delta/varint blocks (never a raw
-/// copy of the whole graph); every solvable component is then
-/// materialized to a compact raw CsrGraph, so peak resident memory is the
-/// compressed base plus the in-flight components. The in-place route is
-/// raw-only — its per-edge random access would pay a group decode per
-/// probe — which the in-place-equals-materialized invariant (asserted by
-/// the raw-vs-compressed engine tests) makes invisible: covers are
-/// bit-identical to the raw backend at every thread count.
-CoverResult SolveCycleCoverPartitioned(const CompressedCsr& graph,
                                        CoverAlgorithm algorithm,
                                        const CoverOptions& options);
 

@@ -12,10 +12,4 @@ CoverResult SolveCycleCover(const CsrGraph& graph, CoverAlgorithm algorithm,
   return SolveCycleCoverPartitioned(graph, algorithm, options);
 }
 
-CoverResult SolveCycleCover(const CompressedCsr& graph,
-                            CoverAlgorithm algorithm,
-                            const CoverOptions& options) {
-  return SolveCycleCoverPartitioned(graph, algorithm, options);
-}
-
 }  // namespace tdb

@@ -14,8 +14,6 @@
 
 namespace tdb {
 
-class CompressedCsr;
-
 /// Computes a hop-constrained cycle cover of `graph` with the chosen
 /// algorithm. Every solve runs on the SCC-partitioned engine (core/
 /// engine.h): components are solved independently — in parallel when
@@ -26,14 +24,6 @@ class CompressedCsr;
 ///   - TDB, TDB+ and TDB++ return the identical vertex set (the block and
 ///     BFS-filter techniques are exact accelerations).
 CoverResult SolveCycleCover(const CsrGraph& graph, CoverAlgorithm algorithm,
-                            const CoverOptions& options);
-
-/// Same solve on the compressed storage backend (graph/compressed_csr.h):
-/// the base adjacency stays delta/varint-encoded for the whole run and
-/// only solvable components materialize. Covers are bit-identical to the
-/// CsrGraph overload at every thread count.
-CoverResult SolveCycleCover(const CompressedCsr& graph,
-                            CoverAlgorithm algorithm,
                             const CoverOptions& options);
 
 }  // namespace tdb

@@ -4,7 +4,6 @@
 #include <numeric>
 #include <optional>
 
-#include "graph/compressed_csr.h"
 #include "graph/scc.h"
 #include "search/bfs_filter.h"
 #include "search/cycle_finder.h"
@@ -13,8 +12,7 @@
 
 namespace tdb {
 
-template <typename GraphT>
-std::vector<VertexId> MakeCandidateOrder(const GraphT& graph,
+std::vector<VertexId> MakeCandidateOrder(const CsrGraph& graph,
                                          const CoverOptions& options) {
   std::vector<VertexId> order(graph.num_vertices());
   std::iota(order.begin(), order.end(), 0u);
@@ -45,11 +43,6 @@ std::vector<VertexId> MakeCandidateOrder(const GraphT& graph,
   }
   return order;
 }
-
-template std::vector<VertexId> MakeCandidateOrder<CsrGraph>(
-    const CsrGraph&, const CoverOptions&);
-template std::vector<VertexId> MakeCandidateOrder<CompressedCsr>(
-    const CompressedCsr&, const CoverOptions&);
 
 namespace {
 
@@ -181,6 +174,7 @@ CoverResult SolveTopDown(const CsrGraph& graph, const CoverOptions& options,
   // exactly what a budget post-mortem needs).
   result.stats.expansions = context.stats.expansions;
   result.stats.block_prunes = context.stats.block_prunes;
+  result.stats.filter_visits = context.stats.filter_visits;
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -43,19 +43,17 @@ CoverResult SolveTopDown(const CsrGraph& graph, const CoverOptions& options,
 /// Candidate processing order for `graph` under `options.order`. Exposed
 /// for the partitioned engine, which computes one whole-graph order and
 /// projects it onto each component so that per-component solves make the
-/// same keep/discharge decisions as a whole-graph sweep. Templated over
-/// the storage backend (CsrGraph or CompressedCsr — degrees only, so the
-/// order is backend-independent); instantiated in top_down.cc.
-template <typename GraphT>
-std::vector<VertexId> MakeCandidateOrder(const GraphT& graph,
+/// same keep/discharge decisions as a whole-graph sweep.
+std::vector<VertexId> MakeCandidateOrder(const CsrGraph& graph,
                                          const CoverOptions& options);
 
 /// Engine entry point: one top-down solve processing candidates in
 /// `order` (a permutation of the vertex ids), with borrowed per-worker
 /// scratch and an externally managed deadline (options.time_limit_seconds
 /// is ignored). Assumes options were validated. stats.expansions,
-/// stats.block_prunes and stats.elapsed_seconds are left zero — expansion
-/// counters accumulate in `*context` and timing is the caller's concern.
+/// stats.block_prunes, stats.filter_visits and stats.elapsed_seconds are
+/// left zero — search counters accumulate in `*context` and timing is the
+/// caller's concern.
 CoverResult SolveTopDownOrdered(const CsrGraph& graph,
                                 const CoverOptions& options,
                                 TopDownVariant variant,

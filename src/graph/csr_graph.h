@@ -10,10 +10,7 @@
 // Memory: 20 bytes per edge — out_targets_ + edge_src_ + in_sources_ at
 // 4 bytes each plus in_edge_ids_ at 8 — and 2 * (n + 1) * 8 bytes of
 // offsets. A billion-edge graph (n = 2^27, m = 2^30) costs ~22 GB,
-// matching the paper's big-memory-server deployment model; the
-// delta/varint CompressedCsr backend stores the same graph (same edge
-// ids) in a fraction of that when residency matters more than raw scan
-// speed.
+// matching the paper's big-memory-server deployment model.
 #ifndef TDB_GRAPH_CSR_GRAPH_H_
 #define TDB_GRAPH_CSR_GRAPH_H_
 
@@ -79,41 +76,11 @@ class CsrGraph {
             in_edge_ids_.data() + in_offsets_[v + 1]};
   }
 
-  // Compression-aware iteration seam, shared with CompressedCsr (and
-  // OverlayGraph): generic traversal code calls these and
-  // statically degenerates to the raw span loops here — no per-edge
-  // decode, no runtime backend branch.
-
-  /// Streams v's out-neighbors as fn(target, edge id); fn returns false
-  /// to stop early (the method then returns false).
-  template <typename Fn>
-  bool ForEachOut(VertexId v, Fn&& fn) const {
-    const EdgeId end = out_offsets_[v + 1];
-    for (EdgeId e = out_offsets_[v]; e < end; ++e) {
-      if (!fn(out_targets_[e], e)) return false;
-    }
-    return true;
-  }
-
-  /// Streams v's in-neighbors as fn(source, edge id).
-  template <typename Fn>
-  bool ForEachIn(VertexId v, Fn&& fn) const {
-    const EdgeId end = in_offsets_[v + 1];
-    for (EdgeId e = in_offsets_[v]; e < end; ++e) {
-      if (!fn(in_sources_[e], in_edge_ids_[e])) return false;
-    }
-    return true;
-  }
-
-  /// Seam twin of CompressedCsr::DecodeNeighbors: the raw backend hands
-  /// out its internal span and never touches the scratch.
-  std::span<const VertexId> DecodeNeighbors(
-      VertexId v, std::vector<VertexId>& /*scratch*/) const {
-    return OutNeighbors(v);
-  }
-  std::span<const VertexId> DecodeInNeighbors(
-      VertexId v, std::vector<VertexId>& /*scratch*/) const {
-    return InNeighbors(v);
+  /// Resident bytes of the fixed-width arrays, 20 * m + 16 * (n + 1)
+  /// (see the file comment): GraphStats::total_bytes() without a
+  /// statistics pass.
+  uint64_t memory_bytes() const {
+    return 20ull * num_edges() + 16ull * (static_cast<uint64_t>(n_) + 1);
   }
 
   /// Number of edges whose reverse edge also exists (counted per edge, so

@@ -1,9 +1,10 @@
 // Synthetic graph generators.
 //
-// The paper evaluates on 16 public SNAP/KONECT graphs; this offline
-// environment substitutes deterministic synthetic proxies whose shape
-// (scale, average degree, degree skew, edge reciprocity) matches the
-// published statistics. See DESIGN.md §4 for the substitution rationale.
+// The paper evaluates on 16 public SNAP/KONECT graphs; the benchmarks
+// substitute deterministic synthetic proxies whose shape (scale, average
+// degree, degree skew, edge reciprocity) matches the published
+// statistics. See docs/ARCHITECTURE.md, "Proxy datasets", for the
+// substitution rationale.
 #ifndef TDB_GRAPH_GENERATORS_H_
 #define TDB_GRAPH_GENERATORS_H_
 

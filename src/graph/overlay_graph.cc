@@ -1,5 +1,7 @@
 #include "graph/overlay_graph.h"
 
+#include <utility>
+
 #include "util/check.h"
 
 namespace tdb {
@@ -9,15 +11,10 @@ OverlayGraph::OverlayGraph(std::shared_ptr<const CsrGraph> base)
   TDB_CHECK(base_ != nullptr);
 }
 
-OverlayGraph::OverlayGraph(std::shared_ptr<const CompressedCsr> base)
-    : cbase_(std::move(base)) {
-  TDB_CHECK(cbase_ != nullptr);
-}
-
 EdgeId OverlayGraph::AddEdge(VertexId u, VertexId v) {
   const VertexId n = num_vertices();
   if (u == v || u >= n || v >= n) return kInvalidEdge;
-  if (BaseHasEdge(u, v)) return kInvalidEdge;
+  if (base_->HasEdge(u, v)) return kInvalidEdge;
   if (!delta_present_.insert(Key(u, v)).second) return kInvalidEdge;
   const EdgeId id = base_edges() + delta_.size();
   delta_.push_back(Edge{u, v});
@@ -29,46 +26,27 @@ EdgeId OverlayGraph::AddEdge(VertexId u, VertexId v) {
 bool OverlayGraph::HasEdge(VertexId u, VertexId v) const {
   const VertexId n = num_vertices();
   if (u >= n || v >= n) return false;
-  return BaseHasEdge(u, v) || delta_present_.count(Key(u, v)) > 0;
+  return base_->HasEdge(u, v) || delta_present_.count(Key(u, v)) > 0;
 }
 
 EdgeId OverlayGraph::OutDegree(VertexId v) const {
-  EdgeId degree =
-      base_ != nullptr ? base_->out_degree(v) : cbase_->out_degree(v);
+  EdgeId degree = base_->out_degree(v);
   const auto it = delta_out_.find(v);
   if (it != delta_out_.end()) degree += it->second.size();
   return degree;
 }
 
-std::vector<Edge> OverlayGraph::CollectEdges() const {
+CsrGraph OverlayGraph::ToCsr() const {
   std::vector<Edge> edges;
   edges.reserve(num_edges());
   const VertexId n = num_vertices();
-  if (base_ != nullptr) {
-    for (VertexId v = 0; v < n; ++v) {
-      const EdgeId end = base_->OutEdgeEnd(v);
-      for (EdgeId e = base_->OutEdgeBegin(v); e < end; ++e) {
-        edges.push_back(Edge{v, base_->EdgeDst(e)});
-      }
-    }
-  } else {
-    for (VertexId v = 0; v < n; ++v) {
-      cbase_->ForEachOut(v, [&](VertexId w, EdgeId) {
-        edges.push_back(Edge{v, w});
-        return true;
-      });
+  for (VertexId v = 0; v < n; ++v) {
+    for (const VertexId w : base_->OutNeighbors(v)) {
+      edges.push_back(Edge{v, w});
     }
   }
   edges.insert(edges.end(), delta_.begin(), delta_.end());
-  return edges;
-}
-
-CsrGraph OverlayGraph::ToCsr() const {
-  return CsrGraph::FromEdges(num_vertices(), CollectEdges());
-}
-
-CompressedCsr OverlayGraph::ToCompressed() const {
-  return CompressedCsr::FromEdges(num_vertices(), CollectEdges());
+  return CsrGraph::FromEdges(n, std::move(edges));
 }
 
 }  // namespace tdb

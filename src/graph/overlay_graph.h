@@ -7,15 +7,7 @@
 // touches. Copying an OverlayGraph therefore costs O(delta), not O(m) —
 // the property the service's per-batch snapshot publication relies on —
 // and compaction periodically folds the delta back into a fresh base
-// (ToCsr / ToCompressed) so the delta never grows past a configured
-// threshold.
-//
-// The frozen base is either a raw CsrGraph or a delta/varint CompressedCsr
-// (exactly one; chosen by ServiceOptions::compressed_base). Both expose
-// the same canonical edge-id space and ForEachOut/ForEachIn seam, so every
-// traversal here dispatches once on the backend and is otherwise
-// identical — admission verdicts do not depend on which backend holds the
-// base.
+// (ToCsr) so the delta never grows past a configured threshold.
 //
 // Edge ids extend the base's canonical ids: base edges keep their CSR ids
 // [0, base_edges()), delta edges are numbered base_edges(), base_edges()+1,
@@ -31,49 +23,27 @@
 #include <utility>
 #include <vector>
 
-#include "graph/compressed_csr.h"
 #include "graph/csr_graph.h"
 #include "graph/dynamic_digraph.h"
 #include "graph/types.h"
-#include "util/check.h"
 
 namespace tdb {
 
-/// Immutable base snapshot (raw or compressed) + insert-only delta
-/// overlay. Copyable in O(delta) (the base is shared, not cloned).
+/// Immutable base snapshot + insert-only delta overlay. Copyable in
+/// O(delta) (the base is shared, not cloned).
 class OverlayGraph {
  public:
   /// Wraps `base` with an empty delta. The vertex universe is fixed at
   /// base->num_vertices(); edges outside it are rejected.
   explicit OverlayGraph(std::shared_ptr<const CsrGraph> base);
 
-  /// Compressed-base form: same semantics, ~2.5-4x smaller resident base.
-  explicit OverlayGraph(std::shared_ptr<const CompressedCsr> base);
-
-  VertexId num_vertices() const {
-    return base_ != nullptr ? base_->num_vertices() : cbase_->num_vertices();
-  }
+  VertexId num_vertices() const { return base_->num_vertices(); }
   /// Base + delta edges.
   EdgeId num_edges() const { return base_edges() + delta_.size(); }
-  EdgeId base_edges() const {
-    return base_ != nullptr ? base_->num_edges() : cbase_->num_edges();
-  }
+  EdgeId base_edges() const { return base_->num_edges(); }
   EdgeId delta_edges() const { return delta_.size(); }
 
-  bool compressed() const { return cbase_ != nullptr; }
-
-  /// The raw base. Callers on the raw path (tests, DARC baseline) use
-  /// this; it aborts when the base is compressed.
-  const CsrGraph& base() const {
-    TDB_CHECK_MSG(base_ != nullptr, "base is compressed");
-    return *base_;
-  }
-  /// Null iff the base is compressed.
-  const std::shared_ptr<const CsrGraph>& base_ptr() const { return base_; }
-  /// Null iff the base is raw.
-  const std::shared_ptr<const CompressedCsr>& compressed_base_ptr() const {
-    return cbase_;
-  }
+  const CsrGraph& base() const { return *base_; }
   /// Delta edges in insertion order; entry i has id base_edges() + i.
   std::span<const Edge> delta() const { return delta_; }
 
@@ -86,28 +56,23 @@ class OverlayGraph {
 
   VertexId EdgeSrc(EdgeId e) const {
     if (e >= base_edges()) return delta_[e - base_edges()].src;
-    return base_ != nullptr ? base_->EdgeSrc(e) : cbase_->EdgeSrc(e);
+    return base_->EdgeSrc(e);
   }
   VertexId EdgeDst(EdgeId e) const {
     if (e >= base_edges()) return delta_[e - base_edges()].dst;
-    return base_ != nullptr ? base_->EdgeDst(e) : cbase_->EdgeDst(e);
+    return base_->EdgeDst(e);
   }
 
   /// Calls fn(neighbor, edge_id) for every out-edge of v — base edges
   /// first (ascending neighbor, canonical ids), then delta edges in
   /// insertion order. fn returns false to stop early; ForEachOut returns
-  /// false iff it was stopped. The iteration order is deterministic and
-  /// backend-independent, which the ingest path's replay-equivalence
-  /// guarantees depend on.
+  /// false iff it was stopped. The iteration order is deterministic,
+  /// which the ingest path's replay-equivalence guarantees depend on.
   template <typename Fn>
   bool ForEachOut(VertexId v, Fn&& fn) const {
-    if (base_ != nullptr) {
-      const EdgeId end = base_->OutEdgeEnd(v);
-      for (EdgeId e = base_->OutEdgeBegin(v); e < end; ++e) {
-        if (!fn(base_->EdgeDst(e), e)) return false;
-      }
-    } else if (!cbase_->ForEachOut(v, fn)) {
-      return false;
+    const EdgeId end = base_->OutEdgeEnd(v);
+    for (EdgeId e = base_->OutEdgeBegin(v); e < end; ++e) {
+      if (!fn(base_->EdgeDst(e), e)) return false;
     }
     const auto it = delta_out_.find(v);
     if (it != delta_out_.end()) {
@@ -121,14 +86,10 @@ class OverlayGraph {
   /// In-edge analogue of ForEachOut.
   template <typename Fn>
   bool ForEachIn(VertexId v, Fn&& fn) const {
-    if (base_ != nullptr) {
-      const auto sources = base_->InNeighbors(v);
-      const auto ids = base_->InEdgeIds(v);
-      for (size_t i = 0; i < sources.size(); ++i) {
-        if (!fn(sources[i], ids[i])) return false;
-      }
-    } else if (!cbase_->ForEachIn(v, fn)) {
-      return false;
+    const auto sources = base_->InNeighbors(v);
+    const auto ids = base_->InEdgeIds(v);
+    for (size_t i = 0; i < sources.size(); ++i) {
+      if (!fn(sources[i], ids[i])) return false;
     }
     const auto it = delta_in_.find(v);
     if (it != delta_in_.end()) {
@@ -146,26 +107,12 @@ class OverlayGraph {
   /// ids are re-canonicalized by the CSR build.
   CsrGraph ToCsr() const;
 
-  /// Compressed analogue of ToCsr: freezes base + delta directly into
-  /// delta/varint blocks, never materializing a raw CSR of the full
-  /// graph. Same canonical edge ids as ToCsr on the same edge set.
-  CompressedCsr ToCompressed() const;
-
  private:
   static uint64_t Key(VertexId u, VertexId v) {
     return (static_cast<uint64_t>(u) << 32) | v;
   }
 
-  bool BaseHasEdge(VertexId u, VertexId v) const {
-    return base_ != nullptr ? base_->HasEdge(u, v) : cbase_->HasEdge(u, v);
-  }
-
-  /// All edges (base then delta) as an edge list; compaction input.
-  std::vector<Edge> CollectEdges() const;
-
-  /// Exactly one of base_/cbase_ is non-null.
   std::shared_ptr<const CsrGraph> base_;
-  std::shared_ptr<const CompressedCsr> cbase_;
   std::vector<Edge> delta_;
   /// Per-vertex delta adjacency, present only for touched vertices so a
   /// copy costs O(delta) rather than O(n).

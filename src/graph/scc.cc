@@ -1,9 +1,6 @@
 #include "graph/scc.h"
 
 #include <algorithm>
-#include <deque>
-
-#include "graph/compressed_csr.h"
 
 namespace tdb {
 
@@ -41,26 +38,13 @@ SccResult FinalizeCanonical(VertexId n, const std::vector<VertexId>& label,
   return result;
 }
 
-/// Decodes v's out-neighbors into the depth-indexed buffer of `bufs` —
-/// the same per-depth scheme as the search engines' SearchContext: every
-/// live DFS frame keeps a stable decoded list (deque buffers never
-/// relocate) while deeper frames decode theirs. Zero-copy on CsrGraph.
-template <typename GraphT>
-std::span<const VertexId> DecodeDepth(const GraphT& g, VertexId v,
-                                      std::deque<std::vector<VertexId>>& bufs,
-                                      size_t depth) {
-  while (bufs.size() <= depth) bufs.emplace_back();
-  return g.DecodeNeighbors(v, bufs[depth]);
-}
-
 /// Iterative Tarjan over the whole graph (no recursion, safe for
 /// multi-million-vertex graphs). Labels each component provisionally, in
 /// closing order, as it closes; `*num_labels` counts the components
 /// closed so far. Polls `deadline` (when non-null) once per DFS step — the
 /// Deadline amortizes the clock reads — and returns false on expiry,
 /// leaving the labeling incomplete.
-template <typename GraphT>
-bool RunTarjan(const GraphT& graph, std::vector<VertexId>* label,
+bool RunTarjan(const CsrGraph& graph, std::vector<VertexId>* label,
                VertexId* num_labels, Deadline* deadline) {
   const VertexId n = graph.num_vertices();
   std::vector<VertexId> index(n, kUnvisited);
@@ -68,21 +52,16 @@ bool RunTarjan(const GraphT& graph, std::vector<VertexId>* label,
   std::vector<uint8_t> on_stack(n, 0);
   std::vector<VertexId> scc_stack;
 
-  // Explicit DFS frame: vertex, cursor into its decoded out-neighbor
-  // list, and the list itself (stable per-depth buffer).
+  // Explicit DFS frame: vertex and the cursor into its out-edge range.
   struct Frame {
     VertexId v;
-    EdgeId idx;
-    EdgeId deg;
-    const VertexId* nbrs;
+    EdgeId next;
+    EdgeId end;
   };
   std::vector<Frame> dfs;
-  std::deque<std::vector<VertexId>> bufs;
 
   auto push = [&](VertexId v) {
-    const std::span<const VertexId> nbrs =
-        DecodeDepth(graph, v, bufs, dfs.size());
-    dfs.push_back({v, 0, static_cast<EdgeId>(nbrs.size()), nbrs.data()});
+    dfs.push_back({v, graph.OutEdgeBegin(v), graph.OutEdgeEnd(v)});
   };
 
   VertexId next_index = 0;
@@ -97,8 +76,8 @@ bool RunTarjan(const GraphT& graph, std::vector<VertexId>* label,
       if (deadline != nullptr && deadline->Expired()) return false;
       Frame& frame = dfs.back();
       VertexId v = frame.v;
-      if (frame.idx < frame.deg) {
-        VertexId w = frame.nbrs[frame.idx++];
+      if (frame.next < frame.end) {
+        VertexId w = graph.EdgeDst(frame.next++);
         if (index[w] == kUnvisited) {
           index[w] = lowlink[w] = next_index++;
           scc_stack.push_back(w);
@@ -130,8 +109,9 @@ bool RunTarjan(const GraphT& graph, std::vector<VertexId>* label,
   return true;
 }
 
-template <typename GraphT>
-SccResult CondenseSccT(const GraphT& graph, const SccOptions& options) {
+}  // namespace
+
+SccResult CondenseScc(const CsrGraph& graph, const SccOptions& options) {
   const VertexId n = graph.num_vertices();
   std::vector<VertexId> label(n, kInvalidVertex);
   VertexId num_labels = 0;
@@ -152,43 +132,18 @@ SccResult CondenseSccT(const GraphT& graph, const SccOptions& options) {
   return FinalizeCanonical(n, label, num_labels);
 }
 
-template <typename GraphT>
-std::vector<uint8_t> SccAtLeastMaskT(const GraphT& graph,
-                                     VertexId min_size) {
-  SccResult scc = CondenseSccT(graph, SccOptions{});
-  std::vector<uint8_t> mask(graph.num_vertices(), 0);
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    mask[v] = scc.SizeOf(v) >= min_size ? 1 : 0;
-  }
-  return mask;
-}
-
-}  // namespace
-
-SccResult CondenseScc(const CsrGraph& graph, const SccOptions& options) {
-  return CondenseSccT(graph, options);
-}
-
-SccResult CondenseScc(const CompressedCsr& graph, const SccOptions& options) {
-  return CondenseSccT(graph, options);
-}
-
 SccResult ComputeScc(const CsrGraph& graph) {
-  return CondenseScc(graph, SccOptions{});
-}
-
-SccResult ComputeScc(const CompressedCsr& graph) {
   return CondenseScc(graph, SccOptions{});
 }
 
 std::vector<uint8_t> SccAtLeastMask(const CsrGraph& graph,
                                     VertexId min_size) {
-  return SccAtLeastMaskT(graph, min_size);
-}
-
-std::vector<uint8_t> SccAtLeastMask(const CompressedCsr& graph,
-                                    VertexId min_size) {
-  return SccAtLeastMaskT(graph, min_size);
+  SccResult scc = ComputeScc(graph);
+  std::vector<uint8_t> mask(graph.num_vertices(), 0);
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    mask[v] = scc.SizeOf(v) >= min_size ? 1 : 0;
+  }
+  return mask;
 }
 
 }  // namespace tdb

@@ -12,7 +12,7 @@
 //
 // Determinism: component ids are canonicalized — components are numbered
 // by their minimum member vertex, ascending, and member lists are sorted
-// — so the SccResult is identical for both storage backends. Both the
+// — so the SccResult does not depend on traversal order. Both the
 // engine's covers and the condensation tests rely on this.
 // Thread-safety: CondenseScc is a pure function of its inputs; concurrent
 // calls on the same (immutable) graph are safe, but one call's
@@ -29,8 +29,7 @@
 namespace tdb {
 
 /// Result of an SCC decomposition. Canonical: component c's id is the
-/// rank of its minimum member among all components' minimum members, so
-/// the whole struct is identical for both storage backends.
+/// rank of its minimum member among all components' minimum members.
 struct SccResult {
   /// Component id of each vertex, in [0, num_components).
   std::vector<VertexId> component;
@@ -74,25 +73,17 @@ struct SccOptions {
   Deadline* deadline = nullptr;
 };
 
-class CompressedCsr;
-
 /// Computes the SCC decomposition of `graph`. The returned SccResult is
-/// canonical (see above) and identical across storage backends — every
-/// traversal runs through the DecodeNeighbors seam, so condensing a
-/// CompressedCsr base never materializes a raw copy.
+/// canonical (see above).
 SccResult CondenseScc(const CsrGraph& graph, const SccOptions& options);
-SccResult CondenseScc(const CompressedCsr& graph, const SccOptions& options);
 
 /// CondenseScc with default options (no deadline).
 SccResult ComputeScc(const CsrGraph& graph);
-SccResult ComputeScc(const CompressedCsr& graph);
 
 /// Marks vertices whose SCC has at least `min_size` members. Only marked
 /// vertices can lie on a simple cycle of length >= min_size' where
 /// min_size' is 3 without 2-cycles (pass 3) or 2 with them (pass 2).
 std::vector<uint8_t> SccAtLeastMask(const CsrGraph& graph,
-                                    VertexId min_size);
-std::vector<uint8_t> SccAtLeastMask(const CompressedCsr& graph,
                                     VertexId min_size);
 
 }  // namespace tdb

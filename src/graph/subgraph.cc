@@ -2,18 +2,15 @@
 
 #include <utility>
 
-#include "graph/compressed_csr.h"
 #include "util/check.h"
 
 namespace tdb {
 
-template <typename GraphT>
-SubgraphExtractorT<GraphT>::SubgraphExtractorT(const GraphT& parent)
+SubgraphExtractor::SubgraphExtractor(const CsrGraph& parent)
     : parent_(parent),
       global_to_local_(parent.num_vertices(), kInvalidVertex) {}
 
-template <typename GraphT>
-InducedSubgraph SubgraphExtractorT<GraphT>::Extract(
+InducedSubgraph SubgraphExtractor::Extract(
     std::span<const VertexId> members) {
   InducedSubgraph sub;
   sub.to_global.assign(members.begin(), members.end());
@@ -31,11 +28,10 @@ InducedSubgraph SubgraphExtractorT<GraphT>::Extract(
   // pre-sorted by (src, dst) — FromEdges' sort is then a no-op pass.
   edge_scratch_.clear();
   for (VertexId local = 0; local < k; ++local) {
-    parent_.ForEachOut(members[local], [&](VertexId w, EdgeId) {
+    for (VertexId w : parent_.OutNeighbors(members[local])) {
       const VertexId wl = global_to_local_[w];
       if (wl != kInvalidVertex) edge_scratch_.push_back({local, wl});
-      return true;
-    });
+    }
   }
   sub.graph = CsrGraph::FromEdges(k, edge_scratch_);
 
@@ -43,7 +39,10 @@ InducedSubgraph SubgraphExtractorT<GraphT>::Extract(
   return sub;
 }
 
-template class SubgraphExtractorT<CsrGraph>;
-template class SubgraphExtractorT<CompressedCsr>;
+InducedSubgraph ExtractInducedSubgraph(const CsrGraph& parent,
+                                       std::span<const VertexId> members) {
+  SubgraphExtractor extractor(parent);
+  return extractor.Extract(members);
+}
 
 }  // namespace tdb

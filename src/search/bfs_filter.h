@@ -15,6 +15,7 @@
 
 #include "graph/csr_graph.h"
 #include "search/search_context.h"
+#include "search/search_types.h"
 #include "util/epoch_array.h"
 #include "util/timer.h"
 
@@ -24,20 +25,14 @@ namespace tdb {
 /// frontier buffers live in the SearchContext, so concurrent filters need
 /// only distinct contexts. A single (instance, context) pair is not
 /// thread-safe.
-///
-/// Templated over the storage backend (CsrGraph or CompressedCsr): the
-/// level-synchronous sweep streams neighbors through ForEachOut, so the
-/// compressed backend decodes each adjacency group exactly once per scan
-/// with no intermediate buffer.
-template <typename GraphT>
-class BfsFilterT {
+class BfsFilter {
  public:
   /// Self-contained form: owns a private context.
-  explicit BfsFilterT(const GraphT& graph);
+  explicit BfsFilter(const CsrGraph& graph);
 
-  /// Reentrant form: scratch lives in `*context` (borrowed, must outlive
-  /// the filter), grown to the graph's size on construction.
-  BfsFilterT(const GraphT& graph, SearchContext* context);
+  /// Reentrant form: scratch and stats live in `*context` (borrowed, must
+  /// outlive the filter), grown to the graph's size on construction.
+  BfsFilter(const CsrGraph& graph, SearchContext* context);
 
   /// Length of the shortest closed walk through `start` inside the
   /// subgraph induced by `active` (start exempt), or any value > max_hops
@@ -56,22 +51,15 @@ class BfsFilterT {
   /// ShortestClosedWalk's timeout sentinel.
   static constexpr uint32_t kTimedOutWalk = 0;
 
-  /// Number of vertices the last call visited (instrumentation).
-  uint64_t last_visited() const { return last_visited_; }
+  /// Counters of the underlying context (shared if the context is);
+  /// each call adds the vertices it dequeued to filter_visits.
+  const SearchStats& stats() const { return ctx_->stats; }
 
  private:
-  const GraphT& graph_;
+  const CsrGraph& graph_;
   std::unique_ptr<SearchContext> owned_context_;
   SearchContext* ctx_;
-  uint64_t last_visited_ = 0;
 };
-
-class CompressedCsr;
-extern template class BfsFilterT<CsrGraph>;
-extern template class BfsFilterT<CompressedCsr>;
-
-/// The raw-backend filter, under its historical name.
-using BfsFilter = BfsFilterT<CsrGraph>;
 
 }  // namespace tdb
 

@@ -1,45 +1,41 @@
 #include "search/cycle_finder.h"
 
-#include "graph/compressed_csr.h"
 #include "util/check.h"
 
 namespace tdb {
 
-template <typename GraphT>
-CycleFinderT<GraphT>::CycleFinderT(const GraphT& graph)
+CycleFinder::CycleFinder(const CsrGraph& graph)
     : graph_(graph), owned_context_(std::make_unique<SearchContext>()) {
   ctx_ = owned_context_.get();
   ctx_->EnsureDfsSize(graph.num_vertices());
 }
 
-template <typename GraphT>
-CycleFinderT<GraphT>::CycleFinderT(const GraphT& graph,
-                                   SearchContext* context)
+CycleFinder::CycleFinder(const CsrGraph& graph, SearchContext* context)
     : graph_(graph), ctx_(context) {
   TDB_CHECK(context != nullptr);
   ctx_->EnsureDfsSize(graph.num_vertices());
 }
 
-template <typename GraphT>
-SearchOutcome CycleFinderT<GraphT>::FindCycleThrough(
-    VertexId start, const CycleConstraint& constraint, const uint8_t* active,
-    std::vector<VertexId>* cycle, Deadline* deadline) {
+SearchOutcome CycleFinder::FindCycleThrough(VertexId start,
+                                            const CycleConstraint& constraint,
+                                            const uint8_t* active,
+                                            std::vector<VertexId>* cycle,
+                                            Deadline* deadline) {
   return Search(start, start, constraint.min_len, constraint.max_hops,
                 active, /*blocked_edges=*/nullptr, cycle, deadline);
 }
 
-template <typename GraphT>
-SearchOutcome CycleFinderT<GraphT>::FindPath(
-    VertexId s, VertexId t, uint32_t min_hops, uint32_t max_hops,
-    const uint8_t* active, const uint8_t* blocked_edges,
-    std::vector<VertexId>* path, Deadline* deadline) {
+SearchOutcome CycleFinder::FindPath(VertexId s, VertexId t, uint32_t min_hops,
+                                    uint32_t max_hops, const uint8_t* active,
+                                    const uint8_t* blocked_edges,
+                                    std::vector<VertexId>* path,
+                                    Deadline* deadline) {
   TDB_CHECK(s != t);
   return Search(s, t, min_hops, max_hops, active, blocked_edges, path,
                 deadline);
 }
 
-template <typename GraphT>
-size_t CycleFinderT<GraphT>::EnumeratePathsPlain(
+size_t CycleFinder::EnumeratePathsPlain(
     VertexId s, VertexId t, uint32_t min_hops, uint32_t max_hops,
     const uint8_t* active, const uint8_t* blocked_edges,
     const std::function<bool(const std::vector<VertexId>&)>& sink) {
@@ -55,23 +51,18 @@ size_t CycleFinderT<GraphT>::EnumeratePathsPlain(
   return count;
 }
 
-template <typename GraphT>
-bool CycleFinderT<GraphT>::EnumerateFromPlain(
+bool CycleFinder::EnumerateFromPlain(
     VertexId u, VertexId t, uint32_t min_hops, uint32_t max_hops,
     const uint8_t* active, const uint8_t* blocked_edges,
     std::vector<VertexId>* prefix, size_t* count,
     const std::function<bool(const std::vector<VertexId>&)>& sink) {
   const uint32_t depth_u = static_cast<uint32_t>(prefix->size()) - 1;
   bool keep_going = true;
-  // One decode per entry; recursion uses deeper buffers, keeping this
-  // span valid across child calls.
-  const std::span<const VertexId> nbrs = DecodeAt(u, depth_u);
-  const EdgeId begin = graph_.OutEdgeBegin(u);
-  const EdgeId end = begin + nbrs.size();
-  for (EdgeId eid = begin; keep_going && eid < end; ++eid) {
+  const EdgeId end = graph_.OutEdgeEnd(u);
+  for (EdgeId eid = graph_.OutEdgeBegin(u); keep_going && eid < end; ++eid) {
     ++ctx_->stats.expansions;
     if (blocked_edges != nullptr && blocked_edges[eid]) continue;
-    const VertexId w = nbrs[eid - begin];
+    const VertexId w = graph_.EdgeDst(eid);
     if (w == t) {
       const uint32_t len = depth_u + 1;
       if (len < min_hops || len > max_hops) continue;
@@ -94,11 +85,11 @@ bool CycleFinderT<GraphT>::EnumerateFromPlain(
   return keep_going;
 }
 
-template <typename GraphT>
-SearchOutcome CycleFinderT<GraphT>::Search(
-    VertexId s, VertexId t, uint32_t min_hops, uint32_t max_hops,
-    const uint8_t* active, const uint8_t* blocked_edges,
-    std::vector<VertexId>* out, Deadline* deadline) {
+SearchOutcome CycleFinder::Search(VertexId s, VertexId t, uint32_t min_hops,
+                                  uint32_t max_hops, const uint8_t* active,
+                                  const uint8_t* blocked_edges,
+                                  std::vector<VertexId>* out,
+                                  Deadline* deadline) {
   TDB_CHECK(s < graph_.num_vertices() && t < graph_.num_vertices());
   if (max_hops == 0 || min_hops > max_hops) return SearchOutcome::kNotFound;
 
@@ -111,10 +102,7 @@ SearchOutcome CycleFinderT<GraphT>::Search(
   };
 
   auto push = [&](VertexId v) {
-    const std::span<const VertexId> nbrs = DecodeAt(v, stack.size());
-    const EdgeId begin = graph_.OutEdgeBegin(v);
-    stack.push_back(
-        {v, begin, graph_.OutEdgeEnd(v), begin, nbrs.data()});
+    stack.push_back({v, graph_.OutEdgeBegin(v), graph_.OutEdgeEnd(v)});
   };
 
   stack.clear();
@@ -133,7 +121,7 @@ SearchOutcome CycleFinderT<GraphT>::Search(
         return SearchOutcome::kTimedOut;
       }
       if (blocked_edges != nullptr && blocked_edges[eid]) continue;
-      const VertexId w = frame.nbrs[eid - frame.base];
+      const VertexId w = graph_.EdgeDst(eid);
       // Hop count of u from s == its depth on the stack.
       const uint32_t depth_u = static_cast<uint32_t>(stack.size()) - 1;
       if (w == t) {
@@ -165,8 +153,5 @@ SearchOutcome CycleFinderT<GraphT>::Search(
   }
   return SearchOutcome::kNotFound;
 }
-
-template class CycleFinderT<CsrGraph>;
-template class CycleFinderT<CompressedCsr>;
 
 }  // namespace tdb

@@ -26,18 +26,14 @@ namespace tdb {
 /// distinct contexts — the engine runs one instance per pool worker, each
 /// over its own component. A single (instance, context) pair is not
 /// thread-safe.
-///
-/// Templated over the storage backend (CsrGraph or CompressedCsr); each
-/// DFS frame holds its vertex's decoded neighbor list (see SearchFrame).
-template <typename GraphT>
-class CycleFinderT {
+class CycleFinder {
  public:
   /// Self-contained form: owns a private context.
-  explicit CycleFinderT(const GraphT& graph);
+  explicit CycleFinder(const CsrGraph& graph);
 
   /// Reentrant form: scratch and stats live in `*context` (borrowed, must
   /// outlive the finder), grown to the graph's size on construction.
-  CycleFinderT(const GraphT& graph, SearchContext* context);
+  CycleFinder(const CsrGraph& graph, SearchContext* context);
 
   /// Searches for a simple cycle through `start` with hop count in
   /// [constraint.min_len, constraint.max_hops].
@@ -88,23 +84,10 @@ class CycleFinderT {
                        const uint8_t* blocked_edges,
                        std::vector<VertexId>* out, Deadline* deadline);
 
-  /// Decodes u's out-neighbors into the context's depth-d buffer (a
-  /// zero-copy span on the raw backend).
-  std::span<const VertexId> DecodeAt(VertexId u, size_t depth) {
-    return graph_.DecodeNeighbors(u, ctx_->DecodeBuffer(depth));
-  }
-
-  const GraphT& graph_;
+  const CsrGraph& graph_;
   std::unique_ptr<SearchContext> owned_context_;
   SearchContext* ctx_;
 };
-
-class CompressedCsr;
-extern template class CycleFinderT<CsrGraph>;
-extern template class CycleFinderT<CompressedCsr>;
-
-/// The raw-backend finder, under its historical name.
-using CycleFinder = CycleFinderT<CsrGraph>;
 
 }  // namespace tdb
 

@@ -2,54 +2,50 @@
 
 #include <algorithm>
 
-#include "graph/compressed_csr.h"
 #include "util/check.h"
 
 namespace tdb {
 
-template <typename GraphT>
-BlockSearchT<GraphT>::BlockSearchT(const GraphT& graph)
+BlockSearch::BlockSearch(const CsrGraph& graph)
     : graph_(graph), owned_context_(std::make_unique<SearchContext>()) {
   ctx_ = owned_context_.get();
   ctx_->EnsureDfsSize(graph.num_vertices());
   ctx_->EnsureBlockSize(graph.num_vertices());
 }
 
-template <typename GraphT>
-BlockSearchT<GraphT>::BlockSearchT(const GraphT& graph,
-                                   SearchContext* context)
+BlockSearch::BlockSearch(const CsrGraph& graph, SearchContext* context)
     : graph_(graph), ctx_(context) {
   TDB_CHECK(context != nullptr);
   ctx_->EnsureDfsSize(graph.num_vertices());
   ctx_->EnsureBlockSize(graph.num_vertices());
 }
 
-template <typename GraphT>
-SearchOutcome BlockSearchT<GraphT>::FindCycleThrough(
-    VertexId start, const CycleConstraint& constraint,
-    const uint8_t* active, std::vector<VertexId>* cycle,
-    Deadline* deadline) {
+SearchOutcome BlockSearch::FindCycleThrough(VertexId start,
+                                            const CycleConstraint& constraint,
+                                            const uint8_t* active,
+                                            std::vector<VertexId>* cycle,
+                                            Deadline* deadline) {
   return Search(start, start, constraint.min_len, constraint.max_hops,
                 constraint.permanent_block, active, /*blocked_edges=*/nullptr,
                 cycle, deadline);
 }
 
-template <typename GraphT>
-SearchOutcome BlockSearchT<GraphT>::FindPath(
-    VertexId s, VertexId t, uint32_t min_hops, uint32_t max_hops,
-    const uint8_t* active, const uint8_t* blocked_edges,
-    std::vector<VertexId>* path, Deadline* deadline) {
+SearchOutcome BlockSearch::FindPath(VertexId s, VertexId t, uint32_t min_hops,
+                                    uint32_t max_hops, const uint8_t* active,
+                                    const uint8_t* blocked_edges,
+                                    std::vector<VertexId>* path,
+                                    Deadline* deadline) {
   TDB_CHECK(s != t);
   return Search(s, t, min_hops, max_hops, /*permanent_block=*/false, active,
                 blocked_edges, path, deadline);
 }
 
-template <typename GraphT>
-SearchOutcome BlockSearchT<GraphT>::Search(
-    VertexId s, VertexId t, uint32_t min_hops, uint32_t max_hops,
-    bool permanent_block, const uint8_t* active,
-    const uint8_t* blocked_edges, std::vector<VertexId>* out,
-    Deadline* deadline) {
+SearchOutcome BlockSearch::Search(VertexId s, VertexId t, uint32_t min_hops,
+                                  uint32_t max_hops, bool permanent_block,
+                                  const uint8_t* active,
+                                  const uint8_t* blocked_edges,
+                                  std::vector<VertexId>* out,
+                                  Deadline* deadline) {
   TDB_CHECK(s < graph_.num_vertices() && t < graph_.num_vertices());
   // The depth-1 closure special case below assumes the length window can
   // only reject closures at depth < min_hops - 1 <= 1; every constraint in
@@ -66,10 +62,7 @@ SearchOutcome BlockSearchT<GraphT>::Search(
   edge_to_target.NewEpoch();
   // Mark vertices owning a direct edge to the target so the failure path
   // can recognize the skipped-closure case in O(1).
-  graph_.ForEachIn(t, [&](VertexId u, EdgeId) {
-    edge_to_target.Set(u, 1);
-    return true;
-  });
+  for (VertexId u : graph_.InNeighbors(t)) edge_to_target.Set(u, 1);
 
   auto cleanup = [&] {
     for (const SearchFrame& f : stack) on_path[f.v] = 0;
@@ -77,10 +70,7 @@ SearchOutcome BlockSearchT<GraphT>::Search(
   };
 
   auto push = [&](VertexId v) {
-    const std::span<const VertexId> nbrs = DecodeAt(v, stack.size());
-    const EdgeId begin = graph_.OutEdgeBegin(v);
-    stack.push_back(
-        {v, begin, graph_.OutEdgeEnd(v), begin, nbrs.data()});
+    stack.push_back({v, graph_.OutEdgeBegin(v), graph_.OutEdgeEnd(v)});
   };
 
   stack.clear();
@@ -99,7 +89,7 @@ SearchOutcome BlockSearchT<GraphT>::Search(
         return SearchOutcome::kTimedOut;
       }
       if (blocked_edges != nullptr && blocked_edges[eid]) continue;
-      const VertexId w = frame.nbrs[eid - frame.base];
+      const VertexId w = graph_.EdgeDst(eid);
       const uint32_t depth_u = static_cast<uint32_t>(stack.size()) - 1;
       if (w == t) {
         const uint32_t len = depth_u + 1;
@@ -163,8 +153,7 @@ SearchOutcome BlockSearchT<GraphT>::Search(
   return SearchOutcome::kNotFound;
 }
 
-template <typename GraphT>
-size_t BlockSearchT<GraphT>::EnumeratePaths(
+size_t BlockSearch::EnumeratePaths(
     VertexId s, VertexId t, uint32_t min_hops, uint32_t max_hops,
     const uint8_t* active, const uint8_t* blocked_edges,
     const std::function<bool(const std::vector<VertexId>&)>& sink) {
@@ -175,10 +164,7 @@ size_t BlockSearchT<GraphT>::EnumeratePaths(
 
   ctx_->block.NewEpoch();
   ctx_->edge_to_target.NewEpoch();
-  graph_.ForEachIn(t, [&](VertexId u, EdgeId) {
-    ctx_->edge_to_target.Set(u, 1);
-    return true;
-  });
+  for (VertexId u : graph_.InNeighbors(t)) ctx_->edge_to_target.Set(u, 1);
 
   std::vector<VertexId> prefix{s};
   ctx_->on_path[s] = 1;
@@ -190,8 +176,7 @@ size_t BlockSearchT<GraphT>::EnumeratePaths(
   return count;
 }
 
-template <typename GraphT>
-bool BlockSearchT<GraphT>::EnumerateFrom(
+bool BlockSearch::EnumerateFrom(
     VertexId u, VertexId t, uint32_t min_hops, uint32_t max_hops,
     const uint8_t* active, const uint8_t* blocked_edges,
     std::vector<VertexId>* prefix, size_t* count, bool* emitted_any,
@@ -199,15 +184,11 @@ bool BlockSearchT<GraphT>::EnumerateFrom(
   const uint32_t depth_u = static_cast<uint32_t>(prefix->size()) - 1;
   bool subtree_emitted = false;
   bool keep_going = true;
-  // One decode per entry into u; the recursion below uses deeper
-  // buffers, so this span stays valid across child calls.
-  const std::span<const VertexId> nbrs = DecodeAt(u, depth_u);
-  const EdgeId begin = graph_.OutEdgeBegin(u);
-  const EdgeId end = begin + nbrs.size();
-  for (EdgeId eid = begin; keep_going && eid < end; ++eid) {
+  const EdgeId end = graph_.OutEdgeEnd(u);
+  for (EdgeId eid = graph_.OutEdgeBegin(u); keep_going && eid < end; ++eid) {
     ++ctx_->stats.expansions;
     if (blocked_edges != nullptr && blocked_edges[eid]) continue;
-    const VertexId w = nbrs[eid - begin];
+    const VertexId w = graph_.EdgeDst(eid);
     if (w == t) {
       const uint32_t len = depth_u + 1;
       if (len < min_hops || len > max_hops) {
@@ -258,9 +239,7 @@ bool BlockSearchT<GraphT>::EnumerateFrom(
   return keep_going;
 }
 
-template <typename GraphT>
-void BlockSearchT<GraphT>::Unblock(VertexId u, uint32_t level,
-                                   const uint8_t* active) {
+void BlockSearch::Unblock(VertexId u, uint32_t level, const uint8_t* active) {
   // Iterative version of Algorithm 10 with an explicit worklist. A stale
   // worklist entry may race a lower level that cascaded in first; the
   // recheck at pop keeps block values monotonically decreasing so the
@@ -277,17 +256,13 @@ void BlockSearchT<GraphT>::Unblock(VertexId u, uint32_t level,
     if (!first && ctx_->block.Get(v) <= l) continue;  // already as relaxed
     first = false;
     ctx_->block.Set(v, l);
-    graph_.ForEachIn(v, [&](VertexId w, EdgeId) {
-      if (ctx_->on_path[w]) return true;
-      if (active != nullptr && !active[w]) return true;
+    for (VertexId w : graph_.InNeighbors(v)) {
+      if (ctx_->on_path[w]) continue;
+      if (active != nullptr && !active[w]) continue;
       const uint32_t bw = ctx_->block.Get(w);
       if (bw > l + 1 && bw != 0) work.push_back({w, l + 1});
-      return true;
-    });
+    }
   }
 }
-
-template class BlockSearchT<CsrGraph>;
-template class BlockSearchT<CompressedCsr>;
 
 }  // namespace tdb

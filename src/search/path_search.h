@@ -9,7 +9,8 @@
 // at most k+1 times: O(k*m) per search (paper Theorem 6) instead of the
 // plain DFS's O(n^k).
 //
-// Correctness subtlety (see DESIGN.md §3): when 2-cycles are excluded, a
+// Correctness subtlety (see docs/ARCHITECTURE.md, "The 2-cycle
+// exclusion"): when 2-cycles are excluded, a
 // vertex u entered at depth 1 that owns an edge u -> s cannot use it (the
 // closure would be a 2-cycle) although at any depth >= 2 the same edge
 // closes a valid cycle. The generic failure bound k - depth + 1 would
@@ -36,21 +37,14 @@ namespace tdb {
 /// only distinct contexts — the engine runs one instance per pool worker,
 /// each over its own component. A single (instance, context) pair is not
 /// thread-safe.
-///
-/// Templated over the storage backend (CsrGraph or CompressedCsr): the
-/// DFS decodes each pushed vertex's neighbor list once into the frame
-/// (per-depth context buffers), so compressed adjacency costs one decode
-/// per push instead of one per edge re-scan, and on the raw backend the
-/// seam collapses to the original span walk.
-template <typename GraphT>
-class BlockSearchT {
+class BlockSearch {
  public:
   /// Self-contained form: owns a private context.
-  explicit BlockSearchT(const GraphT& graph);
+  explicit BlockSearch(const CsrGraph& graph);
 
   /// Reentrant form: scratch and stats live in `*context` (borrowed, must
   /// outlive the searcher), grown to the graph's size on construction.
-  BlockSearchT(const GraphT& graph, SearchContext* context);
+  BlockSearch(const CsrGraph& graph, SearchContext* context);
 
   /// Node-necessity validation (paper Algorithm 9): is there a simple cycle
   /// through `start` with hop count in [min_len, max_hops] inside the
@@ -113,26 +107,13 @@ class BlockSearchT {
   /// but it is exercised and unit-tested for the enumeration use case.
   void Unblock(VertexId u, uint32_t level, const uint8_t* active);
 
-  /// Decodes u's out-neighbors into the context's depth-d buffer (a
-  /// zero-copy span on the raw backend).
-  std::span<const VertexId> DecodeAt(VertexId u, size_t depth) {
-    return graph_.DecodeNeighbors(u, ctx_->DecodeBuffer(depth));
-  }
-
-  const GraphT& graph_;
+  const CsrGraph& graph_;
   std::unique_ptr<SearchContext> owned_context_;
   /// Holds the per-vertex state: `block` (certified lower bound on
   /// remaining hops to the target; 0 == unknown) and `edge_to_target`
   /// (marks in-neighbors of the target for the depth-1 closure case).
   SearchContext* ctx_;
 };
-
-class CompressedCsr;
-extern template class BlockSearchT<CsrGraph>;
-extern template class BlockSearchT<CompressedCsr>;
-
-/// The raw-backend searcher, under its historical name.
-using BlockSearch = BlockSearchT<CsrGraph>;
 
 /// Block value meaning "never re-enter" (only set in permanent mode).
 inline constexpr uint32_t kInfiniteBlock = 0xFFFFFFFFu;

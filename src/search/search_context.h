@@ -18,7 +18,6 @@
 #ifndef TDB_SEARCH_SEARCH_CONTEXT_H_
 #define TDB_SEARCH_SEARCH_CONTEXT_H_
 
-#include <deque>
 #include <vector>
 
 #include "graph/types.h"
@@ -42,19 +41,6 @@ struct SearchContext {
   EpochArray<uint8_t> visited;
   std::vector<VertexId> frontier;
   std::vector<VertexId> next_frontier;
-
-  /// Per-depth neighbor-decode buffers for the DFS engines on compressed
-  /// backends: frame at depth d decodes into DecodeBuffer(d), so every
-  /// live frame keeps a stable list while deeper frames decode theirs. A
-  /// deque never relocates existing buffers on growth, which is what
-  /// keeps the pointers inside live SearchFrames valid. On the raw CSR
-  /// backend DecodeNeighbors ignores these entirely (zero-copy spans).
-  std::deque<std::vector<VertexId>> decode_bufs;
-
-  std::vector<VertexId>& DecodeBuffer(size_t depth) {
-    while (decode_bufs.size() <= depth) decode_bufs.emplace_back();
-    return decode_bufs[depth];
-  }
 
   /// Counters across all searches run on this context; the engine merges
   /// per-worker stats at join.

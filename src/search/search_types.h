@@ -26,23 +26,19 @@ struct SearchStats {
   uint64_t block_prunes = 0;
   /// Closures rejected for violating the cycle-length window.
   uint64_t closures_rejected = 0;
+  /// Vertices the closed-walk BFS filter dequeued (BfsFilter only).
+  uint64_t filter_visits = 0;
 
   void Reset() { *this = SearchStats{}; }
 };
 
-/// One explicit DFS frame: a vertex, the cursor into its out-CSR edge-id
-/// range, and the vertex's decoded out-neighbor list. Shared by every
-/// iterative search engine. `nbrs` points either at the raw backend's
-/// adjacency array or at the per-depth decode buffer of the frame's
-/// SearchContext (stable until another frame at the same depth replaces
-/// it); the neighbor behind cursor `next` is nbrs[next - base], so edge
-/// ids stay canonical on every backend without a per-edge decode.
+/// One explicit DFS frame: a vertex and the cursor into its out-CSR
+/// edge-id range. Shared by every iterative search engine; the neighbor
+/// behind cursor `next` is the graph's EdgeDst(next).
 struct SearchFrame {
   VertexId v;
-  EdgeId next;           ///< Canonical id of the next out-edge to scan.
-  EdgeId end;            ///< One past v's last out-edge id.
-  EdgeId base;           ///< OutEdgeBegin(v).
-  const VertexId* nbrs;  ///< Decoded out-neighbors of v (out-degree many).
+  EdgeId next;  ///< Canonical id of the next out-edge to scan.
+  EdgeId end;   ///< One past v's last out-edge id.
 };
 
 /// Search-side view of the problem's cycle semantics.

@@ -84,23 +84,9 @@ CycleBreakService::CycleBreakService(CsrGraph base,
 }
 
 void CycleBreakService::BootstrapFresh(CsrGraph base) {
-  CoverResult solved;
-  VertexId n = 0;
-  if (options_.compressed_base) {
-    // The raw input is transient: it is re-encoded here and dropped, so
-    // the resident base is the compressed blocks from the first epoch.
-    auto cbase = std::make_shared<const CompressedCsr>(
-        CompressedCsr::FromCsr(base));
-    base = CsrGraph();
-    n = cbase->num_vertices();
-    working_ = OverlayGraph(cbase);
-    solved = SolveBase(*cbase);
-  } else {
-    working_ =
-        OverlayGraph(std::make_shared<const CsrGraph>(std::move(base)));
-    n = working_.num_vertices();
-    solved = SolveBase(working_.base());
-  }
+  working_ = OverlayGraph(std::make_shared<const CsrGraph>(std::move(base)));
+  const VertexId n = working_.num_vertices();
+  CoverResult solved = SolveBase(working_.base());
   std::vector<VertexId> cover = std::move(solved.cover);
   if (!solved.status.ok()) {
     // Always-valid service: fall back to the trivially feasible
@@ -114,19 +100,12 @@ void CycleBreakService::BootstrapFresh(CsrGraph base) {
   stats_.compaction_components_timed_out.fetch_add(
       solved.stats.components_timed_out, kRelaxed);
   std::lock_guard<std::mutex> lock(writer_mu_);
-  StampBaseGaugesLocked();
+  StampBaseBytesLocked();
   PublishLocked();
 }
 
-void CycleBreakService::StampBaseGaugesLocked() const {
-  const uint64_t raw = CompressedCsr::RawCsrBytes(working_.num_vertices(),
-                                                  working_.base_edges());
-  const uint64_t resident =
-      working_.compressed()
-          ? working_.compressed_base_ptr()->MemoryFootprint().total()
-          : raw;
-  stats_.base_bytes.store(resident, kRelaxed);
-  stats_.base_raw_bytes.store(raw, kRelaxed);
+void CycleBreakService::StampBaseBytesLocked() const {
+  stats_.base_bytes.store(working_.base().memory_bytes(), kRelaxed);
 }
 
 Status CycleBreakService::Create(CsrGraph base,
@@ -189,7 +168,7 @@ Status CycleBreakService::InitStoreFresh() {
   snap.epoch = published_.epoch();  // 1: the bootstrap publish
   snap.last_seq = 0;
   snap.events_ingested = 0;
-  CaptureBaseLocked(&snap);
+  snap.base = working_.base();
   snap.cover_mask = state_.base->vertex_mask;
   snap.solve_ok = state_.base->solve_status.ok();
   const std::string snapshot_file = SnapshotFileName(0);
@@ -214,8 +193,7 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
   if (snap.epoch == 0) {
     return Status::InvalidArgument(dir + ": snapshot carries epoch 0");
   }
-  const VertexId n = snap.compressed ? snap.compressed_base.num_vertices()
-                                     : snap.base.num_vertices();
+  const VertexId n = snap.base.num_vertices();
   std::vector<VertexId> cover;
   for (VertexId v = 0; v < n; ++v) {
     if (snap.cover_mask[v] != 0) cover.push_back(v);
@@ -237,20 +215,9 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
   recovery_.journal_truncated_bytes = info.truncated_bytes;
 
   std::lock_guard<std::mutex> lock(writer_mu_);
-  // The store format and the configured backend may disagree (the flag
-  // was toggled between runs): re-encode or decode on load. Canonical
-  // edge ids are ranks in the out-CSR, which both backends preserve, so
-  // the snapshot's S/W id sets stay valid either way.
-  if (options_.compressed_base) {
-    working_ = OverlayGraph(std::make_shared<const CompressedCsr>(
-        snap.compressed ? std::move(snap.compressed_base)
-                        : CompressedCsr::FromCsr(snap.base)));
-  } else {
-    working_ = OverlayGraph(std::make_shared<const CsrGraph>(
-        snap.compressed ? snap.compressed_base.ToCsr()
-                        : std::move(snap.base)));
-  }
-  StampBaseGaugesLocked();
+  working_ =
+      OverlayGraph(std::make_shared<const CsrGraph>(std::move(snap.base)));
+  StampBaseBytesLocked();
   state_ = TransversalState{};
   state_.base = BaseCover::FromVertexCover(
       n, std::move(cover),
@@ -568,18 +535,9 @@ void CycleBreakService::CompactLocked() {
   // reserved-but-unapplied batch is not in working_ yet, so it belongs
   // to the post-cut tail.
   const uint64_t cut_seq = applied_seq_;
-  // Per-backend solve: the compressed path folds base + delta straight
-  // into fresh delta/varint blocks (never a raw whole-graph copy) and
-  // solves on them.
   auto solve_input = [this](const OverlayGraph& frozen,
                             CoverResult* solved) -> OverlayGraph {
     TDB_TRACE_SPAN("service.compact_solve");
-    if (options_.compressed_base) {
-      auto input =
-          std::make_shared<const CompressedCsr>(frozen.ToCompressed());
-      *solved = SolveBase(*input);
-      return OverlayGraph(std::move(input));
-    }
     auto input = std::make_shared<const CsrGraph>(frozen.ToCsr());
     *solved = SolveBase(*input);
     return OverlayGraph(std::move(input));
@@ -622,7 +580,7 @@ void CycleBreakService::InstallCompactionLocked(OverlayGraph base,
     stats_.compactions_failed.fetch_add(1, kRelaxed);
   }
   working_ = std::move(base);
-  StampBaseGaugesLocked();
+  StampBaseBytesLocked();
   state_ = TransversalState{};
   state_.base = BaseCover::FromVertexCover(n, std::move(cover),
                                            solved.status);
@@ -687,7 +645,7 @@ void CycleBreakService::PersistCutLocked(uint64_t cut_seq) {
   snap.epoch = published_.epoch() + 1;  // the installing publish
   snap.last_seq = cut_seq;
   snap.events_ingested = events_at_cut_;  // maintained by the drop loop
-  CaptureBaseLocked(&snap);
+  snap.base = working_.base();
   snap.cover_mask = state_.base->vertex_mask;
   snap.solve_ok = state_.base->solve_status.ok();
   Status st = WriteSnapshotFile(snap, snapshot_path);
@@ -734,22 +692,6 @@ CoverResult CycleBreakService::SolveBase(const CsrGraph& graph) const {
   opts.time_limit_seconds = options_.compact_time_limit_seconds;
   opts.split_budget_by_work = opts.time_limit_seconds > 0;
   return SolveCycleCover(graph, options_.compact_algorithm, opts);
-}
-
-CoverResult CycleBreakService::SolveBase(const CompressedCsr& graph) const {
-  CoverOptions opts = options_.cover;
-  opts.time_limit_seconds = options_.compact_time_limit_seconds;
-  opts.split_budget_by_work = opts.time_limit_seconds > 0;
-  return SolveCycleCover(graph, options_.compact_algorithm, opts);
-}
-
-void CycleBreakService::CaptureBaseLocked(SnapshotState* snap) const {
-  snap->compressed = working_.compressed();
-  if (snap->compressed) {
-    snap->compressed_base = *working_.compressed_base_ptr();
-  } else {
-    snap->base = working_.base();
-  }
 }
 
 }  // namespace tdb

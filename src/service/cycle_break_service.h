@@ -105,16 +105,6 @@ struct ServiceOptions {
   /// When journal appends reach stable storage (effective only with a
   /// data_dir; see journal.h for the policy semantics).
   DurabilityPolicy durability = DurabilityPolicy::kBatch;
-  /// Keep the immutable base as delta/varint-compressed CSR blocks
-  /// (graph/compressed_csr.h) instead of raw arrays. Ingest, admission,
-  /// compaction solves and recovery all run against the compressed
-  /// blocks through the overlay's iteration seam; compactions emit
-  /// compressed blocks directly and durable snapshots persist them
-  /// verbatim (format v2 — re-encoded or decoded transparently when the
-  /// flag disagrees with an existing store). Published verdicts, covers
-  /// and epochs are bit-identical to the raw backend; the resident base
-  /// is typically 2.5-4x smaller.
-  bool compressed_base = false;
 
   Status Validate() const;
 };
@@ -288,24 +278,19 @@ class CycleBreakService {
   /// (synchronous_compaction) or launches the background solve.
   /// Requires writer_mu_.
   void CompactLocked();
-  /// Swaps in the solved base (raw or compressed, already wrapped in a
-  /// fresh overlay), resets the incremental layer, persists the cut
-  /// (durable services), and replays the pending batches that arrived
-  /// after the cut — batch by batch, at the original submission
-  /// boundaries, so the installed state matches a sequential replay of
-  /// the journal onto the new snapshot. Requires writer_mu_.
+  /// Swaps in the solved base (already wrapped in a fresh overlay),
+  /// resets the incremental layer, persists the cut (durable services),
+  /// and replays the pending batches that arrived after the cut — batch
+  /// by batch, at the original submission boundaries, so the installed
+  /// state matches a sequential replay of the journal onto the new
+  /// snapshot. Requires writer_mu_.
   void InstallCompactionLocked(OverlayGraph base, uint64_t cut_seq,
                                CoverResult solved);
-  /// The full-engine solve used at construction and for compactions
-  /// (per storage backend; covers are bit-identical between the two).
+  /// The full-engine solve used at construction and for compactions.
   CoverResult SolveBase(const CsrGraph& graph) const;
-  CoverResult SolveBase(const CompressedCsr& graph) const;
-  /// Copies working_'s base (raw or compressed, verbatim) into the
-  /// snapshot image. Requires writer_mu_.
-  void CaptureBaseLocked(SnapshotState* snap) const;
-  /// Re-stamps the base_bytes / base_raw_bytes footprint gauges from the
-  /// current working_ base. Requires writer_mu_.
-  void StampBaseGaugesLocked() const;
+  /// Re-stamps the base_bytes footprint gauge from the current working_
+  /// base. Requires writer_mu_.
+  void StampBaseBytesLocked() const;
 
   const ServiceOptions options_;
   std::unique_ptr<ThreadPool> ingest_pool_;

@@ -69,19 +69,14 @@ std::vector<MetricRegistry::Registration> BindServiceStats(
   bind("journal_group_size",
        "Journal appends made durable by led group commits",
        stats.journal_group_size);
-  // Byte footprints are gauges (they go down at compaction installs),
-  // so they skip the counter view and its _total naming convention.
+  // The byte footprint is a gauge (it can go down at a compaction
+  // install), so it skips the counter view and its _total naming
+  // convention.
   regs.push_back(registry->AddGaugeFn(
       prefix + "base_bytes", "Resident bytes of the immutable base",
       [&stats] {
         return static_cast<double>(
             stats.base_bytes.load(std::memory_order_relaxed));
-      }));
-  regs.push_back(registry->AddGaugeFn(
-      prefix + "base_raw_bytes",
-      "Bytes a raw CSR of the same base would occupy", [&stats] {
-        return static_cast<double>(
-            stats.base_raw_bytes.load(std::memory_order_relaxed));
       }));
   return regs;
 }

@@ -138,10 +138,9 @@ void CheckAdmissionBatchOn(const ServiceSnapshot& snapshot,
 namespace {
 
 constexpr char kSnapshotMagic[4] = {'T', 'D', 'B', 'S'};
-/// v1 carries the base as a raw edge list, v2 as the resident
-/// delta/varint blocks; everything else is byte-identical (snapshot.h).
-constexpr uint32_t kSnapshotVersionRaw = 1;
-constexpr uint32_t kSnapshotVersionCompressed = 2;
+constexpr uint32_t kSnapshotVersion = 1;
+/// Compressed-adjacency snapshots, refused on read (snapshot.h).
+constexpr uint32_t kRetiredSnapshotVersion = 2;
 
 /// Writes one fixed-size field, feeding the running CRC.
 bool PutField(std::FILE* f, Crc32* crc, const void* data, size_t len) {
@@ -174,13 +173,9 @@ Status WriteSnapshotFile(const SnapshotState& state,
   FilePtr f(std::fopen(tmp.c_str(), "wb"));
   if (f == nullptr) return Status::IOError(tmp + ": cannot create");
 
-  const uint32_t version =
-      state.compressed ? kSnapshotVersionCompressed : kSnapshotVersionRaw;
-  const uint64_t n = state.compressed
-                         ? state.compressed_base.num_vertices()
-                         : state.base.num_vertices();
-  const uint64_t m = state.compressed ? state.compressed_base.num_edges()
-                                      : state.base.num_edges();
+  const uint32_t version = kSnapshotVersion;
+  const uint64_t n = state.base.num_vertices();
+  const uint64_t m = state.base.num_edges();
   const uint64_t s_count = state.covered.size();
   const uint64_t w_count = state.reusable.size();
   const uint8_t solve_ok = state.solve_ok ? 1 : 0;
@@ -199,9 +194,7 @@ Status WriteSnapshotFile(const SnapshotState& state,
       PutField(f.get(), &crc, &w_count, sizeof(w_count)) &&
       PutField(f.get(), &crc, &solve_ok, sizeof(solve_ok));
   if (ok) {
-    st = state.compressed
-             ? state.compressed_base.WriteSections(f.get(), &crc)
-             : WriteEdgeArrayBinary(state.base, f.get(), &crc);
+    st = WriteEdgeArrayBinary(state.base, f.get(), &crc);
     ok = st.ok();
   }
   ok = ok &&
@@ -250,11 +243,12 @@ Status ReadSnapshotFile(const std::string& path, SnapshotState* state) {
     return Corrupt(path, "not a TDBS snapshot");
   }
   if (std::fread(&version, sizeof(version), 1, f.get()) != 1 ||
-      (version != kSnapshotVersionRaw &&
-       version != kSnapshotVersionCompressed)) {
-    return Corrupt(path, "unsupported snapshot version");
+      version != kSnapshotVersion) {
+    return Corrupt(path,
+                   version == kRetiredSnapshotVersion
+                       ? "snapshot v2 (compressed base) is no longer supported"
+                       : "unsupported snapshot version");
   }
-  const bool compressed = version == kSnapshotVersionCompressed;
 
   Crc32 crc;
   uint64_t n = 0;
@@ -278,27 +272,16 @@ Status ReadSnapshotFile(const std::string& path, SnapshotState* state) {
     return Corrupt(path, "vertex count overflows 32 bits");
   }
   const uint64_t budget = static_cast<uint64_t>(file_size);
-  // v1 stores 8 bytes per edge; v2 costs at least one stream byte or one
-  // header entry per edge, so the tightest safe bound there is m itself.
-  const uint64_t edge_budget =
-      compressed ? budget : budget / sizeof(Edge);
-  if (n > budget || m > edge_budget ||
+  if (n > budget || m > budget / sizeof(Edge) ||
       s_count > budget / sizeof(EdgeId) ||
       w_count > budget / sizeof(EdgeId)) {
     return Corrupt(path, "section counts exceed the file size");
   }
 
   std::vector<Edge> edges;
-  if (compressed) {
-    Status st = CompressedCsr::ReadSections(f.get(), &crc,
-                                            static_cast<VertexId>(n), m,
-                                            &state->compressed_base);
-    if (!st.ok()) return Corrupt(path, st.message().c_str());
-  } else {
-    Status st = ReadEdgeArrayBinary(f.get(), m, static_cast<VertexId>(n),
-                                    &crc, &edges);
-    if (!st.ok()) return Corrupt(path, st.message().c_str());
-  }
+  const Status edges_st = ReadEdgeArrayBinary(
+      f.get(), m, static_cast<VertexId>(n), &crc, &edges);
+  if (!edges_st.ok()) return Corrupt(path, edges_st.message().c_str());
 
   state->cover_mask.resize(n);
   if (n > 0 &&
@@ -340,11 +323,8 @@ Status ReadSnapshotFile(const std::string& path, SnapshotState* state) {
   }
 
   state->solve_ok = solve_ok != 0;
-  state->compressed = compressed;
-  if (!compressed) {
-    state->base = CsrGraph::FromEdges(static_cast<VertexId>(n),
-                                      std::move(edges));
-  }
+  state->base =
+      CsrGraph::FromEdges(static_cast<VertexId>(n), std::move(edges));
   return Status::OK();
 }
 

@@ -18,7 +18,6 @@
 
 #include "core/batch_augment.h"
 #include "core/cover_options.h"
-#include "graph/compressed_csr.h"
 #include "graph/csr_graph.h"
 #include "graph/overlay_graph.h"
 #include "search/search_context.h"
@@ -167,23 +166,18 @@ void CheckAdmissionBatchOn(const ServiceSnapshot& snapshot,
 // recovery needs to splice the journal back on (epoch, last folded batch
 // sequence, cumulative ingested events for stream resumption).
 //
-// File layout (little-endian):
+// File layout (little-endian), version 1:
 //   "TDBS" | version u32
 //   epoch u64 | last_seq u64 | events u64 | n u64 | m u64
 //   s_count u64 | w_count u64 | solve_ok u8
-//   adjacency section (see below)
+//   edge list m x (u32 src, u32 dst)
 //   cover mask n x u8
 //   S s_count x u64 | W w_count x u64
 //   crc32c u32 over everything after the version field
 //
-// The adjacency section depends on the version:
-//   v1 — raw edge list, m x (u32 src, u32 dst);
-//   v2 — the delta/varint-compressed blocks exactly as resident in
-//        memory (CompressedCsr::WriteSections), so a compressed-base
-//        service neither decompresses on persist nor re-encodes on
-//        recovery. Everything around the section — header, cover mask,
-//        S/W sets, the single trailing CRC — is byte-identical between
-//        versions, and a reader accepts both.
+// Version 2 carried the base as compressed adjacency blocks. That
+// backend is gone; a v2 file is refused with InvalidArgument, so a store
+// written by it fails Open instead of being misread.
 //
 // The single trailing CRC makes validity binary: a snapshot either reads
 // back whole or is rejected, which is all the manifest protocol needs —
@@ -201,13 +195,7 @@ struct SnapshotState {
   /// Cumulative submitted edges over batches 1..last_seq (stream-resume
   /// offset for replay drivers).
   uint64_t events_ingested = 0;
-  /// Storage backend of `base`/`compressed_base`: exactly one carries
-  /// the graph. False — raw CsrGraph, written as snapshot v1; true —
-  /// delta/varint blocks, written as v2. ReadSnapshotFile sets it from
-  /// the file version.
-  bool compressed = false;
   CsrGraph base;
-  CompressedCsr compressed_base;
   /// BaseCover::vertex_mask, sized to the universe.
   std::vector<uint8_t> cover_mask;
   /// BaseCover::solve_status.ok() — a false here means the cover is the
@@ -222,7 +210,7 @@ struct SnapshotState {
 Status WriteSnapshotFile(const SnapshotState& state,
                          const std::string& path);
 
-/// Reads and validates a snapshot: magic/version, CRC over the whole
+/// Reads and validates a v1 snapshot: magic/version, CRC over the whole
 /// payload, mask sized to the universe, S/W ids within the base edge
 /// range. Any violation fails the read — recovery then refuses to start
 /// rather than serving from a corrupt base.

@@ -56,12 +56,9 @@ struct ServiceStatsSnapshot {
   /// (mean group size = journal_group_size / journal_group_commits).
   uint64_t journal_group_commits = 0;
   uint64_t journal_group_size = 0;
-  /// Resident bytes of the immutable base adjacency, and what a raw CSR
-  /// of the same (n, m) would spend. Gauges, re-stamped whenever a base
-  /// is installed; their ratio is the live compression factor (1x with
-  /// compressed_base off).
+  /// Resident bytes of the immutable base CSR (CsrGraph::memory_bytes).
+  /// A gauge, re-stamped whenever a base is installed.
   uint64_t base_bytes = 0;
-  uint64_t base_raw_bytes = 0;
 };
 
 /// Monotonic service counters; all members are thread-safe to bump with
@@ -97,7 +94,6 @@ struct ServiceStats {
   std::atomic<uint64_t> journal_group_size{0};
   /// Gauges: written with store(), not fetch_add.
   std::atomic<uint64_t> base_bytes{0};
-  std::atomic<uint64_t> base_raw_bytes{0};
 
   ServiceStatsSnapshot Snapshot() const {
     ServiceStatsSnapshot out;
@@ -134,7 +130,6 @@ struct ServiceStats {
     out.journal_group_commits = get(journal_group_commits);
     out.journal_group_size = get(journal_group_size);
     out.base_bytes = get(base_bytes);
-    out.base_raw_bytes = get(base_raw_bytes);
     return out;
   }
 };

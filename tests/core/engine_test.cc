@@ -25,7 +25,7 @@ const CoverAlgorithm kAll[] = {
     CoverAlgorithm::kTdbPlusPlus, CoverAlgorithm::kDarcDv,
 };
 
-/// Smallest component the engine solves in place (raw backend).
+/// Smallest component the engine solves in place.
 constexpr VertexId kInPlaceSize = 2048;
 
 /// Fixture + generator graphs with varied SCC structure: one dense SCC,

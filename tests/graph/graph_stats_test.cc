@@ -16,6 +16,10 @@ TEST(GraphStatsTest, DirectedCycle) {
   EXPECT_EQ(s.max_in_degree, 1u);
   EXPECT_DOUBLE_EQ(s.reciprocity, 0.0);
   EXPECT_EQ(s.num_bidegree_vertices, 10u);
+  // 20 bytes per edge + 16 per offset pair; the service's base_bytes
+  // gauge reads the same total from CsrGraph::memory_bytes.
+  EXPECT_EQ(s.total_bytes(), 20u * 10 + 16u * 11);
+  EXPECT_EQ(MakeDirectedCycle(10).memory_bytes(), s.total_bytes());
 }
 
 TEST(GraphStatsTest, CompleteDigraphIsFullyReciprocal) {

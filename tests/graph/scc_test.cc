@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "graph/compressed_csr.h"
 #include "graph/generators.h"
 #include "util/timer.h"
 
@@ -32,7 +31,7 @@ std::vector<uint8_t> ReachableFrom(const CsrGraph& g, VertexId s) {
   return seen;
 }
 
-/// The random shapes every membership and backend check runs over:
+/// The random shapes the membership check runs over:
 /// Erdos-Renyi at five seeds, a dense graph (one big SCC plus fringe), a
 /// sparse one (many components) and a power-law graph.
 std::vector<std::pair<std::string, CsrGraph>> RandomSweep() {
@@ -50,16 +49,6 @@ std::vector<std::pair<std::string, CsrGraph>> RandomSweep() {
   p.seed = 17;
   graphs.emplace_back("powerlaw", GeneratePowerLaw(p));
   return graphs;
-}
-
-void ExpectSccEqual(const SccResult& expected, const SccResult& actual,
-                    const std::string& label) {
-  EXPECT_EQ(expected.num_components, actual.num_components) << label;
-  EXPECT_EQ(expected.component, actual.component) << label;
-  EXPECT_EQ(expected.component_size, actual.component_size) << label;
-  EXPECT_EQ(expected.vertex_offsets, actual.vertex_offsets) << label;
-  EXPECT_EQ(expected.vertices, actual.vertices) << label;
-  EXPECT_EQ(expected.timed_out, actual.timed_out) << label;
 }
 
 TEST(SccTest, SingleCycleIsOneComponent) {
@@ -180,16 +169,6 @@ TEST(SccTest, CanonicalIdsAreMinMemberOrdered) {
   }
   EXPECT_EQ(r.component[0], 0u);
   EXPECT_EQ(r.component[9], 0u);
-}
-
-TEST(SccTest, CompressedCsrMatchesCsr) {
-  for (const auto& [label, g] : RandomSweep()) {
-    ExpectSccEqual(ComputeScc(g), ComputeScc(CompressedCsr::FromCsr(g)),
-                   label);
-  }
-  const CsrGraph cycle = MakeDirectedCycle(5000);
-  ExpectSccEqual(ComputeScc(cycle), ComputeScc(CompressedCsr::FromCsr(cycle)),
-                 "giant-cycle");
 }
 
 TEST(SccTest, ExpiredDeadlineTimesOut) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/solver.h"
 #include "graph/fixtures.h"
 #include "graph/generators.h"
 #include "search/path_search.h"
@@ -15,6 +16,8 @@ TEST(BfsFilterTest, ExactWalkLengthOnSimpleCycle) {
   for (VertexId v = 0; v < 5; ++v) {
     EXPECT_EQ(f.ShortestClosedWalk(v, 10, nullptr), 5u);
   }
+  // Each call dequeues the whole cycle once before closing it.
+  EXPECT_EQ(f.stats().filter_visits, 25u);
 }
 
 TEST(BfsFilterTest, ReportsAboveBudgetWhenCycleTooLong) {
@@ -83,6 +86,20 @@ TEST(BfsFilterTest, SoundnessOnRandomGraphs) {
         }
       }
     }
+    EXPECT_GT(filter.stats().filter_visits, 0u) << "seed=" << seed;
+    // The engine's filter_visits is a deterministic function of the
+    // graph: every component does the same filter work on any thread.
+    CoverOptions options;
+    options.k = 5;
+    const CoverResult one =
+        SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, options);
+    options.num_threads = 4;
+    const CoverResult four =
+        SolveCycleCover(g, CoverAlgorithm::kTdbPlusPlus, options);
+    ASSERT_TRUE(one.status.ok() && four.status.ok());
+    EXPECT_GT(one.stats.filter_visits, 0u) << "seed=" << seed;
+    EXPECT_EQ(one.stats.filter_visits, four.stats.filter_visits)
+        << "seed=" << seed;
   }
 }
 

@@ -31,10 +31,10 @@ TEST(BlockSearchTest, HopWindowMatchesPlainDfs) {
             SearchOutcome::kFound);
 }
 
-// The soundness regression from DESIGN.md §3: with 2-cycles excluded, a
-// depth-1 vertex owning an edge back to the start must remain re-enterable
-// at greater depth. A naive failure bound k-depth+1 loses the cycle
-// s->a->u->s here.
+// The soundness regression from docs/ARCHITECTURE.md, "The 2-cycle
+// exclusion": with 2-cycles excluded, a depth-1 vertex owning an edge
+// back to the start must remain re-enterable at greater depth. A naive
+// failure bound k-depth+1 loses the cycle s->a->u->s here.
 TEST(BlockSearchTest, DepthOneTwoCycleSkipDoesNotPoisonBlocks) {
   // s=0, u=1, a=2. Edges: 0->1, 1->0 (2-cycle), 0->2, 2->1.
   CsrGraph g = CsrGraph::FromEdges(3, {{0, 1}, {1, 0}, {0, 2}, {2, 1}});

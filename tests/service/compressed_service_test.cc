@@ -1,10 +1,7 @@
-// Service-level contract of the CompressedCsr backend and the
-// durability=always group commit: a service running with
-// compressed_base=true must serve verdicts and publish states
-// bit-identical to the raw backend, snapshots must round-trip through
-// the compressed (v2) on-disk body, stores must recover across backend
-// flips (v1 store reopened compressed and vice versa), and group commit
-// must account every appended record to exactly one led fsync.
+// Durability=always group commit, kept from the suite that also covered
+// the retired compressed base: every appended record must be accounted
+// to exactly one led fsync, and a store written under concurrent
+// submitters must recover bit-identically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -85,110 +82,6 @@ std::vector<std::vector<Edge>> MakeBatches(VertexId n, size_t batches,
     result.push_back(std::move(edges));
   }
   return result;
-}
-
-TEST(CompressedServiceTest, StateAndVerdictsMatchRawBackend) {
-  constexpr VertexId kN = 40;
-  const CsrGraph base = GenerateErdosRenyi(kN, 140, /*seed=*/21);
-  const auto batches = MakeBatches(kN, 12, 10, /*seed=*/22);
-  // Low threshold + sync compaction so several compactions (ToCompressed
-  // round trips) land inside the run.
-  for (EdgeId threshold : {EdgeId{0}, EdgeId{24}}) {
-    for (int threads : {1, 4}) {
-      ServiceOptions raw_opts = BaseOptions();
-      raw_opts.compact_delta_threshold = threshold;
-      raw_opts.synchronous_compaction = true;
-      raw_opts.ingest_threads = threads;
-      ServiceOptions compressed_opts = raw_opts;
-      compressed_opts.compressed_base = true;
-
-      CycleBreakService raw(base, raw_opts);
-      CycleBreakService compressed(base, compressed_opts);
-      for (const auto& batch : batches) {
-        raw.SubmitEdges(batch);
-        compressed.SubmitEdges(batch);
-        EXPECT_EQ(ImageOf(raw), ImageOf(compressed))
-            << "threshold=" << threshold << " threads=" << threads;
-      }
-      Rng rng(77);
-      for (int q = 0; q < 60; ++q) {
-        const VertexId u = static_cast<VertexId>(rng.NextBounded(kN));
-        const VertexId v = static_cast<VertexId>(rng.NextBounded(kN));
-        EXPECT_EQ(raw.CheckAdmission(u, v).would_close,
-                  compressed.CheckAdmission(u, v).would_close)
-            << u << "->" << v;
-      }
-    }
-  }
-}
-
-TEST(CompressedServiceTest, CompressedStoreRecoversBitIdentical) {
-  constexpr VertexId kN = 36;
-  const CsrGraph base = GenerateErdosRenyi(kN, 110, /*seed=*/31);
-  const auto batches = MakeBatches(kN, 8, 9, /*seed=*/32);
-  const std::string dir = FreshDir("roundtrip");
-  ServiceOptions durable = BaseOptions();
-  durable.data_dir = dir;
-  durable.compressed_base = true;
-  durable.compact_delta_threshold = 30;  // rotations write v2 snapshots
-  durable.synchronous_compaction = true;
-  std::unique_ptr<CycleBreakService> service;
-  ASSERT_TRUE(CycleBreakService::Create(base, durable, &service).ok());
-  for (const auto& batch : batches) {
-    const SubmitResult r = service->SubmitEdges(batch);
-    ASSERT_TRUE(r.status.ok()) << r.status.ToString();
-  }
-  const StateImage before = ImageOf(*service);
-  service.reset();
-
-  std::unique_ptr<CycleBreakService> recovered;
-  const Status open_st = CycleBreakService::Open(durable, &recovered);
-  ASSERT_TRUE(open_st.ok()) << open_st.ToString();
-  EXPECT_EQ(ImageOf(*recovered), before);
-
-  ServiceOptions memory = BaseOptions();
-  memory.compressed_base = true;
-  memory.compact_delta_threshold = 30;
-  memory.synchronous_compaction = true;
-  CycleBreakService reference(base, memory);
-  for (const auto& batch : batches) reference.SubmitEdges(batch);
-  EXPECT_EQ(ImageOf(*recovered), ImageOf(reference));
-  recovered.reset();
-  std::filesystem::remove_all(dir);
-}
-
-TEST(CompressedServiceTest, StoreRecoversAcrossBackendFlips) {
-  // A v1 (raw) store opened with compressed_base=true re-encodes at
-  // recovery; a v2 (compressed) store opened raw decodes. Both must land
-  // on the same served state as an uninterrupted replay.
-  constexpr VertexId kN = 32;
-  const CsrGraph base = GenerateErdosRenyi(kN, 100, /*seed=*/41);
-  const auto batches = MakeBatches(kN, 6, 8, /*seed=*/42);
-  CycleBreakService reference(base, BaseOptions());
-  for (const auto& batch : batches) reference.SubmitEdges(batch);
-  const StateImage expected = ImageOf(reference);
-
-  for (const bool create_compressed : {false, true}) {
-    const std::string dir =
-        FreshDir(create_compressed ? "flip_v2" : "flip_v1");
-    ServiceOptions create = BaseOptions();
-    create.data_dir = dir;
-    create.compressed_base = create_compressed;
-    std::unique_ptr<CycleBreakService> service;
-    ASSERT_TRUE(CycleBreakService::Create(base, create, &service).ok());
-    for (const auto& batch : batches) service->SubmitEdges(batch);
-    service.reset();
-
-    ServiceOptions reopen = create;
-    reopen.compressed_base = !create_compressed;
-    std::unique_ptr<CycleBreakService> recovered;
-    ASSERT_TRUE(CycleBreakService::Open(reopen, &recovered).ok())
-        << "created compressed=" << create_compressed;
-    EXPECT_EQ(ImageOf(*recovered), expected)
-        << "created compressed=" << create_compressed;
-    recovered.reset();
-    std::filesystem::remove_all(dir);
-  }
 }
 
 TEST(CompressedServiceTest, GroupCommitAccountsEverySequentialAppend) {

@@ -1,17 +1,21 @@
 // File-level tests of the persistence primitives: the write-ahead
 // journal (record framing, torn/corrupt tail truncation), the store
-// manifest and the CRC-framed snapshot container.
+// manifest and the CRC-framed snapshot container (v1 only; the retired
+// v2 format is refused).
 #include "service/journal.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "graph/generators.h"
+#include "service/cycle_break_service.h"
 #include "service/snapshot.h"
 #include "util/rng.h"
 
@@ -291,6 +295,47 @@ TEST(SnapshotFileTest, EveryCorruptionIsDetected) {
   SnapshotState loaded;
   EXPECT_FALSE(ReadSnapshotFile(path, &loaded).ok());
   std::remove(path.c_str());
+}
+
+/// Rewrites the version field of the snapshot at `path` to 2, the
+/// retired compressed-base format. The CRC covers only the bytes after
+/// the version, so the rest of the file stays valid.
+void PatchSnapshotVersionToV2(const std::string& path) {
+  std::vector<char> bytes = ReadFileBytes(path);
+  ASSERT_GE(bytes.size(), 8u);
+  const uint32_t v2 = 2;
+  std::memcpy(bytes.data() + 4, &v2, sizeof(v2));
+  WriteFileBytes(path, bytes);
+}
+
+TEST(SnapshotFileTest, RefusesCompressedV2) {
+  const std::string path = TempPath("v2.tdbs");
+  ASSERT_TRUE(WriteSnapshotFile(MakeSnapshotState(8), path).ok());
+  PatchSnapshotVersionToV2(path);
+  SnapshotState loaded;
+  const Status st = ReadSnapshotFile(path, &loaded);
+  EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+  EXPECT_NE(st.message().find("snapshot v2"), std::string::npos)
+      << st.ToString();
+  std::remove(path.c_str());
+
+  // A store whose live snapshot is v2 is refused at Open.
+  ServiceOptions options;
+  options.cover.k = 4;
+  options.data_dir = TempPath("v2_store");
+  std::unique_ptr<CycleBreakService> service;
+  ASSERT_TRUE(CycleBreakService::Create(GenerateErdosRenyi(30, 90, 9),
+                                        options, &service)
+                  .ok());
+  service.reset();
+  StoreManifest manifest;
+  ASSERT_TRUE(ReadStoreManifest(options.data_dir, &manifest).ok());
+  PatchSnapshotVersionToV2(options.data_dir + "/" + manifest.snapshot_file);
+  const Status open = CycleBreakService::Open(options, &service);
+  EXPECT_FALSE(open.ok());
+  EXPECT_TRUE(open.IsInvalidArgument()) << open.ToString();
+  EXPECT_TRUE(service == nullptr);
+  std::filesystem::remove_all(options.data_dir);
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 
 #include "core/solver.h"
 #include "core/verifier.h"
-#include "graph/compressed_csr.h"
 #include "graph/graph_io.h"
 #include "graph/graph_stats.h"
 #include "util/cfile.h"
@@ -35,7 +34,6 @@ struct CliArgs {
   uint32_t k = 5;
   int threads = 1;
   bool binary = false;
-  bool compressed_base = false;
   bool verify = false;
   bool two_cycles = false;
   bool unconstrained = false;
@@ -54,8 +52,6 @@ void PrintUsage() {
       "  --order NAME        deg-asc | id | deg-desc | random\n"
       "  --threads N         SCC-parallel workers (0 = all cores, "
       "default 1)\n"
-      "  --compressed-base   solve from the delta/varint CompressedCsr\n"
-      "                      backend (identical cover, smaller residency)\n"
       "  --two-cycles        also cover 2-cycles\n"
       "  --unconstrained     cover cycles of every length\n"
       "  --time-limit SEC    wall-clock budget (0 = unlimited)\n"
@@ -111,8 +107,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       }
     } else if (arg == "--binary") {
       args->binary = true;
-    } else if (arg == "--compressed-base") {
-      args->compressed_base = true;
     } else if (arg == "--verify") {
       args->verify = true;
     } else if (arg == "--two-cycles") {
@@ -182,35 +176,11 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  options.compressed_base = args.compressed_base;
-  CompressedCsr cgraph;
-  if (args.compressed_base) {
-    cgraph = CompressedCsr::FromCsr(graph);
-  }
   if (args.stats) {
-    const GraphStats gs = ComputeStats(graph);
-    std::fprintf(stderr, "%s\n", gs.FootprintString().c_str());
-    if (args.compressed_base) {
-      const CompressedCsrFootprint fp = cgraph.MemoryFootprint();
-      std::fprintf(
-          stderr,
-          "compressed_bytes=%llu (offsets=%llu out_stream=%llu "
-          "out_headers=%llu in_stream=%llu in_headers=%llu) ratio=%.2fx\n",
-          static_cast<unsigned long long>(fp.total()),
-          static_cast<unsigned long long>(fp.offset_bytes),
-          static_cast<unsigned long long>(fp.out_stream_bytes),
-          static_cast<unsigned long long>(fp.out_header_bytes),
-          static_cast<unsigned long long>(fp.in_stream_bytes),
-          static_cast<unsigned long long>(fp.in_header_bytes),
-          fp.total() > 0 ? static_cast<double>(gs.total_bytes()) /
-                               static_cast<double>(fp.total())
-                         : 0.0);
-    }
+    std::fprintf(stderr, "%s\n", ComputeStats(graph).FootprintString().c_str());
   }
 
-  CoverResult result = args.compressed_base
-                           ? SolveCycleCover(cgraph, algo, options)
-                           : SolveCycleCover(graph, algo, options);
+  CoverResult result = SolveCycleCover(graph, algo, options);
   if (!result.status.ok()) {
     std::fprintf(stderr, "solve failed: %s\n",
                  result.status.ToString().c_str());
@@ -262,6 +232,8 @@ int main(int argc, char** argv) {
             cs.block_prunes);
     counter("bfs_filtered", "Candidates discharged by the BFS filter",
             cs.bfs_filtered);
+    counter("filter_visits", "Vertices dequeued by the BFS filter",
+            cs.filter_visits);
     counter("scc_filtered", "Candidates discharged by the SCC prefilter",
             cs.scc_filtered);
     counter("prune_removed", "Vertices removed by minimal pruning",

@@ -6,7 +6,7 @@
 //             [--two-cycles] [--seed 42] [--compact-budget SEC]
 //             [--admission-cache [LOG2]]
 //             [--data-dir DIR] [--durability none|batch|always]
-//             [--compressed-base] [--kill-after N] [--state-dump FILE]
+//             [--kill-after N] [--state-dump FILE]
 //
 // Replays a timestamped edge stream (tdb_graphgen --stream) through a
 // CycleBreakService: the main thread ingests in batches while
@@ -100,7 +100,6 @@ struct CliArgs {
   uint64_t seed = 42;
   uint64_t kill_after = 0;  // 0 = never
   bool sync_compaction = false;
-  bool compressed_base = false;
   bool gate = false;
   bool two_cycles = false;
 };
@@ -141,10 +140,6 @@ void PrintUsage() {
       "  --state-dump FILE     write the final graph + transversal in\n"
       "                        canonical text form (crash-drill oracle)\n"
       "  --sync-compaction     compact inline instead of in background\n"
-      "  --compressed-base     keep the immutable base in the\n"
-      "                        delta/varint CompressedCsr backend\n"
-      "                        (identical verdicts, smaller residency;\n"
-      "                        snapshots are written compressed)\n"
       "  --gate                drop stream edges that would close an\n"
       "                        uncovered cycle instead of ingesting them\n"
       "                        (verdicts see the last published batch;\n"
@@ -239,8 +234,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       }
     } else if (arg == "--sync-compaction") {
       args->sync_compaction = true;
-    } else if (arg == "--compressed-base") {
-      args->compressed_base = true;
     } else if (arg == "--gate") {
       args->gate = true;
     } else if (arg == "--two-cycles") {
@@ -391,7 +384,6 @@ int main(int argc, char** argv) {
   options.compact_time_limit_seconds = args.compact_budget;
   options.admission_cache_log2 = args.admission_cache_log2;
   options.admission_index_landmarks = args.admission_index;
-  options.compressed_base = args.compressed_base;
   options.data_dir = args.data_dir;
   st = ParseAlgorithm(args.algo, &options.compact_algorithm);
   if (!st.ok()) {
