@@ -376,13 +376,16 @@ int main(int argc, char** argv) {
     const ServiceStatsSnapshot s = indexed_service->Stats();
     const uint64_t decided = s.index_hits + s.index_fallbacks;
     std::printf("index: %llu hits / %llu fallbacks (%.1f%% hit rate), "
-                "%llu builds in %.3fs\n",
+                "%llu builds (%llu patched, %llu full) in %.3fs\n",
                 static_cast<unsigned long long>(s.index_hits),
                 static_cast<unsigned long long>(s.index_fallbacks),
                 decided > 0 ? 100.0 * static_cast<double>(s.index_hits) /
                                   static_cast<double>(decided)
                             : 0.0,
                 static_cast<unsigned long long>(s.index_builds),
+                static_cast<unsigned long long>(s.index_patches),
+                static_cast<unsigned long long>(s.index_builds -
+                                                s.index_patches),
                 s.index_build_seconds);
   }
   if (min_speedup > 0 && batched_speedup < min_speedup) {

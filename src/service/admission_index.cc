@@ -91,25 +91,242 @@ void MultiSourceLevels(const FlatAdjacency& g,
   }
 }
 
+/// Repairs one direction of a copied level array after U changed by a
+/// few edges. Forward rows hold dist(hub -> x), so a vertex's parents
+/// are its in-neighbors and its children its out-neighbors; backward
+/// rows hold dist(x -> hub), with the roles swapped. Every row is the
+/// unique fixpoint of row(x) = min over parents y of row(y) + 1,
+/// saturated at cap, with 0 in x's own hub slot; both phases restore it
+/// from a state that is off in one direction only.
+class RowRepair {
+ public:
+  RowRepair(const OverlayGraph& graph, const TransversalState& cover,
+            EdgeId prior_edges, std::span<const EdgeId> reentered,
+            bool forward, size_t stride, uint8_t cap,
+            const std::vector<uint32_t>& slot, uint8_t* rows)
+      : graph_(graph),
+        cover_(cover),
+        check_s_(!cover.covered.empty()),
+        prior_edges_(prior_edges),
+        reentered_(reentered),
+        forward_(forward),
+        stride_(stride),
+        cap_(cap),
+        slot_(slot),
+        rows_(rows),
+        queued_(graph.num_vertices(), 0),
+        fresh_(stride),
+        old_(stride) {}
+
+  /// Edges that left U can only raise levels. Runs over the edges in U
+  /// both before and after, starting at the vertices that lost a
+  /// parent edge: each queued vertex recomputes its row from its
+  /// remaining parents, and a raised row re-queues only the children
+  /// whose level matched the old one plus one. Levels only rise and stop
+  /// at cap, so the queue drains at the new fixpoint.
+  void Raise(std::span<const Edge> removed) {
+    for (const Edge& e : removed) Enqueue(forward_ ? e.dst : e.src);
+    for (size_t head = 0; head < queue_.size(); ++head) {
+      const VertexId x = queue_[head];
+      queued_[x] = 0;
+      std::fill(fresh_.begin(), fresh_.end(), cap_);
+      ForEachParent(x, [&](VertexId y, VertexId src, EdgeId e) {
+        if (!InBoth(src, e)) return;
+        const uint8_t* ry = Row(y);
+        for (size_t i = 0; i < stride_; ++i) {
+          fresh_[i] = std::min(fresh_[i], static_cast<uint8_t>(ry[i] + 1));
+        }
+      });
+      if (slot_[x] < stride_) fresh_[slot_[x]] = 0;  // x is hub slot_[x]
+      uint8_t* rx = Row(x);
+      if (std::equal(fresh_.begin(), fresh_.end(), rx)) continue;
+      std::copy(rx, rx + stride_, old_.begin());
+      std::copy(fresh_.begin(), fresh_.end(), rx);
+      ForEachChild(x, [&](VertexId z, VertexId src, EdgeId e) {
+        if (queued_[z] != 0 || !InBoth(src, e)) return;
+        const uint8_t* rz = Row(z);
+        bool orphaned = false;
+        for (size_t i = 0; i < stride_; ++i) {
+          orphaned |= old_[i] != fresh_[i] && rz[i] == old_[i] + 1;
+        }
+        if (orphaned) Enqueue(z);
+      });
+    }
+    queue_.clear();
+  }
+
+  /// Edges that entered U can only lower levels: relax each one's head
+  /// from its tail, then push every lowered row on to its children in
+  /// U, so only vertices whose row drops are ever visited.
+  void Lower(std::span<const Edge> added) {
+    for (const Edge& e : added) {
+      const VertexId tail = forward_ ? e.src : e.dst;
+      const VertexId head = forward_ ? e.dst : e.src;
+      if (Relax(Row(tail), head)) Enqueue(head);
+    }
+    for (size_t head = 0; head < queue_.size(); ++head) {
+      const VertexId x = queue_[head];
+      queued_[x] = 0;
+      ForEachChild(x, [&](VertexId z, VertexId src, EdgeId e) {
+        if (InU(src, e) && Relax(Row(x), z)) Enqueue(z);
+      });
+    }
+    queue_.clear();
+  }
+
+ private:
+  uint8_t* Row(VertexId x) const { return rows_ + x * stride_; }
+
+  void Enqueue(VertexId x) {
+    if (queued_[x] != 0) return;
+    queued_[x] = 1;
+    queue_.push_back(x);
+  }
+
+  /// row(z) = min(row(z), row(tail) + 1); true iff some slot dropped.
+  bool Relax(const uint8_t* tail, VertexId z) {
+    uint8_t* rz = Row(z);
+    bool lowered = false;
+    for (size_t i = 0; i < stride_; ++i) {
+      const uint8_t via = static_cast<uint8_t>(tail[i] + 1);
+      lowered |= via < rz[i];
+      rz[i] = std::min(rz[i], via);
+    }
+    return lowered;
+  }
+
+  /// Edge e, leaving `src`, is in U now.
+  bool InU(VertexId src, EdgeId e) const {
+    return !cover_.VertexCovered(src) &&
+           (!check_s_ || cover_.covered.count(e) == 0);
+  }
+  /// Edge e is in U now and was in the prior U: not a new delta edge
+  /// and not one that just left S.
+  bool InBoth(VertexId src, EdgeId e) const {
+    return e < prior_edges_ && InU(src, e) &&
+           !std::binary_search(reentered_.begin(), reentered_.end(), e);
+  }
+
+  /// fn(neighbor, edge source, edge id) over the overlay edges toward
+  /// x's parents / children; a base-covered source has no edge in U,
+  /// so its out-edges are skipped whole.
+  template <typename Fn>
+  void ForEachParent(VertexId x, Fn&& fn) const {
+    if (forward_) {
+      ForEachIn(x, fn);
+    } else {
+      ForEachOut(x, fn);
+    }
+  }
+  template <typename Fn>
+  void ForEachChild(VertexId x, Fn&& fn) const {
+    if (forward_) {
+      ForEachOut(x, fn);
+    } else {
+      ForEachIn(x, fn);
+    }
+  }
+  template <typename Fn>
+  void ForEachOut(VertexId x, Fn& fn) const {
+    if (cover_.VertexCovered(x)) return;
+    graph_.ForEachOut(x, [&](VertexId w, EdgeId e) {
+      fn(w, x, e);
+      return true;
+    });
+  }
+  template <typename Fn>
+  void ForEachIn(VertexId x, Fn& fn) const {
+    graph_.ForEachIn(x, [&](VertexId y, EdgeId e) {
+      fn(y, y, e);
+      return true;
+    });
+  }
+
+  const OverlayGraph& graph_;
+  const TransversalState& cover_;
+  const bool check_s_;
+  const EdgeId prior_edges_;
+  /// Sorted ids of edges in the prior S but not in the current one.
+  const std::span<const EdgeId> reentered_;
+  const bool forward_;
+  const size_t stride_;
+  const uint8_t cap_;
+  const std::vector<uint32_t>& slot_;
+  uint8_t* const rows_;
+  std::vector<uint8_t> queued_;
+  std::vector<VertexId> queue_;
+  std::vector<uint8_t> fresh_;
+  std::vector<uint8_t> old_;
+};
+
+/// Runs task(i) for every i < count on `pool`, or inline when it is null.
+template <typename Fn>
+void RunTasks(ThreadPool* pool, size_t count, Fn&& task) {
+  if (pool != nullptr && count > 1) {
+    pool->ParallelFor(count, [&](size_t i, int) { task(i); });
+  } else {
+    for (size_t i = 0; i < count; ++i) task(i);
+  }
+}
+
 }  // namespace
 
 std::shared_ptr<const AdmissionIndex> AdmissionIndex::Build(
     const OverlayGraph& graph, const TransversalState& cover,
-    const CoverOptions& options, int num_landmarks, ThreadPool* pool) {
+    const CoverOptions& options, int num_landmarks, ThreadPool* pool,
+    const Prior* prior) {
   // k - 1 must sit strictly below the byte-packed distance cap, or the
   // "> max_path_ means no path" comparison loses its meaning.
   if (options.k >= 254) return nullptr;
   TDB_TRACE_SPAN("admission_index.build");
   Timer timer;
   std::shared_ptr<AdmissionIndex> index(new AdmissionIndex());
-  const VertexId n = graph.num_vertices();
   index->max_path_ = options.k - 1;
   index->min_path_ = (options.include_two_cycles ? 2u : 3u) - 1;
   index->cap_ = std::min<uint32_t>(2 * options.k, 254);
-  index->has_out_.assign(n, 0);
-  index->has_in_.assign(n, 0);
-  index->slot_.assign(n, kNoSlot);
+  index->patched_ = prior != nullptr && prior->index != nullptr &&
+                    index->PatchFrom(*prior, graph, cover, num_landmarks,
+                                     pool);
+  if (!index->patched_) index->BuildFull(graph, cover, num_landmarks, pool);
+  index->build_seconds_ = timer.ElapsedSeconds();
+  return index;
+}
 
+void AdmissionIndex::SetEndpointFlags() {
+  const size_t n = out_deg_.size();
+  has_out_.resize(n);
+  has_in_.resize(n);
+  for (size_t x = 0; x < n; ++x) {
+    has_out_[x] = out_deg_[x] > 0 ? 1 : 0;
+    has_in_[x] = in_deg_[x] > 0 ? 1 : 0;
+  }
+}
+
+std::vector<VertexId> AdmissionIndex::SelectLandmarks(
+    int num_landmarks) const {
+  // Uncovered degree ranks the hubs: a hub on many uncovered paths
+  // separates many pairs. Ties go to the lower id; slots then go in id
+  // order.
+  const size_t n = out_deg_.size();
+  const size_t want = std::min<size_t>(std::max(num_landmarks, 0), n);
+  std::vector<uint64_t> udeg(n);
+  for (size_t x = 0; x < n; ++x) udeg[x] = uint64_t{out_deg_[x]} + in_deg_[x];
+  std::vector<VertexId> order(n);
+  std::iota(order.begin(), order.end(), VertexId{0});
+  std::partial_sort(order.begin(), order.begin() + want, order.end(),
+                    [&](VertexId a, VertexId b) {
+                      return udeg[a] != udeg[b] ? udeg[a] > udeg[b] : a < b;
+                    });
+  order.resize(want);
+  std::erase_if(order, [&](VertexId x) { return udeg[x] == 0; });
+  std::sort(order.begin(), order.end());
+  return order;
+}
+
+void AdmissionIndex::BuildFull(const OverlayGraph& graph,
+                               const TransversalState& cover,
+                               int num_landmarks, ThreadPool* pool) {
+  const VertexId n = graph.num_vertices();
   // One sweep over the overlay classifies every edge as covered or not
   // and writes U's out-CSR. A base-covered source covers all its
   // out-edges, so it is skipped whole; S is consulted only when it holds
@@ -129,62 +346,125 @@ std::shared_ptr<const AdmissionIndex> AdmissionIndex::Build(
   const FlatAdjacency in = Transpose(out);
 
   // Uncovered degree drives both the O(1) endpoint rules and the
-  // landmark ranking (hubs on many uncovered paths separate many pairs).
-  std::vector<EdgeId> udeg(n, 0);
+  // landmark ranking. A simple graph keeps every degree below n.
+  out_deg_.resize(n);
+  in_deg_.resize(n);
   for (VertexId x = 0; x < n; ++x) {
-    const EdgeId out_deg = out.off[x + 1] - out.off[x];
-    const EdgeId in_deg = in.off[x + 1] - in.off[x];
-    index->has_out_[x] = out_deg > 0 ? 1 : 0;
-    index->has_in_[x] = in_deg > 0 ? 1 : 0;
-    udeg[x] = out_deg + in_deg;
+    out_deg_[x] = static_cast<uint32_t>(out.off[x + 1] - out.off[x]);
+    in_deg_[x] = static_cast<uint32_t>(in.off[x + 1] - in.off[x]);
   }
-
-  const size_t want =
-      std::min<size_t>(std::max(num_landmarks, 0), static_cast<size_t>(n));
-  if (want > 0) {
-    std::vector<VertexId> order(n);
-    std::iota(order.begin(), order.end(), VertexId{0});
-    std::partial_sort(order.begin(), order.begin() + want, order.end(),
-                      [&](VertexId a, VertexId b) {
-                        return udeg[a] != udeg[b] ? udeg[a] > udeg[b]
-                                                  : a < b;
-                      });
-    for (size_t i = 0; i < want && udeg[order[i]] > 0; ++i) {
-      index->landmarks_.push_back(order[i]);
-    }
-  }
-  const size_t num_hubs = index->landmarks_.size();
+  SetEndpointFlags();
+  landmarks_ = SelectLandmarks(num_landmarks);
+  const size_t num_hubs = landmarks_.size();
+  slot_.assign(n, kNoSlot);
   for (size_t i = 0; i < num_hubs; ++i) {
-    index->slot_[index->landmarks_[i]] = static_cast<uint32_t>(i);
+    slot_[landmarks_[i]] = static_cast<uint32_t>(i);
   }
 
-  const uint8_t far = static_cast<uint8_t>(index->cap_);
-  index->to_hub_.assign(static_cast<size_t>(n) * num_hubs, far);
-  index->from_hub_.assign(static_cast<size_t>(n) * num_hubs, far);
-  const uint32_t depth = index->cap_ - 1;
+  const uint8_t far = static_cast<uint8_t>(cap_);
+  to_hub_.assign(static_cast<size_t>(n) * num_hubs, far);
+  from_hub_.assign(static_cast<size_t>(n) * num_hubs, far);
+  const uint32_t depth = cap_ - 1;
   // Task 2c runs landmark chunk c (landmarks [64c, 64c + 64)) forward
   // over U's out-CSR into from_hub_, task 2c + 1 backward over the
   // in-CSR into to_hub_. Tasks write disjoint bytes, so the filled arrays
   // are identical at every pool size.
   const size_t num_chunks = (num_hubs + 63) / 64;
-  const auto build_one = [&](size_t task) {
+  RunTasks(pool, 2 * num_chunks, [&](size_t task) {
     const size_t first = (task / 2) * 64;
     const bool forward = (task % 2) == 0;
     const std::span<const VertexId> hubs(
-        index->landmarks_.data() + first,
-        std::min<size_t>(64, num_hubs - first));
+        landmarks_.data() + first, std::min<size_t>(64, num_hubs - first));
     MultiSourceLevels(forward ? out : in, hubs, depth, num_hubs,
-                      (forward ? index->from_hub_ : index->to_hub_).data() +
-                          first);
-  };
-  if (pool != nullptr && num_chunks > 0) {
-    pool->ParallelFor(2 * num_chunks,
-                      [&](size_t task, int) { build_one(task); });
-  } else {
-    for (size_t task = 0; task < 2 * num_chunks; ++task) build_one(task);
+                      (forward ? from_hub_ : to_hub_).data() + first);
+  });
+}
+
+bool AdmissionIndex::PatchFrom(const Prior& prior, const OverlayGraph& graph,
+                               const TransversalState& cover,
+                               int num_landmarks, ThreadPool* pool) {
+  const AdmissionIndex& old = *prior.index;
+  const OverlayGraph& old_graph = *prior.graph;
+  const TransversalState& old_cover = *prior.cover;
+  // Only an append-only step of the same overlay over the same base
+  // cover is a small change of U; compaction installs, recovery and
+  // unrelated states are not.
+  const std::span<const Edge> old_delta = old_graph.delta();
+  const std::span<const Edge> delta = graph.delta();
+  if (&old_graph.base() != &graph.base() || old_cover.base != cover.base ||
+      old.cap_ != cap_ || old.max_path_ != max_path_ ||
+      old.min_path_ != min_path_ || old_delta.size() > delta.size() ||
+      !std::equal(old_delta.begin(), old_delta.end(), delta.begin())) {
+    return false;
   }
-  index->build_seconds_ = timer.ElapsedSeconds();
-  return index;
+
+  // U's edge delta: new overlay edges, plus the symmetric difference of
+  // the two S sets. An edge whose source is base-covered is in neither
+  // U. Hash-set order does not matter: the repaired rows are the unique
+  // fixpoint whatever order the edges come in.
+  const EdgeId old_edges = old_graph.num_edges();
+  const auto edge = [&](EdgeId e) {
+    return Edge{graph.EdgeSrc(e), graph.EdgeDst(e)};
+  };
+  std::vector<Edge> removed;
+  std::vector<Edge> added;
+  std::vector<EdgeId> reentered;
+  for (const EdgeId e : old_cover.covered) {
+    if (cover.covered.count(e) != 0) continue;
+    reentered.push_back(e);
+    if (!cover.VertexCovered(graph.EdgeSrc(e))) added.push_back(edge(e));
+  }
+  std::sort(reentered.begin(), reentered.end());
+  for (const EdgeId e : cover.covered) {
+    if (e < old_edges && old_cover.covered.count(e) == 0 &&
+        !cover.VertexCovered(graph.EdgeSrc(e))) {
+      removed.push_back(edge(e));
+    }
+  }
+  for (EdgeId e = old_edges; e < graph.num_edges(); ++e) {
+    if (!cover.VertexCovered(graph.EdgeSrc(e)) &&
+        cover.covered.count(e) == 0) {
+      added.push_back(edge(e));
+    }
+  }
+
+  out_deg_ = old.out_deg_;
+  in_deg_ = old.in_deg_;
+  for (const Edge& e : removed) {
+    --out_deg_[e.src];
+    --in_deg_[e.dst];
+  }
+  for (const Edge& e : added) {
+    ++out_deg_[e.src];
+    ++in_deg_[e.dst];
+  }
+  landmarks_ = SelectLandmarks(num_landmarks);
+  if (landmarks_ != old.landmarks_) return false;
+
+  SetEndpointFlags();
+  slot_ = old.slot_;
+  to_hub_ = old.to_hub_;
+  from_hub_ = old.from_hub_;
+  // Removals first, over the edges in both U's; then insertions, over
+  // the current U. Task 0 repairs from_hub_, task 1 to_hub_.
+  RunTasks(pool, 2, [&](size_t task) {
+    const bool forward = task == 0;
+    RowRepair repair(graph, cover, old_edges, reentered, forward,
+                     landmarks_.size(), static_cast<uint8_t>(cap_), slot_,
+                     (forward ? from_hub_ : to_hub_).data());
+    repair.Raise(removed);
+    repair.Lower(added);
+  });
+  return true;
+}
+
+bool AdmissionIndex::SameContents(const AdmissionIndex& other) const {
+  return max_path_ == other.max_path_ && min_path_ == other.min_path_ &&
+         cap_ == other.cap_ && out_deg_ == other.out_deg_ &&
+         in_deg_ == other.in_deg_ && has_out_ == other.has_out_ &&
+         has_in_ == other.has_in_ && landmarks_ == other.landmarks_ &&
+         slot_ == other.slot_ && to_hub_ == other.to_hub_ &&
+         from_hub_ == other.from_hub_;
 }
 
 AdmissionIndex::Probe AdmissionIndex::Query(VertexId v, VertexId u) const {

@@ -32,16 +32,32 @@
 // Every rule is exact, so indexed verdicts are bit-identical to the
 // unindexed PathProber path by construction; the residue the index
 // cannot force falls back to a real probe. Distances are valid only for
-// the exact (graph, cover) they were built from — each publish builds a
-// fresh index, mirroring the per-epoch AdmissionCache lifecycle.
+// the exact (graph, cover) they were built from, so every publish gets
+// its own index, mirroring the per-epoch AdmissionCache lifecycle.
 //
-// A build costs one classification sweep over the overlay plus
-// 2 * ceil(L / 64) array-only BFS passes. The sweep writes U into a
-// transient out-CSR (the in-CSR follows by one counting sort), so no
-// BFS step touches the overlay's delta hash or the covered-edge set.
-// Each pass then advances up to 64 landmarks level by level at once,
-// one bit per landmark in a 64-bit seen/frontier/next mask per vertex.
-// All of that scratch is freed before Build returns.
+// Two ways to get that index, byte-identical by construction:
+//
+//   * A full build costs one classification sweep over the overlay plus
+//     2 * ceil(L / 64) array-only BFS passes. The sweep writes U into a
+//     transient out-CSR (the in-CSR follows by one counting sort), so no
+//     BFS step touches the overlay's delta hash or the covered-edge set.
+//     Each pass then advances up to 64 landmarks level by level at once,
+//     one bit per landmark in a 64-bit seen/frontier/next mask per
+//     vertex. All of that scratch is freed before Build returns.
+//   * A patch of the previous publish's index, when both share the CSR
+//     base and the BaseCover and the landmark set survives. U then
+//     differs only by the new delta edges and the edges that entered or
+//     left S. The patch copies the 2 * L * n row bytes, then repairs
+//     them: a removed edge can only raise levels, so each vertex that
+//     may have lost its last parent recomputes its row from its
+//     remaining parents (Even-Shiloach, bounded by cap_ levels); an
+//     added edge can only lower levels, so a relaxation from its head
+//     visits exactly the vertices whose row drops. Both read the overlay
+//     directly. Cost: O(delta + |S| + n) bookkeeping plus the repaired
+//     region, instead of O(m) per publish.
+//
+// Landmark slots are stored in ascending vertex id, so a shift in the
+// degree RANKING of an unchanged landmark set needs no rebuild.
 #ifndef TDB_SERVICE_ADMISSION_INDEX_H_
 #define TDB_SERVICE_ADMISSION_INDEX_H_
 
@@ -63,7 +79,7 @@ namespace tdb {
 /// landmark selection, BFS level arrays and every query rule are pure
 /// functions of the (graph, cover, k, landmark-count) tuple — the same
 /// build inputs yield byte-identical rows and therefore identical
-/// Probe verdicts at any build thread count.
+/// Probe verdicts at any build thread count, patched or not.
 class AdmissionIndex {
  public:
   /// Tri-state answer of one distance-arithmetic probe.
@@ -77,16 +93,33 @@ class AdmissionIndex {
     kUnknown,
   };
 
+  /// A previously published state and its index, offered to Build as a
+  /// starting point. All three must stay alive for the Build call.
+  struct Prior {
+    const AdmissionIndex* index = nullptr;
+    const OverlayGraph* graph = nullptr;
+    const TransversalState* cover = nullptr;
+  };
+
   /// Builds the index for exactly this (graph, cover, options) triple —
   /// the published snapshot state. Landmarks are the `num_landmarks`
-  /// vertices of highest uncovered degree (ties to the lower id). Each
-  /// (direction, chunk of 64 landmarks) pair is one bit-parallel BFS
-  /// task on `pool` (inline when null). Returns null when k's hop budget
-  /// cannot be represented in the byte-packed level arrays (k >= 254);
+  /// vertices of highest uncovered degree (ties to the lower id), stored
+  /// in ascending id order. Returns null when k's hop budget cannot be
+  /// represented in the byte-packed level arrays (k >= 254);
   /// ServiceOptions::Validate refuses that combination up front.
+  ///
+  /// When `prior` is given and `graph` extends prior->graph by appended
+  /// delta edges only (same CSR base, same BaseCover, same k), the
+  /// result is patched from prior->index (see the file comment) and
+  /// patched() is true; a changed landmark set, a changed base or no
+  /// prior falls back to the full build. Either way the result is
+  /// byte-identical to a full build of (graph, cover). Each repair
+  /// direction, or each (direction, chunk of 64 landmarks) BFS of a full
+  /// build, is one task on `pool` (inline when null).
   static std::shared_ptr<const AdmissionIndex> Build(
       const OverlayGraph& graph, const TransversalState& cover,
-      const CoverOptions& options, int num_landmarks, ThreadPool* pool);
+      const CoverOptions& options, int num_landmarks, ThreadPool* pool,
+      const Prior* prior = nullptr);
 
   /// Distance-arithmetic probe for "uncovered qualifying path v ->* u?"
   /// (note the argument order: probe source first, i.e. the queried
@@ -95,14 +128,38 @@ class AdmissionIndex {
 
   size_t num_landmarks() const { return landmarks_.size(); }
   std::span<const VertexId> landmarks() const { return landmarks_; }
+  /// Wall-clock cost of producing this index, patched or built.
   double build_seconds() const { return build_seconds_; }
+  /// True iff Build patched a prior index instead of building afresh.
+  bool patched() const { return patched_; }
   /// Heap footprint of the level arrays (~2 bytes/vertex/landmark).
   size_t bytes() const { return to_hub_.size() + from_hub_.size(); }
+
+  /// True iff both indexes hold the same contents: hop parameters,
+  /// uncovered degrees, has_out_/has_in_, landmarks, slot_ and both
+  /// level arrays. Ignores provenance (build_seconds, patched) — the
+  /// check that a patched index equals a fresh build.
+  bool SameContents(const AdmissionIndex& other) const;
 
  private:
   static constexpr uint32_t kNoSlot = 0xffffffffu;
 
   AdmissionIndex() = default;
+
+  /// Build's full path: fills every field from scratch.
+  void BuildFull(const OverlayGraph& graph, const TransversalState& cover,
+                 int num_landmarks, ThreadPool* pool);
+  /// Build's patch path: fills this (fresh) index from `prior` and
+  /// returns true, or returns false when it cannot (then Build runs
+  /// BuildFull, which overwrites whatever was filled).
+  bool PatchFrom(const Prior& prior, const OverlayGraph& graph,
+                 const TransversalState& cover, int num_landmarks,
+                 ThreadPool* pool);
+  /// has_out_/has_in_ from the current degree arrays.
+  void SetEndpointFlags();
+  /// Landmarks for the current degree arrays: the top `num_landmarks`
+  /// by uncovered degree with degree > 0, in ascending id order.
+  std::vector<VertexId> SelectLandmarks(int num_landmarks) const;
 
   /// Hop budget k - 1: paths longer than this close nothing.
   uint32_t max_path_ = 0;
@@ -114,10 +171,15 @@ class AdmissionIndex {
   /// purpose — the slack makes the triangle-inequality differences
   /// strictly sharper.
   uint32_t cap_ = 0;
+  /// Uncovered out-/in-degree per vertex: the landmark ranking, and the
+  /// state a patch updates edge by edge.
+  std::vector<uint32_t> out_deg_;
+  std::vector<uint32_t> in_deg_;
   /// has_out_[x] == 1 iff x has an uncovered out-edge (in-edge for
   /// has_in_): O(1) "the path cannot even start/end" rules.
   std::vector<uint8_t> has_out_;
   std::vector<uint8_t> has_in_;
+  /// Landmarks in ascending id order; landmark i owns slot i.
   std::vector<VertexId> landmarks_;
   /// Vertex -> its landmark slot, kNoSlot for non-landmarks.
   std::vector<uint32_t> slot_;
@@ -127,6 +189,7 @@ class AdmissionIndex {
   std::vector<uint8_t> to_hub_;
   std::vector<uint8_t> from_hub_;
   double build_seconds_ = 0.0;
+  bool patched_ = false;
 };
 
 }  // namespace tdb

@@ -498,16 +498,26 @@ uint64_t CycleBreakService::PublishLocked() {
         std::make_unique<AdmissionCache>(options_.admission_cache_log2);
   }
   // The distance index is a pure function of the published (graph,
-  // cover) pair, so it is rebuilt at every publish — delta edges shorten
-  // distances, and a stale index could force wrong verdicts. Compaction
-  // installs flow through here too, so the index always tracks the
-  // freshly solved base.
+  // cover) pair, so every publish gets one matching its own state —
+  // delta edges shorten distances, and a stale index could force wrong
+  // verdicts. Build patches the previous snapshot's index when this
+  // publish only appended to its overlay; bootstrap, recovery's one
+  // publish and compaction installs (a new base) get a full build.
   if (options_.admission_index_landmarks > 0) {
+    const auto previous = published_.Load().state;
+    AdmissionIndex::Prior prior;
+    if (previous != nullptr) {
+      prior = {previous->admission_index.get(), &previous->graph,
+               &previous->cover};
+    }
     snapshot->admission_index = AdmissionIndex::Build(
         snapshot->graph, snapshot->cover, options_.cover,
-        options_.admission_index_landmarks, ingest_pool_.get());
+        options_.admission_index_landmarks, ingest_pool_.get(), &prior);
     if (snapshot->admission_index != nullptr) {
       stats_.index_builds.fetch_add(1, kRelaxed);
+      if (snapshot->admission_index->patched()) {
+        stats_.index_patches.fetch_add(1, kRelaxed);
+      }
       stats_.index_build_ns.fetch_add(
           static_cast<uint64_t>(
               snapshot->admission_index->build_seconds() * 1e9),

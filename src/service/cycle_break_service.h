@@ -17,8 +17,12 @@
 //     batch: insertions, speculative parallel cycle probes on the ingest
 //     ThreadPool, sequential AUGMENT commits, one PRUNE pass — then
 //     publishes a frozen copy-on-write ServiceSnapshot through an
-//     EpochPtr (util/epoch_ptr.h). Publication cost is O(delta + |S|),
-//     never O(graph).
+//     EpochPtr (util/epoch_ptr.h). Publication copies the overlay and
+//     the transversal in O(delta + |S|). With the admission index on it
+//     also patches the previous snapshot's index: O(delta + |S| + n)
+//     bookkeeping plus the repaired region, and a 2 * L * n-byte row
+//     copy. A publish that installs a compaction, or whose landmark set
+//     changed, builds the index from scratch in O(n + m).
 //   * CheckAdmission (any number of concurrent readers) pins the latest
 //     snapshot and runs a read-only bounded path probe against it. A
 //     pinned snapshot stays valid forever; readers never block the
@@ -91,11 +95,14 @@ struct ServiceOptions {
   int admission_cache_log2 = 0;
   /// Landmark hubs for the per-snapshot admission distance index
   /// (service/admission_index.h); 0 disables indexing. Every publish
-  /// (including compaction installs) rebuilds the index on the ingest
-  /// pool. Memory: ~2 bytes per vertex per landmark per live epoch;
-  /// build cost: one sweep that flattens the uncovered subgraph, then
-  /// one forward + one backward bit-parallel BFS per 64 landmarks.
-  /// Requires cover.k < 254 (Validate refuses larger hop budgets).
+  /// gives its snapshot an index, on the ingest pool. Most publishes
+  /// patch the previous snapshot's index: O(delta + |S| + n) plus the
+  /// repaired region and a copy of its 2 * L * n row bytes. Bootstrap,
+  /// recovery, compaction installs and landmark-set changes build from
+  /// scratch: one sweep that flattens the uncovered subgraph, then one
+  /// forward + one backward bit-parallel BFS per 64 landmarks. Memory:
+  /// ~2 bytes per vertex per landmark per live epoch. Requires
+  /// cover.k < 254 (Validate refuses larger hop budgets).
   int admission_index_landmarks = 0;
   /// Store directory for the durability layer (snapshot + write-ahead
   /// journal + manifest). Empty = in-memory service, no persistence.

@@ -43,8 +43,12 @@ std::vector<MetricRegistry::Registration> BindServiceStats(
   bind("index_fallbacks",
        "Indexed admission queries that needed a path search",
        stats.index_fallbacks);
-  bind("index_builds", "Per-publish admission index builds",
+  bind("index_builds",
+       "Per-publish admission indexes, patched or built from scratch",
        stats.index_builds);
+  bind("index_patches",
+       "Admission indexes patched from the previous publish's index",
+       stats.index_patches);
   bind("index_build_nanoseconds",
        "Cumulative admission index build wall-clock (ns)",
        stats.index_build_ns);

@@ -47,7 +47,8 @@ struct ServiceSnapshot {
   std::unique_ptr<AdmissionCache> admission_cache;
   /// Landmark distance index over this snapshot's uncovered subgraph,
   /// null when indexing is disabled. Like the cache, it is valid for
-  /// exactly this (graph, cover) pair: every publish builds a fresh one.
+  /// exactly this (graph, cover) pair: every publish gets its own,
+  /// patched from the previous snapshot's index or built from scratch.
   std::shared_ptr<const AdmissionIndex> admission_index;
 
   ServiceSnapshot(OverlayGraph g, TransversalState c, CoverOptions o)

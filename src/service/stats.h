@@ -39,8 +39,12 @@ struct ServiceStatsSnapshot {
   uint64_t index_hits = 0;
   /// Queries that needed a path search although an index was present.
   uint64_t index_fallbacks = 0;
-  /// Per-publish index builds, and their cumulative wall-clock cost.
+  /// Per-publish indexes (patched or built from scratch), and their
+  /// cumulative wall-clock cost.
   uint64_t index_builds = 0;
+  /// The share of index_builds patched from the previous publish's
+  /// index; the rest (index_builds - index_patches) were full builds.
+  uint64_t index_patches = 0;
   double index_build_seconds = 0.0;
   uint64_t epochs_published = 0;
   uint64_t compactions = 0;
@@ -80,6 +84,7 @@ struct ServiceStats {
   std::atomic<uint64_t> index_hits{0};
   std::atomic<uint64_t> index_fallbacks{0};
   std::atomic<uint64_t> index_builds{0};
+  std::atomic<uint64_t> index_patches{0};
   /// Nanoseconds, so the hot publish path stays on integer fetch_add.
   std::atomic<uint64_t> index_build_ns{0};
   std::atomic<uint64_t> epochs_published{0};
@@ -116,6 +121,7 @@ struct ServiceStats {
     out.index_hits = get(index_hits);
     out.index_fallbacks = get(index_fallbacks);
     out.index_builds = get(index_builds);
+    out.index_patches = get(index_patches);
     out.index_build_seconds =
         static_cast<double>(get(index_build_ns)) * 1e-9;
     out.epochs_published = get(epochs_published);

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
 #include <utility>
 
@@ -48,11 +49,17 @@ class EpochPtr {
     return Pinned{ptr_, epoch_};
   }
 
-  /// Publishes `next` and returns its (new) epoch.
+  /// Publishes `next` and returns its (new) epoch. The replaced state is
+  /// released after the lock is dropped: if this was its last reference,
+  /// its destructor runs without blocking readers.
   uint64_t Store(std::shared_ptr<const T> next) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    ptr_ = std::move(next);
-    return ++epoch_;
+    uint64_t epoch;
+    {
+      std::unique_lock<std::shared_mutex> lock(mu_);
+      ptr_.swap(next);
+      epoch = ++epoch_;
+    }
+    return epoch;  // `next` now holds the replaced state
   }
 
   /// Seeds the epoch counter so the next Store publishes at `epoch` + 1.

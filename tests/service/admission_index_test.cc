@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -316,6 +318,228 @@ TEST(AdmissionIndexTest, EquivalenceK5TwoCyclesSixtyFiveLandmarks) {
 
 TEST(AdmissionIndexTest, EquivalenceK6HundredThirtyLandmarks) {
   RunEquivalenceSweep(6, false, 130, 107, /*n=*/170);
+}
+
+/// The published index must equal a fresh Build of its own snapshot
+/// byte for byte after EVERY publish: the bootstrap build, each patched
+/// publish, and the full build of a synchronous compaction install.
+/// Half of every batch closes a walk of 1..k-1 hops in the published
+/// graph, so the stream covers cycles (and PRUNE runs) at every k.
+void RunPatchSweep(uint32_t k, bool include_two_cycles, int num_landmarks,
+                   uint64_t seed, uint64_t* prunes) {
+  constexpr VertexId kN = 3000;
+  ServiceOptions options;
+  options.cover.k = k;
+  options.cover.include_two_cycles = include_two_cycles;
+  options.synchronous_compaction = true;
+  options.compact_delta_threshold = 160;
+  options.admission_index_landmarks = num_landmarks;
+  CycleBreakService service(GeneratePowerLaw({.n = kN,
+                                              .m = 4 * EdgeId{kN},
+                                              .theta = 0.6,
+                                              .reciprocity = 0.2,
+                                              .seed = seed}),
+                            options);
+  const std::string where = "k=" + std::to_string(k) +
+                            " 2c=" + std::to_string(include_two_cycles) +
+                            " L=" + std::to_string(num_landmarks);
+  const auto check_publish = [&](const ServiceSnapshot& snap) {
+    ASSERT_NE(snap.admission_index, nullptr) << where;
+    const auto fresh = AdmissionIndex::Build(
+        snap.graph, snap.cover, snap.options, num_landmarks, nullptr);
+    ASSERT_NE(fresh, nullptr);
+    EXPECT_TRUE(snap.admission_index->SameContents(*fresh))
+        << where << " epoch=" << snap.epoch
+        << " patched=" << snap.admission_index->patched();
+  };
+
+  auto snap = service.PinSnapshot();
+  check_publish(*snap);
+  if (num_landmarks > 64) {
+    EXPECT_GT(snap->admission_index->num_landmarks(), 64u) << where;
+  }
+  Rng rng(seed * 17 + 3);
+  std::vector<VertexId> next;
+  for (int b = 0; b < 14; ++b) {
+    std::vector<Edge> batch;
+    for (int i = 0; i < 15; ++i) {
+      const VertexId u = static_cast<VertexId>(rng.NextBounded(kN));
+      batch.push_back(Edge{static_cast<VertexId>(rng.NextBounded(kN)), u});
+      VertexId w = u;
+      const uint64_t hops = 1 + rng.NextBounded(k - 1);
+      for (uint64_t h = 0; h < hops; ++h) {
+        next.clear();
+        snap->graph.ForEachOut(w, [&](VertexId x, EdgeId) {
+          next.push_back(x);
+          return true;
+        });
+        if (next.empty()) break;
+        w = next[rng.NextBounded(next.size())];
+      }
+      if (w != u) batch.push_back(Edge{w, u});
+    }
+    service.SubmitEdges(batch);
+    snap = service.PinSnapshot();
+    check_publish(*snap);
+  }
+  const ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.index_builds, stats.epochs_published) << where;
+  EXPECT_GT(stats.cycles_covered, 0u) << where;
+  EXPECT_GE(stats.compactions, 1u) << where;
+  // Bootstrap and every compaction install are full builds; some of
+  // the other publishes must have been patched.
+  EXPECT_GT(stats.index_patches, 0u) << where;
+  EXPECT_LE(stats.index_patches + 1 + stats.compactions, stats.index_builds)
+      << where;
+  *prunes += stats.prunes;
+}
+
+TEST(AdmissionIndexTest, PatchedIndexEqualsFreshBuildAfterEveryPublish) {
+  uint64_t prunes = 0;
+  uint64_t seed = 400;
+  for (const int num_landmarks : {16, 64, 65, 130}) {
+    for (const uint32_t k : {3u, 4u, 6u}) {
+      for (const bool two_cycles : {false, true}) {
+        RunPatchSweep(k, two_cycles, num_landmarks, ++seed, &prunes);
+      }
+    }
+  }
+  EXPECT_GT(prunes, 0u);
+}
+
+TEST(AdmissionIndexTest, PatchMatchesFreshBuildWhenEdgesLeaveAndReenterS) {
+  // The service only grows S between compactions, but Build's patch
+  // contract covers any step that appends delta edges over the same
+  // base and BaseCover: here every step also moves random edges into
+  // and out of S, so edges leave U (raising levels) and re-enter it
+  // (lowering them) at once. A base vertex cover hides whole rows. Odd
+  // steps repair the two directions as two pool tasks.
+  constexpr VertexId kN = 150;
+  ThreadPool pool(2);
+  auto base = std::make_shared<const CsrGraph>(GeneratePowerLaw(
+      {.n = kN, .m = 700, .theta = 0.6, .reciprocity = 0.3, .seed = 61}));
+  for (const int num_landmarks : {16, 65}) {
+    for (const uint32_t k : {3u, 5u}) {
+      for (const bool two_cycles : {false, true}) {
+        CoverOptions options;
+        options.k = k;
+        options.include_two_cycles = two_cycles;
+        Rng rng(62 + k + static_cast<uint64_t>(num_landmarks));
+        OverlayGraph graph(base);
+        TransversalState cover;
+        std::vector<VertexId> covered_vertices;
+        for (VertexId v = 0; v < kN; v += 11) covered_vertices.push_back(v);
+        cover.base = BaseCover::FromVertexCover(kN, covered_vertices,
+                                                Status::OK());
+        auto index = AdmissionIndex::Build(graph, cover, options,
+                                           num_landmarks, nullptr);
+        uint64_t patches = 0;
+        for (int step = 0; step < 25; ++step) {
+          const OverlayGraph prior_graph = graph;
+          const TransversalState prior_cover = cover;
+          for (int i = 0; i < 4; ++i) {
+            graph.AddEdge(static_cast<VertexId>(rng.NextBounded(kN)),
+                          static_cast<VertexId>(rng.NextBounded(kN)));
+          }
+          for (int i = 0; i < 6; ++i) {
+            const EdgeId e = rng.NextBounded(graph.num_edges());
+            if (cover.covered.count(e) != 0) {
+              cover.covered.erase(e);
+            } else {
+              cover.covered.insert(e);
+            }
+          }
+          const AdmissionIndex::Prior prior{index.get(), &prior_graph,
+                                            &prior_cover};
+          index = AdmissionIndex::Build(graph, cover, options,
+                                        num_landmarks,
+                                        step % 2 == 1 ? &pool : nullptr,
+                                        &prior);
+          const auto fresh = AdmissionIndex::Build(graph, cover, options,
+                                                   num_landmarks, nullptr);
+          ASSERT_TRUE(index->SameContents(*fresh))
+              << "k=" << k << " 2c=" << two_cycles
+              << " L=" << num_landmarks << " step=" << step
+              << " patched=" << index->patched();
+          if (index->patched()) ++patches;
+        }
+        EXPECT_GT(patches, 0u) << "k=" << k << " L=" << num_landmarks;
+      }
+    }
+  }
+}
+
+TEST(AdmissionIndexTest, PatchRefusesADifferentBase) {
+  // Same edges, different base object: not an append-only step of one
+  // overlay, so Build must not patch.
+  CsrGraph g = GenerateErdosRenyi(40, 160, /*seed=*/5);
+  OverlayGraph a(std::make_shared<const CsrGraph>(g));
+  OverlayGraph b(std::make_shared<const CsrGraph>(g));
+  TransversalState cover;
+  CoverOptions options;
+  options.k = 4;
+  const auto index = AdmissionIndex::Build(a, cover, options, 4, nullptr);
+  const AdmissionIndex::Prior prior{index.get(), &a, &cover};
+  const auto rebuilt =
+      AdmissionIndex::Build(b, cover, options, 4, nullptr, &prior);
+  EXPECT_FALSE(rebuilt->patched());
+  EXPECT_TRUE(rebuilt->SameContents(*index));
+  const auto patched =
+      AdmissionIndex::Build(a, cover, options, 4, nullptr, &prior);
+  EXPECT_TRUE(patched->patched());
+  EXPECT_TRUE(patched->SameContents(*index));
+}
+
+TEST(AdmissionIndexTest, LandmarkSetChangeFallsBackToFullBuild) {
+  // A DAG base (no cycles, so nothing is covered) where vertex 0 is the
+  // lone landmark. A first small batch keeps it and is patched; a
+  // second gives vertex 7 a larger uncovered degree, so the landmark
+  // set changes between two non-compaction publishes and the publish
+  // must take the counted full-build fallback.
+  ServiceOptions options;
+  options.cover.k = 4;
+  options.compact_delta_threshold = 0;
+  options.admission_index_landmarks = 1;
+  std::vector<Edge> base_edges = {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}};
+  CycleBreakService service(CsrGraph::FromEdges(20, base_edges), options);
+  ASSERT_EQ(service.PinSnapshot()->admission_index->landmarks()[0], 0u);
+
+  service.SubmitEdges(std::vector<Edge>{{5, 6}});
+  ServiceStatsSnapshot stats = service.Stats();
+  EXPECT_EQ(stats.index_builds, 2u);
+  EXPECT_EQ(stats.index_patches, 1u);
+  EXPECT_TRUE(service.PinSnapshot()->admission_index->patched());
+
+  std::vector<Edge> fan;
+  for (VertexId w = 8; w < 16; ++w) fan.push_back(Edge{7, w});
+  service.SubmitEdges(fan);
+  stats = service.Stats();
+  EXPECT_EQ(stats.compactions, 0u);
+  EXPECT_EQ(stats.index_builds, 3u);
+  EXPECT_EQ(stats.index_patches, 1u);
+  const auto snap = service.PinSnapshot();
+  EXPECT_FALSE(snap->admission_index->patched());
+  ASSERT_EQ(snap->admission_index->num_landmarks(), 1u);
+  EXPECT_EQ(snap->admission_index->landmarks()[0], 7u);
+  const auto fresh =
+      AdmissionIndex::Build(snap->graph, snap->cover, snap->options, 1,
+                            nullptr);
+  EXPECT_TRUE(snap->admission_index->SameContents(*fresh));
+}
+
+TEST(AdmissionIndexTest, LandmarksAreStoredInAscendingIdOrder) {
+  CsrGraph base = GeneratePowerLaw(
+      {.n = 120, .m = 600, .theta = 0.7, .reciprocity = 0.2, .seed = 9});
+  ServiceOptions options;
+  options.cover.k = 4;
+  options.compact_delta_threshold = 0;
+  CycleBreakService service(std::move(base), options);
+  const auto snap = service.PinSnapshot();
+  const auto index = AdmissionIndex::Build(snap->graph, snap->cover,
+                                           snap->options, 20, nullptr);
+  ASSERT_EQ(index->num_landmarks(), 20u);
+  EXPECT_TRUE(std::is_sorted(index->landmarks().begin(),
+                             index->landmarks().end()));
 }
 
 TEST(AdmissionIndexTest, BatchGroupingMatchesPerQueryOnSharedSources) {

@@ -1,7 +1,6 @@
-// Durability=always group commit, kept from the suite that also covered
-// the retired compressed base: every appended record must be accounted
-// to exactly one led fsync, and a store written under concurrent
-// submitters must recover bit-identically.
+// Durability=always group commit: every appended record must be
+// accounted to exactly one led fsync, and a store written under
+// concurrent submitters must recover bit-identically.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +20,7 @@ namespace {
 
 std::string FreshDir(const std::string& name) {
   static int counter = 0;
-  std::string dir = testing::TempDir() + "tdb_compressed_test_" +
+  std::string dir = testing::TempDir() + "tdb_group_commit_test_" +
                     std::to_string(counter++) + "_" + name;
   std::filesystem::remove_all(dir);
   return dir;
@@ -84,7 +83,7 @@ std::vector<std::vector<Edge>> MakeBatches(VertexId n, size_t batches,
   return result;
 }
 
-TEST(CompressedServiceTest, GroupCommitAccountsEverySequentialAppend) {
+TEST(GroupCommitTest, AccountsEverySequentialAppend) {
   // With one submitter there is never a commit to share: every batch
   // leads its own fsync and the group size telescopes to one per batch.
   const std::string dir = FreshDir("group_seq");
@@ -105,7 +104,7 @@ TEST(CompressedServiceTest, GroupCommitAccountsEverySequentialAppend) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(CompressedServiceTest, GroupCommitUnderConcurrentSubmitters) {
+TEST(GroupCommitTest, ConcurrentSubmittersRecoverBitIdentically) {
   constexpr size_t kThreads = 4;
   constexpr size_t kBatchesPerThread = 6;
   const std::string dir = FreshDir("group_conc");

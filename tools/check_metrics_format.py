@@ -13,7 +13,8 @@ interval apart, then terminates the process. Hard-fails on:
     names missing the _total suffix;
   * histogram bucket series that are not cumulative, missing the +Inf
     bucket, or whose +Inf count disagrees with _count;
-  * any counter that moved backwards between the two scrapes;
+  * any counter that moved backwards between the two scrapes, or a
+    required counter (REQUIRED_COUNTERS) missing from either scrape;
   * a /metrics.json body that does not parse as a JSON object with
     counters/gauges/histograms keys.
 
@@ -138,6 +139,17 @@ def collect_counters(types, samples):
     return counters
 
 
+# Counters every tdb_serve scrape must expose (beyond the generic checks,
+# which already hold every exposed counter to monotonicity).
+REQUIRED_COUNTERS = ("tdb_service_index_patches_total",)
+
+
+def require_counters(counters, scrape):
+    for name in REQUIRED_COUNTERS:
+        if name not in counters:
+            fail(f"{scrape} scrape lacks counter {name}")
+
+
 LE_RE = re.compile(r'^le="(?P<le>[^"]+)"$')
 
 
@@ -202,6 +214,7 @@ def main():
             fail("first scrape exposed no samples")
         check_histograms(first_types, first_samples)
         first_counters = collect_counters(first_types, first_samples)
+        require_counters(first_counters, "first")
 
         time.sleep(args.interval)
         status, second_body = fetch(args.port, "/metrics")
@@ -210,6 +223,7 @@ def main():
         second_types, second_samples = parse_exposition(second_body)
         check_histograms(second_types, second_samples)
         second_counters = collect_counters(second_types, second_samples)
+        require_counters(second_counters, "second")
 
         for name, first_value in first_counters.items():
             second_value = second_counters.get(name)

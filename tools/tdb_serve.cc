@@ -124,8 +124,9 @@ void PrintUsage() {
       "  --admission-cache [L] memoize admission verdicts per epoch in a\n"
       "                        2^L-entry cache (default L=16 when the\n"
       "                        flag is given; off otherwise)\n"
-      "  --admission-index N   build N-landmark distance sketches at each\n"
-      "                        publish; admission checks short-circuit by\n"
+      "  --admission-index N   keep N-landmark distance sketches for each\n"
+      "                        published snapshot (patched from the last\n"
+      "                        one); admission checks short-circuit by\n"
       "                        distance arithmetic (0 = off)\n"
       "  --admission-batch N   readers submit admission queries in\n"
       "                        batches of N via CheckAdmissionBatch\n"
@@ -654,10 +655,13 @@ int main(int argc, char** argv) {
                           static_cast<double>(decided)
                     : 0.0;
     std::printf("index:      %llu hits / %llu fallbacks (%.1f%% hit "
-                "rate), %llu builds in %.3fs\n",
+                "rate), %llu builds (%llu patched, %llu full) in %.3fs\n",
                 static_cast<unsigned long long>(s.index_hits),
                 static_cast<unsigned long long>(s.index_fallbacks),
                 hit_rate, static_cast<unsigned long long>(s.index_builds),
+                static_cast<unsigned long long>(s.index_patches),
+                static_cast<unsigned long long>(s.index_builds -
+                                                s.index_patches),
                 s.index_build_seconds);
   }
   std::printf("latency:    ingest batch p50 %.1fus p95 %.1fus p99 %.1fus | "
