@@ -44,9 +44,13 @@ bool PathProber::FindPath(const OverlayGraph& graph,
 bool PathProber::Dfs(const OverlayGraph& graph, const TransversalState& state,
                      VertexId u, VertexId dst, uint32_t depth,
                      std::vector<VertexId>* path) {
+  // Every out-edge of a base-cover vertex is covered; the search may
+  // enter such a vertex (hubs are the cover's usual members) but never
+  // leave it. Past this test only S can cover an out-edge of u.
+  if (state.VertexCovered(u)) return false;
   bool found = false;
   graph.ForEachOut(u, [&](VertexId w, EdgeId e) {
-    if (state.EdgeCovered(graph, e)) return true;
+    if (state.covered.count(e) > 0) return true;
     if (w == dst) {
       const uint32_t len = depth + 1;
       if (len < min_path_ || len > max_path_) return true;
@@ -193,8 +197,7 @@ void PruneCommitted(OverlayGraph* graph, TransversalState* state,
 
 BatchAugmentStats BatchAugment(OverlayGraph* graph, TransversalState* state,
                                const CoverOptions& options,
-                               std::span<const Edge> batch,
-                               ThreadPool* pool) {
+                               std::span<const Edge> batch) {
   TDB_TRACE_SPAN("ingest.batch_augment");
   BatchAugmentStats stats;
   stats.submitted = batch.size();
@@ -210,35 +213,10 @@ BatchAugmentStats BatchAugment(OverlayGraph* graph, TransversalState* state,
   }
   stats.inserted = added.size();
 
-  // Speculative phase: probe every new edge against the state frozen
-  // after the insertions but before any commit. "Closes nothing" verdicts
-  // stay valid through the whole commit loop because coverage only grows
-  // until PRUNE (which runs after the last commit) — see the header.
-  const bool speculate = pool != nullptr && added.size() > 1;
-  std::vector<uint8_t> closes(added.size(), 1);
-  if (speculate) {
-    std::vector<PathProber> probers(pool->num_threads(),
-                                    PathProber(options));
-    pool->ParallelFor(added.size(), [&](size_t i, int w) {
-      const EdgeId e = added[i];
-      closes[i] = probers[w].FindPath(*graph, *state, graph->EdgeDst(e),
-                                      graph->EdgeSrc(e), nullptr)
-                      ? 1
-                      : 0;
-    });
-    for (const PathProber& p : probers) {
-      stats.speculative_probes += p.queries();
-    }
-  }
-
   PathProber prober(options);
   std::vector<EdgeId> pending;
-  for (size_t i = 0; i < added.size(); ++i) {
-    if (speculate && closes[i] == 0) {
-      ++stats.speculative_clean;
-      continue;
-    }
-    AugmentEdge(graph, state, &prober, added[i], &pending, &stats);
+  for (const EdgeId e : added) {
+    AugmentEdge(graph, state, &prober, e, &pending, &stats);
   }
   PruneCommitted(graph, state, &prober, &pending, &stats);
   stats.path_queries = prober.queries();

@@ -1,12 +1,15 @@
-// Batched incremental transversal maintenance over a snapshot/delta graph.
+// Incremental transversal maintenance over a snapshot/delta graph: the
+// streaming AUGMENT/PRUNE of DARC (Kuhnle et al., "... on dynamic
+// networks"), run per batch for the online cycle-break service.
 //
-// This generalizes DynamicDarc's per-edge AUGMENT/PRUNE to batch mode for
-// the online cycle-break service: a batch of edges is inserted into an
-// OverlayGraph at once, each edge's "does it close an uncovered
-// constrained cycle?" probe runs speculatively in parallel on the
-// engine's ThreadPool (the PR 2 probe-executor pattern: frozen state,
-// per-worker scratch, sequential commit), and one PRUNE pass restores
-// minimality of the edges committed this batch.
+// A batch of edges is inserted into an OverlayGraph at once. Each new
+// edge then runs one AUGMENT in arrival order: while it closes an
+// uncovered constrained cycle, cover that cycle, reusing a previously
+// pruned W edge when the cycle holds one. One PRUNE pass over the edges
+// committed this batch restores minimality. Everything runs on the
+// calling thread. A stream fed one edge per batch over an empty base is
+// plain per-edge dynamic DARC; `bench_dynamic_stream` measures exactly
+// that.
 //
 // Coverage has two layers:
 //   * BaseCover — the vertex cover produced by the last full
@@ -16,18 +19,8 @@
 //     this layer is immutable between compactions, so published states
 //     share it by pointer.
 //   * covered (S) / reusable (W) edge sets — the incremental layer the
-//     batch augment maintains, exactly DynamicDarc's S and W but keyed by
-//     overlay edge ids and starting from a covered base instead of an
-//     empty graph.
-//
-// Parallel speculation is exact: probes run against the state frozen
-// after all insertions but before any commit, and during the commit loop
-// coverage only GROWS (PRUNE runs after the last commit), so a
-// speculative "closes nothing" verdict can never be invalidated — paths
-// avoiding the grown covered set also avoided the frozen one. Verdicts
-// that did find a cycle are re-run inline against live state. The
-// committed S/W sets are therefore bit-identical with and without a pool,
-// at every thread count.
+//     batch augment maintains, DARC's S and W keyed by overlay edge ids
+//     and starting from a covered base instead of an empty graph.
 #ifndef TDB_CORE_BATCH_AUGMENT_H_
 #define TDB_CORE_BATCH_AUGMENT_H_
 
@@ -41,7 +34,6 @@
 #include "graph/overlay_graph.h"
 #include "search/search_context.h"
 #include "util/epoch_array.h"
-#include "util/thread_pool.h"
 
 namespace tdb {
 
@@ -132,24 +124,18 @@ struct BatchAugmentStats {
   uint64_t rejected = 0;
   uint64_t cycles_covered = 0;
   uint64_t path_queries = 0;
-  /// Speculative probes fanned onto the pool (0 when pool is null).
-  uint64_t speculative_probes = 0;
-  /// Speculative "closes nothing" verdicts committed without re-search.
-  uint64_t speculative_clean = 0;
   /// Edges demoted S -> W (or dropped as redundant) by the PRUNE pass.
   uint64_t prunes = 0;
 };
 
 /// Inserts `batch` into `graph` and restores the invariant that the
 /// transversal (base cover + S) intersects every constrained cycle of the
-/// grown graph. With a non-null `pool`, per-edge cycle probes run
-/// speculatively in parallel; the resulting state is identical to the
-/// pool-less run. Only options.k and options.include_two_cycles are
-/// consulted (they must match the state's history).
+/// grown graph. Only options.k and options.include_two_cycles are
+/// consulted (they must match the state's history, and the caller
+/// validates them).
 BatchAugmentStats BatchAugment(OverlayGraph* graph, TransversalState* state,
                                const CoverOptions& options,
-                               std::span<const Edge> batch,
-                               ThreadPool* pool);
+                               std::span<const Edge> batch);
 
 }  // namespace tdb
 

@@ -11,7 +11,12 @@ CsrGraph CsrGraph::FromEdges(VertexId n, std::vector<Edge> edges,
   if (!keep_self_loops) {
     std::erase_if(edges, [](const Edge& e) { return e.src == e.dst; });
   }
-  std::sort(edges.begin(), edges.end());
+  // Snapshots, binary loads and induced subgraphs hand over edges that
+  // are already in (src, dst) order; checking costs one pass, sorting
+  // them again costs O(m log m).
+  if (!std::is_sorted(edges.begin(), edges.end())) {
+    std::sort(edges.begin(), edges.end());
+  }
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
 
   CsrGraph g;

@@ -27,8 +27,9 @@ class CsrGraph {
   /// Empty graph.
   CsrGraph() = default;
 
-  /// Builds from an edge list. `edges` need not be sorted; parallel edges
-  /// are deduplicated and self-loops dropped unless `keep_self_loops`.
+  /// Builds from an edge list. `edges` need not be sorted (input already
+  /// in (src, dst) order skips the sort); parallel edges are deduplicated
+  /// and self-loops dropped unless `keep_self_loops`.
   /// Every referenced vertex id must be < n.
   static CsrGraph FromEdges(VertexId n, std::vector<Edge> edges,
                             bool keep_self_loops = false);

@@ -24,10 +24,15 @@
 #include <vector>
 
 #include "graph/csr_graph.h"
-#include "graph/dynamic_digraph.h"
 #include "graph/types.h"
 
 namespace tdb {
+
+/// Delta adjacency entry: neighbor plus the id of the connecting edge.
+struct AdjEntry {
+  VertexId neighbor;
+  EdgeId edge;
+};
 
 /// Immutable base snapshot + insert-only delta overlay. Copyable in
 /// O(delta) (the base is shared, not cloned).

@@ -25,7 +25,7 @@ InducedSubgraph SubgraphExtractor::Extract(
   }
 
   // Members ascend and neighbor lists are sorted, so the edges come out
-  // pre-sorted by (src, dst) — FromEdges' sort is then a no-op pass.
+  // pre-sorted by (src, dst) — FromEdges skips its sort.
   edge_scratch_.clear();
   for (VertexId local = 0; local < k; ++local) {
     for (VertexId w : parent_.OutNeighbors(members[local])) {

@@ -35,56 +35,6 @@ SearchOutcome CycleFinder::FindPath(VertexId s, VertexId t, uint32_t min_hops,
                 deadline);
 }
 
-size_t CycleFinder::EnumeratePathsPlain(
-    VertexId s, VertexId t, uint32_t min_hops, uint32_t max_hops,
-    const uint8_t* active, const uint8_t* blocked_edges,
-    const std::function<bool(const std::vector<VertexId>&)>& sink) {
-  TDB_CHECK(s != t);
-  TDB_CHECK(s < graph_.num_vertices() && t < graph_.num_vertices());
-  if (max_hops == 0 || min_hops > max_hops) return 0;
-  std::vector<VertexId> prefix{s};
-  ctx_->on_path[s] = 1;
-  size_t count = 0;
-  EnumerateFromPlain(s, t, min_hops, max_hops, active, blocked_edges,
-                     &prefix, &count, sink);
-  ctx_->on_path[s] = 0;
-  return count;
-}
-
-bool CycleFinder::EnumerateFromPlain(
-    VertexId u, VertexId t, uint32_t min_hops, uint32_t max_hops,
-    const uint8_t* active, const uint8_t* blocked_edges,
-    std::vector<VertexId>* prefix, size_t* count,
-    const std::function<bool(const std::vector<VertexId>&)>& sink) {
-  const uint32_t depth_u = static_cast<uint32_t>(prefix->size()) - 1;
-  bool keep_going = true;
-  const EdgeId end = graph_.OutEdgeEnd(u);
-  for (EdgeId eid = graph_.OutEdgeBegin(u); keep_going && eid < end; ++eid) {
-    ++ctx_->stats.expansions;
-    if (blocked_edges != nullptr && blocked_edges[eid]) continue;
-    const VertexId w = graph_.EdgeDst(eid);
-    if (w == t) {
-      const uint32_t len = depth_u + 1;
-      if (len < min_hops || len > max_hops) continue;
-      prefix->push_back(t);
-      ++*count;
-      keep_going = sink(*prefix);
-      prefix->pop_back();
-      continue;
-    }
-    if (ctx_->on_path[w]) continue;
-    if (active != nullptr && !active[w]) continue;
-    if (depth_u + 2 > max_hops) continue;
-    ctx_->on_path[w] = 1;
-    prefix->push_back(w);
-    keep_going = EnumerateFromPlain(w, t, min_hops, max_hops, active,
-                                    blocked_edges, prefix, count, sink);
-    prefix->pop_back();
-    ctx_->on_path[w] = 0;
-  }
-  return keep_going;
-}
-
 SearchOutcome CycleFinder::Search(VertexId s, VertexId t, uint32_t min_hops,
                                   uint32_t max_hops, const uint8_t* active,
                                   const uint8_t* blocked_edges,

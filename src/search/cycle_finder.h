@@ -10,7 +10,6 @@
 #ifndef TDB_SEARCH_CYCLE_FINDER_H_
 #define TDB_SEARCH_CYCLE_FINDER_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -59,25 +58,11 @@ class CycleFinder {
                          std::vector<VertexId>* path,
                          Deadline* deadline = nullptr);
 
-  /// Enumerates every simple path s -> t (s != t) with hops in
-  /// [min_hops, max_hops] by exhaustive DFS — the oracle the barrier-based
-  /// BlockSearch::EnumeratePaths is differential-tested against.
-  /// `sink` returns false to stop early. Returns paths emitted.
-  size_t EnumeratePathsPlain(
-      VertexId s, VertexId t, uint32_t min_hops, uint32_t max_hops,
-      const uint8_t* active, const uint8_t* blocked_edges,
-      const std::function<bool(const std::vector<VertexId>&)>& sink);
-
   /// Counters of the underlying context (shared if the context is).
   const SearchStats& stats() const { return ctx_->stats; }
   void ResetStats() { ctx_->stats.Reset(); }
 
  private:
-  bool EnumerateFromPlain(
-      VertexId u, VertexId t, uint32_t min_hops, uint32_t max_hops,
-      const uint8_t* active, const uint8_t* blocked_edges,
-      std::vector<VertexId>* prefix, size_t* count,
-      const std::function<bool(const std::vector<VertexId>&)>& sink);
   /// Unified engine; cycle mode is t == s.
   SearchOutcome Search(VertexId s, VertexId t, uint32_t min_hops,
                        uint32_t max_hops, const uint8_t* active,

@@ -153,92 +153,6 @@ SearchOutcome BlockSearch::Search(VertexId s, VertexId t, uint32_t min_hops,
   return SearchOutcome::kNotFound;
 }
 
-size_t BlockSearch::EnumeratePaths(
-    VertexId s, VertexId t, uint32_t min_hops, uint32_t max_hops,
-    const uint8_t* active, const uint8_t* blocked_edges,
-    const std::function<bool(const std::vector<VertexId>&)>& sink) {
-  TDB_CHECK(s != t);
-  TDB_CHECK(s < graph_.num_vertices() && t < graph_.num_vertices());
-  TDB_CHECK_MSG(min_hops <= 3, "unsupported min_hops=%u", min_hops);
-  if (max_hops == 0 || min_hops > max_hops) return 0;
-
-  ctx_->block.NewEpoch();
-  ctx_->edge_to_target.NewEpoch();
-  for (VertexId u : graph_.InNeighbors(t)) ctx_->edge_to_target.Set(u, 1);
-
-  std::vector<VertexId> prefix{s};
-  ctx_->on_path[s] = 1;
-  size_t count = 0;
-  bool emitted_any = false;
-  EnumerateFrom(s, t, min_hops, max_hops, active, blocked_edges, &prefix,
-                &count, &emitted_any, sink);
-  ctx_->on_path[s] = 0;
-  return count;
-}
-
-bool BlockSearch::EnumerateFrom(
-    VertexId u, VertexId t, uint32_t min_hops, uint32_t max_hops,
-    const uint8_t* active, const uint8_t* blocked_edges,
-    std::vector<VertexId>* prefix, size_t* count, bool* emitted_any,
-    const std::function<bool(const std::vector<VertexId>&)>& sink) {
-  const uint32_t depth_u = static_cast<uint32_t>(prefix->size()) - 1;
-  bool subtree_emitted = false;
-  bool keep_going = true;
-  const EdgeId end = graph_.OutEdgeEnd(u);
-  for (EdgeId eid = graph_.OutEdgeBegin(u); keep_going && eid < end; ++eid) {
-    ++ctx_->stats.expansions;
-    if (blocked_edges != nullptr && blocked_edges[eid]) continue;
-    const VertexId w = graph_.EdgeDst(eid);
-    if (w == t) {
-      const uint32_t len = depth_u + 1;
-      if (len < min_hops || len > max_hops) {
-        ++ctx_->stats.closures_rejected;
-        continue;
-      }
-      prefix->push_back(t);
-      ++*count;
-      subtree_emitted = true;
-      keep_going = sink(*prefix);
-      prefix->pop_back();
-      continue;
-    }
-    if (ctx_->on_path[w]) continue;
-    if (active != nullptr && !active[w]) continue;
-    const uint32_t depth_w = depth_u + 1;
-    const uint32_t bound = std::max(ctx_->block.Get(w), 1u);
-    if (static_cast<uint64_t>(depth_w) + bound > max_hops) {
-      ++ctx_->stats.block_prunes;
-      continue;
-    }
-    ctx_->on_path[w] = 1;
-    ++ctx_->stats.pushes;
-    prefix->push_back(w);
-    bool child_emitted = false;
-    keep_going = EnumerateFrom(w, t, min_hops, max_hops, active,
-                               blocked_edges, prefix, count, &child_emitted,
-                               sink);
-    prefix->pop_back();
-    ctx_->on_path[w] = 0;
-    if (child_emitted) {
-      subtree_emitted = true;
-      // Success: reopen routes through w for vertices blocked while w was
-      // stacked (Algorithm 10 cascade) — required for completeness, since
-      // enumeration has no early termination to hide stale blocks behind.
-      Unblock(w, 1, active);
-    } else {
-      // Failure: same certified bounds as the existence search, including
-      // the skipped-closure special case.
-      if (depth_w + 1 < min_hops && ctx_->edge_to_target.Get(w) != 0) {
-        Unblock(w, 1, active);
-      } else {
-        ctx_->block.Set(w, max_hops - depth_w + 1);
-      }
-    }
-  }
-  *emitted_any = subtree_emitted;
-  return keep_going;
-}
-
 void BlockSearch::Unblock(VertexId u, uint32_t level, const uint8_t* active) {
   // Iterative version of Algorithm 10 with an explicit worklist. A stale
   // worklist entry may race a lower level that cascaded in first; the

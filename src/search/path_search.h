@@ -19,7 +19,6 @@
 #ifndef TDB_SEARCH_PATH_SEARCH_H_
 #define TDB_SEARCH_PATH_SEARCH_H_
 
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -67,22 +66,6 @@ class BlockSearch {
                          std::vector<VertexId>* path,
                          Deadline* deadline = nullptr);
 
-  /// Enumerates EVERY simple path s -> t (s != t) with hops in
-  /// [min_hops, max_hops]. This is the barrier-based BC-DFS of the
-  /// paper's [52] (hop-constrained s-t path enumeration): subtrees that
-  /// produced no path are blocked exactly like FindPath's failures, and a
-  /// success pops with an Algorithm-10 unblock cascade so previously
-  /// blocked vertices whose routes reopen are re-offered — keeping the
-  /// enumeration complete while skipping provably dead branches.
-  ///
-  /// `sink` receives each path (s..t inclusive); returning false stops
-  /// the enumeration early. Returns the number of paths emitted. Paths
-  /// are emitted exactly once each (DFS over simple paths).
-  size_t EnumeratePaths(
-      VertexId s, VertexId t, uint32_t min_hops, uint32_t max_hops,
-      const uint8_t* active, const uint8_t* blocked_edges,
-      const std::function<bool(const std::vector<VertexId>&)>& sink);
-
   /// Counters of the underlying context (shared if the context is).
   const SearchStats& stats() const { return ctx_->stats; }
   void ResetStats() { ctx_->stats.Reset(); }
@@ -93,18 +76,12 @@ class BlockSearch {
                        const uint8_t* active, const uint8_t* blocked_edges,
                        std::vector<VertexId>* out, Deadline* deadline);
 
-  /// Recursive body of EnumeratePaths. Returns true while the sink wants
-  /// more results; sets *emitted_any when the subtree produced a path.
-  bool EnumerateFrom(
-      VertexId u, VertexId t, uint32_t min_hops, uint32_t max_hops,
-      const uint8_t* active, const uint8_t* blocked_edges,
-      std::vector<VertexId>* prefix, size_t* count, bool* emitted_any,
-      const std::function<bool(const std::vector<VertexId>&)>& sink);
-
-  /// Paper Algorithm 10: cascading block relaxation along in-edges. Called
-  /// on the success path for fidelity with the paper; under first-cycle
-  /// termination it has no observable effect (state is epoch-discarded),
-  /// but it is exercised and unit-tested for the enumeration use case.
+  /// Paper Algorithm 10: cascading block relaxation along in-edges. Search
+  /// calls it when a depth-1 vertex fails only because its closing edge
+  /// would form an excluded 2-cycle (path_search_test's depth-one skip
+  /// cases cover it), and on the success path for fidelity
+  /// with the paper, where under first-cycle termination it has no
+  /// observable effect (state is epoch-discarded).
   void Unblock(VertexId u, uint32_t level, const uint8_t* active);
 
   const CsrGraph& graph_;

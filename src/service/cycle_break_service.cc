@@ -42,9 +42,6 @@ Status ServiceOptions::Validate() const {
     return Status::InvalidArgument(
         "the service maintains hop-constrained covers only");
   }
-  if (ingest_threads < 0 || ingest_threads > 4096) {
-    return Status::InvalidArgument("ingest_threads out of range");
-  }
   if (admission_cache_log2 != 0 &&
       (admission_cache_log2 < 4 || admission_cache_log2 > 30)) {
     return Status::InvalidArgument(
@@ -67,10 +64,11 @@ CycleBreakService::CycleBreakService(const ServiceOptions& options)
     : options_(options),
       working_(std::make_shared<const CsrGraph>(CsrGraph())) {
   TDB_CHECK(options_.Validate().ok());
-  if (options_.ingest_threads != 1) {
-    ingest_pool_ = std::make_unique<ThreadPool>(
-        options_.ingest_threads == 0 ? ThreadPool::HardwareThreads()
-                                     : options_.ingest_threads);
+  if (options_.admission_index_landmarks > 0 &&
+      options_.cover.num_threads != 1) {
+    index_pool_ = std::make_unique<ThreadPool>(
+        options_.cover.num_threads == 0 ? ThreadPool::HardwareThreads()
+                                        : options_.cover.num_threads);
   }
 }
 
@@ -349,16 +347,14 @@ SubmitResult CycleBreakService::SubmitGroupCommit(
 SubmitResult CycleBreakService::ApplyLocked(uint64_t seq,
                                             std::span<const Edge> batch) {
   SubmitResult result;
-  const BatchAugmentStats s = BatchAugment(&working_, &state_,
-                                           options_.cover, batch,
-                                           ingest_pool_.get());
+  const BatchAugmentStats s =
+      BatchAugment(&working_, &state_, options_.cover, batch);
   stats_.batches.fetch_add(1, kRelaxed);
   stats_.edges_submitted.fetch_add(s.submitted, kRelaxed);
   stats_.edges_inserted.fetch_add(s.inserted, kRelaxed);
   stats_.edges_rejected.fetch_add(s.rejected, kRelaxed);
   stats_.cycles_covered.fetch_add(s.cycles_covered, kRelaxed);
   stats_.path_queries.fetch_add(s.path_queries, kRelaxed);
-  stats_.speculative_probes.fetch_add(s.speculative_probes, kRelaxed);
   stats_.prunes.fetch_add(s.prunes, kRelaxed);
   applied_seq_ = seq;
   apply_cv_.notify_all();
@@ -512,7 +508,7 @@ uint64_t CycleBreakService::PublishLocked() {
     }
     snapshot->admission_index = AdmissionIndex::Build(
         snapshot->graph, snapshot->cover, options_.cover,
-        options_.admission_index_landmarks, ingest_pool_.get(), &prior);
+        options_.admission_index_landmarks, index_pool_.get(), &prior);
     if (snapshot->admission_index != nullptr) {
       stats_.index_builds.fetch_add(1, kRelaxed);
       if (snapshot->admission_index->patched()) {
@@ -621,14 +617,12 @@ void CycleBreakService::InstallCompactionLocked(OverlayGraph base,
     // its own apply yet — that apply (group-commit phase 3) will land
     // on the new base in sequence order.
     if (b.seq > applied_seq_) break;
-    const BatchAugmentStats replay = BatchAugment(
-        &working_, &state_, options_.cover, b.edges, ingest_pool_.get());
+    const BatchAugmentStats replay =
+        BatchAugment(&working_, &state_, options_.cover, b.edges);
     // Replayed edges were already counted at their original submission;
     // only the fresh search work is new.
     stats_.cycles_covered.fetch_add(replay.cycles_covered, kRelaxed);
     stats_.path_queries.fetch_add(replay.path_queries, kRelaxed);
-    stats_.speculative_probes.fetch_add(replay.speculative_probes,
-                                        kRelaxed);
     stats_.prunes.fetch_add(replay.prunes, kRelaxed);
   }
   stats_.compactions.fetch_add(1, kRelaxed);

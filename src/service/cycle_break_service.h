@@ -14,15 +14,17 @@
 //     two-layer shape: the snapshot's vertex cover from the last full
 //     solve plus incremental covered-edge sets (core/batch_augment.h).
 //   * SubmitEdges (the single writer, internally serialized) ingests a
-//     batch: insertions, speculative parallel cycle probes on the ingest
-//     ThreadPool, sequential AUGMENT commits, one PRUNE pass — then
-//     publishes a frozen copy-on-write ServiceSnapshot through an
-//     EpochPtr (util/epoch_ptr.h). Publication copies the overlay and
-//     the transversal in O(delta + |S|). With the admission index on it
-//     also patches the previous snapshot's index: O(delta + |S| + n)
-//     bookkeeping plus the repaired region, and a 2 * L * n-byte row
-//     copy. A publish that installs a compaction, or whose landmark set
-//     changed, builds the index from scratch in O(n + m).
+//     batch on the calling thread: insertions, one AUGMENT per new edge,
+//     one PRUNE pass — then publishes a frozen copy-on-write
+//     ServiceSnapshot through an EpochPtr (util/epoch_ptr.h).
+//     Publication copies the overlay and the transversal in
+//     O(delta + |S|). With the admission index on it also patches the
+//     previous snapshot's index: O(delta + |S| + n) bookkeeping plus the
+//     repaired region, and a 2 * L * n-byte row copy. A publish that
+//     installs a compaction, or whose landmark set changed, builds the
+//     index from scratch in O(n + m). Both run their per-direction tasks
+//     on the service's one worker pool when cover.num_threads allows
+//     one.
 //   * CheckAdmission (any number of concurrent readers) pins the latest
 //     snapshot and runs a read-only bounded path probe against it. A
 //     pinned snapshot stays valid forever; readers never block the
@@ -63,9 +65,13 @@ namespace tdb {
 /// Configuration of a CycleBreakService.
 struct ServiceOptions {
   /// Cycle semantics (k, include_two_cycles) for ingest and admission,
-  /// plus the engine knobs (num_threads, thresholds, order) used by
-  /// compaction solves. `unconstrained` is rejected — the service is a
-  /// hop-constrained system. time_limit_seconds here is ignored; use
+  /// plus the engine knobs (thresholds, order) used by compaction solves.
+  /// num_threads is the service's one worker budget (0 = one per
+  /// hardware thread): it sizes the engine pool of every compaction
+  /// solve and, with the admission index on, the pool that builds and
+  /// patches the index. Ingest itself always runs on the writer thread.
+  /// `unconstrained` is rejected — the service is a hop-constrained
+  /// system. time_limit_seconds here is ignored; use
   /// compact_time_limit_seconds.
   CoverOptions cover;
   /// Algorithm for the initial solve and every compaction.
@@ -77,10 +83,6 @@ struct ServiceOptions {
   /// on a background thread. Deterministic epoch sequence — intended for
   /// tests and benchmarks; production wants the default.
   bool synchronous_compaction = false;
-  /// Workers for the speculative per-edge ingest probes: 1 = sequential,
-  /// 0 = one per hardware thread. The committed state is identical at
-  /// every setting.
-  int ingest_threads = 1;
   /// Wall-clock budget per compaction solve (and the constructor's
   /// initial solve); <= 0 = unlimited. When set, the engine runs with
   /// split_budget_by_work so a timed-out solve still yields a feasible
@@ -95,7 +97,8 @@ struct ServiceOptions {
   int admission_cache_log2 = 0;
   /// Landmark hubs for the per-snapshot admission distance index
   /// (service/admission_index.h); 0 disables indexing. Every publish
-  /// gives its snapshot an index, on the ingest pool. Most publishes
+  /// gives its snapshot an index, on the service pool (see `cover`) when
+  /// there is one and on the writer thread otherwise. Most publishes
   /// patch the previous snapshot's index: O(delta + |S| + n) plus the
   /// repaired region and a copy of its 2 * L * n row bytes. Bootstrap,
   /// recovery, compaction installs and landmark-set changes build from
@@ -300,7 +303,9 @@ class CycleBreakService {
   void StampBaseBytesLocked() const;
 
   const ServiceOptions options_;
-  std::unique_ptr<ThreadPool> ingest_pool_;
+  /// Runs the admission index's build and patch tasks; null without an
+  /// index or at cover.num_threads == 1.
+  std::unique_ptr<ThreadPool> index_pool_;
 
   /// One not-yet-snapshotted batch, exactly as submitted. The queue
   /// backs both compaction-install replay (per-batch, at the original

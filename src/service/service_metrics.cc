@@ -23,8 +23,6 @@ std::vector<MetricRegistry::Registration> BindServiceStats(
        stats.cycles_covered);
   bind("path_queries", "Bounded path searches run by ingest",
        stats.path_queries);
-  bind("speculative_probes", "Speculative parallel ingest probes",
-       stats.speculative_probes);
   bind("prunes", "Transversal PRUNE passes", stats.prunes);
   bind("admission_queries", "CheckAdmission queries answered",
        stats.admission_queries);

@@ -26,6 +26,9 @@ struct ServiceStatsSnapshot {
   uint64_t edges_rejected = 0;
   uint64_t cycles_covered = 0;
   uint64_t path_queries = 0;
+  /// Always 0. Ingest no longer probes edges speculatively on a pool;
+  /// the field stays because existing readers of the snapshot
+  /// (bench/e2e/bench_e2e.cc) still report it.
   uint64_t speculative_probes = 0;
   uint64_t prunes = 0;
   uint64_t admission_queries = 0;
@@ -74,7 +77,6 @@ struct ServiceStats {
   std::atomic<uint64_t> edges_rejected{0};
   std::atomic<uint64_t> cycles_covered{0};
   std::atomic<uint64_t> path_queries{0};
-  std::atomic<uint64_t> speculative_probes{0};
   std::atomic<uint64_t> prunes{0};
   std::atomic<uint64_t> admission_queries{0};
   std::atomic<uint64_t> admission_would_close{0};
@@ -111,7 +113,6 @@ struct ServiceStats {
     out.edges_rejected = get(edges_rejected);
     out.cycles_covered = get(cycles_covered);
     out.path_queries = get(path_queries);
-    out.speculative_probes = get(speculative_probes);
     out.prunes = get(prunes);
     out.admission_queries = get(admission_queries);
     out.admission_would_close = get(admission_would_close);

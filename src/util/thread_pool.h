@@ -57,7 +57,7 @@ class ThreadPool {
   /// pool and blocks until all iterations finish. The barrier is Wait(),
   /// which is pool-global, so do not interleave ParallelFor with
   /// independently submitted tasks. This is the batch primitive behind
-  /// the service's speculative ingest probes and admission-index builds.
+  /// the service's admission-index builds.
   void ParallelFor(size_t count,
                    const std::function<void(size_t index, int worker)>& body);
 

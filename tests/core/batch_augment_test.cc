@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <memory>
 #include <set>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -60,8 +59,7 @@ TEST(BatchAugmentTest, TriangleClosureGetsCovered) {
   OverlayGraph g(MakeBase(3, {}));
   TransversalState state;
   const std::vector<Edge> batch = {{0, 1}, {1, 2}, {2, 0}};
-  const BatchAugmentStats stats =
-      BatchAugment(&g, &state, Opts(3), batch, nullptr);
+  const BatchAugmentStats stats = BatchAugment(&g, &state, Opts(3), batch);
   EXPECT_EQ(stats.inserted, 3u);
   EXPECT_EQ(stats.cycles_covered, 1u);
   EXPECT_EQ(state.covered.size(), 1u);
@@ -72,8 +70,7 @@ TEST(BatchAugmentTest, RejectsDuplicatesAgainstBaseAndBatch) {
   OverlayGraph g(MakeBase(3, {{0, 1}}));
   TransversalState state;
   const std::vector<Edge> batch = {{0, 1}, {1, 2}, {1, 2}, {2, 2}};
-  const BatchAugmentStats stats =
-      BatchAugment(&g, &state, Opts(3), batch, nullptr);
+  const BatchAugmentStats stats = BatchAugment(&g, &state, Opts(3), batch);
   EXPECT_EQ(stats.inserted, 1u);
   EXPECT_EQ(stats.rejected, 3u);
 }
@@ -85,94 +82,47 @@ TEST(BatchAugmentTest, BaseVertexCoverSuppressesAugment) {
   TransversalState state;
   state.base = BaseCover::FromVertexCover(3, {0}, Status::OK());
   const std::vector<Edge> batch = {{2, 0}};
-  const BatchAugmentStats stats =
-      BatchAugment(&g, &state, Opts(3), batch, nullptr);
+  const BatchAugmentStats stats = BatchAugment(&g, &state, Opts(3), batch);
   EXPECT_EQ(stats.cycles_covered, 0u);
   EXPECT_TRUE(state.covered.empty());
   EXPECT_TRUE(InvariantHolds(g, state, Opts(3)));
 }
 
 TEST(BatchAugmentTest, InvariantHoldsAlongBatchedStreams) {
-  for (uint64_t seed = 0; seed < 3; ++seed) {
-    CsrGraph target = GenerateErdosRenyi(25, 120, seed);
-    // A third of the edges form the solved base snapshot; the rest
-    // arrive in batches of 16.
-    Rng rng(seed + 13);
-    std::vector<Edge> base_edges;
-    std::vector<Edge> incoming;
-    for (EdgeId e = 0; e < target.num_edges(); ++e) {
-      (rng.NextBool(0.33) ? base_edges : incoming)
-          .push_back(Edge{target.EdgeSrc(e), target.EdgeDst(e)});
-    }
-    for (size_t i = incoming.size(); i > 1; --i) {
-      std::swap(incoming[i - 1], incoming[rng.NextBounded(i)]);
-    }
-    auto base = MakeBase(target.num_vertices(), base_edges);
-    const CoverOptions opts = Opts(4);
-    CoverResult solved =
-        SolveCycleCover(*base, CoverAlgorithm::kTdbPlusPlus, opts);
-    ASSERT_TRUE(solved.status.ok());
-    OverlayGraph g(base);
-    TransversalState state;
-    state.base = BaseCover::FromVertexCover(target.num_vertices(),
-                                            solved.cover, solved.status);
-    for (size_t at = 0; at < incoming.size(); at += 16) {
-      const size_t len = std::min<size_t>(16, incoming.size() - at);
-      BatchAugment(&g, &state, opts,
-                   std::span<const Edge>(incoming.data() + at, len),
-                   nullptr);
-      ASSERT_TRUE(InvariantHolds(g, state, opts))
-          << "seed=" << seed << " after " << at + len << " edges";
-    }
-  }
-}
-
-TEST(BatchAugmentTest, ParallelProbingIsExact) {
-  // The committed S/W sets must be bit-identical with and without the
-  // speculative probe pool, at several worker counts.
-  for (uint64_t seed = 0; seed < 3; ++seed) {
-    CsrGraph target = GeneratePowerLaw(
-        {.n = 60, .m = 420, .theta = 0.6, .reciprocity = 0.2, .seed = seed});
-    std::vector<Edge> incoming;
-    for (EdgeId e = 0; e < target.num_edges(); ++e) {
-      incoming.push_back(Edge{target.EdgeSrc(e), target.EdgeDst(e)});
-    }
-    Rng rng(seed);
-    for (size_t i = incoming.size(); i > 1; --i) {
-      std::swap(incoming[i - 1], incoming[rng.NextBounded(i)]);
-    }
-    const CoverOptions opts = Opts(4);
-
-    auto run = [&](ThreadPool* pool) {
-      OverlayGraph g(MakeBase(target.num_vertices(), {}));
-      TransversalState state;
-      uint64_t speculative = 0;
-      for (size_t at = 0; at < incoming.size(); at += 32) {
-        const size_t len = std::min<size_t>(32, incoming.size() - at);
-        speculative +=
-            BatchAugment(&g, &state, opts,
-                         std::span<const Edge>(incoming.data() + at, len),
-                         pool)
-                .speculative_probes;
+  // Batch size 1 is per-edge dynamic DARC, the streaming mode the
+  // baseline was published for.
+  for (const size_t batch_size : {size_t{1}, size_t{16}}) {
+    for (uint64_t seed = 0; seed < 3; ++seed) {
+      CsrGraph target = GenerateErdosRenyi(25, 120, seed);
+      // A third of the edges form the solved base snapshot; the rest
+      // arrive in batches.
+      Rng rng(seed + 13);
+      std::vector<Edge> base_edges;
+      std::vector<Edge> incoming;
+      for (EdgeId e = 0; e < target.num_edges(); ++e) {
+        (rng.NextBool(0.33) ? base_edges : incoming)
+            .push_back(Edge{target.EdgeSrc(e), target.EdgeDst(e)});
       }
-      auto key = [&](const std::unordered_set<EdgeId>& ids) {
-        std::vector<EdgeId> sorted(ids.begin(), ids.end());
-        std::sort(sorted.begin(), sorted.end());
-        return sorted;
-      };
-      return std::tuple(key(state.covered), key(state.reusable),
-                        speculative);
-    };
-
-    const auto sequential = run(nullptr);
-    for (int workers : {2, 8}) {
-      ThreadPool pool(workers);
-      const auto parallel = run(&pool);
-      EXPECT_EQ(std::get<0>(sequential), std::get<0>(parallel))
-          << "S drifted, workers=" << workers << " seed=" << seed;
-      EXPECT_EQ(std::get<1>(sequential), std::get<1>(parallel))
-          << "W drifted, workers=" << workers << " seed=" << seed;
-      EXPECT_GT(std::get<2>(parallel), 0u);  // speculation actually ran
+      for (size_t i = incoming.size(); i > 1; --i) {
+        std::swap(incoming[i - 1], incoming[rng.NextBounded(i)]);
+      }
+      auto base = MakeBase(target.num_vertices(), base_edges);
+      const CoverOptions opts = Opts(4);
+      CoverResult solved =
+          SolveCycleCover(*base, CoverAlgorithm::kTdbPlusPlus, opts);
+      ASSERT_TRUE(solved.status.ok());
+      OverlayGraph g(base);
+      TransversalState state;
+      state.base = BaseCover::FromVertexCover(target.num_vertices(),
+                                              solved.cover, solved.status);
+      for (size_t at = 0; at < incoming.size(); at += batch_size) {
+        const size_t len = std::min(batch_size, incoming.size() - at);
+        BatchAugment(&g, &state, opts,
+                     std::span<const Edge>(incoming.data() + at, len));
+        ASSERT_TRUE(InvariantHolds(g, state, opts))
+            << "batch=" << batch_size << " seed=" << seed << " after "
+            << at + len << " edges";
+      }
     }
   }
 }
@@ -187,8 +137,7 @@ TEST(BatchAugmentTest, PruneDemotesAndWReusePromotes) {
   }
   OverlayGraph g(MakeBase(7, {}));
   TransversalState state;
-  const BatchAugmentStats stats =
-      BatchAugment(&g, &state, Opts(3), batch, nullptr);
+  const BatchAugmentStats stats = BatchAugment(&g, &state, Opts(3), batch);
   EXPECT_GT(stats.prunes, 0u);
   EXPECT_TRUE(InvariantHolds(g, state, Opts(3)));
 }
@@ -199,8 +148,7 @@ TEST(BatchAugmentTest, TwoCycleModeCoversPairs) {
   OverlayGraph g(MakeBase(2, {{0, 1}}));
   TransversalState state;
   const std::vector<Edge> batch = {{1, 0}};
-  const BatchAugmentStats stats =
-      BatchAugment(&g, &state, opts, batch, nullptr);
+  const BatchAugmentStats stats = BatchAugment(&g, &state, opts, batch);
   EXPECT_EQ(stats.cycles_covered, 1u);
   EXPECT_TRUE(InvariantHolds(g, state, opts));
 }

@@ -1,5 +1,6 @@
-// Streaming-maintenance properties: DynamicDarc's transversal vs the
-// static solvers along randomized edge streams.
+// Streaming-maintenance properties: per-edge dynamic DARC (BatchAugment
+// fed one edge per batch over an empty-base OverlayGraph) vs the static
+// solvers along randomized edge streams.
 //   1. at every checkpoint of the stream, the maintained edge set
 //      intersects every constrained cycle of the graph so far (the
 //      invariant the static DARC guarantees only at the end);
@@ -8,11 +9,14 @@
 //      solver sees, with sizes in the same ballpark.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <vector>
 
+#include "core/batch_augment.h"
 #include "core/darc.h"
-#include "core/dynamic_darc.h"
 #include "graph/generators.h"
+#include "graph/overlay_graph.h"
 #include "search/cycle_enumerator.h"
 #include "util/rng.h"
 
@@ -27,7 +31,23 @@ struct DynamicSweepParam {
   uint32_t k;
 };
 
-class DynamicDarcPropertyTest
+/// Per-edge dynamic DARC: an insert-only graph plus its S/W edge sets,
+/// with no base vertex cover.
+struct PerEdgeDarc {
+  PerEdgeDarc(VertexId n, const CoverOptions& opts)
+      : graph(std::make_shared<const CsrGraph>(CsrGraph::FromEdges(n, {}))),
+        options(opts) {}
+
+  void Insert(const Edge& e) {
+    BatchAugment(&graph, &state, options, std::span<const Edge>(&e, 1));
+  }
+
+  OverlayGraph graph;
+  TransversalState state;
+  CoverOptions options;
+};
+
+class DynamicStreamPropertyTest
     : public ::testing::TestWithParam<DynamicSweepParam> {
  protected:
   CsrGraph MakeGraph() const {
@@ -58,12 +78,12 @@ class DynamicDarcPropertyTest
 
 /// Exhaustive oracle: the maintained edge set intersects every cycle with
 /// hop count in [min_len, k] of the accumulated graph.
-bool InvariantHolds(const DynamicDarc& darc, uint32_t k, uint32_t min_len) {
-  CsrGraph snapshot = darc.graph().ToCsr();
+bool InvariantHolds(const PerEdgeDarc& darc, uint32_t k, uint32_t min_len) {
+  CsrGraph snapshot = darc.graph.ToCsr();
   std::vector<uint8_t> covered(snapshot.num_edges(), 0);
-  for (EdgeId e : darc.EdgeCover()) {
-    const EdgeId csr_id = snapshot.FindEdge(darc.graph().EdgeSrc(e),
-                                            darc.graph().EdgeDst(e));
+  for (EdgeId e : darc.state.covered) {
+    const EdgeId csr_id =
+        snapshot.FindEdge(darc.graph.EdgeSrc(e), darc.graph.EdgeDst(e));
     if (csr_id == kInvalidEdge) return false;
     covered[csr_id] = 1;
   }
@@ -83,16 +103,17 @@ bool InvariantHolds(const DynamicDarc& darc, uint32_t k, uint32_t min_len) {
   return true;
 }
 
-TEST_P(DynamicDarcPropertyTest, TransversalIntersectsEveryCycleAtCheckpoints) {
+TEST_P(DynamicStreamPropertyTest,
+       TransversalIntersectsEveryCycleAtCheckpoints) {
   const auto& p = GetParam();
   const std::vector<Edge> stream = MakeStream(MakeGraph());
   CoverOptions opts;
   opts.k = p.k;
-  DynamicDarc darc(p.n, opts);
+  PerEdgeDarc darc(p.n, opts);
   const size_t step = stream.size() < 4 ? 1 : stream.size() / 4;
   size_t next_check = step;
   for (size_t i = 0; i < stream.size(); ++i) {
-    darc.InsertEdge(stream[i].src, stream[i].dst);
+    darc.Insert(stream[i]);
     if (i == next_check) {
       ASSERT_TRUE(InvariantHolds(darc, p.k, 3))
           << "after " << i + 1 << " of " << stream.size() << " edges";
@@ -102,16 +123,16 @@ TEST_P(DynamicDarcPropertyTest, TransversalIntersectsEveryCycleAtCheckpoints) {
   ASSERT_TRUE(InvariantHolds(darc, p.k, 3)) << "final";
 }
 
-TEST_P(DynamicDarcPropertyTest, TwoCycleVariantMaintainsInvariant) {
+TEST_P(DynamicStreamPropertyTest, TwoCycleVariantMaintainsInvariant) {
   const auto& p = GetParam();
   const std::vector<Edge> stream = MakeStream(MakeGraph());
   CoverOptions opts;
   opts.k = p.k;
   opts.include_two_cycles = true;
-  DynamicDarc darc(p.n, opts);
+  PerEdgeDarc darc(p.n, opts);
   const size_t half = stream.size() / 2;
   for (size_t i = 0; i < stream.size(); ++i) {
-    darc.InsertEdge(stream[i].src, stream[i].dst);
+    darc.Insert(stream[i]);
     if (i == half) {
       ASSERT_TRUE(InvariantHolds(darc, p.k, 2)) << "at the midpoint";
     }
@@ -119,24 +140,24 @@ TEST_P(DynamicDarcPropertyTest, TwoCycleVariantMaintainsInvariant) {
   ASSERT_TRUE(InvariantHolds(darc, p.k, 2)) << "final";
 }
 
-TEST_P(DynamicDarcPropertyTest, FinalCoverComparableToStaticDarc) {
+TEST_P(DynamicStreamPropertyTest, FinalCoverComparableToStaticDarc) {
   const auto& p = GetParam();
   CsrGraph g = MakeGraph();
   const std::vector<Edge> stream = MakeStream(g);
   CoverOptions opts;
   opts.k = p.k;
-  DynamicDarc darc(p.n, opts);
-  for (const Edge& e : stream) darc.InsertEdge(e.src, e.dst);
+  PerEdgeDarc darc(p.n, opts);
+  for (const Edge& e : stream) darc.Insert(e);
   DarcEdgeResult fixed = SolveDarcEdgeCover(g, opts);
   ASSERT_TRUE(fixed.status.ok());
   // Different edge orders pick different transversals, but neither should
   // be wildly larger than the other (both prune to per-edge minimality).
-  EXPECT_LE(darc.EdgeCover().size(), 3 * fixed.edge_cover.size() + 3);
-  EXPECT_LE(fixed.edge_cover.size(), 3 * darc.EdgeCover().size() + 3);
+  EXPECT_LE(darc.state.covered.size(), 3 * fixed.edge_cover.size() + 3);
+  EXPECT_LE(fixed.edge_cover.size(), 3 * darc.state.covered.size() + 3);
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Sweep, DynamicDarcPropertyTest,
+    Sweep, DynamicStreamPropertyTest,
     ::testing::Values(DynamicSweepParam{1, 20, 80, 0.0, 3},
                       DynamicSweepParam{2, 24, 110, 0.0, 4},
                       DynamicSweepParam{3, 30, 120, 0.3, 4},

@@ -8,7 +8,6 @@
 #include <memory>
 #include <set>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -80,7 +79,7 @@ TEST(ServiceOptionsTest, Validation) {
   options.cover.unconstrained = true;
   EXPECT_FALSE(options.Validate().ok());
   options = MakeOptions(4);
-  options.ingest_threads = -1;
+  options.cover.num_threads = -1;
   EXPECT_FALSE(options.Validate().ok());
   options = MakeOptions(2);  // k below minimum cycle length
   EXPECT_FALSE(options.Validate().ok());
@@ -286,29 +285,6 @@ TEST(CycleBreakServiceTest, SynchronousCompactionFoldsDeltaIntoBase) {
   EXPECT_EQ(service.epoch(), 1u + batches.size());
 }
 
-TEST(CycleBreakServiceTest, IngestIsDeterministicAcrossProbeThreads) {
-  const auto batches = MakeBatches(50, 200, 16, /*seed=*/21);
-  auto run = [&](int ingest_threads) {
-    ServiceOptions options = MakeOptions(4);
-    options.ingest_threads = ingest_threads;
-    options.synchronous_compaction = true;
-    options.compact_delta_threshold = 64;
-    CycleBreakService service(GenerateErdosRenyi(50, 150, /*seed=*/22),
-                              options);
-    for (const auto& batch : batches) service.SubmitEdges(batch);
-    const auto snap = service.PinSnapshot();
-    std::set<std::pair<VertexId, VertexId>> covered;
-    for (EdgeId e : snap->cover.covered) {
-      covered.insert({snap->graph.EdgeSrc(e), snap->graph.EdgeDst(e)});
-    }
-    return std::tuple(snap->cover.base->vertices, covered,
-                      snap->graph.delta_edges(), service.epoch());
-  };
-  const auto reference = run(1);
-  EXPECT_EQ(reference, run(2));
-  EXPECT_EQ(reference, run(8));
-}
-
 /// The acceptance-criterion test: concurrent CheckAdmission readers
 /// during ingest and during compaction always observe a coherent
 /// (snapshot, cover) pair — every verdict equals what a sequential replay
@@ -490,11 +466,14 @@ TEST(CycleBreakServiceTest, BackgroundCompactionKeepsServiceCoherent) {
   // Async mode: readers hammer admission while background compactions
   // install new bases. Verdicts must always come from a coherent pinned
   // snapshot (checked by recomputation), and the final state must cover
-  // every cycle of everything ingested.
+  // every cycle of everything ingested. Two workers and an index put
+  // the service pool (index builds and patches) under the concurrent
+  // readers.
   constexpr VertexId kN = 50;
   ServiceOptions options = MakeOptions(4);
   options.compact_delta_threshold = 40;
-  options.ingest_threads = 2;
+  options.cover.num_threads = 2;
+  options.admission_index_landmarks = 8;
   CycleBreakService service(GenerateErdosRenyi(kN, 140, /*seed=*/41),
                             options);
   std::atomic<bool> done{false};

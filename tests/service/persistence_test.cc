@@ -209,33 +209,6 @@ TEST(PersistenceTest, JournaledButUnappliedBatchIsReplayed) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(PersistenceTest, RecoveryIsIdenticalAcrossIngestThreads) {
-  // The recovery replay runs through BatchAugment, whose committed state
-  // is bit-identical at every probe thread count — so recovering with a
-  // pool must equal recovering without one.
-  const std::string dir = FreshDir("threads");
-  const CsrGraph base = GenerateErdosRenyi(40, 120, 13);
-  const auto batches = MakeBatches(40, 10, 12, 29);
-  ServiceOptions durable = BaseOptions();
-  durable.data_dir = dir;
-  durable.compact_delta_threshold = 40;
-  durable.synchronous_compaction = true;
-  std::unique_ptr<CycleBreakService> service;
-  ASSERT_TRUE(CycleBreakService::Create(base, durable, &service).ok());
-  for (const auto& batch : batches) service->SubmitEdges(batch);
-  const StateImage expected = ImageOf(*service);
-  service.reset();
-
-  for (int threads : {1, 4}) {
-    ServiceOptions reopen = durable;
-    reopen.ingest_threads = threads;
-    std::unique_ptr<CycleBreakService> recovered;
-    ASSERT_TRUE(CycleBreakService::Open(reopen, &recovered).ok());
-    EXPECT_EQ(ImageOf(*recovered), expected) << threads << " threads";
-  }
-  std::filesystem::remove_all(dir);
-}
-
 TEST(PersistenceTest, RecoveryPublishesOnceAtThePreCloseEpoch) {
   // Replay applies the whole journal tail before anything is visible, so
   // Open publishes (and builds the admission index) exactly once — at

@@ -1,7 +1,7 @@
 // tdb_serve: stream-replay driver for the online cycle-break service.
 //
 //   tdb_serve --stream FILE [--base FILE] [--k 5] [--batch 256]
-//             [--admit-threads 2] [--ingest-threads 1] [--algo TDB++]
+//             [--admit-threads 2] [--threads 1] [--algo TDB++]
 //             [--compact-threshold 4096] [--sync-compaction] [--gate]
 //             [--two-cycles] [--seed 42] [--compact-budget SEC]
 //             [--admission-cache [LOG2]]
@@ -94,7 +94,7 @@ struct CliArgs {
   uint32_t k = 5;
   size_t batch = 256;
   int admit_threads = 2;
-  int ingest_threads = 1;
+  int threads = 1;
   EdgeId compact_threshold = 4096;
   double compact_budget = 0.0;
   uint64_t seed = 42;
@@ -116,7 +116,9 @@ void PrintUsage() {
       "  --batch N             ingest batch size (default 256)\n"
       "  --admit-threads N     concurrent admission reader threads "
       "(default 2)\n"
-      "  --ingest-threads N    speculative probe workers (default 1)\n"
+      "  --threads N           service workers for compaction solves and\n"
+      "                        admission-index builds (default 1,\n"
+      "                        0 = all cores)\n"
       "  --algo NAME           compaction algorithm (default TDB++)\n"
       "  --compact-threshold N delta size triggering compaction "
       "(default 4096, 0 = never)\n"
@@ -196,8 +198,8 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       ok = IntFlag(arg, v, &args->batch);
     } else if (arg == "--admit-threads" && (v = next()) != nullptr) {
       ok = IntFlag(arg, v, &args->admit_threads, 0, 4096);
-    } else if (arg == "--ingest-threads" && (v = next()) != nullptr) {
-      ok = IntFlag(arg, v, &args->ingest_threads);
+    } else if (arg == "--threads" && (v = next()) != nullptr) {
+      ok = IntFlag(arg, v, &args->threads);
     } else if (arg == "--compact-threshold" && (v = next()) != nullptr) {
       ok = IntFlag(arg, v, &args->compact_threshold);
     } else if (arg == "--compact-budget" && (v = next()) != nullptr) {
@@ -381,7 +383,7 @@ int main(int argc, char** argv) {
   options.cover.include_two_cycles = args.two_cycles;
   options.compact_delta_threshold = args.compact_threshold;
   options.synchronous_compaction = args.sync_compaction;
-  options.ingest_threads = args.ingest_threads;
+  options.cover.num_threads = args.threads;
   options.compact_time_limit_seconds = args.compact_budget;
   options.admission_cache_log2 = args.admission_cache_log2;
   options.admission_index_landmarks = args.admission_index;
