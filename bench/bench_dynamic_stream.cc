@@ -10,6 +10,10 @@
 // written by `tdb_graphgen --stream` — the exact workload tdb_serve
 // replays, so the offline comparator and the serving layer are measured
 // on identical input.
+//
+// --json PATH emits a params row (k, scale), a host row, then one row
+// per workload with `seconds` (the incremental total) and `cover` (the
+// incremental |S|) for tools/check_bench_regression.py.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -17,6 +21,7 @@
 #include <span>
 #include <string>
 
+#include "bench_runner.h"
 #include "core/batch_augment.h"
 #include "core/darc.h"
 #include "datasets.h"
@@ -35,9 +40,12 @@ int main(int argc, char** argv) {
   CoverOptions opts;
   opts.k = 4;
   std::string stream_path;
+  std::string json_path;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--stream") == 0 && i + 1 < argc) {
       stream_path = argv[++i];
+    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+      json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--k") == 0 && i + 1 < argc) {
       if (!ParseInteger(argv[++i], &opts.k)) {
         std::fprintf(stderr, "invalid --k value: %s\n", argv[i]);
@@ -45,7 +53,8 @@ int main(int argc, char** argv) {
       }
     } else {
       std::fprintf(stderr,
-                   "usage: bench_dynamic_stream [--stream FILE] [--k N]\n");
+                   "usage: bench_dynamic_stream [--stream FILE] [--k N] "
+                   "[--json PATH]\n");
       return 2;
     }
   }
@@ -62,6 +71,12 @@ int main(int argc, char** argv) {
               opts.k);
   TablePrinter table({"Name", "edges", "incr total s", "us/edge",
                       "recompute s", "speedup", "incr |S|", "static |S|"});
+  JsonSink json("dynamic_stream");
+  json.BeginRow();
+  json.Str("row", "params");
+  json.Num("k", static_cast<uint64_t>(opts.k));
+  json.Num("scale", scale);
+  json.HostRow();
 
   struct Workload {
     std::string name;
@@ -115,8 +130,9 @@ int main(int argc, char** argv) {
     OverlayGraph graph(
         std::make_shared<const CsrGraph>(CsrGraph::FromEdges(w.n, {})));
     TransversalState state;
+    SearchContext ctx;
     for (const Edge& e : stream) {
-      BatchAugment(&graph, &state, opts, std::span<const Edge>(&e, 1));
+      BatchAugment(&graph, &state, opts, std::span<const Edge>(&e, 1), &ctx);
     }
     const double incr_s = timer.ElapsedSeconds();
 
@@ -137,6 +153,11 @@ int main(int argc, char** argv) {
                   FormatSeconds(static_s, false), speed,
                   FormatCount(state.covered.size()),
                   FormatCount(fixed.edge_cover.size())});
+    json.BeginRow();
+    json.Str("proxy", w.name);
+    json.Num("edges", static_cast<uint64_t>(stream.size()));
+    json.Num("seconds", incr_s);
+    json.Num("cover", static_cast<uint64_t>(state.covered.size()));
     std::fflush(stdout);
   }
   table.Print();
@@ -147,5 +168,5 @@ int main(int argc, char** argv) {
       "motivation is exactly this streaming regime). The incremental\n"
       "column times the code the service's SubmitEdges runs\n"
       "(BatchAugment), at batch size 1.\n");
-  return 0;
+  return json.Write(json_path) ? 0 : 1;
 }

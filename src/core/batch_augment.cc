@@ -2,7 +2,9 @@
 
 #include <algorithm>
 
+#include "search/bidirectional_reach.h"
 #include "search/bounded_reach.h"
+#include "util/epoch_array.h"
 #include "util/trace.h"
 
 namespace tdb {
@@ -18,10 +20,19 @@ std::shared_ptr<const BaseCover> BaseCover::FromVertexCover(
   return base;
 }
 
-PathProber::PathProber(const CoverOptions& options) {
+PathProber::PathProber(const CoverOptions& options)
+    : PathProber(options, nullptr) {}
+
+PathProber::PathProber(const CoverOptions& options, SearchContext* ctx)
+    : ctx_(ctx) {
   const uint32_t min_len = options.include_two_cycles ? 2 : 3;
   min_path_ = min_len - 1;
   max_path_ = options.k - 1;
+  reverse_radius_ = ReverseRadius(max_path_);
+  if (ctx_ == nullptr) {
+    owned_context_ = std::make_unique<SearchContext>();
+    ctx_ = owned_context_.get();
+  }
 }
 
 bool PathProber::FindPath(const OverlayGraph& graph,
@@ -29,6 +40,16 @@ bool PathProber::FindPath(const OverlayGraph& graph,
                           VertexId dst, std::vector<VertexId>* path) {
   ++queries_;
   if (path != nullptr) path->clear();
+  const uint32_t dist = BidirectionalDistance(
+      graph, src, dst, max_path_, ctx_,
+      [&](VertexId v) { return !state.VertexCovered(v); },
+      [&](EdgeId e) { return state.covered.count(e) == 0; });
+  // No uncovered walk of <= k - 1 hops, hence no qualifying path.
+  if (dist == kNoJoin) return false;
+  // In the band, the shortest uncovered walk is itself a qualifying
+  // simple path; only a caller that wants the DFS's path pays for it.
+  if (path == nullptr && dist >= min_path_) return true;
+  ++dfs_runs_;
   on_path_.clear();
   on_path_.push_back(src);
   const bool found = Dfs(graph, state, src, dst, 0, path);
@@ -58,7 +79,14 @@ bool PathProber::Dfs(const OverlayGraph& graph, const TransversalState& state,
       found = true;
       return false;
     }
-    if (depth + 2 > max_path_) return true;
+    // Entering w costs depth + 1 hops and at least lb(w) more to reach
+    // dst; lb is a true lower bound on any uncovered path w ->* dst, so a
+    // pruned subtree holds no path (in particular not a longer one behind
+    // a below-band bare edge).
+    if (uint64_t{depth} + 1 + ReachLowerBound(*ctx_, w, reverse_radius_) >
+        max_path_) {
+      return true;
+    }
     if (std::find(on_path_.begin(), on_path_.end(), w) != on_path_.end()) {
       return true;
     }
@@ -77,28 +105,32 @@ bool PathProber::Dfs(const OverlayGraph& graph, const TransversalState& state,
 size_t PathProber::FindPathsFrom(const OverlayGraph& graph,
                                  const TransversalState& state, VertexId src,
                                  std::span<const VertexId> targets,
-                                 SearchContext* ctx, uint8_t* found) {
-  // Sentinel for "marked as a target, not reached by the sweep".
-  constexpr uint32_t kUnreached = 0xffffffffu;
+                                 uint8_t* found) {
+  // Per-target sweep distances in the probe labels, saturated to a byte
+  // (only "below the band", "in the band" and "unreached" matter).
+  constexpr uint8_t kUnreached = 0xff;
+  constexpr uint8_t kBelowBand = 2;  // found[j] marker until pass 2
   const VertexId n = graph.num_vertices();
-  target_dist_.Resize(n);
-  target_dist_.NewEpoch();
+  ctx_->EnsureProbeSize(n);
+  EpochArray<uint8_t>& target_dist = ctx_->reach_dist;
+  target_dist.NewEpoch();
   for (const VertexId t : targets) {
-    if (t < n) target_dist_.Set(t, kUnreached);
+    if (t < n) target_dist.Set(t, kUnreached);
   }
   BoundedReach(
       graph, ReachDirection::kForward, std::span<const VertexId>(&src, 1),
-      max_path_, ctx,
+      max_path_, ctx_,
       [&](EdgeId e) { return !state.EdgeCovered(graph, e); },
       [&](VertexId w, uint32_t depth) {
-        if (target_dist_.IsSet(w) && target_dist_.Get(w) == kUnreached) {
-          target_dist_.Set(w, depth);
+        if (target_dist.Get(w) == kUnreached) {
+          const uint32_t d = std::min<uint32_t>(depth, kUnreached - 1);
+          target_dist.Set(w, static_cast<uint8_t>(d));
         }
       });
   size_t fallbacks = 0;
   for (size_t j = 0; j < targets.size(); ++j) {
     const VertexId t = targets[j];
-    const uint32_t d = t < n ? target_dist_.Get(t) : kUnreached;
+    const uint8_t d = t < n ? target_dist.Get(t) : kUnreached;
     if (d == kUnreached) {
       // No uncovered walk of <= k - 1 hops, hence no qualifying path.
       found[j] = 0;
@@ -108,7 +140,14 @@ size_t PathProber::FindPathsFrom(const OverlayGraph& graph,
     } else {
       // Below-band distance: a longer qualifying path may still exist.
       ++fallbacks;
-      found[j] = FindPath(graph, state, src, t, nullptr) ? 1 : 0;
+      found[j] = kBelowBand;
+    }
+  }
+  // FindPath reuses the labels, so the residue runs only once every
+  // target's sweep distance has been read.
+  for (size_t j = 0; fallbacks > 0 && j < targets.size(); ++j) {
+    if (found[j] == kBelowBand) {
+      found[j] = FindPath(graph, state, src, targets[j], nullptr) ? 1 : 0;
     }
   }
   return fallbacks;
@@ -197,7 +236,8 @@ void PruneCommitted(OverlayGraph* graph, TransversalState* state,
 
 BatchAugmentStats BatchAugment(OverlayGraph* graph, TransversalState* state,
                                const CoverOptions& options,
-                               std::span<const Edge> batch) {
+                               std::span<const Edge> batch,
+                               SearchContext* ctx) {
   TDB_TRACE_SPAN("ingest.batch_augment");
   BatchAugmentStats stats;
   stats.submitted = batch.size();
@@ -213,13 +253,14 @@ BatchAugmentStats BatchAugment(OverlayGraph* graph, TransversalState* state,
   }
   stats.inserted = added.size();
 
-  PathProber prober(options);
+  PathProber prober(options, ctx);
   std::vector<EdgeId> pending;
   for (const EdgeId e : added) {
     AugmentEdge(graph, state, &prober, e, &pending, &stats);
   }
   PruneCommitted(graph, state, &prober, &pending, &stats);
   stats.path_queries = prober.queries();
+  stats.probe_dfs = prober.dfs_runs();
   return stats;
 }
 

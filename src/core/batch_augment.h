@@ -11,6 +11,13 @@
 // plain per-edge dynamic DARC; `bench_dynamic_stream` measures exactly
 // that.
 //
+// Both steps ask one question per edge u -> v: is there an uncovered
+// path v ->* u of at most k - 1 hops (PathProber::FindPath)? Most of the
+// time there is none, so the probe settles existence first from two
+// half-radius balls around v and u (search/bidirectional_reach.h), and
+// runs its first-path DFS, pruned by the reverse ball's distances, only
+// when a path exists.
+//
 // Coverage has two layers:
 //   * BaseCover — the vertex cover produced by the last full
 //     SolveCycleCover over the compacted snapshot. An edge whose source
@@ -33,7 +40,6 @@
 #include "core/cover_options.h"
 #include "graph/overlay_graph.h"
 #include "search/search_context.h"
-#include "util/epoch_array.h"
 
 namespace tdb {
 
@@ -70,18 +76,37 @@ struct TransversalState {
   }
 };
 
-/// Bounded uncovered-simple-path existence search over an OverlayGraph.
-/// Plain DFS with an on-path stack (paths have at most k-1 hops, so the
-/// stack stays tiny); one prober per thread — the scratch is not shared.
+/// Bounded uncovered-simple-path search over an OverlayGraph, the probe
+/// behind every AUGMENT and PRUNE. Each FindPath first decides existence
+/// by meet-in-the-middle (search/bidirectional_reach.h): a reverse ball of
+/// radius floor((k-1)/2) around dst and a forward ball of the remaining
+/// radius around src, joined exactly. Most probes end there, with no
+/// path. Otherwise a plain first-path DFS runs (the stack stays at most
+/// k-1 deep), pruned with the reverse ball's distances: it skips w when
+/// depth(w) + lb(w) > k - 1, where lb(w) is w's exact distance to dst
+/// inside the ball and the ball radius + 1 outside it. The prune removes
+/// only subtrees that hold no path, so the DFS returns the same first
+/// path in the same adjacency order as an unpruned one. A probe without a
+/// path out-parameter also ends at the join when the distance lies in the
+/// band: a shortest uncovered walk is a simple path.
+///
+/// Scratch lives in a SearchContext (5 bytes/vertex over the BFS arrays);
+/// one prober and context per thread.
 class PathProber {
  public:
-  /// Only options.k and options.include_two_cycles are consulted.
+  /// Self-contained form: owns a private context. Only options.k and
+  /// options.include_two_cycles are consulted.
   explicit PathProber(const CoverOptions& options);
+
+  /// Reentrant form: scratch lives in `*ctx` (borrowed, must outlive the
+  /// prober), so a warm context makes the prober allocation-free.
+  PathProber(const CoverOptions& options, SearchContext* ctx);
 
   /// True iff an uncovered simple path src -> dst with hop count in
   /// [min_len - 1, k - 1] exists ("would the edge dst -> src close a
   /// qualifying cycle?"). When `path` is non-null and a path exists it
-  /// receives the vertex sequence src..dst.
+  /// receives the vertex sequence src..dst: the first one a DFS over
+  /// adjacency order meets.
   bool FindPath(const OverlayGraph& graph, const TransversalState& state,
                 VertexId src, VertexId dst, std::vector<VertexId>* path);
 
@@ -92,16 +117,17 @@ class PathProber {
   /// the exact shortest uncovered distance forces the verdict whenever
   /// it lands inside or beyond the qualifying band — and only the
   /// below-band residue (a bare src -> target edge while 2-cycles are
-  /// excluded) re-runs the exact DFS. Verdicts are bit-identical to
-  /// per-target FindPath calls. `ctx` carries the BFS scratch; like the
-  /// prober itself, one per concurrent thread. Returns the number of
-  /// DFS fallbacks taken.
+  /// excluded) re-runs FindPath. Verdicts are bit-identical to
+  /// per-target FindPath calls. Returns the number of FindPath fallbacks
+  /// taken.
   size_t FindPathsFrom(const OverlayGraph& graph,
                        const TransversalState& state, VertexId src,
-                       std::span<const VertexId> targets,
-                       SearchContext* ctx, uint8_t* found);
+                       std::span<const VertexId> targets, uint8_t* found);
 
+  /// FindPath calls.
   uint64_t queries() const { return queries_; }
+  /// FindPath calls the ball join could not settle, which ran the DFS.
+  uint64_t dfs_runs() const { return dfs_runs_; }
 
  private:
   bool Dfs(const OverlayGraph& graph, const TransversalState& state,
@@ -110,10 +136,14 @@ class PathProber {
 
   uint32_t min_path_;
   uint32_t max_path_;
+  /// Reverse-ball radius for k - 1 hops; the DFS bounds an unlabeled
+  /// vertex's distance to dst by one more.
+  uint32_t reverse_radius_;
+  std::unique_ptr<SearchContext> owned_context_;
+  SearchContext* ctx_;
   std::vector<VertexId> on_path_;
-  /// FindPathsFrom scratch: per-target shortest distances of one sweep.
-  EpochArray<uint32_t> target_dist_;
   uint64_t queries_ = 0;
+  uint64_t dfs_runs_ = 0;
 };
 
 /// Instrumentation from one BatchAugment call.
@@ -124,6 +154,9 @@ struct BatchAugmentStats {
   uint64_t rejected = 0;
   uint64_t cycles_covered = 0;
   uint64_t path_queries = 0;
+  /// The share of path_queries the ball join could not settle, which ran
+  /// the DFS.
+  uint64_t probe_dfs = 0;
   /// Edges demoted S -> W (or dropped as redundant) by the PRUNE pass.
   uint64_t prunes = 0;
 };
@@ -132,10 +165,13 @@ struct BatchAugmentStats {
 /// transversal (base cover + S) intersects every constrained cycle of the
 /// grown graph. Only options.k and options.include_two_cycles are
 /// consulted (they must match the state's history, and the caller
-/// validates them).
+/// validates them). `ctx` holds the probe scratch; callers that ingest
+/// repeatedly keep one warm context (the service owns one for its
+/// writer).
 BatchAugmentStats BatchAugment(OverlayGraph* graph, TransversalState* state,
                                const CoverOptions& options,
-                               std::span<const Edge> batch);
+                               std::span<const Edge> batch,
+                               SearchContext* ctx);
 
 }  // namespace tdb
 

@@ -37,17 +37,23 @@ struct SearchContext {
   EpochArray<uint32_t> block;
   EpochArray<uint8_t> edge_to_target;
 
-  // Closed-walk BFS state (BfsFilter).
+  // Closed-walk BFS state (BfsFilter), also the forward ball of
+  // BidirectionalDistance and the sweep of BoundedReach.
   EpochArray<uint8_t> visited;
   std::vector<VertexId> frontier;
   std::vector<VertexId> next_frontier;
+
+  // Ingest-probe state (PathProber): one-byte hop labels. Either the
+  // reverse ball of BidirectionalDistance (dr + 1, 0 = unlabeled) or the
+  // per-target sweep distances of PathProber::FindPathsFrom.
+  EpochArray<uint8_t> reach_dist;
 
   /// Counters across all searches run on this context; the engine merges
   /// per-worker stats at join.
   SearchStats stats;
 
   // Each engine grows only the arrays it uses, so a context serving one
-  // engine family does not pay for the others' scratch (~19 bytes/vertex
+  // engine family does not pay for the others' scratch (~24 bytes/vertex
   // all-in, vs 1 for a plain DFS).
 
   /// DFS state (CycleFinder, BlockSearch): `on_path`.
@@ -61,8 +67,15 @@ struct SearchContext {
     edge_to_target.Resize(n);
   }
 
-  /// BFS state (BfsFilter): `visited`.
+  /// BFS state (BfsFilter, BoundedReach): `visited`.
   void EnsureBfsSize(VertexId n) { visited.Resize(n); }
+
+  /// Probe state (PathProber, BidirectionalDistance): `visited` and
+  /// `reach_dist`, 10 bytes/vertex.
+  void EnsureProbeSize(VertexId n) {
+    visited.Resize(n);
+    reach_dist.Resize(n);
+  }
 };
 
 }  // namespace tdb

@@ -348,13 +348,14 @@ SubmitResult CycleBreakService::ApplyLocked(uint64_t seq,
                                             std::span<const Edge> batch) {
   SubmitResult result;
   const BatchAugmentStats s =
-      BatchAugment(&working_, &state_, options_.cover, batch);
+      BatchAugment(&working_, &state_, options_.cover, batch, &ingest_ctx_);
   stats_.batches.fetch_add(1, kRelaxed);
   stats_.edges_submitted.fetch_add(s.submitted, kRelaxed);
   stats_.edges_inserted.fetch_add(s.inserted, kRelaxed);
   stats_.edges_rejected.fetch_add(s.rejected, kRelaxed);
   stats_.cycles_covered.fetch_add(s.cycles_covered, kRelaxed);
   stats_.path_queries.fetch_add(s.path_queries, kRelaxed);
+  stats_.probe_dfs.fetch_add(s.probe_dfs, kRelaxed);
   stats_.prunes.fetch_add(s.prunes, kRelaxed);
   applied_seq_ = seq;
   apply_cv_.notify_all();
@@ -618,11 +619,13 @@ void CycleBreakService::InstallCompactionLocked(OverlayGraph base,
     // on the new base in sequence order.
     if (b.seq > applied_seq_) break;
     const BatchAugmentStats replay =
-        BatchAugment(&working_, &state_, options_.cover, b.edges);
+        BatchAugment(&working_, &state_, options_.cover, b.edges,
+                     &ingest_ctx_);
     // Replayed edges were already counted at their original submission;
     // only the fresh search work is new.
     stats_.cycles_covered.fetch_add(replay.cycles_covered, kRelaxed);
     stats_.path_queries.fetch_add(replay.path_queries, kRelaxed);
+    stats_.probe_dfs.fetch_add(replay.probe_dfs, kRelaxed);
     stats_.prunes.fetch_add(replay.prunes, kRelaxed);
   }
   stats_.compactions.fetch_add(1, kRelaxed);

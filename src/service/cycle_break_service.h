@@ -54,6 +54,7 @@
 #include "core/cover_options.h"
 #include "graph/csr_graph.h"
 #include "graph/overlay_graph.h"
+#include "search/search_context.h"
 #include "service/journal.h"
 #include "service/snapshot.h"
 #include "service/stats.h"
@@ -324,6 +325,9 @@ class CycleBreakService {
   std::mutex writer_mu_;
   OverlayGraph working_;    // guarded by writer_mu_
   TransversalState state_;  // guarded by writer_mu_
+  /// Probe scratch of every BatchAugment (submit, compaction tail replay,
+  /// recovery replay), warm across batches. Guarded by writer_mu_.
+  SearchContext ingest_ctx_;
   std::deque<PendingBatch> pending_;  // guarded by writer_mu_
   uint64_t last_seq_ = 0;             // guarded by writer_mu_
   /// Highest sequence whose batch is applied to working_/state_. Equals

@@ -23,6 +23,9 @@ std::vector<MetricRegistry::Registration> BindServiceStats(
        stats.cycles_covered);
   bind("path_queries", "Bounded path searches run by ingest",
        stats.path_queries);
+  bind("probe_dfs",
+       "Ingest path searches the ball join could not settle (ran the DFS)",
+       stats.probe_dfs);
   bind("prunes", "Transversal PRUNE passes", stats.prunes);
   bind("admission_queries", "CheckAdmission queries answered",
        stats.admission_queries);

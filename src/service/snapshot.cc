@@ -105,7 +105,7 @@ void CheckAdmissionBatchOn(const ServiceSnapshot& snapshot,
                       const AdmissionBatchScratch::Pending& b) {
                      return a.src < b.src;
                    });
-  PathProber prober(snapshot.options);
+  PathProber prober(snapshot.options, &scratch->ctx);
   const std::vector<AdmissionBatchScratch::Pending>& pending =
       scratch->pending;
   for (size_t begin = 0; begin < pending.size();) {
@@ -121,8 +121,7 @@ void CheckAdmissionBatchOn(const ServiceSnapshot& snapshot,
     ++out_stats->bfs_groups;
     out_stats->dfs_fallbacks += prober.FindPathsFrom(
         snapshot.graph, snapshot.cover, pending[begin].src,
-        scratch->group_targets, &scratch->ctx,
-        scratch->group_found.data());
+        scratch->group_targets, scratch->group_found.data());
     for (size_t j = begin; j < end; ++j) {
       AdmissionVerdict& verdict = (*verdicts)[pending[j].query];
       verdict.probed = true;

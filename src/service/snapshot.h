@@ -113,8 +113,9 @@ AdmissionVerdict CheckAdmissionOn(const ServiceSnapshot& snapshot,
                                   VertexId u, VertexId v,
                                   PathProber* prober);
 
-/// Per-thread reusable scratch for CheckAdmissionBatchOn: the BFS
-/// context plus the grouping buffers, warm after the first call.
+/// Per-thread reusable scratch for CheckAdmissionBatchOn: the search
+/// context (the shared BFS sweep and the prober's labels) plus the
+/// grouping buffers, so a warm call allocates nothing.
 struct AdmissionBatchScratch {
   SearchContext ctx;
   /// One query the prechecks/index could not decide: probe source (the

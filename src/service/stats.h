@@ -26,6 +26,9 @@ struct ServiceStatsSnapshot {
   uint64_t edges_rejected = 0;
   uint64_t cycles_covered = 0;
   uint64_t path_queries = 0;
+  /// The share of path_queries the probe's ball join could not settle,
+  /// which ran the first-path DFS.
+  uint64_t probe_dfs = 0;
   /// Always 0. Ingest no longer probes edges speculatively on a pool;
   /// the field stays because existing readers of the snapshot
   /// (bench/e2e/bench_e2e.cc) still report it.
@@ -77,6 +80,7 @@ struct ServiceStats {
   std::atomic<uint64_t> edges_rejected{0};
   std::atomic<uint64_t> cycles_covered{0};
   std::atomic<uint64_t> path_queries{0};
+  std::atomic<uint64_t> probe_dfs{0};
   std::atomic<uint64_t> prunes{0};
   std::atomic<uint64_t> admission_queries{0};
   std::atomic<uint64_t> admission_would_close{0};
@@ -113,6 +117,7 @@ struct ServiceStats {
     out.edges_rejected = get(edges_rejected);
     out.cycles_covered = get(cycles_covered);
     out.path_queries = get(path_queries);
+    out.probe_dfs = get(probe_dfs);
     out.prunes = get(prunes);
     out.admission_queries = get(admission_queries);
     out.admission_would_close = get(admission_would_close);

@@ -58,8 +58,10 @@ bool InvariantHolds(const OverlayGraph& g, const TransversalState& state,
 TEST(BatchAugmentTest, TriangleClosureGetsCovered) {
   OverlayGraph g(MakeBase(3, {}));
   TransversalState state;
+  SearchContext ctx;
   const std::vector<Edge> batch = {{0, 1}, {1, 2}, {2, 0}};
-  const BatchAugmentStats stats = BatchAugment(&g, &state, Opts(3), batch);
+  const BatchAugmentStats stats =
+      BatchAugment(&g, &state, Opts(3), batch, &ctx);
   EXPECT_EQ(stats.inserted, 3u);
   EXPECT_EQ(stats.cycles_covered, 1u);
   EXPECT_EQ(state.covered.size(), 1u);
@@ -69,8 +71,10 @@ TEST(BatchAugmentTest, TriangleClosureGetsCovered) {
 TEST(BatchAugmentTest, RejectsDuplicatesAgainstBaseAndBatch) {
   OverlayGraph g(MakeBase(3, {{0, 1}}));
   TransversalState state;
+  SearchContext ctx;
   const std::vector<Edge> batch = {{0, 1}, {1, 2}, {1, 2}, {2, 2}};
-  const BatchAugmentStats stats = BatchAugment(&g, &state, Opts(3), batch);
+  const BatchAugmentStats stats =
+      BatchAugment(&g, &state, Opts(3), batch, &ctx);
   EXPECT_EQ(stats.inserted, 1u);
   EXPECT_EQ(stats.rejected, 3u);
 }
@@ -80,9 +84,11 @@ TEST(BatchAugmentTest, BaseVertexCoverSuppressesAugment) {
   // cycle already broken by the base layer, so S stays empty.
   OverlayGraph g(MakeBase(3, {{0, 1}, {1, 2}}));
   TransversalState state;
+  SearchContext ctx;
   state.base = BaseCover::FromVertexCover(3, {0}, Status::OK());
   const std::vector<Edge> batch = {{2, 0}};
-  const BatchAugmentStats stats = BatchAugment(&g, &state, Opts(3), batch);
+  const BatchAugmentStats stats =
+      BatchAugment(&g, &state, Opts(3), batch, &ctx);
   EXPECT_EQ(stats.cycles_covered, 0u);
   EXPECT_TRUE(state.covered.empty());
   EXPECT_TRUE(InvariantHolds(g, state, Opts(3)));
@@ -113,12 +119,13 @@ TEST(BatchAugmentTest, InvariantHoldsAlongBatchedStreams) {
       ASSERT_TRUE(solved.status.ok());
       OverlayGraph g(base);
       TransversalState state;
+      SearchContext ctx;
       state.base = BaseCover::FromVertexCover(target.num_vertices(),
                                               solved.cover, solved.status);
       for (size_t at = 0; at < incoming.size(); at += batch_size) {
         const size_t len = std::min(batch_size, incoming.size() - at);
         BatchAugment(&g, &state, opts,
-                     std::span<const Edge>(incoming.data() + at, len));
+                     std::span<const Edge>(incoming.data() + at, len), &ctx);
         ASSERT_TRUE(InvariantHolds(g, state, opts))
             << "batch=" << batch_size << " seed=" << seed << " after "
             << at + len << " edges";
@@ -137,7 +144,9 @@ TEST(BatchAugmentTest, PruneDemotesAndWReusePromotes) {
   }
   OverlayGraph g(MakeBase(7, {}));
   TransversalState state;
-  const BatchAugmentStats stats = BatchAugment(&g, &state, Opts(3), batch);
+  SearchContext ctx;
+  const BatchAugmentStats stats =
+      BatchAugment(&g, &state, Opts(3), batch, &ctx);
   EXPECT_GT(stats.prunes, 0u);
   EXPECT_TRUE(InvariantHolds(g, state, Opts(3)));
 }
@@ -147,8 +156,10 @@ TEST(BatchAugmentTest, TwoCycleModeCoversPairs) {
   opts.include_two_cycles = true;
   OverlayGraph g(MakeBase(2, {{0, 1}}));
   TransversalState state;
+  SearchContext ctx;
   const std::vector<Edge> batch = {{1, 0}};
-  const BatchAugmentStats stats = BatchAugment(&g, &state, opts, batch);
+  const BatchAugmentStats stats =
+      BatchAugment(&g, &state, opts, batch, &ctx);
   EXPECT_EQ(stats.cycles_covered, 1u);
   EXPECT_TRUE(InvariantHolds(g, state, opts));
 }

@@ -39,12 +39,14 @@ struct PerEdgeDarc {
         options(opts) {}
 
   void Insert(const Edge& e) {
-    BatchAugment(&graph, &state, options, std::span<const Edge>(&e, 1));
+    BatchAugment(&graph, &state, options, std::span<const Edge>(&e, 1),
+                 &ctx);
   }
 
   OverlayGraph graph;
   TransversalState state;
   CoverOptions options;
+  SearchContext ctx;
 };
 
 class DynamicStreamPropertyTest
