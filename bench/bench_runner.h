@@ -1,6 +1,5 @@
-// Shared plumbing for the table/figure reproduction binaries: one timed
-// solver invocation with the paper's INF semantics and optional
-// verification.
+// Shared plumbing for the benchmark binaries: JSON rows for the CI
+// regression gate and strict parsing of the TDB_BENCH_* variables.
 #ifndef TDB_BENCH_BENCH_RUNNER_H_
 #define TDB_BENCH_BENCH_RUNNER_H_
 
@@ -10,9 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/solver.h"
-#include "core/verifier.h"
-#include "graph/csr_graph.h"
 #include "util/cfile.h"
 #include "util/parse_number.h"
 #include "util/thread_pool.h"
@@ -116,14 +112,6 @@ class JsonSink {
   std::vector<std::vector<std::pair<std::string, std::string>>> rows_;
 };
 
-/// One benchmark cell: cover size + wall time, with failure markers.
-struct Cell {
-  uint64_t cover_size = 0;
-  double seconds = 0.0;
-  bool timed_out = false;
-  bool failed = false;  // e.g. line-graph budget exhausted
-};
-
 /// Environment variable `name` parsed strictly as a T; `fallback` when
 /// unset. A malformed or out-of-range value prints the variable's name
 /// and exits 2 — a typo in a CI floor must fail loudly, not parse as 0
@@ -150,50 +138,6 @@ inline double EnvDouble(const char* name, double fallback) {
     std::exit(2);
   }
   return value;
-}
-
-/// Per-run wall-clock budget from TDB_BENCH_TIMEOUT (seconds; default
-/// `fallback`). Runs over budget report the paper's "INF".
-inline double BenchTimeout(double fallback = 30.0) {
-  return EnvDouble("TDB_BENCH_TIMEOUT", fallback);
-}
-
-/// Set TDB_BENCH_VERIFY=1 to verify feasibility of every produced cover
-/// (doubles the runtime; off by default).
-inline bool BenchVerify() {
-  const char* env = std::getenv("TDB_BENCH_VERIFY");
-  return env != nullptr && env[0] == '1';
-}
-
-/// Runs `algo` on `graph` under the given hop bound and time limit.
-inline Cell RunCovered(const CsrGraph& graph, CoverAlgorithm algo,
-                       uint32_t k, double time_limit,
-                       bool include_two_cycles = false) {
-  CoverOptions opts;
-  opts.k = k;
-  opts.include_two_cycles = include_two_cycles;
-  opts.time_limit_seconds = time_limit;
-  CoverResult r = SolveCycleCover(graph, algo, opts);
-  Cell cell;
-  cell.seconds = r.stats.elapsed_seconds;
-  if (r.status.IsTimedOut()) {
-    cell.timed_out = true;
-    return cell;
-  }
-  if (!r.status.ok()) {
-    cell.failed = true;
-    return cell;
-  }
-  cell.cover_size = r.cover.size();
-  if (BenchVerify()) {
-    VerifyReport rep = VerifyCover(graph, r.cover, opts, /*minimality=*/false);
-    if (!rep.feasible) {
-      std::fprintf(stderr, "VERIFICATION FAILED: %s k=%u: %s\n",
-                   AlgorithmName(algo), k, rep.ToString().c_str());
-      std::abort();
-    }
-  }
-  return cell;
 }
 
 }  // namespace tdb::bench

@@ -58,7 +58,8 @@ const DatasetSpec* FindDataset(const std::string& name);
 CsrGraph BuildProxy(const DatasetSpec& spec, double scale);
 
 /// Global scale factor from the TDB_BENCH_SCALE environment variable
-/// (default 1.0). Values > 1 stress-test; < 1 smoke-test.
+/// (default 1.0). Values > 1 stress-test; < 1 smoke-test. A malformed or
+/// non-positive value prints the variable's name and exits 2.
 double BenchScale();
 
 }  // namespace tdb::bench

@@ -32,8 +32,8 @@ Status ParseAlgorithm(const std::string& name, CoverAlgorithm* algo);
 /// The paper does not specify an order. Degree-ascending is this library's
 /// default: low-degree vertices discharge early (their cycles rarely
 /// survive in a small G0), so hubs — which cover many cycles — are the
-/// ones kept, yielding covers comparable to BUR+ at lower cost. See
-/// bench_ablation_order for the measured effect.
+/// ones kept, yielding covers comparable to BUR+ at lower cost. See the
+/// order ablation of bench_paper for the measured effect.
 enum class VertexOrder {
   kByDegreeAsc,  ///< Cheapest-degree first (default).
   kById,         ///< Ascending vertex id.
@@ -52,9 +52,6 @@ struct CoverOptions {
   bool unconstrained = false;
   /// Candidate order for the top-down solvers.
   VertexOrder order = VertexOrder::kByDegreeAsc;
-  /// Discharge vertices whose SCC is too small to host a qualifying cycle
-  /// before any search (engineering extension; ablated in bench/).
-  bool scc_prefilter = false;
   /// Wall-clock budget in seconds; <= 0 means unlimited. On expiry the
   /// result carries Status::TimedOut and the partial cover is NOT a
   /// feasible cover (unless split_budget_by_work is set, below).
@@ -108,7 +105,8 @@ struct CoverStats {
   /// Vertices the BFS filter dequeued across all its calls (TDB++ only):
   /// the filter's own work, which `expansions` does not include.
   uint64_t filter_visits = 0;
-  /// Candidates discharged by the SCC prefilter.
+  /// Vertices the engine's SCC condensation discharged before any search:
+  /// members of components too small to host a qualifying cycle.
   uint64_t scc_filtered = 0;
   /// Vertices removed by the minimal-pruning pass (BUR+ only).
   uint64_t prune_removed = 0;

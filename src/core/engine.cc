@@ -191,8 +191,7 @@ struct EngineRun {
   const CsrGraph& graph;
   CoverAlgorithm algorithm;
   const CoverOptions& options;
-  CoverOptions component_options;  // scc_prefilter disabled
-  std::vector<VertexId> rank;      // empty unless top-down
+  std::vector<VertexId> rank;  // empty unless top-down
   Deadline master;
   int requested = 1;
   VertexId min_scc = 3;
@@ -205,12 +204,12 @@ CoverResult SolveInPlace(const EngineRun& run,
                          SearchContext* context, Deadline* deadline) {
   TDB_TRACE_SPAN("engine.solve_in_place");
   if (IsTopDown(run.algorithm)) {
-    return SolveTopDownInPlace(run.graph, members, run.component_options,
+    return SolveTopDownInPlace(run.graph, members, run.options,
                                VariantOf(run.algorithm),
                                GlobalOrderOf(members, run.rank), context,
                                deadline);
   }
-  return SolveBottomUpInPlace(run.graph, members, run.component_options,
+  return SolveBottomUpInPlace(run.graph, members, run.options,
                               run.algorithm == CoverAlgorithm::kBurPlus,
                               context, deadline);
 }
@@ -225,9 +224,8 @@ CoverResult SolveMaterialized(const EngineRun& run,
   InducedSubgraph sub = extractor->Extract(members);
   std::vector<VertexId> order;
   if (IsTopDown(run.algorithm)) order = LocalOrderOf(members, run.rank);
-  CoverResult r =
-      SolveOnSubgraph(sub.graph, run.algorithm, run.component_options,
-                      &order, context, deadline);
+  CoverResult r = SolveOnSubgraph(sub.graph, run.algorithm, run.options,
+                                  &order, context, deadline);
   for (VertexId& v : r.cover) v = sub.to_global[v];
   return r;
 }
@@ -449,11 +447,6 @@ CoverResult SolveCycleCoverPartitioned(const CsrGraph& graph,
                    ? Deadline::AfterSeconds(options.time_limit_seconds)
                    : Deadline();
   run.min_scc = options.include_two_cycles ? 2 : 3;
-  // Per-component options: the engine already did the SCC discharge, and
-  // an extracted component is one SCC, so the per-solve prefilter would be
-  // an all-pass recompute.
-  run.component_options = options;
-  run.component_options.scc_prefilter = false;
   if (IsTopDown(algorithm)) run.rank = MakeRank(graph, options);
 
   double scc_seconds = 0.0;

@@ -4,7 +4,6 @@
 #include <numeric>
 #include <optional>
 
-#include "graph/scc.h"
 #include "search/bfs_filter.h"
 #include "search/cycle_finder.h"
 #include "search/path_search.h"
@@ -47,14 +46,13 @@ std::vector<VertexId> MakeCandidateOrder(const CsrGraph& graph,
 namespace {
 
 /// The candidate sweep shared by the whole-graph and in-place entry
-/// points: processes `order`, discharging candidates into `kept`. A
-/// non-null `scc_mask` discharges vertices on no qualifying SCC without a
-/// search. Engines are built per variant, so a plain-DFS solve does not
-/// pay for block/BFS scratch. Returns TimedOut on budget expiry.
+/// points: processes `order`, discharging candidates into `kept`.
+/// Engines are built per variant, so a plain-DFS solve does not pay for
+/// block/BFS scratch. Returns TimedOut on budget expiry.
 Status SweepTopDown(const CsrGraph& graph, const CycleConstraint& constraint,
                     TopDownVariant variant, std::span<const VertexId> order,
-                    const uint8_t* scc_mask, uint8_t* kept, CoverStats* stats,
-                    SearchContext* context, Deadline* deadline) {
+                    uint8_t* kept, CoverStats* stats, SearchContext* context,
+                    Deadline* deadline) {
   std::optional<CycleFinder> plain;
   std::optional<BlockSearch> blocks;
   std::optional<BfsFilter> filter;
@@ -66,13 +64,6 @@ Status SweepTopDown(const CsrGraph& graph, const CycleConstraint& constraint,
   if (variant == TopDownVariant::kBlocksFilter) filter.emplace(graph, context);
 
   for (VertexId v : order) {
-    // A vertex on no directed cycle at all can never be necessary; the
-    // optional SCC mask catches everything off-cycle.
-    if (scc_mask != nullptr && !scc_mask[v]) {
-      kept[v] = 1;
-      ++stats->scc_filtered;
-      continue;
-    }
     if (filter.has_value()) {
       const uint32_t walk =
           filter->ShortestClosedWalk(v, constraint.max_hops, kept, deadline);
@@ -115,15 +106,9 @@ CoverResult SolveTopDownOrdered(const CsrGraph& graph,
   // kept[v] == 1 once v has been discharged from the cover: v and its
   // edges belong to the growing subgraph G0.
   std::vector<uint8_t> kept(graph.num_vertices(), 0);
-  std::vector<uint8_t> scc_mask;
-  if (options.scc_prefilter) {
-    scc_mask = SccAtLeastMask(
-        graph, options.include_two_cycles ? VertexId{2} : VertexId{3});
-  }
-  result.status = SweepTopDown(
-      graph, options.Constraint(graph.num_vertices()), variant, order,
-      options.scc_prefilter ? scc_mask.data() : nullptr, kept.data(),
-      &result.stats, context, deadline);
+  result.status = SweepTopDown(graph, options.Constraint(graph.num_vertices()),
+                               variant, order, kept.data(), &result.stats,
+                               context, deadline);
   if (!result.status.ok()) return result;
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {
     if (!kept[v]) result.cover.push_back(v);
@@ -147,8 +132,7 @@ CoverResult SolveTopDownInPlace(const CsrGraph& graph,
   // hop budget is the vertex count).
   result.status = SweepTopDown(
       graph, options.Constraint(static_cast<VertexId>(members.size())),
-      variant, order, /*scc_mask=*/nullptr, kept.data(), &result.stats,
-      context, deadline);
+      variant, order, kept.data(), &result.stats, context, deadline);
   if (!result.status.ok()) return result;
   for (VertexId g : members) {
     if (!kept[g]) result.cover.push_back(g);

@@ -67,9 +67,7 @@ CoverResult SolveTopDownOrdered(const CsrGraph& graph,
 /// returned cover is likewise in global ids. Searches run on `graph`
 /// restricted by the kept mask, which only ever contains members, so
 /// results are bit-identical to a solve on the materialized component.
-///
-/// Assumes options were validated and options.scc_prefilter handling was
-/// done by the caller (the engine discharges non-member vertices itself).
+/// Assumes options were validated.
 CoverResult SolveTopDownInPlace(const CsrGraph& graph,
                                 std::span<const VertexId> members,
                                 const CoverOptions& options,

@@ -136,14 +136,4 @@ SccResult ComputeScc(const CsrGraph& graph) {
   return CondenseScc(graph, SccOptions{});
 }
 
-std::vector<uint8_t> SccAtLeastMask(const CsrGraph& graph,
-                                    VertexId min_size) {
-  SccResult scc = ComputeScc(graph);
-  std::vector<uint8_t> mask(graph.num_vertices(), 0);
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    mask[v] = scc.SizeOf(v) >= min_size ? 1 : 0;
-  }
-  return mask;
-}
-
 }  // namespace tdb

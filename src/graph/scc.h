@@ -3,8 +3,8 @@
 // Every directed cycle lies inside one SCC, and a simple cycle of length
 // >= 3 needs an SCC of at least 3 vertices (>= 2 when 2-cycles count), so
 // condensation is the front door of every solve: the engine partitions
-// the graph by component and the top-down solver uses component sizes as
-// an optional prefilter.
+// the graph by component and discharges components too small to host a
+// qualifying cycle without any search.
 //
 // The algorithm is the classic single-threaded Tarjan traversal, run
 // iteratively (an explicit frame stack, no recursion, so
@@ -79,12 +79,6 @@ SccResult CondenseScc(const CsrGraph& graph, const SccOptions& options);
 
 /// CondenseScc with default options (no deadline).
 SccResult ComputeScc(const CsrGraph& graph);
-
-/// Marks vertices whose SCC has at least `min_size` members. Only marked
-/// vertices can lie on a simple cycle of length >= min_size' where
-/// min_size' is 3 without 2-cycles (pass 3) or 2 with them (pass 2).
-std::vector<uint8_t> SccAtLeastMask(const CsrGraph& graph,
-                                    VertexId min_size);
 
 }  // namespace tdb
 

@@ -93,21 +93,6 @@ TEST(TopDownTest, CoversAreFeasibleAndMinimal) {
   }
 }
 
-TEST(TopDownTest, SccPrefilterPreservesTheCover) {
-  for (uint64_t seed = 0; seed < 6; ++seed) {
-    CsrGraph g = GenerateErdosRenyi(80, 200, seed);
-    CoverOptions base = Opts(4);
-    CoverOptions filtered = base;
-    filtered.scc_prefilter = true;
-    CoverResult a = SolveTopDown(g, base, TopDownVariant::kBlocksFilter);
-    CoverResult b =
-        SolveTopDown(g, filtered, TopDownVariant::kBlocksFilter);
-    ASSERT_TRUE(a.status.ok());
-    ASSERT_TRUE(b.status.ok());
-    EXPECT_EQ(a.cover, b.cover) << "seed=" << seed;
-  }
-}
-
 TEST(TopDownTest, AllOrdersYieldFeasibleMinimalCovers) {
   CsrGraph g = GenerateErdosRenyi(60, 300, /*seed=*/3);
   for (VertexOrder order :

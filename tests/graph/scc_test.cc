@@ -183,17 +183,5 @@ TEST(SccTest, ExpiredDeadlineTimesOut) {
   EXPECT_TRUE(r.vertices.empty());
 }
 
-TEST(SccAtLeastMaskTest, FiltersByComponentSize) {
-  // Triangle {0,1,2}, 2-cycle {3,4}, isolated 5.
-  CsrGraph g =
-      CsrGraph::FromEdges(6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 3}});
-  std::vector<uint8_t> mask3 = SccAtLeastMask(g, 3);
-  EXPECT_TRUE(mask3[0] && mask3[1] && mask3[2]);
-  EXPECT_FALSE(mask3[3] || mask3[4] || mask3[5]);
-  std::vector<uint8_t> mask2 = SccAtLeastMask(g, 2);
-  EXPECT_TRUE(mask2[3] && mask2[4]);
-  EXPECT_FALSE(mask2[5]);
-}
-
 }  // namespace
 }  // namespace tdb

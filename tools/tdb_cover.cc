@@ -234,7 +234,7 @@ int main(int argc, char** argv) {
             cs.bfs_filtered);
     counter("filter_visits", "Vertices dequeued by the BFS filter",
             cs.filter_visits);
-    counter("scc_filtered", "Candidates discharged by the SCC prefilter",
+    counter("scc_filtered", "Vertices discharged by SCC condensation",
             cs.scc_filtered);
     counter("prune_removed", "Vertices removed by minimal pruning",
             cs.prune_removed);
