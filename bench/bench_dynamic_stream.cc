@@ -111,8 +111,10 @@ int main(int argc, char** argv) {
       Workload w;
       w.name = name;
       w.n = g.num_vertices();
-      for (EdgeId e = 0; e < g.num_edges(); ++e) {
-        w.stream.push_back(Edge{g.EdgeSrc(e), g.EdgeDst(e)});
+      for (VertexId u = 0; u < g.num_vertices(); ++u) {
+        for (const VertexId v : g.OutNeighbors(u)) {
+          w.stream.push_back(Edge{u, v});
+        }
       }
       Rng rng(7);
       for (size_t i = w.stream.size(); i > 1; --i) {

@@ -193,7 +193,7 @@ class Harness {
     p.scale = scale;
     p.seconds = timer.ElapsedSeconds();
     p.lower_bound = packing.LowerBound();
-    if (budget_ > 0 && p.seconds >= budget_) p.status = CellStatus::kInf;
+    if (packing.timed_out) p.status = CellStatus::kInf;
     return p;
   }
 

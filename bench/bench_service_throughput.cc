@@ -10,24 +10,21 @@
 // non-zero, mirroring bench_parallel_scaling's determinism hard-fail.
 //
 // A second sweep measures steady-state admission QPS at a fixed 4 reader
-// threads over the SAME post-ingest state, in three modes: "plain"
-// (per-query, no index), "indexed" (per-query against landmark distance
-// sketches) and "indexed_batched" (CheckAdmissionBatch with shared
-// multi-source probes). All three evaluate the identical seeded query
+// threads over one post-ingest state, in two modes over the one
+// admission path (prechecks, then the meet-in-the-middle probe):
+// "per_query" (CheckAdmission) and "batched" (CheckAdmissionBatch, one
+// pinned snapshot per batch). Both evaluate the identical seeded query
 // list and their verdict bitvectors must be byte-identical — any
 // divergence is a correctness bug and the bench exits non-zero.
-// TDB_BENCH_MIN_ADMIT_SPEEDUP (optional) turns the indexed_batched
-// speedup over plain into a hard floor, the perf claim CI enforces.
 //
 // Knobs: TDB_BENCH_SERVICE_N (vertices), TDB_BENCH_SERVICE_BASE_M (base
 // edges), TDB_BENCH_SERVICE_STREAM_M (stream edges),
 // TDB_BENCH_SERVICE_BATCH, TDB_BENCH_SERVICE_QUERIES (per reader),
-// TDB_BENCH_SERVICE_LANDMARKS (index size), TDB_BENCH_SERVICE_ADMIT_Q
-// (steady-state query count), TDB_BENCH_SERVICE_ADMIT_BATCH.
+// TDB_BENCH_SERVICE_ADMIT_Q (steady-state query count),
+// TDB_BENCH_SERVICE_ADMIT_BATCH.
 // --json PATH emits rows for tools/check_bench_regression.py.
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <span>
 #include <string>
 #include <thread>
@@ -58,12 +55,10 @@ int main(int argc, char** argv) {
   const size_t batch = EnvInteger<size_t>("TDB_BENCH_SERVICE_BATCH", 256);
   const uint64_t queries =
       EnvInteger<uint64_t>("TDB_BENCH_SERVICE_QUERIES", 40000);
-  const int landmarks = EnvInteger<int>("TDB_BENCH_SERVICE_LANDMARKS", 512);
   const uint64_t admit_q =
       EnvInteger<uint64_t>("TDB_BENCH_SERVICE_ADMIT_Q", 80000);
   const size_t admit_batch =
       EnvInteger<size_t>("TDB_BENCH_SERVICE_ADMIT_BATCH", 256);
-  const double min_speedup = EnvDouble("TDB_BENCH_MIN_ADMIT_SPEEDUP", 0.0);
   constexpr uint32_t kHop = 4;
 
   // Deterministic workload shared by every row.
@@ -213,39 +208,27 @@ int main(int argc, char** argv) {
   constexpr int kAdmitThreads = 4;
   json.BeginRow();
   json.Str("row", "admit_params");
-  json.Num("landmarks", static_cast<uint64_t>(landmarks));
   json.Num("admit_q", admit_q);
   json.Num("admit_batch", static_cast<uint64_t>(admit_batch));
   json.Num("admit_threads", static_cast<uint64_t>(kAdmitThreads));
 
-  // Two services over the identical ingest: the index must not perturb
-  // ingest at all, so their final transversals must digest-match.
-  const auto make_service = [&](int index_landmarks) {
-    ServiceOptions options;
-    options.cover.k = kHop;
-    options.compact_delta_threshold = 2048;
-    options.synchronous_compaction = true;
-    options.admission_index_landmarks = index_landmarks;
-    CsrGraph base_copy = base;
-    auto service =
-        std::make_unique<CycleBreakService>(std::move(base_copy), options);
-    for (size_t at = 0; at < stream.size(); at += batch) {
-      const size_t len = std::min(batch, stream.size() - at);
-      service->SubmitEdges(std::span<const Edge>(stream.data() + at, len));
-    }
-    return service;
-  };
-  const auto plain_service = make_service(0);
-  const auto indexed_service = make_service(landmarks);
-  if (transversal_digest(plain_service->Image()) !=
-      transversal_digest(indexed_service->Image())) {
+  ServiceOptions steady_options;
+  steady_options.cover.k = kHop;
+  steady_options.compact_delta_threshold = 2048;
+  steady_options.synchronous_compaction = true;
+  CycleBreakService steady(CsrGraph(base), steady_options);
+  for (size_t at = 0; at < stream.size(); at += batch) {
+    const size_t len = std::min(batch, stream.size() - at);
+    steady.SubmitEdges(std::span<const Edge>(stream.data() + at, len));
+  }
+  if (transversal_digest(steady.Image()) != reference_digest) {
     std::fprintf(stderr,
-                 "DETERMINISM VIOLATION: admission index perturbed "
-                 "ingest state\n");
+                 "DETERMINISM VIOLATION: steady-state ingest drifted from "
+                 "the sweep rows\n");
     return 1;
   }
   const uint64_t steady_cover = [&] {
-    const TransversalImage image = plain_service->Image();
+    const TransversalImage image = steady.Image();
     return image.covered.size() + image.cover_vertices.size();
   }();
 
@@ -308,47 +291,36 @@ int main(int argc, char** argv) {
   };
 
   std::printf("\n== Steady-state admission modes (%llu queries, %d "
-              "threads, %d landmarks, batch %zu) ==\n",
+              "threads, batch %zu) ==\n",
               static_cast<unsigned long long>(admit_q), kAdmitThreads,
-              landmarks, admit_batch);
+              admit_batch);
   TablePrinter admit_table(
       {"mode", "seconds", "admit qps", "speedup", "would close"});
   struct ModeResult {
     const char* mode;
+    bool batched = false;
     double seconds = 0;
     std::vector<uint8_t> verdicts;
     LatencyHistogram* lat = nullptr;
   };
-  ModeResult modes[3] = {
-      {"plain"}, {"indexed"}, {"indexed_batched"}};
+  ModeResult modes[2] = {{"per_query", false}, {"batched", true}};
   for (ModeResult& m : modes) {
     m.lat = bench_registry.AddHistogram(
         std::string("bench_admit_") + m.mode + "_seconds",
         "Per-query admission latency in the steady-state sweep");
+    m.seconds = run_mode(steady, m.batched, &m.verdicts, m.lat);
   }
-  modes[0].seconds =
-      run_mode(*plain_service, false, &modes[0].verdicts, modes[0].lat);
-  modes[1].seconds =
-      run_mode(*indexed_service, false, &modes[1].verdicts, modes[1].lat);
-  modes[2].seconds =
-      run_mode(*indexed_service, true, &modes[2].verdicts, modes[2].lat);
-
-  for (const ModeResult& m : modes) {
-    if (m.verdicts != modes[0].verdicts) {
-      std::fprintf(stderr,
-                   "DETERMINISM VIOLATION: %s verdicts differ from the "
-                   "plain per-query path\n",
-                   m.mode);
-      return 1;
-    }
+  if (modes[1].verdicts != modes[0].verdicts) {
+    std::fprintf(stderr,
+                 "DETERMINISM VIOLATION: batched verdicts differ from the "
+                 "per-query path\n");
+    return 1;
   }
   const uint64_t would_close = static_cast<uint64_t>(
       std::count(modes[0].verdicts.begin(), modes[0].verdicts.end(), 1));
-  double batched_speedup = 0;
   for (const ModeResult& m : modes) {
     const double speedup =
         m.seconds > 0 ? modes[0].seconds / m.seconds : 0;
-    if (std::string(m.mode) == "indexed_batched") batched_speedup = speedup;
     const double qps =
         m.seconds > 0
             ? static_cast<double>(admit_queries.size()) / m.seconds
@@ -373,27 +345,12 @@ int main(int argc, char** argv) {
   }
   admit_table.Print();
   {
-    const ServiceStatsSnapshot s = indexed_service->Stats();
-    const uint64_t decided = s.index_hits + s.index_fallbacks;
-    std::printf("index: %llu hits / %llu fallbacks (%.1f%% hit rate), "
-                "%llu builds (%llu patched, %llu full) in %.3fs\n",
-                static_cast<unsigned long long>(s.index_hits),
-                static_cast<unsigned long long>(s.index_fallbacks),
-                decided > 0 ? 100.0 * static_cast<double>(s.index_hits) /
-                                  static_cast<double>(decided)
-                            : 0.0,
-                static_cast<unsigned long long>(s.index_builds),
-                static_cast<unsigned long long>(s.index_patches),
-                static_cast<unsigned long long>(s.index_builds -
-                                                s.index_patches),
-                s.index_build_seconds);
-  }
-  if (min_speedup > 0 && batched_speedup < min_speedup) {
-    std::fprintf(stderr,
-                 "SPEEDUP FLOOR VIOLATION: indexed_batched %.2fx < "
-                 "TDB_BENCH_MIN_ADMIT_SPEEDUP %.2fx\n",
-                 batched_speedup, min_speedup);
-    return 1;
+    const ServiceStatsSnapshot s = steady.Stats();
+    std::printf("probe: %llu of %llu queries passed the prechecks, %llu "
+                "ran the DFS\n",
+                static_cast<unsigned long long>(s.admission_probes),
+                static_cast<unsigned long long>(s.admission_queries),
+                static_cast<unsigned long long>(s.admission_probe_dfs));
   }
 
   if (!json.Write(JsonSink::PathFromArgs(argc, argv))) return 1;

@@ -26,8 +26,8 @@ int main() {
 
   // Collect the stream in arrival order (randomized canonical ids).
   std::vector<Edge> stream;
-  for (EdgeId e = 0; e < full.num_edges(); ++e) {
-    stream.push_back(Edge{full.EdgeSrc(e), full.EdgeDst(e)});
+  for (VertexId u = 0; u < full.num_vertices(); ++u) {
+    for (const VertexId v : full.OutNeighbors(u)) stream.push_back(Edge{u, v});
   }
   Rng rng(5);
   for (size_t i = stream.size(); i > 1; --i) {

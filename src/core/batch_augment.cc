@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "search/bidirectional_reach.h"
-#include "search/bounded_reach.h"
-#include "util/epoch_array.h"
 #include "util/trace.h"
 
 namespace tdb {
@@ -100,57 +98,6 @@ bool PathProber::Dfs(const OverlayGraph& graph, const TransversalState& state,
     return true;
   });
   return found;
-}
-
-size_t PathProber::FindPathsFrom(const OverlayGraph& graph,
-                                 const TransversalState& state, VertexId src,
-                                 std::span<const VertexId> targets,
-                                 uint8_t* found) {
-  // Per-target sweep distances in the probe labels, saturated to a byte
-  // (only "below the band", "in the band" and "unreached" matter).
-  constexpr uint8_t kUnreached = 0xff;
-  constexpr uint8_t kBelowBand = 2;  // found[j] marker until pass 2
-  const VertexId n = graph.num_vertices();
-  ctx_->EnsureProbeSize(n);
-  EpochArray<uint8_t>& target_dist = ctx_->reach_dist;
-  target_dist.NewEpoch();
-  for (const VertexId t : targets) {
-    if (t < n) target_dist.Set(t, kUnreached);
-  }
-  BoundedReach(
-      graph, ReachDirection::kForward, std::span<const VertexId>(&src, 1),
-      max_path_, ctx_,
-      [&](EdgeId e) { return !state.EdgeCovered(graph, e); },
-      [&](VertexId w, uint32_t depth) {
-        if (target_dist.Get(w) == kUnreached) {
-          const uint32_t d = std::min<uint32_t>(depth, kUnreached - 1);
-          target_dist.Set(w, static_cast<uint8_t>(d));
-        }
-      });
-  size_t fallbacks = 0;
-  for (size_t j = 0; j < targets.size(); ++j) {
-    const VertexId t = targets[j];
-    const uint8_t d = t < n ? target_dist.Get(t) : kUnreached;
-    if (d == kUnreached) {
-      // No uncovered walk of <= k - 1 hops, hence no qualifying path.
-      found[j] = 0;
-    } else if (d >= min_path_) {
-      // The shortest uncovered walk is a simple path inside the band.
-      found[j] = 1;
-    } else {
-      // Below-band distance: a longer qualifying path may still exist.
-      ++fallbacks;
-      found[j] = kBelowBand;
-    }
-  }
-  // FindPath reuses the labels, so the residue runs only once every
-  // target's sweep distance has been read.
-  for (size_t j = 0; fallbacks > 0 && j < targets.size(); ++j) {
-    if (found[j] == kBelowBand) {
-      found[j] = FindPath(graph, state, src, targets[j], nullptr) ? 1 : 0;
-    }
-  }
-  return fallbacks;
 }
 
 namespace {

@@ -90,8 +90,9 @@ struct TransversalState {
 /// path out-parameter also ends at the join when the distance lies in the
 /// band: a shortest uncovered walk is a simple path.
 ///
-/// Scratch lives in a SearchContext (5 bytes/vertex over the BFS arrays);
-/// one prober and context per thread.
+/// Scratch lives in a SearchContext (10 bytes/vertex, see
+/// EnsureProbeSize); one prober and context per thread. Ingest and
+/// admission both probe through this class.
 class PathProber {
  public:
   /// Self-contained form: owns a private context. Only options.k and
@@ -109,20 +110,6 @@ class PathProber {
   /// adjacency order meets.
   bool FindPath(const OverlayGraph& graph, const TransversalState& state,
                 VertexId src, VertexId dst, std::vector<VertexId>* path);
-
-  /// Shared-source batch form of FindPath: writes into found[j] whether
-  /// an uncovered simple path src -> targets[j] with hop count in
-  /// [min_len - 1, k - 1] exists. One hop-bounded BFS over the uncovered
-  /// subgraph (search/bounded_reach.h) decides every target at once —
-  /// the exact shortest uncovered distance forces the verdict whenever
-  /// it lands inside or beyond the qualifying band — and only the
-  /// below-band residue (a bare src -> target edge while 2-cycles are
-  /// excluded) re-runs FindPath. Verdicts are bit-identical to
-  /// per-target FindPath calls. Returns the number of FindPath fallbacks
-  /// taken.
-  size_t FindPathsFrom(const OverlayGraph& graph,
-                       const TransversalState& state, VertexId src,
-                       std::span<const VertexId> targets, uint8_t* found);
 
   /// FindPath calls.
   uint64_t queries() const { return queries_; }

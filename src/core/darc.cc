@@ -60,10 +60,6 @@ DarcEdgeResult SolveDarcEdgeCover(const CsrGraph& graph,
   // kindness to the baseline — it only makes DARC faster, never changes
   // its output.
   const SccResult scc = ComputeScc(graph);
-  auto maybe_on_cycle = [&](EdgeId e) {
-    return scc.component[graph.EdgeSrc(e)] ==
-           scc.component[graph.EdgeDst(e)];
-  };
 
   SearchContext own_context;
   SearchContext* ctx = context != nullptr ? context : &own_context;
@@ -71,15 +67,19 @@ DarcEdgeResult SolveDarcEdgeCover(const CsrGraph& graph,
   std::vector<VertexId> path;
   std::vector<EdgeId> path_edges;
 
-  auto find_cycle_avoiding_s = [&](EdgeId e, std::vector<VertexId>* out) {
-    if (!maybe_on_cycle(e)) return SearchOutcome::kNotFound;
+  // `src` is EdgeSrc(e), passed in by callers that already know it.
+  auto find_cycle_avoiding_s = [&](EdgeId e, VertexId src,
+                                   std::vector<VertexId>* out) {
+    const VertexId dst = graph.EdgeDst(e);
+    if (scc.component[src] != scc.component[dst]) {
+      return SearchOutcome::kNotFound;
+    }
     ++result.path_queries;
-    return search.FindPath(graph.EdgeDst(e), graph.EdgeSrc(e), min_path,
-                           max_path, /*active=*/nullptr, st.in_s.data(), out,
-                           dl);
+    return search.FindPath(dst, src, min_path, max_path, /*active=*/nullptr,
+                           st.in_s.data(), out, dl);
   };
 
-  auto augment = [&](EdgeId e) -> SearchOutcome {
+  auto augment = [&](EdgeId e, VertexId src) -> SearchOutcome {
     // Algorithm 2 lines 3-6: a previously pruned edge is re-committed.
     if (st.in_w[e]) {
       st.in_w[e] = 0;
@@ -89,7 +89,7 @@ DarcEdgeResult SolveDarcEdgeCover(const CsrGraph& graph,
     }
     // Lines 7-13: walk uncovered cycles through e one at a time.
     while (!st.in_s[e]) {
-      SearchOutcome outcome = find_cycle_avoiding_s(e, &path);
+      SearchOutcome outcome = find_cycle_avoiding_s(e, src, &path);
       if (outcome == SearchOutcome::kTimedOut) return outcome;
       if (outcome == SearchOutcome::kNotFound) break;
       ++result.augment_cycles;
@@ -126,7 +126,8 @@ DarcEdgeResult SolveDarcEdgeCover(const CsrGraph& graph,
       // Tentatively drop e; feasibility fails iff some constrained cycle
       // through e avoids S \ {e}.
       st.in_s[e] = 0;
-      SearchOutcome outcome = find_cycle_avoiding_s(e, nullptr);
+      SearchOutcome outcome =
+          find_cycle_avoiding_s(e, graph.EdgeSrc(e), nullptr);
       if (outcome == SearchOutcome::kTimedOut) return outcome;
       if (outcome == SearchOutcome::kFound) {
         st.in_s[e] = 1;  // still needed
@@ -138,13 +139,16 @@ DarcEdgeResult SolveDarcEdgeCover(const CsrGraph& graph,
     return SearchOutcome::kNotFound;
   };
 
-  for (EdgeId e = 0; e < m; ++e) {
-    if (st.in_s[e]) continue;
-    if (augment(e) == SearchOutcome::kTimedOut ||
-        prune() == SearchOutcome::kTimedOut) {
-      result.status = Status::TimedOut("DARC exceeded budget");
-      result.elapsed_seconds = timer.ElapsedSeconds();
-      return result;
+  // Edges in canonical id order, one out-range per source vertex.
+  for (VertexId u = 0; u < graph.num_vertices(); ++u) {
+    for (EdgeId e = graph.OutEdgeBegin(u); e < graph.OutEdgeEnd(u); ++e) {
+      if (st.in_s[e]) continue;
+      if (augment(e, u) == SearchOutcome::kTimedOut ||
+          prune() == SearchOutcome::kTimedOut) {
+        result.status = Status::TimedOut("DARC exceeded budget");
+        result.elapsed_seconds = timer.ElapsedSeconds();
+        return result;
+      }
     }
   }
 

@@ -24,7 +24,10 @@ CyclePacking PackDisjointCycles(const CsrGraph& graph,
     // (including v), keeping the packing disjoint.
     SearchOutcome outcome = search.FindCycleThrough(
         v, constraint, active.data(), &cycle, &deadline);
-    if (outcome == SearchOutcome::kTimedOut) break;
+    if (outcome == SearchOutcome::kTimedOut) {
+      packing.timed_out = true;
+      break;
+    }
     if (outcome == SearchOutcome::kFound) {
       for (VertexId u : cycle) active[u] = 0;
       packing.cycles.push_back(cycle);

@@ -23,6 +23,10 @@ namespace tdb {
 struct CyclePacking {
   /// Vertex sequences of the packed cycles (pairwise vertex-disjoint).
   std::vector<std::vector<VertexId>> cycles;
+  /// True when the deadline stopped the packing before every vertex was
+  /// tried: the cycles are still disjoint and valid, so the bound holds,
+  /// but it is weaker and depends on where the budget cut it.
+  bool timed_out = false;
 
   /// Lower bound on the optimal hop-constrained cycle cover size.
   size_t LowerBound() const { return cycles.size(); }
@@ -30,8 +34,8 @@ struct CyclePacking {
 
 /// Greedily packs vertex-disjoint constrained cycles under the semantics
 /// of `options` (hop window, 2-cycle inclusion, unconstrained). A
-/// deadline (via options.time_limit_seconds) truncates the packing early,
-/// which keeps the bound valid (just weaker).
+/// deadline (via options.time_limit_seconds) truncates the packing early
+/// and sets `timed_out`, which keeps the bound valid (just weaker).
 CyclePacking PackDisjointCycles(const CsrGraph& graph,
                                 const CoverOptions& options);
 

@@ -25,7 +25,6 @@ CsrGraph CsrGraph::FromEdges(VertexId n, std::vector<Edge> edges,
 
   g.out_offsets_.assign(n + 1, 0);
   g.out_targets_.resize(m);
-  g.edge_src_.resize(m);
   for (const Edge& e : edges) {
     TDB_CHECK_MSG(e.src < n && e.dst < n, "edge (%u,%u) out of range n=%u",
                   e.src, e.dst, n);
@@ -36,16 +35,13 @@ CsrGraph CsrGraph::FromEdges(VertexId n, std::vector<Edge> edges,
   }
   // `edges` is sorted by (src, dst), so writing in order fills each
   // adjacency list sorted by target.
-  for (EdgeId i = 0; i < m; ++i) {
-    g.out_targets_[i] = edges[i].dst;
-    g.edge_src_[i] = edges[i].src;
-  }
+  for (EdgeId i = 0; i < m; ++i) g.out_targets_[i] = edges[i].dst;
 
   // In-CSR: counting sort by destination, preserving edge-id order within
   // each bucket so in-neighbor lists come out sorted by source.
   g.in_offsets_.assign(n + 1, 0);
   g.in_sources_.resize(m);
-  g.in_edge_ids_.resize(m);
+  g.in_edge_ranks_.resize(m);
   for (EdgeId i = 0; i < m; ++i) ++g.in_offsets_[edges[i].dst + 1];
   for (VertexId v = 0; v < n; ++v) {
     g.in_offsets_[v + 1] += g.in_offsets_[v];
@@ -54,9 +50,18 @@ CsrGraph CsrGraph::FromEdges(VertexId n, std::vector<Edge> edges,
   for (EdgeId i = 0; i < m; ++i) {
     EdgeId pos = cursor[edges[i].dst]++;
     g.in_sources_[pos] = edges[i].src;
-    g.in_edge_ids_[pos] = i;
+    g.in_edge_ranks_[pos] =
+        static_cast<uint32_t>(i - g.out_offsets_[edges[i].src]);
   }
   return g;
+}
+
+VertexId CsrGraph::EdgeSrc(EdgeId e) const {
+  // The source is the last vertex whose out-range starts at or before e;
+  // empty out-ranges share their start with the next vertex, and
+  // upper_bound steps past all of them.
+  const auto it = std::upper_bound(out_offsets_.begin(), out_offsets_.end(), e);
+  return static_cast<VertexId>(it - out_offsets_.begin() - 1);
 }
 
 bool CsrGraph::HasEdge(VertexId u, VertexId v) const {
@@ -72,8 +77,10 @@ EdgeId CsrGraph::FindEdge(VertexId u, VertexId v) const {
 
 EdgeId CsrGraph::CountReciprocalEdges() const {
   EdgeId count = 0;
-  for (EdgeId e = 0; e < num_edges(); ++e) {
-    if (HasEdge(EdgeDst(e), EdgeSrc(e))) ++count;
+  for (VertexId u = 0; u < n_; ++u) {
+    for (const VertexId v : OutNeighbors(u)) {
+      if (HasEdge(v, u)) ++count;
+    }
   }
   return count;
 }

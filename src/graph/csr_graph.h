@@ -7,10 +7,14 @@
 // id equal to its position in the out-CSR — the DARC baseline and the line
 // graph are built on those ids.
 //
-// Memory: 20 bytes per edge — out_targets_ + edge_src_ + in_sources_ at
-// 4 bytes each plus in_edge_ids_ at 8 — and 2 * (n + 1) * 8 bytes of
-// offsets. A billion-edge graph (n = 2^27, m = 2^30) costs ~22 GB,
-// matching the paper's big-memory-server deployment model.
+// Memory: 12 bytes per edge — out_targets_, in_sources_ and
+// in_edge_ranks_ at 4 bytes each — and 2 * (n + 1) * 8 bytes of offsets.
+// A billion-edge graph (n = 2^27, m = 2^30) costs ~15 GB, matching the
+// paper's big-memory-server deployment model. No per-edge source array is
+// kept: EdgeSrc binary-searches the out-offsets, and an in-edge stores its
+// rank within the source's out-list (an out-list never holds more than n
+// entries, so 4 bytes are exact at any m), from which its canonical id is
+// OutEdgeBegin(source) + rank.
 #ifndef TDB_GRAPH_CSR_GRAPH_H_
 #define TDB_GRAPH_CSR_GRAPH_H_
 
@@ -62,8 +66,11 @@ class CsrGraph {
   /// Canonical id of edge u -> v, or kInvalidEdge if absent.
   EdgeId FindEdge(VertexId u, VertexId v) const;
 
-  /// Source / destination of a canonical edge id.
-  VertexId EdgeSrc(EdgeId e) const { return edge_src_[e]; }
+  /// Source of a canonical edge id: the vertex whose out-range holds it.
+  /// O(log n); callers that scan every edge walk the per-vertex
+  /// out-ranges instead.
+  VertexId EdgeSrc(EdgeId e) const;
+  /// Destination of a canonical edge id. O(1).
   VertexId EdgeDst(EdgeId e) const { return out_targets_[e]; }
 
   /// Canonical ids of v's out-edges: the contiguous range
@@ -71,17 +78,19 @@ class CsrGraph {
   EdgeId OutEdgeBegin(VertexId v) const { return out_offsets_[v]; }
   EdgeId OutEdgeEnd(VertexId v) const { return out_offsets_[v + 1]; }
 
-  /// Canonical ids of v's in-edges (parallel to InNeighbors(v)).
-  std::span<const EdgeId> InEdgeIds(VertexId v) const {
-    return {in_edge_ids_.data() + in_offsets_[v],
-            in_edge_ids_.data() + in_offsets_[v + 1]};
+  /// Ranks of v's in-edges within their sources' out-lists (parallel to
+  /// InNeighbors(v)): the in-edge from InNeighbors(v)[i] has canonical id
+  /// OutEdgeBegin(InNeighbors(v)[i]) + InEdgeRanks(v)[i].
+  std::span<const uint32_t> InEdgeRanks(VertexId v) const {
+    return {in_edge_ranks_.data() + in_offsets_[v],
+            in_edge_ranks_.data() + in_offsets_[v + 1]};
   }
 
-  /// Resident bytes of the fixed-width arrays, 20 * m + 16 * (n + 1)
+  /// Resident bytes of the fixed-width arrays, 12 * m + 16 * (n + 1)
   /// (see the file comment): GraphStats::total_bytes() without a
   /// statistics pass.
   uint64_t memory_bytes() const {
-    return 20ull * num_edges() + 16ull * (static_cast<uint64_t>(n_) + 1);
+    return 12ull * num_edges() + 16ull * (static_cast<uint64_t>(n_) + 1);
   }
 
   /// Number of edges whose reverse edge also exists (counted per edge, so
@@ -92,10 +101,9 @@ class CsrGraph {
   VertexId n_ = 0;
   std::vector<EdgeId> out_offsets_{0};
   std::vector<VertexId> out_targets_;
-  std::vector<VertexId> edge_src_;
   std::vector<EdgeId> in_offsets_{0};
   std::vector<VertexId> in_sources_;
-  std::vector<EdgeId> in_edge_ids_;
+  std::vector<uint32_t> in_edge_ranks_;
 };
 
 }  // namespace tdb

@@ -160,17 +160,24 @@ Status WriteEdgeArrayBinary(const CsrGraph& graph, std::FILE* f,
   // Chunked writes: one fwrite per 4096 edges instead of per edge.
   std::vector<Edge> chunk;
   chunk.reserve(4096);
-  const EdgeId m = graph.num_edges();
-  for (EdgeId e = 0; e < m; ++e) {
-    chunk.push_back(Edge{graph.EdgeSrc(e), graph.EdgeDst(e)});
-    if (chunk.size() == chunk.capacity() || e + 1 == m) {
-      const size_t bytes = sizeof(Edge) * chunk.size();
-      if (std::fwrite(chunk.data(), 1, bytes, f) != bytes) {
+  const auto flush = [&] {
+    const size_t bytes = sizeof(Edge) * chunk.size();
+    if (std::fwrite(chunk.data(), 1, bytes, f) != bytes) return false;
+    if (crc != nullptr) crc->Update(chunk.data(), bytes);
+    chunk.clear();
+    return true;
+  };
+  // Canonical edge order is (src, dst) order, one out-range per vertex.
+  for (VertexId u = 0; u < graph.num_vertices(); ++u) {
+    for (const VertexId v : graph.OutNeighbors(u)) {
+      chunk.push_back(Edge{u, v});
+      if (chunk.size() == chunk.capacity() && !flush()) {
         return Status::IOError("short edge-array write");
       }
-      if (crc != nullptr) crc->Update(chunk.data(), bytes);
-      chunk.clear();
     }
+  }
+  if (!chunk.empty() && !flush()) {
+    return Status::IOError("short edge-array write");
   }
   return Status::OK();
 }

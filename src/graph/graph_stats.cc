@@ -31,9 +31,8 @@ GraphStats ComputeStats(const CsrGraph& graph) {
   s.out_offset_bytes = offsets;
   s.in_offset_bytes = offsets;
   s.out_target_bytes = s.num_edges * sizeof(VertexId);
-  s.edge_src_bytes = s.num_edges * sizeof(VertexId);
   s.in_source_bytes = s.num_edges * sizeof(VertexId);
-  s.in_edge_id_bytes = s.num_edges * sizeof(EdgeId);
+  s.in_edge_rank_bytes = s.num_edges * sizeof(uint32_t);
   return s;
 }
 
@@ -52,15 +51,14 @@ std::string GraphStats::FootprintString() const {
   char buf[256];
   std::snprintf(
       buf, sizeof(buf),
-      "csr_bytes=%llu (out_offsets=%llu out_targets=%llu edge_src=%llu "
-      "in_offsets=%llu in_sources=%llu in_edge_ids=%llu)",
+      "csr_bytes=%llu (out_offsets=%llu out_targets=%llu "
+      "in_offsets=%llu in_sources=%llu in_edge_ranks=%llu)",
       static_cast<unsigned long long>(total_bytes()),
       static_cast<unsigned long long>(out_offset_bytes),
       static_cast<unsigned long long>(out_target_bytes),
-      static_cast<unsigned long long>(edge_src_bytes),
       static_cast<unsigned long long>(in_offset_bytes),
       static_cast<unsigned long long>(in_source_bytes),
-      static_cast<unsigned long long>(in_edge_id_bytes));
+      static_cast<unsigned long long>(in_edge_rank_bytes));
   return buf;
 }
 

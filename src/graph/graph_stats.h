@@ -27,15 +27,14 @@ struct GraphStats {
   /// Per-structure resident bytes of the raw CSR backing (fixed-width
   /// arrays, so these follow directly from |V| and |E|).
   uint64_t out_offset_bytes = 0;  ///< (n + 1) u64 out offsets.
-  uint64_t out_target_bytes = 0;  ///< m u32 out targets.
-  uint64_t edge_src_bytes = 0;    ///< m u32 edge sources.
-  uint64_t in_offset_bytes = 0;   ///< (n + 1) u64 in offsets.
-  uint64_t in_source_bytes = 0;   ///< m u32 in sources.
-  uint64_t in_edge_id_bytes = 0;  ///< m u64 in-edge canonical ids.
+  uint64_t out_target_bytes = 0;    ///< m u32 out targets.
+  uint64_t in_offset_bytes = 0;     ///< (n + 1) u64 in offsets.
+  uint64_t in_source_bytes = 0;     ///< m u32 in sources.
+  uint64_t in_edge_rank_bytes = 0;  ///< m u32 in-edge out-list ranks.
 
   uint64_t total_bytes() const {
-    return out_offset_bytes + out_target_bytes + edge_src_bytes +
-           in_offset_bytes + in_source_bytes + in_edge_id_bytes;
+    return out_offset_bytes + out_target_bytes + in_offset_bytes +
+           in_source_bytes + in_edge_rank_bytes;
   }
 
   /// One-line human-readable rendering.

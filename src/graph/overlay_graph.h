@@ -92,9 +92,11 @@ class OverlayGraph {
   template <typename Fn>
   bool ForEachIn(VertexId v, Fn&& fn) const {
     const auto sources = base_->InNeighbors(v);
-    const auto ids = base_->InEdgeIds(v);
+    const auto ranks = base_->InEdgeRanks(v);
     for (size_t i = 0; i < sources.size(); ++i) {
-      if (!fn(sources[i], ids[i])) return false;
+      if (!fn(sources[i], base_->OutEdgeBegin(sources[i]) + ranks[i])) {
+        return false;
+      }
     }
     const auto it = delta_in_.find(v);
     if (it != delta_in_.end()) {

@@ -38,14 +38,13 @@ struct SearchContext {
   EpochArray<uint8_t> edge_to_target;
 
   // Closed-walk BFS state (BfsFilter), also the forward ball of
-  // BidirectionalDistance and the sweep of BoundedReach.
+  // BidirectionalDistance.
   EpochArray<uint8_t> visited;
   std::vector<VertexId> frontier;
   std::vector<VertexId> next_frontier;
 
-  // Ingest-probe state (PathProber): one-byte hop labels. Either the
-  // reverse ball of BidirectionalDistance (dr + 1, 0 = unlabeled) or the
-  // per-target sweep distances of PathProber::FindPathsFrom.
+  // Probe state (PathProber): one-byte hop labels of the reverse ball of
+  // BidirectionalDistance (dr + 1, 0 = unlabeled).
   EpochArray<uint8_t> reach_dist;
 
   /// Counters across all searches run on this context; the engine merges
@@ -67,7 +66,7 @@ struct SearchContext {
     edge_to_target.Resize(n);
   }
 
-  /// BFS state (BfsFilter, BoundedReach): `visited`.
+  /// BFS state (BfsFilter): `visited`.
   void EnsureBfsSize(VertexId n) { visited.Resize(n); }
 
   /// Probe state (PathProber, BidirectionalDistance): `visited` and

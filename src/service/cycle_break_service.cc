@@ -42,21 +42,6 @@ Status ServiceOptions::Validate() const {
     return Status::InvalidArgument(
         "the service maintains hop-constrained covers only");
   }
-  if (admission_cache_log2 != 0 &&
-      (admission_cache_log2 < 4 || admission_cache_log2 > 30)) {
-    return Status::InvalidArgument(
-        "admission_cache_log2 must be 0 (off) or in [4, 30]");
-  }
-  if (admission_index_landmarks < 0 || admission_index_landmarks > 4096) {
-    return Status::InvalidArgument(
-        "admission_index_landmarks must be in [0 (off), 4096]");
-  }
-  if (admission_index_landmarks > 0 && cover.k >= 254) {
-    // The byte-packed level arrays cannot hold a k - 1 hop budget this
-    // large; refuse rather than silently serve without the index.
-    return Status::InvalidArgument(
-        "admission_index_landmarks requires k < 254");
-  }
   return Status::OK();
 }
 
@@ -64,12 +49,6 @@ CycleBreakService::CycleBreakService(const ServiceOptions& options)
     : options_(options),
       working_(std::make_shared<const CsrGraph>(CsrGraph())) {
   TDB_CHECK(options_.Validate().ok());
-  if (options_.admission_index_landmarks > 0 &&
-      options_.cover.num_threads != 1) {
-    index_pool_ = std::make_unique<ThreadPool>(
-        options_.cover.num_threads == 0 ? ThreadPool::HardwareThreads()
-                                        : options_.cover.num_threads);
-  }
 }
 
 CycleBreakService::CycleBreakService(CsrGraph base,
@@ -369,9 +348,8 @@ SubmitResult CycleBreakService::ApplyLocked(uint64_t seq,
 AdmissionVerdict CycleBreakService::CheckAdmission(VertexId u,
                                                    VertexId v) const {
   // A thin wrapper over a batch of one: single and batched admission
-  // share CheckAdmissionBatch's evaluation path (prechecks, cache,
-  // index, probes, stats), so the two call shapes cannot drift — there
-  // is exactly one place that validates options and orders prechecks.
+  // share CheckAdmissionBatch's evaluation path (prechecks, probe,
+  // stats), so the two call shapes cannot drift.
   const Edge one{u, v};
   return CheckAdmissionBatch(std::span<const Edge>(&one, 1)).front();
 }
@@ -380,51 +358,19 @@ std::vector<AdmissionVerdict> CycleBreakService::CheckAdmissionBatch(
     std::span<const Edge> queries) const {
   const auto pinned = published_.Load();
   const ServiceSnapshot& snapshot = *pinned.state;
+  // Per-reader-thread probe scratch, warm after the first call.
+  static thread_local SearchContext ctx;
+  PathProber prober(snapshot.options, &ctx);
+  std::vector<AdmissionVerdict> verdicts;
+  CheckAdmissionBatchOn(snapshot, queries, &prober, &verdicts);
+  const uint64_t would_close = static_cast<uint64_t>(std::count_if(
+      verdicts.begin(), verdicts.end(),
+      [](const AdmissionVerdict& v) { return v.would_close; }));
   stats_.admission_queries.fetch_add(queries.size(), kRelaxed);
   stats_.admission_batches.fetch_add(1, kRelaxed);
-  std::vector<AdmissionVerdict> verdicts(queries.size());
-  AdmissionCache* cache = snapshot.admission_cache.get();
-  // Reusable per-thread scratch: the BFS arrays and grouping buffers are
-  // warm after the first batch on each reader thread.
-  static thread_local AdmissionBatchScratch scratch;
-  static thread_local std::vector<Edge> residue;
-  static thread_local std::vector<uint32_t> residue_query;
-  static thread_local std::vector<AdmissionVerdict> residue_verdicts;
-  residue.clear();
-  residue_query.clear();
-  uint64_t would_close_total = 0;
-  if (cache != nullptr) {
-    for (size_t i = 0; i < queries.size(); ++i) {
-      bool would_close = false;
-      if (cache->Lookup(queries[i].src, queries[i].dst, &would_close)) {
-        stats_.admission_cache_hits.fetch_add(1, kRelaxed);
-        verdicts[i].epoch = snapshot.epoch;
-        verdicts[i].would_close = would_close;
-        verdicts[i].admissible = !would_close;
-        if (would_close) ++would_close_total;
-      } else {
-        stats_.admission_cache_misses.fetch_add(1, kRelaxed);
-        residue.push_back(queries[i]);
-        residue_query.push_back(static_cast<uint32_t>(i));
-      }
-    }
-  }
-  const std::span<const Edge> to_eval =
-      cache != nullptr ? std::span<const Edge>(residue) : queries;
-  AdmissionBatchStats batch_stats;
-  CheckAdmissionBatchOn(snapshot, to_eval, &scratch, &residue_verdicts,
-                        &batch_stats);
-  for (size_t j = 0; j < to_eval.size(); ++j) {
-    const AdmissionVerdict& verdict = residue_verdicts[j];
-    verdicts[cache != nullptr ? residue_query[j] : j] = verdict;
-    if (verdict.would_close) ++would_close_total;
-    if (cache != nullptr && verdict.probed) {
-      cache->Insert(to_eval[j].src, to_eval[j].dst, verdict.would_close);
-    }
-  }
-  stats_.index_hits.fetch_add(batch_stats.index_hits, kRelaxed);
-  stats_.index_fallbacks.fetch_add(batch_stats.index_fallbacks, kRelaxed);
-  stats_.admission_would_close.fetch_add(would_close_total, kRelaxed);
+  stats_.admission_probes.fetch_add(prober.queries(), kRelaxed);
+  stats_.admission_probe_dfs.fetch_add(prober.dfs_runs(), kRelaxed);
+  stats_.admission_would_close.fetch_add(would_close, kRelaxed);
   return verdicts;
 }
 
@@ -449,12 +395,15 @@ TransversalImage CycleBreakService::Image() const {
   image.epoch = snap.epoch;
   image.universe = graph.num_vertices();
   image.base_edges = graph.base_edges();
-  // Canonical CSR edge ids are already (src, dst)-sorted, so iterating
-  // by id satisfies the image's sorted-pair CRC contract directly.
+  // Walking the base's out-ranges in vertex order visits its edges in
+  // (src, dst) order, the image's sorted-pair CRC contract.
   Crc32 crc;
-  for (EdgeId e = 0; e < image.base_edges; ++e) {
-    const VertexId pair[2] = {graph.EdgeSrc(e), graph.EdgeDst(e)};
-    crc.Update(pair, sizeof(pair));
+  const CsrGraph& base = graph.base();
+  for (VertexId u = 0; u < base.num_vertices(); ++u) {
+    for (const VertexId v : base.OutNeighbors(u)) {
+      const VertexId pair[2] = {u, v};
+      crc.Update(pair, sizeof(pair));
+    }
   }
   image.base_crc = crc.value();
   const std::span<const Edge> delta = graph.delta();
@@ -490,37 +439,6 @@ uint64_t CycleBreakService::PublishLocked() {
   TDB_TRACE_SPAN("service.publish");
   auto snapshot = std::make_shared<ServiceSnapshot>(working_, state_,
                                                     options_.cover);
-  if (options_.admission_cache_log2 > 0) {
-    snapshot->admission_cache =
-        std::make_unique<AdmissionCache>(options_.admission_cache_log2);
-  }
-  // The distance index is a pure function of the published (graph,
-  // cover) pair, so every publish gets one matching its own state —
-  // delta edges shorten distances, and a stale index could force wrong
-  // verdicts. Build patches the previous snapshot's index when this
-  // publish only appended to its overlay; bootstrap, recovery's one
-  // publish and compaction installs (a new base) get a full build.
-  if (options_.admission_index_landmarks > 0) {
-    const auto previous = published_.Load().state;
-    AdmissionIndex::Prior prior;
-    if (previous != nullptr) {
-      prior = {previous->admission_index.get(), &previous->graph,
-               &previous->cover};
-    }
-    snapshot->admission_index = AdmissionIndex::Build(
-        snapshot->graph, snapshot->cover, options_.cover,
-        options_.admission_index_landmarks, index_pool_.get(), &prior);
-    if (snapshot->admission_index != nullptr) {
-      stats_.index_builds.fetch_add(1, kRelaxed);
-      if (snapshot->admission_index->patched()) {
-        stats_.index_patches.fetch_add(1, kRelaxed);
-      }
-      stats_.index_build_ns.fetch_add(
-          static_cast<uint64_t>(
-              snapshot->admission_index->build_seconds() * 1e9),
-          kRelaxed);
-    }
-  }
   // writer_mu_ serializes every Store, so the pre-stamped epoch and the
   // one EpochPtr assigns must agree; the check pins that invariant.
   const uint64_t next_epoch = published_.epoch() + 1;

@@ -18,17 +18,12 @@
 //     one PRUNE pass — then publishes a frozen copy-on-write
 //     ServiceSnapshot through an EpochPtr (util/epoch_ptr.h).
 //     Publication copies the overlay and the transversal in
-//     O(delta + |S|). With the admission index on it also patches the
-//     previous snapshot's index: O(delta + |S| + n) bookkeeping plus the
-//     repaired region, and a 2 * L * n-byte row copy. A publish that
-//     installs a compaction, or whose landmark set changed, builds the
-//     index from scratch in O(n + m). Both run their per-direction tasks
-//     on the service's one worker pool when cover.num_threads allows
-//     one.
+//     O(delta + |S|); a snapshot holds nothing else.
 //   * CheckAdmission (any number of concurrent readers) pins the latest
-//     snapshot and runs a read-only bounded path probe against it. A
-//     pinned snapshot stays valid forever; readers never block the
-//     writer beyond the pointer swap itself.
+//     snapshot, runs the O(1) prechecks, and answers the rest with the
+//     same read-only meet-in-the-middle path probe ingest uses
+//     (PathProber::FindPath). A pinned snapshot stays valid forever;
+//     readers never block the writer beyond the pointer swap itself.
 //   * When the delta exceeds compact_delta_threshold, the service
 //     compacts: freeze base+delta into a fresh CSR, re-run the full
 //     SCC-partitioned parallel engine (SolveCycleCover) on it — in the
@@ -59,7 +54,6 @@
 #include "service/snapshot.h"
 #include "service/stats.h"
 #include "util/epoch_ptr.h"
-#include "util/thread_pool.h"
 
 namespace tdb {
 
@@ -67,10 +61,9 @@ namespace tdb {
 struct ServiceOptions {
   /// Cycle semantics (k, include_two_cycles) for ingest and admission,
   /// plus the engine knobs (thresholds, order) used by compaction solves.
-  /// num_threads is the service's one worker budget (0 = one per
-  /// hardware thread): it sizes the engine pool of every compaction
-  /// solve and, with the admission index on, the pool that builds and
-  /// patches the index. Ingest itself always runs on the writer thread.
+  /// num_threads sizes the engine pool of every compaction solve (0 =
+  /// one per hardware thread). Ingest itself always runs on the writer
+  /// thread, and admission on the calling reader threads.
   /// `unconstrained` is rejected — the service is a hop-constrained
   /// system. time_limit_seconds here is ignored; use
   /// compact_time_limit_seconds.
@@ -89,24 +82,11 @@ struct ServiceOptions {
   /// split_budget_by_work so a timed-out solve still yields a feasible
   /// partial cover instead of failing the compaction.
   double compact_time_limit_seconds = 0.0;
-  /// Admission verdict cache: log2 of the per-epoch table capacity
-  /// (entries of 8 bytes; e.g. 16 = 512 KiB per live epoch). 0 disables
-  /// caching. Verdicts memoized on one snapshot die with it — a publish
-  /// installs a fresh empty cache atomically. With the distance index
-  /// enabled the cache memoizes only the hard residue the index could
-  /// not force, so its capacity goes further.
+  /// No effect. The admission verdict cache and the landmark distance
+  /// index are gone: every admission query that passes the prechecks
+  /// runs the path probe. Both fields stay only because existing
+  /// callers (bench/e2e/bench_e2e.cc) still set them.
   int admission_cache_log2 = 0;
-  /// Landmark hubs for the per-snapshot admission distance index
-  /// (service/admission_index.h); 0 disables indexing. Every publish
-  /// gives its snapshot an index, on the service pool (see `cover`) when
-  /// there is one and on the writer thread otherwise. Most publishes
-  /// patch the previous snapshot's index: O(delta + |S| + n) plus the
-  /// repaired region and a copy of its 2 * L * n row bytes. Bootstrap,
-  /// recovery, compaction installs and landmark-set changes build from
-  /// scratch: one sweep that flattens the uncovered subgraph, then one
-  /// forward + one backward bit-parallel BFS per 64 landmarks. Memory:
-  /// ~2 bytes per vertex per landmark per live epoch. Requires
-  /// cover.k < 254 (Validate refuses larger hop budgets).
   int admission_index_landmarks = 0;
   /// Store directory for the durability layer (snapshot + write-ahead
   /// journal + manifest). Empty = in-memory service, no persistence.
@@ -192,18 +172,16 @@ class CycleBreakService {
   /// Would admitting u -> v close an uncovered constrained cycle?
   /// Lock-free against the latest published snapshot. A documented thin
   /// wrapper over CheckAdmissionBatch with a batch of one: single and
-  /// batched queries share one evaluation path (prechecks, cache, index,
-  /// probes, stats), so the two call shapes cannot drift.
+  /// batched queries share one evaluation path (prechecks, probe,
+  /// stats), so the two call shapes cannot drift.
   AdmissionVerdict CheckAdmission(VertexId u, VertexId v) const;
 
   /// Batched CheckAdmission: pins ONE snapshot for the whole span and
   /// answers queries[i] (= "admit queries[i].src -> queries[i].dst?")
   /// against it, so all verdicts share a coherent epoch — per-query
-  /// calls may straddle a publish. Probes surviving the index are
-  /// grouped by shared source and answered by one bounded BFS per group
-  /// (see CheckAdmissionBatchOn); verdicts are bit-identical to
-  /// per-query CheckAdmission on that snapshot. Lock-free; callable
-  /// from any number of threads concurrently.
+  /// calls may straddle a publish. Verdicts are bit-identical to
+  /// per-query CheckAdmission on that snapshot (CheckAdmissionBatchOn).
+  /// Lock-free; callable from any number of threads concurrently.
   std::vector<AdmissionVerdict> CheckAdmissionBatch(
       std::span<const Edge> queries) const;
 
@@ -304,9 +282,6 @@ class CycleBreakService {
   void StampBaseBytesLocked() const;
 
   const ServiceOptions options_;
-  /// Runs the admission index's build and patch tasks; null without an
-  /// index or at cover.num_threads == 1.
-  std::unique_ptr<ThreadPool> index_pool_;
 
   /// One not-yet-snapshotted batch, exactly as submitted. The queue
   /// backs both compaction-install replay (per-batch, at the original

@@ -32,27 +32,14 @@ std::vector<MetricRegistry::Registration> BindServiceStats(
   bind("admission_would_close",
        "Admission verdicts that would close an uncovered cycle",
        stats.admission_would_close);
-  bind("admission_cache_hits", "Admission verdict cache hits",
-       stats.admission_cache_hits);
-  bind("admission_cache_misses", "Admission verdict cache misses",
-       stats.admission_cache_misses);
   bind("admission_batches", "CheckAdmissionBatch calls",
        stats.admission_batches);
-  bind("index_hits",
-       "Admission verdicts forced by distance-index arithmetic",
-       stats.index_hits);
-  bind("index_fallbacks",
-       "Indexed admission queries that needed a path search",
-       stats.index_fallbacks);
-  bind("index_builds",
-       "Per-publish admission indexes, patched or built from scratch",
-       stats.index_builds);
-  bind("index_patches",
-       "Admission indexes patched from the previous publish's index",
-       stats.index_patches);
-  bind("index_build_nanoseconds",
-       "Cumulative admission index build wall-clock (ns)",
-       stats.index_build_ns);
+  bind("admission_probes",
+       "Admission queries the prechecks could not decide (ran the probe)",
+       stats.admission_probes);
+  bind("admission_probe_dfs",
+       "Admission probes the ball join could not settle (ran the DFS)",
+       stats.admission_probe_dfs);
   bind("epochs_published", "Snapshots published", stats.epochs_published);
   bind("compactions", "Compaction installs", stats.compactions);
   bind("compactions_failed", "Compaction solves that failed",

@@ -21,8 +21,6 @@ namespace tdb {
 /// Registers a counter view per ServiceStats field onto `registry`.
 /// `stats` must outlive the returned registrations; `prefix` must make
 /// the names unique within the registry (e.g. "tdb_service_").
-/// index_build_ns is exported as <prefix>index_build_nanoseconds_total
-/// to stay an integer counter.
 std::vector<MetricRegistry::Registration> BindServiceStats(
     MetricRegistry* registry, const ServiceStats& stats,
     const std::string& prefix);

@@ -31,22 +31,6 @@ AdmissionVerdict CheckAdmissionOn(const ServiceSnapshot& snapshot,
   // covered, so no uncovered path can even leave v — every candidate
   // cycle routes through a covered vertex.
   if (snapshot.cover.VertexCovered(v)) return verdict;
-  // Distance arithmetic next: the landmark index only ever returns
-  // forced verdicts, so taking them preserves bit-identical results.
-  if (const AdmissionIndex* index = snapshot.admission_index.get()) {
-    switch (index->Query(v, u)) {
-      case AdmissionIndex::Probe::kNoPath:
-        verdict.via_index = true;
-        return verdict;
-      case AdmissionIndex::Probe::kWouldClose:
-        verdict.via_index = true;
-        verdict.would_close = true;
-        verdict.admissible = false;
-        return verdict;
-      case AdmissionIndex::Probe::kUnknown:
-        break;
-    }
-  }
   // Otherwise the edge closes an uncovered cycle iff an uncovered simple
   // path v ->* u with hop count in [min_len - 1, k - 1] exists.
   verdict.probed = true;
@@ -59,78 +43,12 @@ AdmissionVerdict CheckAdmissionOn(const ServiceSnapshot& snapshot,
 }
 
 void CheckAdmissionBatchOn(const ServiceSnapshot& snapshot,
-                           std::span<const Edge> queries,
-                           AdmissionBatchScratch* scratch,
-                           std::vector<AdmissionVerdict>* verdicts,
-                           AdmissionBatchStats* stats) {
-  AdmissionBatchStats local;
-  AdmissionBatchStats* out_stats = stats != nullptr ? stats : &local;
-  verdicts->assign(queries.size(), AdmissionVerdict{});
-  scratch->pending.clear();
-  const VertexId n = snapshot.graph.num_vertices();
-  const AdmissionIndex* index = snapshot.admission_index.get();
-  // Pass 1: the per-query prechecks and index probes, identical to
-  // CheckAdmissionOn; only the undecided residue survives into pass 2.
+                           std::span<const Edge> queries, PathProber* prober,
+                           std::vector<AdmissionVerdict>* verdicts) {
+  verdicts->resize(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
-    AdmissionVerdict& verdict = (*verdicts)[i];
-    verdict.epoch = snapshot.epoch;
-    const VertexId u = queries[i].src;
-    const VertexId v = queries[i].dst;
-    if (u == v || u >= n || v >= n) continue;
-    if (snapshot.graph.HasEdge(u, v)) continue;
-    if (snapshot.cover.VertexCovered(u)) continue;
-    if (snapshot.cover.VertexCovered(v)) continue;
-    if (index != nullptr) {
-      const AdmissionIndex::Probe probe = index->Query(v, u);
-      if (probe != AdmissionIndex::Probe::kUnknown) {
-        verdict.via_index = true;
-        ++out_stats->index_hits;
-        if (probe == AdmissionIndex::Probe::kWouldClose) {
-          verdict.would_close = true;
-          verdict.admissible = false;
-        }
-        continue;
-      }
-      ++out_stats->index_fallbacks;
-    }
-    scratch->pending.push_back(
-        {v, u, static_cast<uint32_t>(i)});
-  }
-  if (scratch->pending.empty()) return;
-  // Pass 2: group the residue by probe source (stable, so same-source
-  // queries keep their batch order) and answer each group with one
-  // shared bounded BFS.
-  std::stable_sort(scratch->pending.begin(), scratch->pending.end(),
-                   [](const AdmissionBatchScratch::Pending& a,
-                      const AdmissionBatchScratch::Pending& b) {
-                     return a.src < b.src;
-                   });
-  PathProber prober(snapshot.options, &scratch->ctx);
-  const std::vector<AdmissionBatchScratch::Pending>& pending =
-      scratch->pending;
-  for (size_t begin = 0; begin < pending.size();) {
-    size_t end = begin + 1;
-    while (end < pending.size() && pending[end].src == pending[begin].src) {
-      ++end;
-    }
-    scratch->group_targets.clear();
-    for (size_t j = begin; j < end; ++j) {
-      scratch->group_targets.push_back(pending[j].dst);
-    }
-    scratch->group_found.resize(end - begin);
-    ++out_stats->bfs_groups;
-    out_stats->dfs_fallbacks += prober.FindPathsFrom(
-        snapshot.graph, snapshot.cover, pending[begin].src,
-        scratch->group_targets, scratch->group_found.data());
-    for (size_t j = begin; j < end; ++j) {
-      AdmissionVerdict& verdict = (*verdicts)[pending[j].query];
-      verdict.probed = true;
-      if (scratch->group_found[j - begin] != 0) {
-        verdict.would_close = true;
-        verdict.admissible = false;
-      }
-    }
-    begin = end;
+    (*verdicts)[i] =
+        CheckAdmissionOn(snapshot, queries[i].src, queries[i].dst, prober);
   }
 }
 

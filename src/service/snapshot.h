@@ -20,17 +20,11 @@
 #include "core/cover_options.h"
 #include "graph/csr_graph.h"
 #include "graph/overlay_graph.h"
-#include "search/search_context.h"
-#include "service/admission_cache.h"
-#include "service/admission_index.h"
 #include "util/status.h"
 
 namespace tdb {
 
-/// One published (graph, cover) pair. Immutable after publication — with
-/// one deliberate exception: `admission_cache` is a mutable memo of
-/// verdicts that are pure functions of the immutable state, so
-/// concurrent readers may fill it without changing anything observable.
+/// One published (graph, cover) pair. Immutable after publication.
 struct ServiceSnapshot {
   /// Publication epoch (1 for the state published by the constructor,
   /// +1 per subsequent publish).
@@ -41,15 +35,6 @@ struct ServiceSnapshot {
   TransversalState cover;
   /// The cycle semantics the cover was maintained under (k, 2-cycles).
   CoverOptions options;
-  /// Per-epoch (u, v) verdict memo, null when caching is disabled. Each
-  /// publish creates a fresh cache, so stale verdicts are dropped
-  /// atomically with the snapshot they belong to.
-  std::unique_ptr<AdmissionCache> admission_cache;
-  /// Landmark distance index over this snapshot's uncovered subgraph,
-  /// null when indexing is disabled. Like the cache, it is valid for
-  /// exactly this (graph, cover) pair: every publish gets its own,
-  /// patched from the previous snapshot's index or built from scratch.
-  std::shared_ptr<const AdmissionIndex> admission_index;
 
   ServiceSnapshot(OverlayGraph g, TransversalState c, CoverOptions o)
       : graph(std::move(g)), cover(std::move(c)), options(std::move(o)) {}
@@ -66,12 +51,8 @@ struct AdmissionVerdict {
   bool would_close = false;
   /// Epoch of the snapshot the verdict was computed against.
   uint64_t epoch = 0;
-  /// True iff the snapshot's distance index forced the verdict by
-  /// arithmetic alone (no path search ran).
-  bool via_index = false;
-  /// True iff a path search ran (shared BFS or exact DFS) — the hard
-  /// residue neither the prechecks nor the index could decide, and the
-  /// only verdicts worth memoizing in the admission cache.
+  /// True iff the prechecks could not decide and the path probe
+  /// (PathProber::FindPath) ran; false for a precheck verdict.
   bool probed = false;
 };
 
@@ -106,57 +87,26 @@ struct TransversalImage {
 /// Read-only admission check against a pinned snapshot: would inserting
 /// u -> v close a constrained cycle that no covered edge breaks? Safe to
 /// call from any number of threads concurrently (the snapshot is
-/// immutable; `prober` carries the per-thread scratch). Self-loops,
-/// duplicates of existing edges, and out-of-universe endpoints are
-/// admissible by definition (inserting them is a no-op).
+/// immutable; `prober` carries the per-thread scratch and must have been
+/// built with the snapshot's options). Self-loops, duplicates of existing
+/// edges, and out-of-universe endpoints are admissible by definition
+/// (inserting them is a no-op); so is an edge with a base-covered
+/// endpoint. Every other query asks the prober for an uncovered path
+/// v ->* u of [min_len - 1, k - 1] hops.
 AdmissionVerdict CheckAdmissionOn(const ServiceSnapshot& snapshot,
                                   VertexId u, VertexId v,
                                   PathProber* prober);
 
-/// Per-thread reusable scratch for CheckAdmissionBatchOn: the search
-/// context (the shared BFS sweep and the prober's labels) plus the
-/// grouping buffers, so a warm call allocates nothing.
-struct AdmissionBatchScratch {
-  SearchContext ctx;
-  /// One query the prechecks/index could not decide: probe source (the
-  /// queried edge's dst), probe target (its src), batch position.
-  struct Pending {
-    VertexId src = 0;
-    VertexId dst = 0;
-    uint32_t query = 0;
-  };
-  std::vector<Pending> pending;
-  std::vector<VertexId> group_targets;
-  std::vector<uint8_t> group_found;
-};
-
-/// Counters from one CheckAdmissionBatchOn call (all deterministic
-/// functions of the snapshot and the query list).
-struct AdmissionBatchStats {
-  /// Verdicts the distance index forced by arithmetic alone.
-  uint64_t index_hits = 0;
-  /// Queries that reached a path search although an index was present.
-  uint64_t index_fallbacks = 0;
-  /// Shared bounded BFS sweeps run (one per distinct probe source).
-  uint64_t bfs_groups = 0;
-  /// Below-band residue re-probed by the exact DFS.
-  uint64_t dfs_fallbacks = 0;
-};
-
 /// Batched CheckAdmissionOn: evaluates every query of `queries` (entry
 /// i asks about inserting queries[i].src -> queries[i].dst) against the
-/// one snapshot, writing verdicts[i]. After the same prechecks and
-/// index probes as the per-query path, the surviving probes are grouped
-/// by shared probe source and each group is answered by ONE bounded
-/// multi-source BFS (PathProber::FindPathsFrom) instead of independent
-/// walks. Verdicts are bit-identical to per-query CheckAdmissionOn at
-/// any grouping and query order. Thread-safe across callers with
-/// distinct `scratch`.
+/// one snapshot, writing verdicts[i]. Each query runs the same prechecks
+/// and probe as CheckAdmissionOn, so verdicts are bit-identical to it at
+/// any batch size and query order; prober->queries() and
+/// prober->dfs_runs() count the probes. Thread-safe across callers with
+/// distinct probers.
 void CheckAdmissionBatchOn(const ServiceSnapshot& snapshot,
-                           std::span<const Edge> queries,
-                           AdmissionBatchScratch* scratch,
-                           std::vector<AdmissionVerdict>* verdicts,
-                           AdmissionBatchStats* stats = nullptr);
+                           std::span<const Edge> queries, PathProber* prober,
+                           std::vector<AdmissionVerdict>* verdicts);
 
 // ------------------------------------------------------------------------
 // Durable snapshot format.

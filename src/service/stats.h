@@ -36,21 +36,24 @@ struct ServiceStatsSnapshot {
   uint64_t prunes = 0;
   uint64_t admission_queries = 0;
   uint64_t admission_would_close = 0;
-  uint64_t admission_cache_hits = 0;
-  uint64_t admission_cache_misses = 0;
   /// CheckAdmissionBatch calls. Single-query CheckAdmission is a batch
   /// of one, so it counts here too (one batch, one query).
   uint64_t admission_batches = 0;
-  /// Verdicts forced by the distance index's arithmetic alone.
+  /// Decision provenance: the admission queries the prechecks could not
+  /// decide, which ran the path probe (the rest were decided by a
+  /// precheck), and the share of those the probe's ball join could not
+  /// settle, which ran its first-path DFS.
+  uint64_t admission_probes = 0;
+  uint64_t admission_probe_dfs = 0;
+  /// Always 0. The admission verdict cache and the landmark distance
+  /// index are gone (every admission query that passes the prechecks
+  /// runs the probe); these fields stay because existing readers of the
+  /// snapshot (bench/e2e/bench_e2e.cc) still report them.
+  uint64_t admission_cache_hits = 0;
+  uint64_t admission_cache_misses = 0;
   uint64_t index_hits = 0;
-  /// Queries that needed a path search although an index was present.
   uint64_t index_fallbacks = 0;
-  /// Per-publish indexes (patched or built from scratch), and their
-  /// cumulative wall-clock cost.
   uint64_t index_builds = 0;
-  /// The share of index_builds patched from the previous publish's
-  /// index; the rest (index_builds - index_patches) were full builds.
-  uint64_t index_patches = 0;
   double index_build_seconds = 0.0;
   uint64_t epochs_published = 0;
   uint64_t compactions = 0;
@@ -84,15 +87,9 @@ struct ServiceStats {
   std::atomic<uint64_t> prunes{0};
   std::atomic<uint64_t> admission_queries{0};
   std::atomic<uint64_t> admission_would_close{0};
-  std::atomic<uint64_t> admission_cache_hits{0};
-  std::atomic<uint64_t> admission_cache_misses{0};
   std::atomic<uint64_t> admission_batches{0};
-  std::atomic<uint64_t> index_hits{0};
-  std::atomic<uint64_t> index_fallbacks{0};
-  std::atomic<uint64_t> index_builds{0};
-  std::atomic<uint64_t> index_patches{0};
-  /// Nanoseconds, so the hot publish path stays on integer fetch_add.
-  std::atomic<uint64_t> index_build_ns{0};
+  std::atomic<uint64_t> admission_probes{0};
+  std::atomic<uint64_t> admission_probe_dfs{0};
   std::atomic<uint64_t> epochs_published{0};
   std::atomic<uint64_t> compactions{0};
   std::atomic<uint64_t> compactions_failed{0};
@@ -121,15 +118,9 @@ struct ServiceStats {
     out.prunes = get(prunes);
     out.admission_queries = get(admission_queries);
     out.admission_would_close = get(admission_would_close);
-    out.admission_cache_hits = get(admission_cache_hits);
-    out.admission_cache_misses = get(admission_cache_misses);
     out.admission_batches = get(admission_batches);
-    out.index_hits = get(index_hits);
-    out.index_fallbacks = get(index_fallbacks);
-    out.index_builds = get(index_builds);
-    out.index_patches = get(index_patches);
-    out.index_build_seconds =
-        static_cast<double>(get(index_build_ns)) * 1e-9;
+    out.admission_probes = get(admission_probes);
+    out.admission_probe_dfs = get(admission_probe_dfs);
     out.epochs_published = get(epochs_published);
     out.compactions = get(compactions);
     out.compactions_failed = get(compactions_failed);

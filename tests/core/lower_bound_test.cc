@@ -96,6 +96,29 @@ TEST(LowerBoundTest, SandwichesEveryHeuristic) {
   }
 }
 
+TEST(LowerBoundTest, ExpiredDeadlineIsFlaggedAndStaysValid) {
+  // Dense enough that the packing needs far more than the deadline's
+  // 1024-expansion clock-check interval.
+  const CsrGraph g = GenerateErdosRenyi(3000, 30000, /*seed=*/2);
+  CoverOptions opts = Opts(6);
+  const CyclePacking full = PackDisjointCycles(g, opts);
+  EXPECT_FALSE(full.timed_out);
+  opts.time_limit_seconds = 1e-9;  // expired by the first clock check
+  const CyclePacking cut = PackDisjointCycles(g, opts);
+  EXPECT_TRUE(cut.timed_out);
+  EXPECT_LT(cut.LowerBound(), full.LowerBound());
+  std::vector<uint8_t> used(g.num_vertices(), 0);
+  for (const auto& cyc : cut.cycles) {
+    ASSERT_GE(cyc.size(), 3u);
+    ASSERT_LE(cyc.size(), 6u);
+    for (size_t i = 0; i < cyc.size(); ++i) {
+      ASSERT_TRUE(g.HasEdge(cyc[i], cyc[(i + 1) % cyc.size()]));
+      ASSERT_FALSE(used[cyc[i]]) << "vertex reused across cycles";
+      used[cyc[i]] = 1;
+    }
+  }
+}
+
 TEST(LowerBoundTest, TwoCycleModePacksPairs) {
   CsrGraph g = CsrGraph::FromEdges(4, {{0, 1}, {1, 0}, {2, 3}, {3, 2}});
   CoverOptions opts = Opts(5);

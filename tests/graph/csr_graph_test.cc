@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "graph/generators.h"
 #include "util/rng.h"
@@ -70,16 +71,59 @@ TEST(CsrGraphTest, CanonicalEdgeIdsAreOutCsrPositions) {
 }
 
 TEST(CsrGraphTest, InEdgeIdsCrossReferenceOutCsr) {
-  CsrGraph g = Diamond();
-  for (VertexId v = 0; v < g.num_vertices(); ++v) {
-    auto in_ids = g.InEdgeIds(v);
-    auto in_srcs = g.InNeighbors(v);
-    ASSERT_EQ(in_ids.size(), in_srcs.size());
-    for (size_t i = 0; i < in_ids.size(); ++i) {
-      EXPECT_EQ(g.EdgeSrc(in_ids[i]), in_srcs[i]);
-      EXPECT_EQ(g.EdgeDst(in_ids[i]), v);
+  for (const CsrGraph& g :
+       {Diamond(), GenerateErdosRenyi(60, 400, /*seed=*/3)}) {
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      auto ranks = g.InEdgeRanks(v);
+      auto in_srcs = g.InNeighbors(v);
+      ASSERT_EQ(ranks.size(), in_srcs.size());
+      for (size_t i = 0; i < ranks.size(); ++i) {
+        const EdgeId id = g.OutEdgeBegin(in_srcs[i]) + ranks[i];
+        EXPECT_EQ(id, g.FindEdge(in_srcs[i], v));
+        EXPECT_EQ(g.EdgeSrc(id), in_srcs[i]);
+        EXPECT_EQ(g.EdgeDst(id), v);
+      }
     }
   }
+}
+
+TEST(CsrGraphTest, EdgeSrcSkipsEmptyOutLists) {
+  // Vertices 0, 2, 3 and 6 have no out-edges: empty out-lists at the
+  // first vertex, in the middle (two in a row) and at the last vertex.
+  const CsrGraph g = CsrGraph::FromEdges(
+      7, {{1, 0}, {1, 2}, {4, 5}, {5, 1}, {5, 4}, {5, 6}});
+  ASSERT_EQ(g.out_degree(0), 0u);
+  ASSERT_EQ(g.out_degree(6), 0u);
+  const VertexId expected_src[] = {1, 1, 4, 5, 5, 5};
+  ASSERT_EQ(g.num_edges(), std::size(expected_src));
+  for (EdgeId e = 0; e < g.num_edges(); ++e) {
+    EXPECT_EQ(g.EdgeSrc(e), expected_src[e]) << "edge " << e;
+  }
+  // A lone edge out of the last vertex, after an all-empty prefix.
+  const CsrGraph tail = CsrGraph::FromEdges(4, {{3, 0}});
+  EXPECT_EQ(tail.EdgeSrc(0), 3u);
+  // And out of the first vertex, before an all-empty suffix.
+  const CsrGraph head = CsrGraph::FromEdges(4, {{0, 3}});
+  EXPECT_EQ(head.EdgeSrc(0), 0u);
+}
+
+TEST(CsrGraphTest, EdgeSrcMatchesOutRangesOnRandomGraphs) {
+  // Sparse enough that many vertices have empty out-lists.
+  for (const uint64_t seed : {1, 2, 3}) {
+    const CsrGraph g = GenerateErdosRenyi(300, 200, seed);
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      for (EdgeId e = g.OutEdgeBegin(v); e < g.OutEdgeEnd(v); ++e) {
+        ASSERT_EQ(g.EdgeSrc(e), v);
+      }
+    }
+  }
+}
+
+TEST(CsrGraphTest, MemoryBytesIsTwelvePerEdgePlusOffsets) {
+  const CsrGraph g = GenerateErdosRenyi(100, 800, /*seed=*/9);
+  const uint64_t m = g.num_edges();
+  EXPECT_EQ(g.memory_bytes(), 12 * m + 16 * (100 + 1));
+  EXPECT_EQ(CsrGraph().memory_bytes(), 16u);
 }
 
 TEST(CsrGraphTest, DropsSelfLoopsByDefault) {

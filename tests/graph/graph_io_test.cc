@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "graph/generators.h"
 
@@ -203,6 +206,39 @@ TEST_F(GraphIoTest, BinaryRoundTripIsExact) {
     EXPECT_EQ(loaded.EdgeSrc(e), g.EdgeSrc(e));
     EXPECT_EQ(loaded.EdgeDst(e), g.EdgeDst(e));
   }
+}
+
+TEST_F(GraphIoTest, BinaryRoundTripIsByteIdentical) {
+  // More than one 4096-edge write chunk, plus empty out-lists at the
+  // first vertex, in the middle and at the last vertex.
+  const CsrGraph er = GenerateErdosRenyi(3000, 9000, /*seed=*/4);
+  std::vector<Edge> edges;
+  for (VertexId u = 0; u < er.num_vertices(); ++u) {
+    if (u == 0 || u == 1500 || u == 2999) continue;
+    for (const VertexId v : er.OutNeighbors(u)) edges.push_back({u, v});
+  }
+  const CsrGraph g = CsrGraph::FromEdges(3000, edges);
+  ASSERT_EQ(g.out_degree(0) + g.out_degree(1500) + g.out_degree(2999), 0u);
+  const auto read_bytes = [](const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>(std::istreambuf_iterator<char>(in),
+                             std::istreambuf_iterator<char>());
+  };
+  const std::string path = TempPath("bytes.bin");
+  ASSERT_TRUE(SaveBinary(g, path).ok());
+  const std::vector<char> bytes = read_bytes(path);
+  // Header (magic, version, n, m), then the (src, dst) pairs in sorted
+  // order: exactly the input edge list, which was built sorted.
+  const size_t header = 4 + 4 + 8 + 8;
+  ASSERT_EQ(bytes.size(), header + sizeof(Edge) * edges.size());
+  EXPECT_EQ(std::memcmp(bytes.data() + header, edges.data(),
+                        sizeof(Edge) * edges.size()),
+            0);
+  CsrGraph loaded;
+  ASSERT_TRUE(LoadBinary(path, &loaded).ok());
+  const std::string again = TempPath("bytes_again.bin");
+  ASSERT_TRUE(SaveBinary(loaded, again).ok());
+  EXPECT_EQ(read_bytes(again), bytes);
 }
 
 TEST_F(GraphIoTest, BinaryRejectsWrongMagic) {

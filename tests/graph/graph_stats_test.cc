@@ -16,10 +16,25 @@ TEST(GraphStatsTest, DirectedCycle) {
   EXPECT_EQ(s.max_in_degree, 1u);
   EXPECT_DOUBLE_EQ(s.reciprocity, 0.0);
   EXPECT_EQ(s.num_bidegree_vertices, 10u);
-  // 20 bytes per edge + 16 per offset pair; the service's base_bytes
+  // 12 bytes per edge + 16 per offset pair; the service's base_bytes
   // gauge reads the same total from CsrGraph::memory_bytes.
-  EXPECT_EQ(s.total_bytes(), 20u * 10 + 16u * 11);
+  EXPECT_EQ(s.total_bytes(), 12u * 10 + 16u * 11);
   EXPECT_EQ(MakeDirectedCycle(10).memory_bytes(), s.total_bytes());
+  EXPECT_EQ(s.out_target_bytes, 4u * 10);
+  EXPECT_EQ(s.in_source_bytes, 4u * 10);
+  EXPECT_EQ(s.in_edge_rank_bytes, 4u * 10);
+  EXPECT_EQ(s.out_offset_bytes + s.in_offset_bytes, 16u * 11);
+}
+
+TEST(GraphStatsTest, FootprintHasNoEdgeSourceArray) {
+  const std::string footprint =
+      ComputeStats(MakeDirectedCycle(10)).FootprintString();
+  EXPECT_NE(footprint.find("csr_bytes=296 "), std::string::npos)
+      << footprint;
+  EXPECT_NE(footprint.find("in_edge_ranks=40"), std::string::npos)
+      << footprint;
+  EXPECT_EQ(footprint.find("edge_src"), std::string::npos) << footprint;
+  EXPECT_EQ(footprint.find("in_edge_ids"), std::string::npos) << footprint;
 }
 
 TEST(GraphStatsTest, CompleteDigraphIsFullyReciprocal) {

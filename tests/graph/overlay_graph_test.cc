@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -158,6 +159,49 @@ TEST(OverlayGraphTest, RandomSplitMatchesFullCsr) {
     for (EdgeId e = 0; e < full.num_edges(); ++e) {
       EXPECT_TRUE(round_trip.HasEdge(full.EdgeSrc(e), full.EdgeDst(e)));
     }
+  }
+}
+
+TEST(OverlayGraphTest, InEdgeIdsMatchOutEdgeIds) {
+  // ForEachIn rebuilds a base in-edge's id from its out-list rank; it
+  // must equal the id ForEachOut reports for the same edge (FindEdge for
+  // base edges, the insertion id for delta edges).
+  for (uint64_t seed = 0; seed < 3; ++seed) {
+    const CsrGraph full = GenerateErdosRenyi(80, 300, seed);
+    Rng rng(seed * 11 + 5);
+    std::vector<Edge> base_edges;
+    std::vector<Edge> delta_edges;
+    for (VertexId u = 0; u < full.num_vertices(); ++u) {
+      for (const VertexId v : full.OutNeighbors(u)) {
+        (rng.NextBool(0.6) ? base_edges : delta_edges).push_back({u, v});
+      }
+    }
+    OverlayGraph g(MakeBase(full.num_vertices(), base_edges));
+    for (const Edge& e : delta_edges) {
+      ASSERT_NE(g.AddEdge(e.src, e.dst), kInvalidEdge);
+    }
+    std::map<std::pair<VertexId, VertexId>, EdgeId> out_ids;
+    for (const auto& [edge, id] : CollectOut(g)) {
+      out_ids[{edge.src, edge.dst}] = id;
+    }
+    size_t base_seen = 0;
+    size_t delta_seen = 0;
+    for (VertexId v = 0; v < g.num_vertices(); ++v) {
+      g.ForEachIn(v, [&](VertexId w, EdgeId id) {
+        EXPECT_EQ(id, out_ids.at({w, v}));
+        EXPECT_EQ(g.EdgeSrc(id), w);
+        EXPECT_EQ(g.EdgeDst(id), v);
+        if (id < g.base_edges()) {
+          EXPECT_EQ(id, g.base().FindEdge(w, v));
+          ++base_seen;
+        } else {
+          ++delta_seen;
+        }
+        return true;
+      });
+    }
+    EXPECT_EQ(base_seen, base_edges.size());
+    EXPECT_EQ(delta_seen, delta_edges.size());
   }
 }
 

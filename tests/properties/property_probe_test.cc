@@ -1,4 +1,4 @@
-// Exactness of the meet-in-the-middle ingest probe. On random power-law
+// Exactness of the meet-in-the-middle probe behind ingest and admission.
 // overlays (a CSR base plus delta edges) with a random base vertex cover
 // and a random S:
 //   1. BidirectionalDistance equals a plain BFS's shortest uncovered
@@ -7,11 +7,14 @@
 //   2. PathProber::FindPath returns the same verdict and the same vertex
 //      path as the plain first-path DFS it replaced (kept below as the
 //      reference), with and without a path out-parameter;
-//   3. PathProber::FindPathsFrom agrees with the reference per target.
-// The sweep covers k in 3..7 and both 2-cycle settings, probes along
-// existing edges (the below-band bare edge when 2-cycles are excluded)
-// and toward base-cover hubs, and shares one warm context across every
-// probe so stale labels would show.
+//   3. admission: CheckAdmissionBatchOn equals per-query
+//      CheckAdmissionOn, which equals a brute-force reference that
+//      enumerates every uncovered path the new edge would close, at
+//      several batch sizes and query orders.
+// The sweep covers k in 3..7 (admission: 3..6) and both 2-cycle
+// settings, probes along existing edges (the below-band bare edge when
+// 2-cycles are excluded), around S edges and toward base-cover hubs, and
+// shares one warm context across every probe so stale labels would show.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -24,6 +27,7 @@
 #include "graph/generators.h"
 #include "graph/overlay_graph.h"
 #include "search/bidirectional_reach.h"
+#include "service/snapshot.h"
 #include "util/rng.h"
 
 namespace tdb {
@@ -130,9 +134,10 @@ Instance MakeInstance(uint64_t seed) {
   Rng rng(seed * 7919 + 3);
   std::vector<Edge> base_edges;
   std::vector<Edge> delta_edges;
-  for (EdgeId e = 0; e < full.num_edges(); ++e) {
-    (rng.NextBool(0.6) ? base_edges : delta_edges)
-        .push_back(Edge{full.EdgeSrc(e), full.EdgeDst(e)});
+  for (VertexId u = 0; u < n; ++u) {
+    for (const VertexId v : full.OutNeighbors(u)) {
+      (rng.NextBool(0.6) ? base_edges : delta_edges).push_back(Edge{u, v});
+    }
   }
   for (size_t i = delta_edges.size(); i > 1; --i) {
     std::swap(delta_edges[i - 1], delta_edges[rng.NextBounded(i)]);
@@ -245,24 +250,6 @@ TEST(ProbeExactnessTest, BallJoinAndPrunedDfsMatchPlainDfs) {
           }
         }
         dfs_runs += prober.dfs_runs();
-
-        // Shared-source form: group every probe by its source.
-        for (const Edge& p : probes) {
-          std::vector<VertexId> targets;
-          for (const Edge& q : probes) {
-            if (q.src == p.src) targets.push_back(q.dst);
-          }
-          std::vector<uint8_t> batch(targets.size(), 0xAA);
-          prober.FindPathsFrom(g, inst.state, p.src, targets, batch.data());
-          for (size_t j = 0; j < targets.size(); ++j) {
-            ASSERT_EQ(batch[j] != 0, reference.FindPath(g, inst.state, p.src,
-                                                        targets[j], &path))
-                << "seed=" << seed << " k=" << k
-                << " two_cycles=" << two_cycles << " src=" << p.src
-                << " dst=" << targets[j];
-            ASSERT_LE(batch[j], 1);
-          }
-        }
       }
     }
   }
@@ -273,6 +260,196 @@ TEST(ProbeExactnessTest, BallJoinAndPrunedDfsMatchPlainDfs) {
   EXPECT_GT(below_band_found, 0u);
   EXPECT_GT(below_band_not_found, 0u);
   EXPECT_GT(hub_paths, 0u);
+}
+
+/// Brute-force admission reference, straight from the definition: would
+/// inserting u -> v close a simple cycle of [min_len, k] hops none of
+/// whose edges is covered? An edge a -> b is covered when a is in the
+/// base cover or the edge is in S; the new edge is covered when u is.
+/// Counts every uncovered simple path v ->* u of [min_len - 1, k - 1]
+/// hops by exhaustive DFS (no distance pruning, no early stop).
+class BruteForceAdmission {
+ public:
+  BruteForceAdmission(const OverlayGraph& graph,
+                      const TransversalState& state,
+                      const CoverOptions& options)
+      : graph_(graph),
+        state_(state),
+        min_path_(options.include_two_cycles ? 1 : 2),
+        max_path_(options.k - 1) {}
+
+  bool WouldClose(VertexId u, VertexId v) {
+    const VertexId n = graph_.num_vertices();
+    // No-op insertions close nothing new.
+    if (u == v || u >= n || v >= n || graph_.HasEdge(u, v)) return false;
+    if (state_.VertexCovered(u)) return false;  // the new edge is covered
+    paths_ = 0;
+    on_path_.assign(n, 0);
+    on_path_[v] = 1;
+    Extend(v, u, 0);
+    return paths_ > 0;
+  }
+
+ private:
+  void Extend(VertexId x, VertexId target, uint32_t depth) {
+    if (depth == max_path_ || state_.VertexCovered(x)) return;
+    graph_.ForEachOut(x, [&](VertexId w, EdgeId e) {
+      if (state_.covered.count(e) > 0 || on_path_[w] != 0) return true;
+      if (w == target) {
+        if (depth + 1 >= min_path_) ++paths_;
+        return true;
+      }
+      on_path_[w] = 1;
+      Extend(w, target, depth + 1);
+      on_path_[w] = 0;
+      return true;
+    });
+  }
+
+  const OverlayGraph& graph_;
+  const TransversalState& state_;
+  uint32_t min_path_;
+  uint32_t max_path_;
+  std::vector<uint8_t> on_path_;
+  uint64_t paths_ = 0;
+};
+
+/// Admission queries: random pairs, reversed edges (the bare below-band
+/// edge when 2-cycles are excluded), reversed S edges, existing edges
+/// (no-ops), pairs into and out of base-cover vertices, and out-of-range
+/// or self-loop pairs.
+std::vector<Edge> MakeAdmissionQueries(const Instance& inst, uint64_t seed) {
+  const OverlayGraph& g = *inst.graph;
+  const VertexId n = g.num_vertices();
+  Rng rng(seed * 65537 + 29);
+  std::vector<Edge> queries;
+  for (int i = 0; i < 100; ++i) {
+    queries.push_back(Edge{static_cast<VertexId>(rng.NextBounded(n)),
+                           static_cast<VertexId>(rng.NextBounded(n))});
+  }
+  for (int i = 0; i < 100; ++i) {
+    const EdgeId e = rng.NextBounded(g.num_edges());
+    queries.push_back(Edge{g.EdgeDst(e), g.EdgeSrc(e)});
+  }
+  for (const EdgeId e : inst.state.covered) {
+    if (queries.size() >= 260) break;
+    queries.push_back(Edge{g.EdgeDst(e), g.EdgeSrc(e)});
+  }
+  for (int i = 0; i < 20; ++i) {
+    const EdgeId e = rng.NextBounded(g.num_edges());
+    queries.push_back(Edge{g.EdgeSrc(e), g.EdgeDst(e)});
+  }
+  for (int i = 0; i < 20; ++i) {
+    const VertexId a = static_cast<VertexId>(rng.NextBounded(n));
+    const VertexId h = inst.hubs[rng.NextBounded(inst.hubs.size())];
+    queries.push_back(i % 2 == 0 ? Edge{a, h} : Edge{h, a});
+  }
+  queries.push_back(Edge{3, 3});
+  queries.push_back(Edge{n, 0});
+  queries.push_back(Edge{0, n + 7});
+  return queries;
+}
+
+TEST(ProbeExactnessTest, AdmissionBatchMatchesPerQueryAndBruteForce) {
+  SearchContext ctx;  // shared by every prober: labels must not leak
+  uint64_t would_close = 0;
+  uint64_t probed_clear = 0;
+  uint64_t prechecked = 0;
+  uint64_t below_band_closing = 0;
+  uint64_t below_band_clear = 0;
+  uint64_t s_edge_queries = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    const Instance inst = MakeInstance(seed);
+    std::vector<Edge> queries = MakeAdmissionQueries(inst, seed);
+    for (uint32_t k = 3; k <= 6; ++k) {
+      for (const bool two_cycles : {false, true}) {
+        CoverOptions options;
+        options.k = k;
+        options.include_two_cycles = two_cycles;
+        ServiceSnapshot snapshot(*inst.graph, inst.state, options);
+        snapshot.epoch = seed * 100 + k;
+        const OverlayGraph& g = snapshot.graph;
+        BruteForceAdmission brute(g, snapshot.cover, options);
+        PathProber single(options, &ctx);
+        std::vector<uint8_t> expected(queries.size());
+        for (size_t i = 0; i < queries.size(); ++i) {
+          const Edge q = queries[i];
+          const std::string where =
+              "seed=" + std::to_string(seed) + " k=" + std::to_string(k) +
+              " two_cycles=" + std::to_string(two_cycles) +
+              " u=" + std::to_string(q.src) + " v=" + std::to_string(q.dst);
+          const AdmissionVerdict verdict =
+              CheckAdmissionOn(snapshot, q.src, q.dst, &single);
+          const bool reference = brute.WouldClose(q.src, q.dst);
+          ASSERT_EQ(verdict.would_close, reference) << where;
+          ASSERT_EQ(verdict.admissible, !reference) << where;
+          ASSERT_EQ(verdict.epoch, snapshot.epoch) << where;
+          expected[i] = reference ? 1 : 0;
+          if (reference) {
+            ++would_close;
+          } else if (verdict.probed) {
+            ++probed_clear;
+          } else {
+            ++prechecked;
+          }
+          if (q.src < g.num_vertices() && q.dst < g.num_vertices() &&
+              g.HasEdge(q.dst, q.src) && !two_cycles) {
+            (reference ? below_band_closing : below_band_clear) += 1;
+          }
+        }
+        s_edge_queries += inst.state.covered.size();
+
+        // Batched, over several batch sizes and query orders: the same
+        // verdict for every query wherever it sits in whichever batch.
+        Rng rng(seed * 31 + k * 2 + (two_cycles ? 1 : 0));
+        std::vector<size_t> order(queries.size());
+        for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+        for (const int pass : {0, 1, 2}) {
+          if (pass == 1) std::reverse(order.begin(), order.end());
+          if (pass == 2) {
+            for (size_t i = order.size(); i > 1; --i) {
+              std::swap(order[i - 1], order[rng.NextBounded(i)]);
+            }
+          }
+          for (const size_t batch_size :
+               {size_t{1}, size_t{7}, size_t{64}, queries.size()}) {
+            PathProber prober(options, &ctx);
+            std::vector<AdmissionVerdict> verdicts;
+            uint64_t probed = 0;
+            for (size_t at = 0; at < order.size(); at += batch_size) {
+              const size_t len = std::min(batch_size, order.size() - at);
+              std::vector<Edge> batch;
+              for (size_t j = at; j < at + len; ++j) {
+                batch.push_back(queries[order[j]]);
+              }
+              verdicts.assign(3, AdmissionVerdict{});  // stale contents
+              CheckAdmissionBatchOn(snapshot, batch, &prober, &verdicts);
+              ASSERT_EQ(verdicts.size(), len);
+              for (size_t j = 0; j < len; ++j) {
+                const size_t i = order[at + j];
+                ASSERT_EQ(verdicts[j].would_close ? 1 : 0, expected[i])
+                    << "seed=" << seed << " k=" << k
+                    << " two_cycles=" << two_cycles << " pass=" << pass
+                    << " batch=" << batch_size << " query=" << i;
+                ASSERT_EQ(verdicts[j].admissible, expected[i] == 0);
+                ASSERT_EQ(verdicts[j].epoch, snapshot.epoch);
+                if (verdicts[j].probed) ++probed;
+              }
+            }
+            // The prober counts exactly the queries that reached it.
+            EXPECT_EQ(prober.queries(), probed);
+          }
+        }
+      }
+    }
+  }
+  // The sweep must reach every regime it is meant to check.
+  EXPECT_GT(would_close, 0u);
+  EXPECT_GT(probed_clear, 0u);
+  EXPECT_GT(prechecked, 0u);
+  EXPECT_GT(below_band_closing, 0u);
+  EXPECT_GT(below_band_clear, 0u);
+  EXPECT_GT(s_edge_queries, 0u);
 }
 
 TEST(ProbeExactnessTest, BandEdgesOfTheHopBudget) {

@@ -85,24 +85,18 @@ TEST(ServiceOptionsTest, Validation) {
   EXPECT_FALSE(options.Validate().ok());
 }
 
-TEST(ServiceOptionsTest, IndexRefusesUnrepresentableHopBudget) {
-  // The index's byte-packed level arrays hold hop budgets up to k = 253;
-  // asking for an index past that is an error, not a silent fallback to
-  // unindexed serving.
-  ServiceOptions options = MakeOptions(253);
+TEST(ServiceOptionsTest, LargeHopBudgetsServe) {
+  // Every hop budget the cover options accept serves: the probe's
+  // one-byte labels cap only its reverse-ball radius, not k. The
+  // admission_index_landmarks compatibility field has no effect.
+  ServiceOptions options = MakeOptions(300);
   options.admission_index_landmarks = 4;
+  options.admission_cache_log2 = 10;
   EXPECT_TRUE(options.Validate().ok());
-  options.cover.k = 254;
-  EXPECT_TRUE(options.Validate().IsInvalidArgument());
-  options.cover.k = 300;
-  EXPECT_TRUE(options.Validate().IsInvalidArgument());
-  std::unique_ptr<CycleBreakService> service;
-  EXPECT_TRUE(CycleBreakService::Create(GenerateErdosRenyi(10, 30, 3),
-                                        options, &service)
-                  .IsInvalidArgument());
-  // Without an index, any representable k still serves.
-  options.admission_index_landmarks = 0;
-  EXPECT_TRUE(options.Validate().ok());
+  CsrGraph path = CsrGraph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
+  CycleBreakService service(std::move(path), options);
+  EXPECT_TRUE(service.CheckAdmission(3, 0).would_close);
+  EXPECT_TRUE(service.CheckAdmission(0, 3).admissible);
 }
 
 TEST(CycleBreakServiceTest, AdmissionSemanticsOnAPath) {
@@ -131,73 +125,28 @@ TEST(CycleBreakServiceTest, AdmissionSemanticsOnAPath) {
   EXPECT_TRUE(SnapshotInvariantHolds(*service.PinSnapshot()));
 }
 
-TEST(CycleBreakServiceTest, AdmissionCacheVerdictsMatchUncached) {
-  // Two identical services, one with the per-epoch verdict cache: every
-  // verdict must agree, and repeated queries must hit the cache.
-  CsrGraph base = GeneratePowerLaw(
-      {.n = 50, .m = 300, .theta = 0.6, .reciprocity = 0.3, .seed = 29});
-  CsrGraph base_copy = base;
-  ServiceOptions plain = MakeOptions(4);
-  ServiceOptions cached = MakeOptions(4);
-  cached.admission_cache_log2 = 10;
-  CycleBreakService reference(std::move(base), plain);
-  CycleBreakService service(std::move(base_copy), cached);
-
-  ServiceStatsSnapshot per_round[3];
-  for (int round = 0; round < 3; ++round) {
-    // The same pairs every round: rounds 2+ hit for every pair whose
-    // round-1 verdict cost a path probe (the residue the cache
-    // memoizes; trivially prechecked pairs are recomputed instead).
-    Rng pair_rng(77);
-    for (int q = 0; q < 200; ++q) {
-      const VertexId u = static_cast<VertexId>(pair_rng.NextBounded(50));
-      const VertexId v = static_cast<VertexId>(pair_rng.NextBounded(50));
-      const AdmissionVerdict expected = reference.CheckAdmission(u, v);
-      const AdmissionVerdict got = service.CheckAdmission(u, v);
-      EXPECT_EQ(expected.would_close, got.would_close)
-          << u << "->" << v << " round " << round;
-      EXPECT_EQ(expected.admissible, got.admissible);
-    }
-    per_round[round] = service.Stats();
-  }
-  const ServiceStatsSnapshot s = per_round[2];
-  EXPECT_GT(s.admission_cache_hits, 0u);
-  EXPECT_GT(s.admission_cache_misses, 0u);
-  EXPECT_EQ(s.admission_cache_hits + s.admission_cache_misses,
-            s.admission_queries);
-  // Round 2 reached the cache's steady state, so round 3 must repeat it
-  // exactly: the same hits (the memoized residue) and the same misses
-  // (the trivial pairs that are never inserted).
-  EXPECT_GT(per_round[1].admission_cache_hits,
-            per_round[0].admission_cache_hits);
-  EXPECT_EQ(s.admission_cache_hits - per_round[1].admission_cache_hits,
-            per_round[1].admission_cache_hits -
-                per_round[0].admission_cache_hits);
-  EXPECT_EQ(s.admission_cache_misses - per_round[1].admission_cache_misses,
-            per_round[1].admission_cache_misses -
-                per_round[0].admission_cache_misses);
-}
-
-TEST(CycleBreakServiceTest, AdmissionCacheDropsAtPublish) {
+TEST(CycleBreakServiceTest, AdmissionFollowsEachPublish) {
   // Path 0 -> 1 -> 2 -> 3 with k = 4: "3 -> 0 closes a cycle" is true at
-  // epoch 1, cached, and must NOT survive into epoch 2, where ingesting
-  // 3 -> 0 has covered the cycle and a duplicate insert closes nothing.
+  // epoch 1 and must not survive into epoch 2, where ingesting 3 -> 0 has
+  // covered the cycle and a duplicate insert closes nothing.
   CsrGraph base = CsrGraph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}});
-  ServiceOptions options = MakeOptions(4);
-  options.admission_cache_log2 = 8;
-  CycleBreakService service(std::move(base), options);
+  CycleBreakService service(std::move(base), MakeOptions(4));
 
-  EXPECT_TRUE(service.CheckAdmission(3, 0).would_close);  // miss, cached
-  EXPECT_TRUE(service.CheckAdmission(3, 0).would_close);  // hit
-  EXPECT_EQ(service.Stats().admission_cache_hits, 1u);
+  const AdmissionVerdict before = service.CheckAdmission(3, 0);
+  EXPECT_TRUE(before.would_close);
+  EXPECT_TRUE(before.probed);
+  EXPECT_EQ(before.epoch, 1u);
+  EXPECT_EQ(service.Stats().admission_probes, 1u);
 
   const std::vector<Edge> batch = {{3, 0}};
   ASSERT_EQ(service.SubmitEdges(batch).epoch, 2u);
-  // Fresh epoch, fresh cache: the stale "would close" verdict is gone —
-  // the edge exists now, so inserting it again is a no-op.
+  // The edge exists now, so inserting it again is a no-op, decided by a
+  // precheck without a probe.
   const AdmissionVerdict after = service.CheckAdmission(3, 0);
   EXPECT_EQ(after.epoch, 2u);
   EXPECT_TRUE(after.admissible);
+  EXPECT_FALSE(after.probed);
+  EXPECT_EQ(service.Stats().admission_probes, 1u);
   // And the triangle-closing probe is answered against the new state too.
   EXPECT_TRUE(service.CheckAdmission(2, 0).admissible);
 }
@@ -205,49 +154,41 @@ TEST(CycleBreakServiceTest, AdmissionCacheDropsAtPublish) {
 TEST(CycleBreakServiceTest, CheckAdmissionIsABatchOfOne) {
   // CheckAdmission is documented as CheckAdmissionBatch over one query:
   // both call shapes must produce the same verdict, provenance included,
-  // and both must be counted as batches. Checked with and without the
-  // distance index, since the index decides provenance (via_index vs a
-  // probe) before any path search runs.
+  // and both must be counted as batches and, when they probe, as probes.
   constexpr VertexId kN = 40;
   constexpr int kQueries = 60;
-  for (const int landmarks : {0, 4}) {
-    SCOPED_TRACE(landmarks);
-    ServiceOptions options = MakeOptions(4);
-    options.admission_index_landmarks = landmarks;
-    CycleBreakService service(GenerateErdosRenyi(kN, 120, /*seed=*/14),
-                              options);
-    // A delta with covered edges, so verdicts depend on both layers.
-    for (const auto& batch : MakeBatches(kN, 40, 10, /*seed=*/16)) {
-      ASSERT_TRUE(service.SubmitEdges(batch).status.ok());
-    }
-    const ServiceStatsSnapshot before = service.Stats();
-    Rng rng(15);
-    uint64_t probed = 0;
-    uint64_t via_index = 0;
-    for (int q = 0; q < kQueries; ++q) {
-      const VertexId u = static_cast<VertexId>(rng.NextBounded(kN));
-      const VertexId v = static_cast<VertexId>(rng.NextBounded(kN));
-      const AdmissionVerdict single = service.CheckAdmission(u, v);
-      const Edge one{u, v};
-      const AdmissionVerdict batched =
-          service.CheckAdmissionBatch(std::span<const Edge>(&one, 1)).front();
-      EXPECT_EQ(single.admissible, batched.admissible) << u << "->" << v;
-      EXPECT_EQ(single.would_close, batched.would_close) << u << "->" << v;
-      EXPECT_EQ(single.probed, batched.probed) << u << "->" << v;
-      EXPECT_EQ(single.via_index, batched.via_index) << u << "->" << v;
-      EXPECT_EQ(single.epoch, batched.epoch);
-      probed += single.probed ? 1 : 0;
-      via_index += single.via_index ? 1 : 0;
-    }
-    EXPECT_GT(probed, 0u);
-    if (landmarks > 0) EXPECT_GT(via_index, 0u);
-    // Both call shapes went through the one batched path.
-    const ServiceStatsSnapshot after = service.Stats();
-    EXPECT_EQ(after.admission_batches - before.admission_batches,
-              2u * kQueries);
-    EXPECT_EQ(after.admission_queries - before.admission_queries,
-              2u * kQueries);
+  CycleBreakService service(GenerateErdosRenyi(kN, 120, /*seed=*/14),
+                            MakeOptions(4));
+  // A delta with covered edges, so verdicts depend on both layers.
+  for (const auto& batch : MakeBatches(kN, 40, 10, /*seed=*/16)) {
+    ASSERT_TRUE(service.SubmitEdges(batch).status.ok());
   }
+  const ServiceStatsSnapshot before = service.Stats();
+  Rng rng(15);
+  uint64_t probed = 0;
+  for (int q = 0; q < kQueries; ++q) {
+    const VertexId u = static_cast<VertexId>(rng.NextBounded(kN));
+    const VertexId v = static_cast<VertexId>(rng.NextBounded(kN));
+    const AdmissionVerdict single = service.CheckAdmission(u, v);
+    const Edge one{u, v};
+    const AdmissionVerdict batched =
+        service.CheckAdmissionBatch(std::span<const Edge>(&one, 1)).front();
+    EXPECT_EQ(single.admissible, batched.admissible) << u << "->" << v;
+    EXPECT_EQ(single.would_close, batched.would_close) << u << "->" << v;
+    EXPECT_EQ(single.probed, batched.probed) << u << "->" << v;
+    EXPECT_EQ(single.epoch, batched.epoch);
+    probed += single.probed ? 1 : 0;
+  }
+  EXPECT_GT(probed, 0u);
+  // Both call shapes went through the one batched path.
+  const ServiceStatsSnapshot after = service.Stats();
+  EXPECT_EQ(after.admission_batches - before.admission_batches,
+            2u * kQueries);
+  EXPECT_EQ(after.admission_queries - before.admission_queries,
+            2u * kQueries);
+  EXPECT_EQ(after.admission_probes - before.admission_probes, 2 * probed);
+  EXPECT_LE(after.admission_probe_dfs - before.admission_probe_dfs,
+            2 * probed);
 }
 
 TEST(CycleBreakServiceTest, ConstructorCoversTheBaseSnapshot) {
@@ -288,21 +229,14 @@ TEST(CycleBreakServiceTest, SynchronousCompactionFoldsDeltaIntoBase) {
 /// The acceptance-criterion test: concurrent CheckAdmission readers
 /// during ingest and during compaction always observe a coherent
 /// (snapshot, cover) pair — every verdict equals what a sequential replay
-/// of the same batches computes for the same epoch. With
-/// `indexed_batched`, the live service additionally runs the landmark
-/// distance index + verdict cache and its readers go through
-/// CheckAdmissionBatch — while the replay oracle stays unindexed, so the
-/// comparison proves the fast path bit-identical to the plain probe at
-/// every epoch and thread count.
-void RunConsistencyTest(int reader_threads, bool indexed_batched = false) {
+/// of the same batches computes for the same epoch. With `batched`, the
+/// readers go through CheckAdmissionBatch, and every verdict of one batch
+/// must come from one pinned epoch.
+void RunConsistencyTest(int reader_threads, bool batched = false) {
   constexpr VertexId kN = 50;
   ServiceOptions options = MakeOptions(4);
   options.synchronous_compaction = true;  // deterministic epoch sequence
   options.compact_delta_threshold = 48;
-  if (indexed_batched) {
-    options.admission_index_landmarks = 8;
-    options.admission_cache_log2 = 10;
-  }
   const auto batches = MakeBatches(kN, 240, 12, /*seed=*/31);
 
   struct Recorded {
@@ -325,7 +259,7 @@ void RunConsistencyTest(int reader_threads, bool indexed_batched = false) {
         // reader contributes even when ingest outruns the scheduler.
         for (uint64_t q = 0;
              q < 400 || !done.load(std::memory_order_relaxed); ++q) {
-          if (indexed_batched) {
+          if (batched) {
             // One small batch per iteration: every verdict in it must
             // come from the SAME pinned epoch.
             std::vector<Edge> queries;
@@ -369,17 +303,12 @@ void RunConsistencyTest(int reader_threads, bool indexed_batched = false) {
   }
 
   // Sequential replay of the same batches, capturing every published
-  // epoch. Ingest is deterministic (and unaffected by the index/cache
-  // knobs), so epoch e's state here is byte-for-byte the state the
-  // readers pinned under that epoch above — but WITHOUT an index, so
-  // the oracle below is always the plain unindexed probe.
-  ServiceOptions replay_options = options;
-  replay_options.admission_index_landmarks = 0;
-  replay_options.admission_cache_log2 = 0;
+  // epoch. Ingest is deterministic, so epoch e's state here is
+  // byte-for-byte the state the readers pinned under that epoch above.
   std::map<uint64_t, std::shared_ptr<const ServiceSnapshot>> replay;
   {
     CycleBreakService service(GenerateErdosRenyi(kN, 140, /*seed=*/32),
-                              replay_options);
+                              options);
     auto snap = service.PinSnapshot();
     replay[snap->epoch] = snap;
     for (const auto& batch : batches) {
@@ -418,16 +347,16 @@ TEST(CycleBreakServiceTest, ConcurrentAdmissionConsistent8Readers) {
   RunConsistencyTest(8);
 }
 
-TEST(CycleBreakServiceTest, IndexedBatchedAdmissionConsistent1Reader) {
-  RunConsistencyTest(1, /*indexed_batched=*/true);
+TEST(CycleBreakServiceTest, BatchedAdmissionConsistent1Reader) {
+  RunConsistencyTest(1, /*batched=*/true);
 }
 
-TEST(CycleBreakServiceTest, IndexedBatchedAdmissionConsistent2Readers) {
-  RunConsistencyTest(2, /*indexed_batched=*/true);
+TEST(CycleBreakServiceTest, BatchedAdmissionConsistent2Readers) {
+  RunConsistencyTest(2, /*batched=*/true);
 }
 
-TEST(CycleBreakServiceTest, IndexedBatchedAdmissionConsistent8Readers) {
-  RunConsistencyTest(8, /*indexed_batched=*/true);
+TEST(CycleBreakServiceTest, BatchedAdmissionConsistent8Readers) {
+  RunConsistencyTest(8, /*batched=*/true);
 }
 
 TEST(CycleBreakServiceTest, AdmissionShortCircuitsWhenDstIsCovered) {
@@ -466,14 +395,12 @@ TEST(CycleBreakServiceTest, BackgroundCompactionKeepsServiceCoherent) {
   // Async mode: readers hammer admission while background compactions
   // install new bases. Verdicts must always come from a coherent pinned
   // snapshot (checked by recomputation), and the final state must cover
-  // every cycle of everything ingested. Two workers and an index put
-  // the service pool (index builds and patches) under the concurrent
-  // readers.
+  // every cycle of everything ingested. Two workers put the compaction
+  // solve's engine pool under the concurrent readers.
   constexpr VertexId kN = 50;
   ServiceOptions options = MakeOptions(4);
   options.compact_delta_threshold = 40;
   options.cover.num_threads = 2;
-  options.admission_index_landmarks = 8;
   CycleBreakService service(GenerateErdosRenyi(kN, 140, /*seed=*/41),
                             options);
   std::atomic<bool> done{false};

@@ -238,8 +238,8 @@ SnapshotState MakeSnapshotState(uint64_t seed) {
 
 std::vector<Edge> EdgesOf(const CsrGraph& g) {
   std::vector<Edge> edges;
-  for (EdgeId e = 0; e < g.num_edges(); ++e) {
-    edges.push_back(Edge{g.EdgeSrc(e), g.EdgeDst(e)});
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (const VertexId v : g.OutNeighbors(u)) edges.push_back(Edge{u, v});
   }
   return edges;
 }
@@ -259,6 +259,28 @@ TEST(SnapshotFileTest, RoundTrip) {
   EXPECT_EQ(loaded.reusable, state.reusable);
   EXPECT_EQ(EdgesOf(loaded.base), EdgesOf(state.base));
   std::remove(path.c_str());
+}
+
+TEST(SnapshotFileTest, RoundTripIsByteIdentical) {
+  const std::string path = TempPath("bytes.tdbs");
+  const SnapshotState state = MakeSnapshotState(5);
+  ASSERT_TRUE(WriteSnapshotFile(state, path).ok());
+  const std::vector<char> bytes = ReadFileBytes(path);
+  // The edge section follows the 8-byte magic/version and the 57-byte
+  // fixed header, as (src, dst) pairs in canonical order.
+  const std::vector<Edge> edges = EdgesOf(state.base);
+  const size_t edge_offset = 8 + 7 * 8 + 1;
+  ASSERT_GE(bytes.size(), edge_offset + sizeof(Edge) * edges.size());
+  EXPECT_EQ(std::memcmp(bytes.data() + edge_offset, edges.data(),
+                        sizeof(Edge) * edges.size()),
+            0);
+  SnapshotState loaded;
+  ASSERT_TRUE(ReadSnapshotFile(path, &loaded).ok());
+  const std::string again = TempPath("bytes_again.tdbs");
+  ASSERT_TRUE(WriteSnapshotFile(loaded, again).ok());
+  EXPECT_EQ(ReadFileBytes(again), bytes);
+  std::remove(path.c_str());
+  std::remove(again.c_str());
 }
 
 TEST(SnapshotFileTest, EveryCorruptionIsDetected) {

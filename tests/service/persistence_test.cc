@@ -211,15 +211,14 @@ TEST(PersistenceTest, JournaledButUnappliedBatchIsReplayed) {
 
 TEST(PersistenceTest, RecoveryPublishesOnceAtThePreCloseEpoch) {
   // Replay applies the whole journal tail before anything is visible, so
-  // Open publishes (and builds the admission index) exactly once — at
-  // the epoch the closed process had reached, with the same verdicts.
+  // Open publishes exactly once — at the epoch the closed process had
+  // reached, with the same verdicts.
   constexpr VertexId kN = 40;
   const std::string dir = FreshDir("publish_once");
   const CsrGraph base = GenerateErdosRenyi(kN, 120, 21);
   const auto batches = MakeBatches(kN, 6, 10, 37);
   ServiceOptions durable = BaseOptions();
   durable.data_dir = dir;
-  durable.admission_index_landmarks = 8;
   std::unique_ptr<CycleBreakService> service;
   ASSERT_TRUE(CycleBreakService::Create(base, durable, &service).ok());
   for (const auto& batch : batches) service->SubmitEdges(batch);
@@ -232,11 +231,8 @@ TEST(PersistenceTest, RecoveryPublishesOnceAtThePreCloseEpoch) {
   EXPECT_EQ(recovered->epoch(), closed_epoch);
   const ServiceStatsSnapshot stats = recovered->Stats();
   EXPECT_EQ(stats.epochs_published, 1u);
-  EXPECT_EQ(stats.index_builds, 1u);
 
-  ServiceOptions memory = BaseOptions();
-  memory.admission_index_landmarks = 8;
-  CycleBreakService reference(base, memory);
+  CycleBreakService reference(base, BaseOptions());
   for (const auto& batch : batches) reference.SubmitEdges(batch);
   EXPECT_EQ(ImageOf(*recovered), ImageOf(reference));
   for (VertexId u = 0; u < kN; ++u) {

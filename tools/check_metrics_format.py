@@ -141,8 +141,9 @@ def collect_counters(types, samples):
 
 # Counters every tdb_serve scrape must expose (beyond the generic checks,
 # which already hold every exposed counter to monotonicity).
-REQUIRED_COUNTERS = ("tdb_service_index_patches_total",
-                     "tdb_service_probe_dfs_total")
+REQUIRED_COUNTERS = ("tdb_service_probe_dfs_total",
+                     "tdb_service_admission_probes_total",
+                     "tdb_service_admission_probe_dfs_total")
 
 
 def require_counters(counters, scrape):

@@ -15,10 +15,8 @@ For each (seed, durability) configuration this script:
      delta, base cover and S/W sets all included).
 
 Runs use --sync-compaction so the epoch sequence is deterministic and
---admit-threads 0 so the comparison is pure ingest state. They also pass
---admission-index 8, so every restart builds the landmark index on its
-one recovery publish; state dumps do not depend on the index. The stream
-is consumed verbatim (no --gate), matching the resume arithmetic.
+--admit-threads 0 so the comparison is pure ingest state. The stream is
+consumed verbatim (no --gate), matching the resume arithmetic.
 
 Usage:
   crash_recovery_drill.py --serve build/tdb_serve \
@@ -53,7 +51,7 @@ def serve_cmd(serve, stream, data_dir, durability, dump=None,
               kill_after=None):
     cmd = [serve, "--stream", stream, "--k", "4", "--batch", "16",
            "--admit-threads", "0", "--sync-compaction",
-           "--compact-threshold", "64", "--admission-index", "8",
+           "--compact-threshold", "64",
            "--data-dir", data_dir, "--durability", durability]
     if dump:
         cmd += ["--state-dump", dump]

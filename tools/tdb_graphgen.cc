@@ -42,8 +42,10 @@ void PrintUsage() {
 std::vector<tdb::TimedEdge> ToStream(const tdb::CsrGraph& g, uint64_t seed) {
   std::vector<tdb::TimedEdge> stream;
   stream.reserve(g.num_edges());
-  for (tdb::EdgeId e = 0; e < g.num_edges(); ++e) {
-    stream.push_back(tdb::TimedEdge{g.EdgeSrc(e), g.EdgeDst(e), 0});
+  for (tdb::VertexId u = 0; u < g.num_vertices(); ++u) {
+    for (const tdb::VertexId v : g.OutNeighbors(u)) {
+      stream.push_back(tdb::TimedEdge{u, v, 0});
+    }
   }
   tdb::Rng rng(seed);
   for (size_t i = stream.size(); i > 1; --i) {

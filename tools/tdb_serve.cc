@@ -4,7 +4,6 @@
 //             [--admit-threads 2] [--threads 1] [--algo TDB++]
 //             [--compact-threshold 4096] [--sync-compaction] [--gate]
 //             [--two-cycles] [--seed 42] [--compact-budget SEC]
-//             [--admission-cache [LOG2]]
 //             [--data-dir DIR] [--durability none|batch|always]
 //             [--kill-after N] [--state-dump FILE]
 //
@@ -39,7 +38,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
@@ -88,8 +86,6 @@ struct CliArgs {
   int metrics_port = -1;  // -1 = off, 0 = kernel-assigned
   double metrics_interval = 5.0;
   double metrics_hold = 0.0;
-  int admission_cache_log2 = 0;
-  int admission_index = 0;
   size_t admission_batch = 0;
   uint32_t k = 5;
   size_t batch = 256;
@@ -116,23 +112,16 @@ void PrintUsage() {
       "  --batch N             ingest batch size (default 256)\n"
       "  --admit-threads N     concurrent admission reader threads "
       "(default 2)\n"
-      "  --threads N           service workers for compaction solves and\n"
-      "                        admission-index builds (default 1,\n"
-      "                        0 = all cores)\n"
+      "  --threads N           engine workers for compaction solves\n"
+      "                        (default 1, 0 = all cores)\n"
       "  --algo NAME           compaction algorithm (default TDB++)\n"
       "  --compact-threshold N delta size triggering compaction "
       "(default 4096, 0 = never)\n"
       "  --compact-budget SEC  work-budget-split deadline per compaction\n"
-      "  --admission-cache [L] memoize admission verdicts per epoch in a\n"
-      "                        2^L-entry cache (default L=16 when the\n"
-      "                        flag is given; off otherwise)\n"
-      "  --admission-index N   keep N-landmark distance sketches for each\n"
-      "                        published snapshot (patched from the last\n"
-      "                        one); admission checks short-circuit by\n"
-      "                        distance arithmetic (0 = off)\n"
       "  --admission-batch N   readers submit admission queries in\n"
       "                        batches of N via CheckAdmissionBatch\n"
-      "                        (shared multi-source probes; 0 = per-query)\n"
+      "                        (one pinned snapshot per batch; 0 =\n"
+      "                        per-query)\n"
       "  --data-dir DIR        durable store (snapshot + WAL journal);\n"
       "                        reruns recover the store and resume the\n"
       "                        stream at the recovered offset\n"
@@ -224,17 +213,8 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       ok = DoubleFlag(arg, v, &args->metrics_interval);
     } else if (arg == "--trace-out" && (v = next()) != nullptr) {
       args->trace_out = v;
-    } else if (arg == "--admission-index" && (v = next()) != nullptr) {
-      ok = IntFlag(arg, v, &args->admission_index);
     } else if (arg == "--admission-batch" && (v = next()) != nullptr) {
       ok = IntFlag(arg, v, &args->admission_batch);
-    } else if (arg == "--admission-cache") {
-      // Optional value: a following numeric token is the log2 capacity.
-      args->admission_cache_log2 = 16;
-      if (i + 1 < argc && std::isdigit(static_cast<unsigned char>(
-                              argv[i + 1][0])) != 0) {
-        ok = IntFlag(arg, argv[++i], &args->admission_cache_log2);
-      }
     } else if (arg == "--sync-compaction") {
       args->sync_compaction = true;
     } else if (arg == "--gate") {
@@ -327,8 +307,8 @@ int main(int argc, char** argv) {
   }
   std::signal(SIGTERM, OnShutdownSignal);
   std::signal(SIGINT, OnShutdownSignal);
-  // Enable tracing before the service exists so the initial solve,
-  // publish and index build are captured too.
+  // Enable tracing before the service exists so the initial solve and
+  // publish are captured too.
   if (!args.trace_out.empty()) trace::SetEnabled(true);
 
   std::vector<TimedEdge> stream;
@@ -367,10 +347,11 @@ int main(int argc, char** argv) {
       universe = std::max(universe, static_cast<VertexId>(raw) + 1);
     }
     base_edges.reserve(dense.num_edges());
-    for (EdgeId e = 0; e < dense.num_edges(); ++e) {
-      base_edges.push_back(
-          Edge{static_cast<VertexId>(original_ids[dense.EdgeSrc(e)]),
-               static_cast<VertexId>(original_ids[dense.EdgeDst(e)])});
+    for (VertexId u = 0; u < dense.num_vertices(); ++u) {
+      for (const VertexId v : dense.OutNeighbors(u)) {
+        base_edges.push_back(Edge{static_cast<VertexId>(original_ids[u]),
+                                  static_cast<VertexId>(original_ids[v])});
+      }
     }
   }
   for (const TimedEdge& e : stream) {
@@ -385,8 +366,6 @@ int main(int argc, char** argv) {
   options.synchronous_compaction = args.sync_compaction;
   options.cover.num_threads = args.threads;
   options.compact_time_limit_seconds = args.compact_budget;
-  options.admission_cache_log2 = args.admission_cache_log2;
-  options.admission_index_landmarks = args.admission_index;
   options.data_dir = args.data_dir;
   st = ParseAlgorithm(args.algo, &options.compact_algorithm);
   if (!st.ok()) {
@@ -639,33 +618,10 @@ int main(int argc, char** argv) {
               "uncovered cycle\n",
               static_cast<unsigned long long>(s.admission_queries), qps,
               static_cast<unsigned long long>(s.admission_would_close));
-  if (args.admission_cache_log2 > 0) {
-    const uint64_t looked = s.admission_cache_hits + s.admission_cache_misses;
-    const double hit_rate =
-        looked > 0 ? 100.0 * static_cast<double>(s.admission_cache_hits) /
-                         static_cast<double>(looked)
-                   : 0.0;
-    std::printf("cache:      %llu hits / %llu misses (%.1f%% hit rate)\n",
-                static_cast<unsigned long long>(s.admission_cache_hits),
-                static_cast<unsigned long long>(s.admission_cache_misses),
-                hit_rate);
-  }
-  if (args.admission_index > 0) {
-    const uint64_t decided = s.index_hits + s.index_fallbacks;
-    const double hit_rate =
-        decided > 0 ? 100.0 * static_cast<double>(s.index_hits) /
-                          static_cast<double>(decided)
-                    : 0.0;
-    std::printf("index:      %llu hits / %llu fallbacks (%.1f%% hit "
-                "rate), %llu builds (%llu patched, %llu full) in %.3fs\n",
-                static_cast<unsigned long long>(s.index_hits),
-                static_cast<unsigned long long>(s.index_fallbacks),
-                hit_rate, static_cast<unsigned long long>(s.index_builds),
-                static_cast<unsigned long long>(s.index_patches),
-                static_cast<unsigned long long>(s.index_builds -
-                                                s.index_patches),
-                s.index_build_seconds);
-  }
+  std::printf("probe:      %llu admission queries probed, %llu ran the "
+              "DFS\n",
+              static_cast<unsigned long long>(s.admission_probes),
+              static_cast<unsigned long long>(s.admission_probe_dfs));
   std::printf("latency:    ingest batch p50 %.1fus p95 %.1fus p99 %.1fus | "
               "admission p50 %.1fus p95 %.1fus p99 %.1fus\n",
               ingest_lat.PercentileSeconds(0.50) * 1e6,
