@@ -1,6 +1,7 @@
 #include "service/cycle_break_service.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <filesystem>
@@ -10,7 +11,6 @@
 
 #include "core/solver.h"
 #include "util/check.h"
-#include "util/crc32.h"
 #include "util/trace.h"
 
 namespace tdb {
@@ -18,6 +18,15 @@ namespace tdb {
 namespace {
 
 constexpr auto kRelaxed = std::memory_order_relaxed;
+
+using Clock = std::chrono::steady_clock;
+
+/// Adds the nanoseconds elapsed since `start` to a phase counter.
+void AddNanosSince(Clock::time_point start, std::atomic<uint64_t>* counter) {
+  const auto elapsed = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      Clock::now() - start);
+  counter->fetch_add(static_cast<uint64_t>(elapsed.count()), kRelaxed);
+}
 
 /// File names are keyed by the cut sequence so every generation is
 /// unique within a store directory and self-describing in a listing.
@@ -326,8 +335,7 @@ SubmitResult CycleBreakService::SubmitGroupCommit(
 SubmitResult CycleBreakService::ApplyLocked(uint64_t seq,
                                             std::span<const Edge> batch) {
   SubmitResult result;
-  const BatchAugmentStats s =
-      BatchAugment(&working_, &state_, options_.cover, batch, &ingest_ctx_);
+  const BatchAugmentStats s = AugmentLocked(batch);
   stats_.batches.fetch_add(1, kRelaxed);
   stats_.edges_submitted.fetch_add(s.submitted, kRelaxed);
   stats_.edges_inserted.fetch_add(s.inserted, kRelaxed);
@@ -388,46 +396,7 @@ uint64_t CycleBreakService::delta_edges() const {
 }
 
 TransversalImage CycleBreakService::Image() const {
-  const auto pinned = published_.Load();
-  const ServiceSnapshot& snap = *pinned.state;
-  const OverlayGraph& graph = snap.graph;
-  TransversalImage image;
-  image.epoch = snap.epoch;
-  image.universe = graph.num_vertices();
-  image.base_edges = graph.base_edges();
-  // Walking the base's out-ranges in vertex order visits its edges in
-  // (src, dst) order, the image's sorted-pair CRC contract.
-  Crc32 crc;
-  const CsrGraph& base = graph.base();
-  for (VertexId u = 0; u < base.num_vertices(); ++u) {
-    for (const VertexId v : base.OutNeighbors(u)) {
-      const VertexId pair[2] = {u, v};
-      crc.Update(pair, sizeof(pair));
-    }
-  }
-  image.base_crc = crc.value();
-  const std::span<const Edge> delta = graph.delta();
-  image.delta.assign(delta.begin(), delta.end());
-  std::sort(image.delta.begin(), image.delta.end(),
-            [](const Edge& a, const Edge& b) {
-              return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-            });
-  image.cover_vertices = snap.cover.base->vertices;  // already sorted
-  auto fill = [&graph](const std::unordered_set<EdgeId>& set,
-                       std::vector<TransversalImage::EdgeEntry>* out) {
-    out->reserve(set.size());
-    for (const EdgeId e : set) {
-      out->push_back({e, graph.EdgeSrc(e), graph.EdgeDst(e)});
-    }
-    std::sort(out->begin(), out->end(),
-              [](const TransversalImage::EdgeEntry& a,
-                 const TransversalImage::EdgeEntry& b) {
-                return a.src != b.src ? a.src < b.src : a.dst < b.dst;
-              });
-  };
-  fill(snap.cover.covered, &image.covered);
-  fill(snap.cover.reusable, &image.reusable);
-  return image;
+  return MakeTransversalImage(*published_.Load().state);
 }
 
 void CycleBreakService::WaitForCompaction() {
@@ -435,8 +404,18 @@ void CycleBreakService::WaitForCompaction() {
   if (compact_thread_.joinable()) compact_thread_.join();
 }
 
+BatchAugmentStats CycleBreakService::AugmentLocked(
+    std::span<const Edge> batch) {
+  const Clock::time_point start = Clock::now();
+  const BatchAugmentStats s =
+      BatchAugment(&working_, &state_, options_.cover, batch, &ingest_ctx_);
+  AddNanosSince(start, &stats_.augment_nanoseconds);
+  return s;
+}
+
 uint64_t CycleBreakService::PublishLocked() {
   TDB_TRACE_SPAN("service.publish");
+  const Clock::time_point start = Clock::now();
   auto snapshot = std::make_shared<ServiceSnapshot>(working_, state_,
                                                     options_.cover);
   // writer_mu_ serializes every Store, so the pre-stamped epoch and the
@@ -446,6 +425,7 @@ uint64_t CycleBreakService::PublishLocked() {
   const uint64_t epoch = published_.Store(std::move(snapshot));
   TDB_CHECK(epoch == next_epoch);
   stats_.epochs_published.fetch_add(1, kRelaxed);
+  AddNanosSince(start, &stats_.publish_nanoseconds);
   return epoch;
 }
 
@@ -478,8 +458,9 @@ void CycleBreakService::CompactLocked() {
   // A previous compaction thread can only be joinable here if it already
   // finished (compact_running_ was false), so this join is immediate.
   if (compact_thread_.joinable()) compact_thread_.join();
-  // Only an O(delta) overlay copy happens under writer_mu_; the O(n + m)
-  // base materialization and the solve run on the compaction thread.
+  // Under writer_mu_ only an O(1) view of the overlay is taken (the
+  // writer keeps appending past its length); the O(n + m) base
+  // materialization and the solve run on the compaction thread.
   compact_thread_ = std::thread([this, cut_seq, solve_input,
                                  frozen = working_] {
     CoverResult solved;
@@ -536,9 +517,7 @@ void CycleBreakService::InstallCompactionLocked(OverlayGraph base,
     // its own apply yet — that apply (group-commit phase 3) will land
     // on the new base in sequence order.
     if (b.seq > applied_seq_) break;
-    const BatchAugmentStats replay =
-        BatchAugment(&working_, &state_, options_.cover, b.edges,
-                     &ingest_ctx_);
+    const BatchAugmentStats replay = AugmentLocked(b.edges);
     // Replayed edges were already counted at their original submission;
     // only the fresh search work is new.
     stats_.cycles_covered.fetch_add(replay.cycles_covered, kRelaxed);

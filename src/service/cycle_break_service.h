@@ -15,10 +15,11 @@
 //     solve plus incremental covered-edge sets (core/batch_augment.h).
 //   * SubmitEdges (the single writer, internally serialized) ingests a
 //     batch on the calling thread: insertions, one AUGMENT per new edge,
-//     one PRUNE pass — then publishes a frozen copy-on-write
-//     ServiceSnapshot through an EpochPtr (util/epoch_ptr.h).
-//     Publication copies the overlay and the transversal in
-//     O(delta + |S|); a snapshot holds nothing else.
+//     one PRUNE pass — then publishes an immutable ServiceSnapshot
+//     through an EpochPtr (util/epoch_ptr.h). The snapshot's graph is a
+//     view of the writer's append-only delta log at its current length
+//     (O(1), nothing copied); only the transversal's S/W sets are copied
+//     (O(|S| + |W|)).
 //   * CheckAdmission (any number of concurrent readers) pins the latest
 //     snapshot, runs the O(1) prechecks, and answers the rest with the
 //     same read-only meet-in-the-middle path probe ingest uses
@@ -205,7 +206,8 @@ class CycleBreakService {
   const ServiceStats& raw_stats() const { return stats_; }
 
   /// Canonical image of the latest published state (graph + transversal),
-  /// for state dumps, digests and equality checks.
+  /// for state dumps, digests and equality checks
+  /// (MakeTransversalImage of the latest snapshot).
   TransversalImage Image() const;
 
   /// What Open replayed (zeros for fresh services).
@@ -258,7 +260,11 @@ class CycleBreakService {
   /// counts persist_failures. Requires writer_mu_; call after the new
   /// base/state are installed but before the pending tail is replayed.
   void PersistCutLocked(uint64_t cut_seq);
-  /// Copies the working state into a fresh snapshot and publishes it.
+  /// Runs BatchAugment on the working state, timed into
+  /// augment_nanoseconds. Requires writer_mu_.
+  BatchAugmentStats AugmentLocked(std::span<const Edge> batch);
+  /// Publishes a snapshot of the working state: a view of the shared
+  /// delta log at its current length plus a copy of the transversal.
   /// Requires writer_mu_.
   uint64_t PublishLocked();
   /// Requires writer_mu_.

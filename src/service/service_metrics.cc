@@ -41,6 +41,10 @@ std::vector<MetricRegistry::Registration> BindServiceStats(
        "Admission probes the ball join could not settle (ran the DFS)",
        stats.admission_probe_dfs);
   bind("epochs_published", "Snapshots published", stats.epochs_published);
+  bind("augment_nanoseconds", "Writer nanoseconds in BatchAugment",
+       stats.augment_nanoseconds);
+  bind("publish_nanoseconds", "Writer nanoseconds publishing snapshots",
+       stats.publish_nanoseconds);
   bind("compactions", "Compaction installs", stats.compactions);
   bind("compactions_failed", "Compaction solves that failed",
        stats.compactions_failed);

@@ -42,6 +42,43 @@ AdmissionVerdict CheckAdmissionOn(const ServiceSnapshot& snapshot,
   return verdict;
 }
 
+TransversalImage MakeTransversalImage(const ServiceSnapshot& snapshot) {
+  const OverlayGraph& graph = snapshot.graph;
+  TransversalImage image;
+  image.epoch = snapshot.epoch;
+  image.universe = graph.num_vertices();
+  image.base_edges = graph.base_edges();
+  // Walking the base's out-ranges in vertex order visits its edges in
+  // (src, dst) order, the image's sorted-pair CRC contract.
+  Crc32 crc;
+  const CsrGraph& base = graph.base();
+  for (VertexId u = 0; u < base.num_vertices(); ++u) {
+    for (const VertexId v : base.OutNeighbors(u)) {
+      const VertexId pair[2] = {u, v};
+      crc.Update(pair, sizeof(pair));
+    }
+  }
+  image.base_crc = crc.value();
+  image.delta = graph.delta();
+  std::sort(image.delta.begin(), image.delta.end());
+  image.cover_vertices = snapshot.cover.base->vertices;  // already sorted
+  auto fill = [&graph](const std::unordered_set<EdgeId>& set,
+                       std::vector<TransversalImage::EdgeEntry>* out) {
+    out->reserve(set.size());
+    for (const EdgeId e : set) {
+      out->push_back({e, graph.EdgeSrc(e), graph.EdgeDst(e)});
+    }
+    std::sort(out->begin(), out->end(),
+              [](const TransversalImage::EdgeEntry& a,
+                 const TransversalImage::EdgeEntry& b) {
+                return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+              });
+  };
+  fill(snapshot.cover.covered, &image.covered);
+  fill(snapshot.cover.reusable, &image.reusable);
+  return image;
+}
+
 void CheckAdmissionBatchOn(const ServiceSnapshot& snapshot,
                            std::span<const Edge> queries, PathProber* prober,
                            std::vector<AdmissionVerdict>* verdicts) {

@@ -1,12 +1,13 @@
 // Immutable published state of the cycle-break service.
 //
 // One ServiceSnapshot is the unit of the service's epoch/publish
-// protocol: a frozen OverlayGraph (shared CSR base + the delta as of the
-// publish) together with the transversal that covers every constrained
-// cycle of exactly that graph. Readers pin a snapshot via the service's
-// EpochPtr and run admission checks against it lock-free for as long as
-// they like — newer publishes and even compactions cannot invalidate a
-// pinned state, because nothing in it is ever mutated.
+// protocol: an OverlayGraph view (shared CSR base + the shared delta log
+// up to its length at the publish) together with the transversal that
+// covers every constrained cycle of exactly that graph. Readers pin a
+// snapshot via the service's EpochPtr and run admission checks against
+// it lock-free for as long as they like — newer publishes and even
+// compactions cannot change what a pinned state sees: the log only grows
+// past its length, and nothing else in it is ever mutated.
 #ifndef TDB_SERVICE_SNAPSHOT_H_
 #define TDB_SERVICE_SNAPSHOT_H_
 
@@ -29,7 +30,8 @@ struct ServiceSnapshot {
   /// Publication epoch (1 for the state published by the constructor,
   /// +1 per subsequent publish).
   uint64_t epoch = 0;
-  /// The graph as of this epoch: shared base CSR + frozen delta copy.
+  /// The graph as of this epoch: shared base CSR + the first
+  /// graph.delta_edges() entries of the generation's shared delta log.
   OverlayGraph graph;
   /// The transversal covering every constrained cycle of `graph`.
   TransversalState cover;
@@ -82,7 +84,13 @@ struct TransversalImage {
   /// Incremental S / W sets, sorted by (src, dst).
   std::vector<EdgeEntry> covered;
   std::vector<EdgeEntry> reusable;
+
+  bool operator==(const TransversalImage&) const = default;
 };
+
+/// The canonical image of one snapshot. Pure: the same snapshot gives
+/// the same image however many epochs were published after it.
+TransversalImage MakeTransversalImage(const ServiceSnapshot& snapshot);
 
 /// Read-only admission check against a pinned snapshot: would inserting
 /// u -> v close a constrained cycle that no covered edge breaks? Safe to

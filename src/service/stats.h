@@ -56,6 +56,12 @@ struct ServiceStatsSnapshot {
   uint64_t index_builds = 0;
   double index_build_seconds = 0.0;
   uint64_t epochs_published = 0;
+  /// Writer time split of SubmitEdges: nanoseconds in BatchAugment
+  /// (submitted batches, compaction tail replays and recovery replay)
+  /// and in publication (snapshot construction, the pointer swap and
+  /// releasing the replaced snapshot).
+  uint64_t augment_nanoseconds = 0;
+  uint64_t publish_nanoseconds = 0;
   uint64_t compactions = 0;
   uint64_t compactions_failed = 0;
   uint64_t compaction_components_timed_out = 0;
@@ -91,6 +97,8 @@ struct ServiceStats {
   std::atomic<uint64_t> admission_probes{0};
   std::atomic<uint64_t> admission_probe_dfs{0};
   std::atomic<uint64_t> epochs_published{0};
+  std::atomic<uint64_t> augment_nanoseconds{0};
+  std::atomic<uint64_t> publish_nanoseconds{0};
   std::atomic<uint64_t> compactions{0};
   std::atomic<uint64_t> compactions_failed{0};
   std::atomic<uint64_t> compaction_components_timed_out{0};
@@ -122,6 +130,8 @@ struct ServiceStats {
     out.admission_probes = get(admission_probes);
     out.admission_probe_dfs = get(admission_probe_dfs);
     out.epochs_published = get(epochs_published);
+    out.augment_nanoseconds = get(augment_nanoseconds);
+    out.publish_nanoseconds = get(publish_nanoseconds);
     out.compactions = get(compactions);
     out.compactions_failed = get(compactions_failed);
     out.compaction_components_timed_out =

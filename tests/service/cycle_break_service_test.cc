@@ -151,6 +151,19 @@ TEST(CycleBreakServiceTest, AdmissionFollowsEachPublish) {
   EXPECT_TRUE(service.CheckAdmission(2, 0).admissible);
 }
 
+TEST(CycleBreakServiceTest, WriterPhaseCountersTimeAugmentAndPublish) {
+  CycleBreakService service(CsrGraph::FromEdges(4, {{0, 1}, {1, 2}}),
+                            MakeOptions(4));
+  const ServiceStatsSnapshot boot = service.Stats();
+  EXPECT_EQ(boot.augment_nanoseconds, 0u);  // the bootstrap only publishes
+  EXPECT_GT(boot.publish_nanoseconds, 0u);
+  const std::vector<Edge> batch = {{2, 3}, {3, 0}};
+  ASSERT_TRUE(service.SubmitEdges(batch).status.ok());
+  const ServiceStatsSnapshot after = service.Stats();
+  EXPECT_GT(after.augment_nanoseconds, 0u);
+  EXPECT_GT(after.publish_nanoseconds, boot.publish_nanoseconds);
+}
+
 TEST(CycleBreakServiceTest, CheckAdmissionIsABatchOfOne) {
   // CheckAdmission is documented as CheckAdmissionBatch over one query:
   // both call shapes must produce the same verdict, provenance included,

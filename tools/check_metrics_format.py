@@ -143,7 +143,9 @@ def collect_counters(types, samples):
 # which already hold every exposed counter to monotonicity).
 REQUIRED_COUNTERS = ("tdb_service_probe_dfs_total",
                      "tdb_service_admission_probes_total",
-                     "tdb_service_admission_probe_dfs_total")
+                     "tdb_service_admission_probe_dfs_total",
+                     "tdb_service_augment_nanoseconds_total",
+                     "tdb_service_publish_nanoseconds_total")
 
 
 def require_counters(counters, scrape):
