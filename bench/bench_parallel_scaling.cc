@@ -3,9 +3,9 @@
 // The graph is a disjoint union of strongly connected blocks (a cycle
 // backbone per block keeps each one a single SCC, random chords make the
 // per-component solve non-trivial), so the engine has independent work for
-// every worker. The default blocks have 4000 vertices, above the 2048 at
-// which the engine solves a component in place, so the sweep runs the
-// in-place route as concurrent pool tasks. Covers are asserted identical
+// every worker. Each block solves in place on the parent graph, so the
+// sweep runs concurrent in-place pool tasks, one per block, each with its
+// worker's own masks. Covers are asserted identical
 // across thread counts — the engine's exactness guarantee, measured rather
 // than assumed.
 //

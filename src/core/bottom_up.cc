@@ -8,15 +8,44 @@
 
 namespace tdb {
 
-CoverResult SolveBottomUpWithContext(const CsrGraph& graph,
-                                     const CoverOptions& options,
-                                     bool minimal, SearchContext* context,
-                                     Deadline* deadline) {
-  std::vector<VertexId> all(graph.num_vertices());
-  std::iota(all.begin(), all.end(), VertexId{0});
-  return SolveBottomUpInPlace(graph, all, options, minimal, context,
-                              deadline);
+namespace {
+
+/// The cycle-breaking sweep of SolveBottomUpInPlace: appends the committed
+/// vertices to `cover`, clearing their `active` bits. Returns TimedOut on
+/// budget expiry.
+Status SweepBottomUp(const CsrGraph& graph, const CycleConstraint& constraint,
+                     std::span<const VertexId> members, uint8_t* active,
+                     uint32_t* hits, std::vector<VertexId>* cover,
+                     CoverStats* stats, SearchContext* context,
+                     Deadline* deadline) {
+  CycleFinder finder(graph, context);
+  std::vector<VertexId> cycle;
+  for (VertexId v : members) {
+    if (!active[v]) continue;  // already covered; its edges are gone
+    for (;;) {
+      ++stats->searches;
+      SearchOutcome outcome =
+          finder.FindCycleThrough(v, constraint, active, &cycle, deadline);
+      if (outcome == SearchOutcome::kTimedOut) {
+        return Status::TimedOut("bottom-up solve exceeded budget");
+      }
+      if (outcome == SearchOutcome::kNotFound) break;
+      ++stats->cycles_found;
+      // Algorithm 6: commit the hottest vertex of the cycle.
+      for (VertexId u : cycle) ++hits[u];
+      VertexId cover_node = cycle.front();
+      for (VertexId u : cycle) {
+        if (hits[u] > hits[cover_node]) cover_node = u;
+      }
+      cover->push_back(cover_node);
+      active[cover_node] = 0;
+      if (cover_node == v) break;  // v itself left the graph
+    }
+  }
+  return Status::OK();
 }
+
+}  // namespace
 
 CoverResult SolveBottomUpInPlace(const CsrGraph& graph,
                                  std::span<const VertexId> members,
@@ -25,52 +54,33 @@ CoverResult SolveBottomUpInPlace(const CsrGraph& graph,
   CoverResult result;
   const CycleConstraint constraint =
       options.Constraint(static_cast<VertexId>(members.size()));
-
-  CycleFinder finder(graph, context);
-  // H[v]: how many discovered cycles v participated in so far (paper's
-  // hit-times array). Never reset across iterations.
-  std::vector<uint32_t> hits(graph.num_vertices(), 0);
-  // active[v] == 0 once v joined the cover (its edges are "removed").
-  // Non-members start (and stay) inactive, so the mask doubles as the
+  // hits[v]: how many discovered cycles v participated in so far (paper's
+  // hit-times array). active[v] == 0 once v joined the cover (its edges are
+  // "removed"); non-members stay inactive, so the mask doubles as the
   // component restriction.
-  std::vector<uint8_t> active(graph.num_vertices(), 0);
+  context->EnsureActiveSize(graph.num_vertices());
+  context->EnsureHitsSize(graph.num_vertices());
+  uint8_t* active = context->active.data();
+  uint32_t* hits = context->hits.data();
   for (VertexId v : members) active[v] = 1;
+
   std::vector<VertexId> cover;
-  std::vector<VertexId> cycle;
-
-  for (VertexId v : members) {
-    if (!active[v]) continue;  // already covered; its edges are gone
-    for (;;) {
-      ++result.stats.searches;
-      SearchOutcome outcome = finder.FindCycleThrough(
-          v, constraint, active.data(), &cycle, deadline);
-      if (outcome == SearchOutcome::kTimedOut) {
-        result.status = Status::TimedOut("bottom-up solve exceeded budget");
-        return result;
-      }
-      if (outcome == SearchOutcome::kNotFound) break;
-      ++result.stats.cycles_found;
-      // Algorithm 6: commit the hottest vertex of the cycle.
-      for (VertexId u : cycle) ++hits[u];
-      VertexId cover_node = cycle.front();
-      for (VertexId u : cycle) {
-        if (hits[u] > hits[cover_node]) cover_node = u;
-      }
-      cover.push_back(cover_node);
-      active[cover_node] = 0;
-      if (cover_node == v) break;  // v itself left the graph
+  result.status = SweepBottomUp(graph, constraint, members, active, hits,
+                                &cover, &result.stats, context, deadline);
+  if (result.status.ok()) {
+    // `active` is exactly members minus the cover: the prune's G - R.
+    if (minimal) {
+      result.status =
+          MinimalPrune(graph, constraint, active, &cover,
+                       &result.stats.prune_removed, deadline, context);
     }
+    std::sort(cover.begin(), cover.end());
+    result.cover = std::move(cover);
   }
-
-  if (minimal) {
-    Status prune_status =
-        MinimalPrune(graph, options, PruneEngine::kPlainDfs, &cover,
-                     &result.stats.prune_removed, deadline, context, members);
-    if (!prune_status.ok()) result.status = prune_status;
+  for (VertexId v : members) {
+    active[v] = 0;
+    hits[v] = 0;
   }
-
-  std::sort(cover.begin(), cover.end());
-  result.cover = std::move(cover);
   return result;
 }
 
@@ -85,8 +95,10 @@ CoverResult SolveBottomUp(const CsrGraph& graph, const CoverOptions& options,
                           ? Deadline::AfterSeconds(options.time_limit_seconds)
                           : Deadline();
   SearchContext context;
-  result = SolveBottomUpWithContext(graph, options, minimal, &context,
-                                    &deadline);
+  std::vector<VertexId> all(graph.num_vertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
+  result = SolveBottomUpInPlace(graph, all, options, minimal, &context,
+                                &deadline);
   result.stats.expansions = context.stats.expansions;
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   return result;

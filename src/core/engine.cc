@@ -49,54 +49,10 @@ bool IsKnownAlgorithm(CoverAlgorithm algo) {
   return false;
 }
 
-/// DARC-DV builds a line graph per component, which needs a materialized
-/// CSR — everything else can solve in place on the parent graph with
-/// mask-restricted searches.
-bool SupportsInPlaceSolve(CoverAlgorithm algo) {
-  return algo != CoverAlgorithm::kDarcDv;
-}
-
-/// Components with at least this many vertices solve in place on the
-/// parent graph instead of materializing: for a giant component the
-/// per-component edge copy would nearly duplicate the graph.
-constexpr VertexId kInPlaceMinSize = 2048;
-
 /// With more than one thread, components with at least this many vertices
 /// are pool tasks; smaller ones run inline on the submitting thread, which
 /// keeps per-task overhead off the long tail of tiny SCCs.
 constexpr VertexId kPoolMinSize = 32;
-
-/// One component solve on a materialized subgraph. `order` is required
-/// for the top-down family and ignored otherwise (BUR and DARC process by
-/// id / edge id, which the local-id mapping already preserves).
-CoverResult SolveOnSubgraph(const CsrGraph& graph, CoverAlgorithm algo,
-                            const CoverOptions& options,
-                            const std::vector<VertexId>* order,
-                            SearchContext* context, Deadline* deadline) {
-  switch (algo) {
-    case CoverAlgorithm::kBur:
-      return SolveBottomUpWithContext(graph, options, /*minimal=*/false,
-                                      context, deadline);
-    case CoverAlgorithm::kBurPlus:
-      return SolveBottomUpWithContext(graph, options, /*minimal=*/true,
-                                      context, deadline);
-    case CoverAlgorithm::kTdb:
-      return SolveTopDownOrdered(graph, options, TopDownVariant::kPlain,
-                                 *order, context, deadline);
-    case CoverAlgorithm::kTdbPlus:
-      return SolveTopDownOrdered(graph, options, TopDownVariant::kBlocks,
-                                 *order, context, deadline);
-    case CoverAlgorithm::kTdbPlusPlus:
-      return SolveTopDownOrdered(graph, options,
-                                 TopDownVariant::kBlocksFilter, *order,
-                                 context, deadline);
-    case CoverAlgorithm::kDarcDv:
-      return SolveDarcDvWithContext(graph, options, context, deadline);
-  }
-  CoverResult result;
-  result.status = Status::InvalidArgument("unknown algorithm");
-  return result;
-}
 
 /// One solved component, tagged for the deterministic merge: results are
 /// combined in order of their component's minimum member vertex — the
@@ -123,26 +79,12 @@ std::vector<VertexId> MakeRank(const CsrGraph& graph,
   return rank;
 }
 
-/// Processing order of an in-place component, in global ids.
+/// Processing order of a component, in global ids.
 std::vector<VertexId> GlobalOrderOf(std::span<const VertexId> members,
                                     const std::vector<VertexId>& rank) {
   std::vector<VertexId> order(members.begin(), members.end());
   std::sort(order.begin(), order.end(),
             [&](VertexId a, VertexId b) { return rank[a] < rank[b]; });
-  return order;
-}
-
-/// Processing order of a materialized component, in dense local ids
-/// (member lists are sorted, so local ids ascend with global ids).
-std::vector<VertexId> LocalOrderOf(std::span<const VertexId> members,
-                                   const std::vector<VertexId>& rank) {
-  std::vector<VertexId> order(members.size());
-  for (size_t i = 0; i < members.size(); ++i) {
-    order[i] = static_cast<VertexId>(i);
-  }
-  std::sort(order.begin(), order.end(), [&](VertexId a, VertexId b) {
-    return rank[members[a]] < rank[members[b]];
-  });
   return order;
 }
 
@@ -197,65 +139,44 @@ struct EngineRun {
   VertexId min_scc = 3;
 };
 
-/// In-place solve of one component on the parent graph: searches are
-/// restricted by the solver's kept/active masks, no edges are copied.
-CoverResult SolveInPlace(const EngineRun& run,
-                         std::span<const VertexId> members,
-                         SearchContext* context, Deadline* deadline) {
-  TDB_TRACE_SPAN("engine.solve_in_place");
-  if (IsTopDown(run.algorithm)) {
-    return SolveTopDownInPlace(run.graph, members, run.options,
-                               VariantOf(run.algorithm),
-                               GlobalOrderOf(members, run.rank), context,
-                               deadline);
-  }
-  return SolveBottomUpInPlace(run.graph, members, run.options,
-                              run.algorithm == CoverAlgorithm::kBurPlus,
-                              context, deadline);
-}
-
-/// Materialized solve of one component; the cover comes back in global
-/// ids.
-CoverResult SolveMaterialized(const EngineRun& run,
-                              std::span<const VertexId> members,
-                              SearchContext* context,
-                              SubgraphExtractor* extractor,
-                              Deadline* deadline) {
-  InducedSubgraph sub = extractor->Extract(members);
-  std::vector<VertexId> order;
-  if (IsTopDown(run.algorithm)) order = LocalOrderOf(members, run.rank);
-  CoverResult r = SolveOnSubgraph(sub.graph, run.algorithm, run.options,
-                                  &order, context, deadline);
-  for (VertexId& v : r.cover) v = sub.to_global[v];
-  return r;
-}
-
-/// One thread's scratch: a search context, and a subgraph extractor
-/// (O(n) each) created on the first materialized component, so a thread
-/// that only solves in place never pays for one.
+/// One thread's scratch: a search context, whose masks every in-place
+/// solve borrows, and a subgraph extractor (O(n)) created on the first
+/// DARC-DV component.
 struct WorkerScratch {
   SearchContext context;
   std::optional<SubgraphExtractor> extractor;
 };
 
-/// One component solve, routed by size: components of at least
-/// kInPlaceMinSize vertices solve in place (DARC-DV excepted), all others
-/// materialize. The cover comes back in global ids.
+/// One component solve, routed by algorithm. DARC-DV materializes the
+/// component (its line graph needs a CSR); every other algorithm solves in
+/// place on the parent graph, its searches restricted by the context's
+/// kept/active masks. The cover comes back in global ids.
 CoverResult SolveComponent(const EngineRun& run,
                            std::span<const VertexId> members,
                            WorkerScratch* scratch, Deadline* deadline) {
-  if (SupportsInPlaceSolve(run.algorithm) &&
-      members.size() >= kInPlaceMinSize) {
-    return SolveInPlace(run, members, &scratch->context, deadline);
+  if (run.algorithm == CoverAlgorithm::kDarcDv) {
+    if (!scratch->extractor.has_value()) scratch->extractor.emplace(run.graph);
+    InducedSubgraph sub = scratch->extractor->Extract(members);
+    CoverResult r = SolveDarcDvWithContext(sub.graph, run.options,
+                                           &scratch->context, deadline);
+    for (VertexId& v : r.cover) v = sub.to_global[v];
+    return r;
   }
-  if (!scratch->extractor.has_value()) scratch->extractor.emplace(run.graph);
-  return SolveMaterialized(run, members, &scratch->context,
-                           &*scratch->extractor, deadline);
+  TDB_TRACE_SPAN("engine.solve_in_place");
+  if (IsTopDown(run.algorithm)) {
+    return SolveTopDownInPlace(run.graph, members, run.options,
+                               VariantOf(run.algorithm),
+                               GlobalOrderOf(members, run.rank),
+                               &scratch->context, deadline);
+  }
+  return SolveBottomUpInPlace(run.graph, members, run.options,
+                              run.algorithm == CoverAlgorithm::kBurPlus,
+                              &scratch->context, deadline);
 }
 
 /// Condenses the graph fully, then solves every solvable component as one
 /// task: biggest first on a ThreadPool, with the tail below kPoolMinSize
-/// inline on the calling thread. Each task picks its route by size.
+/// inline on the calling thread. Each task picks its route by algorithm.
 CoverResult CondenseAndSolve(const EngineRun& run, double* scc_seconds,
                              uint64_t* scc_components) {
   CoverResult result;

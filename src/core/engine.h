@@ -17,14 +17,14 @@
 //      components runs inline on the calling thread; with one thread
 //      every task runs inline. The pool is the engine's only parallelism:
 //      a component is never split across threads;
-//   4. each task picks its route by size. Components of at least 2048
-//      vertices solve IN PLACE on the parent graph, with searches
-//      restricted by the solver's kept/active masks — no edge copy,
-//      which keeps peak memory down on giant components.
-//      DARC-DV (its line graph needs a CSR) and every smaller component
-//      materialize a compact induced subgraph over dense local ids
-//      (graph/subgraph.h). Each pool thread owns one SearchContext
-//      (reentrant search layer, no locks on the hot path);
+//   4. each task picks its route by algorithm. Every BUR, BUR+, TDB, TDB+
+//      and TDB++ component solves IN PLACE on the parent graph, with
+//      searches restricted by the solver's kept/active masks — no edge
+//      copy, whatever the component's size. Only DARC-DV (its line graph
+//      needs a CSR) materializes a compact induced subgraph over dense
+//      local ids (graph/subgraph.h). Each pool thread owns one
+//      SearchContext (reentrant search layer plus the solvers' masks, no
+//      locks on the hot path), so concurrent components share no mask;
 //   5. merge covers (vertex ids remapped back to the parent graph),
 //      statuses and per-worker stats, in canonical component order
 //      (ascending minimum member) regardless of scheduling.
@@ -32,16 +32,17 @@
 // `num_threads` is the only parallelism knob.
 //
 // Exactness: per-component solves are bit-identical to a whole-graph
-// sequential solve, for every algorithm, route and thread count. Cycles
+// sequential solve, for every algorithm and thread count. Cycles
 // never cross components, so a solver's keep/discharge decision for v
 // depends only on the state of v's own component; the engine preserves
 // each component's internal processing order by ranking every vertex in
 // the whole-graph candidate order once and sorting each component's
-// members by rank (local ids ascend with global ids, so id- and
-// edge-ordered sweeps project automatically). The engine determinism
+// members by rank (member lists ascend, so BUR's id-ordered sweep
+// projects automatically, and so does DARC-DV's edge-ordered one, since its
+// local ids ascend with global ids). The engine determinism
 // tests assert covers are identical across num_threads = 1, 2 and 8 for
-// all six algorithms, on multi-SCC graphs and on graphs whose SCCs take
-// the in-place route.
+// all six algorithms, on graphs with one giant SCC and with many small
+// ones.
 //
 // Deadlines: one wall-clock budget (options.time_limit_seconds) is shared
 // by every component; each task polls a private copy of the master

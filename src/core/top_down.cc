@@ -45,10 +45,10 @@ std::vector<VertexId> MakeCandidateOrder(const CsrGraph& graph,
 
 namespace {
 
-/// The candidate sweep shared by the whole-graph and in-place entry
-/// points: processes `order`, discharging candidates into `kept`.
-/// Engines are built per variant, so a plain-DFS solve does not pay for
-/// block/BFS scratch. Returns TimedOut on budget expiry.
+/// The candidate sweep of SolveTopDownInPlace: processes `order`,
+/// discharging candidates into `kept`. Engines are built per variant, so
+/// a plain-DFS solve does not pay for block/BFS scratch. Returns TimedOut
+/// on budget expiry.
 Status SweepTopDown(const CsrGraph& graph, const CycleConstraint& constraint,
                     TopDownVariant variant, std::span<const VertexId> order,
                     uint8_t* kept, CoverStats* stats, SearchContext* context,
@@ -97,25 +97,6 @@ Status SweepTopDown(const CsrGraph& graph, const CycleConstraint& constraint,
 
 }  // namespace
 
-CoverResult SolveTopDownOrdered(const CsrGraph& graph,
-                                const CoverOptions& options,
-                                TopDownVariant variant,
-                                const std::vector<VertexId>& order,
-                                SearchContext* context, Deadline* deadline) {
-  CoverResult result;
-  // kept[v] == 1 once v has been discharged from the cover: v and its
-  // edges belong to the growing subgraph G0.
-  std::vector<uint8_t> kept(graph.num_vertices(), 0);
-  result.status = SweepTopDown(graph, options.Constraint(graph.num_vertices()),
-                               variant, order, kept.data(), &result.stats,
-                               context, deadline);
-  if (!result.status.ok()) return result;
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    if (!kept[v]) result.cover.push_back(v);
-  }
-  return result;
-}
-
 CoverResult SolveTopDownInPlace(const CsrGraph& graph,
                                 std::span<const VertexId> members,
                                 const CoverOptions& options,
@@ -124,18 +105,18 @@ CoverResult SolveTopDownInPlace(const CsrGraph& graph,
                                 SearchContext* context, Deadline* deadline) {
   CoverResult result;
   // kept[g] == 1 once global vertex g has been discharged into G0. Only
-  // members are candidates, so non-members stay 0 forever and the mask
-  // doubles as the component restriction.
-  std::vector<uint8_t> kept(graph.num_vertices(), 0);
-  // Constraint of the *component*: identical to what a solve on the
-  // materialized subgraph would use (matters for `unconstrained`, whose
-  // hop budget is the vertex count).
+  // members are candidates, so non-members stay 0 and the mask doubles as
+  // the component restriction.
+  context->EnsureKeptSize(graph.num_vertices());
+  uint8_t* kept = context->kept.data();
+  // Constraint of the *component* (matters for `unconstrained`, whose hop
+  // budget is the vertex count).
   result.status = SweepTopDown(
       graph, options.Constraint(static_cast<VertexId>(members.size())),
-      variant, order, kept.data(), &result.stats, context, deadline);
-  if (!result.status.ok()) return result;
+      variant, order, kept, &result.stats, context, deadline);
   for (VertexId g : members) {
-    if (!kept[g]) result.cover.push_back(g);
+    if (result.status.ok() && !kept[g]) result.cover.push_back(g);
+    kept[g] = 0;
   }
   return result;
 }
@@ -151,8 +132,10 @@ CoverResult SolveTopDown(const CsrGraph& graph, const CoverOptions& options,
                           ? Deadline::AfterSeconds(options.time_limit_seconds)
                           : Deadline();
   SearchContext context;
-  const std::vector<VertexId> order = MakeCandidateOrder(graph, options);
-  result = SolveTopDownOrdered(graph, options, variant, order, &context,
+  std::vector<VertexId> all(graph.num_vertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
+  result = SolveTopDownInPlace(graph, all, options, variant,
+                               MakeCandidateOrder(graph, options), &context,
                                &deadline);
   // Populated on every path, including timeouts (the partial counters are
   // exactly what a budget post-mortem needs).

@@ -7,7 +7,9 @@
 // join G0 permanently; otherwise v stays in the cover and its edges never
 // enter G0. The output is feasible and minimal by construction (paper
 // Theorem 7). G0 is represented as a bit per vertex over the original CSR —
-// "inserting all edges of v" is O(1).
+// "inserting all edges of v" is O(1) — so a component needs no copy of its
+// own: the engine solves every component in place on the parent graph,
+// and the whole-graph solve is the same code with every vertex a member.
 //
 // Variants:
 //   TDB    — plain DFS validation (Algorithm 5), worst case O(n^k) each.
@@ -34,9 +36,10 @@ enum class TopDownVariant {
   kBlocksFilter, ///< TDB++
 };
 
-/// Runs the top-down solver. All variants produce the same cover for the
-/// same options (the speed-up techniques are exact), which the property
-/// tests assert.
+/// Runs the top-down solver over the whole graph: the in-place solve with
+/// every vertex a member, in MakeCandidateOrder. All variants produce the
+/// same cover for the same options (the speed-up techniques are exact),
+/// which the property tests assert.
 CoverResult SolveTopDown(const CsrGraph& graph, const CoverOptions& options,
                          TopDownVariant variant);
 
@@ -47,27 +50,18 @@ CoverResult SolveTopDown(const CsrGraph& graph, const CoverOptions& options,
 std::vector<VertexId> MakeCandidateOrder(const CsrGraph& graph,
                                          const CoverOptions& options);
 
-/// Engine entry point: one top-down solve processing candidates in
-/// `order` (a permutation of the vertex ids), with borrowed per-worker
-/// scratch and an externally managed deadline (options.time_limit_seconds
-/// is ignored). Assumes options were validated. stats.expansions,
-/// stats.block_prunes, stats.filter_visits and stats.elapsed_seconds are
-/// left zero — search counters accumulate in `*context` and timing is the
-/// caller's concern.
-CoverResult SolveTopDownOrdered(const CsrGraph& graph,
-                                const CoverOptions& options,
-                                TopDownVariant variant,
-                                const std::vector<VertexId>& order,
-                                SearchContext* context, Deadline* deadline);
-
 /// Engine entry point for one component solved *in place* on the parent
 /// graph — no materialized subgraph. `members` is the component's sorted
-/// vertex list; `order` holds its candidates in GLOBAL ids (the
+/// vertex list; `order` holds its candidates in global ids (the
 /// whole-graph candidate order projected onto the members), and the
 /// returned cover is likewise in global ids. Searches run on `graph`
-/// restricted by the kept mask, which only ever contains members, so
-/// results are bit-identical to a solve on the materialized component.
-/// Assumes options were validated.
+/// restricted by the context's kept mask, which only ever contains
+/// members; the mask is all-zero again on return, whatever the status.
+/// Uses borrowed per-worker scratch and an externally managed deadline
+/// (options.time_limit_seconds is ignored). Assumes options were
+/// validated. stats.expansions, stats.block_prunes, stats.filter_visits
+/// and stats.elapsed_seconds are left zero — search counters accumulate
+/// in `*context` and timing is the caller's concern.
 CoverResult SolveTopDownInPlace(const CsrGraph& graph,
                                 std::span<const VertexId> members,
                                 const CoverOptions& options,

@@ -77,8 +77,7 @@ PlantedCyclesResult GeneratePlantedCycles(VertexId n, EdgeId dag_edges,
 /// One strongly connected component: a directed cycle backbone over all
 /// `n` vertices (guarantees a single SCC) plus `n * chords_per_vertex`
 /// random chords (duplicates and would-be self-loops are dropped by the
-/// CSR build). The engine tests' single-SCC workload: at n >= 2048 the
-/// component takes the engine's in-place route.
+/// CSR build). The engine tests' single-SCC workload.
 CsrGraph GenerateChordedCycle(VertexId n, VertexId chords_per_vertex,
                               uint64_t seed);
 

@@ -39,10 +39,4 @@ InducedSubgraph SubgraphExtractor::Extract(
   return sub;
 }
 
-InducedSubgraph ExtractInducedSubgraph(const CsrGraph& parent,
-                                       std::span<const VertexId> members) {
-  SubgraphExtractor extractor(parent);
-  return extractor.Extract(members);
-}
-
 }  // namespace tdb

@@ -1,17 +1,15 @@
 // Induced-subgraph extraction with vertex-id remapping.
 //
-// The engine solves each SCC in isolation. SubgraphExtractor materializes
-// a component's induced subgraph as a self-contained CsrGraph over dense
-// local ids — right for the long tail of small components, where the copy
-// is tiny and the solver then touches perfectly compact memory.
-// (Components of at least 2048 vertices skip the copy and solve in place
-// on the parent graph through mask-restricted searches; see
-// core/engine.h.)
+// SubgraphExtractor materializes a component's induced subgraph as a
+// self-contained CsrGraph over dense local ids. The engine needs this only
+// for DARC-DV, whose line graph is built from a CSR; every other algorithm
+// solves its components in place on the parent graph through
+// mask-restricted searches (see core/engine.h).
 //
-// Local ids are assigned in ascending global order, so an id-ordered
-// sweep of the subgraph visits vertices in the same relative order as an
-// id-ordered sweep of the full graph — the property that keeps
-// per-component solves bit-identical to a whole-graph solve.
+// Local ids are assigned in ascending global order, so an id- or
+// edge-ordered sweep of the subgraph visits vertices and edges in the same
+// relative order as the same sweep of the full graph — the property that
+// keeps per-component solves bit-identical to a whole-graph solve.
 #ifndef TDB_GRAPH_SUBGRAPH_H_
 #define TDB_GRAPH_SUBGRAPH_H_
 
@@ -47,10 +45,6 @@ class SubgraphExtractor {
   std::vector<VertexId> global_to_local_;
   std::vector<Edge> edge_scratch_;
 };
-
-/// One-shot convenience wrapper around SubgraphExtractor.
-InducedSubgraph ExtractInducedSubgraph(const CsrGraph& parent,
-                                       std::span<const VertexId> members);
 
 }  // namespace tdb
 

@@ -1,4 +1,5 @@
-// Per-worker mutable scratch for the search engines.
+// Per-worker mutable scratch for the search engines and the solvers that
+// drive them.
 //
 // CycleFinder, BlockSearch and BfsFilter historically each owned their own
 // n-sized scratch, which made a searcher cheap to reuse sequentially but
@@ -6,15 +7,22 @@
 // would race on the same block/visited arrays. The scratch now lives in an
 // explicit SearchContext — one per worker thread — and the searcher classes
 // are thin reentrant views over (graph, context). A context is reused
-// across any number of graphs (the parallel engine solves many per-SCC
-// subgraphs, in place or materialized, with one context per worker); the
-// Ensure*Size helpers grow it lazily and never shrink, so reuse is
-// allocation-free once warm. Concurrent searches against one shared
-// kept/active mask are safe exactly while the mask is frozen.
+// across any number of solves (the parallel engine solves every SCC of a
+// graph in place on the parent CSR, one context per worker); the Ensure*
+// helpers grow it lazily and never shrink, so reuse is allocation-free
+// once warm. Concurrent searches against one shared kept/active mask are
+// safe exactly while the mask is frozen.
+//
+// The component solvers' vertex masks (`kept`, `active`, `hits`) live here
+// too, so that a component of c vertices costs O(c) in mask upkeep rather
+// than an n-sized allocation per component.
 //
 // Invariants between searches: `on_path` is all-zero and `stack` is empty
 // (every search restores them on exit, including timeout paths); the epoch
 // arrays carry stale values that the next NewEpoch invalidates in O(1).
+// Invariant between solves: `kept`, `active` and `hits` are all-zero (every
+// solve resets the entries of its component's members on exit, including
+// timeout paths).
 #ifndef TDB_SEARCH_SEARCH_CONTEXT_H_
 #define TDB_SEARCH_SEARCH_CONTEXT_H_
 
@@ -47,6 +55,15 @@ struct SearchContext {
   // BidirectionalDistance (dr + 1, 0 = unlabeled).
   EpochArray<uint8_t> reach_dist;
 
+  // Component-solver masks over the parent graph's vertex ids.
+  // kept[v] == 1 once the top-down sweep discharged v into G0.
+  std::vector<uint8_t> kept;
+  // active[v] == 1 while v is a member of the bottom-up solve's component
+  // and not in its cover.
+  std::vector<uint8_t> active;
+  // hits[v]: how many cycles the bottom-up solve found through v.
+  std::vector<uint32_t> hits;
+
   /// Counters across all searches run on this context; the engine merges
   /// per-worker stats at join.
   SearchStats stats;
@@ -74,6 +91,21 @@ struct SearchContext {
   void EnsureProbeSize(VertexId n) {
     visited.Resize(n);
     reach_dist.Resize(n);
+  }
+
+  /// Top-down solve state: `kept`.
+  void EnsureKeptSize(VertexId n) {
+    if (kept.size() < n) kept.resize(n, 0);
+  }
+
+  /// Bottom-up solve state: `active`.
+  void EnsureActiveSize(VertexId n) {
+    if (active.size() < n) active.resize(n, 0);
+  }
+
+  /// Bottom-up solve state: `hits`.
+  void EnsureHitsSize(VertexId n) {
+    if (hits.size() < n) hits.resize(n, 0);
   }
 };
 

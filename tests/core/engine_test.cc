@@ -1,11 +1,15 @@
 // Determinism and exactness of the SCC-partitioned parallel engine: for
 // every algorithm, the cover must be independent of the thread count and
-// bit-identical to the classic whole-graph sequential solvers — on small
-// components (materialized) and on components of at least 2048 vertices
-// (solved in place on the parent graph).
+// bit-identical to the classic whole-graph sequential solvers — on many
+// small components and on giant ones. Every non-DARC component solves in
+// place on the parent graph with its worker's SearchContext masks, so the
+// masks must come back all-zero after every solve, timeouts included.
 #include "core/engine.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <numeric>
 
 #include "core/bottom_up.h"
 #include "core/darc.h"
@@ -15,6 +19,7 @@
 #include "graph/fixtures.h"
 #include "graph/generators.h"
 #include "graph/scc.h"
+#include "search/search_context.h"
 
 namespace tdb {
 namespace {
@@ -24,9 +29,6 @@ const CoverAlgorithm kAll[] = {
     CoverAlgorithm::kTdb,     CoverAlgorithm::kTdbPlus,
     CoverAlgorithm::kTdbPlusPlus, CoverAlgorithm::kDarcDv,
 };
-
-/// Smallest component the engine solves in place.
-constexpr VertexId kInPlaceSize = 2048;
 
 /// Fixture + generator graphs with varied SCC structure: one dense SCC,
 /// a giant-component random graph, and a DAG with many planted SCCs.
@@ -205,13 +207,11 @@ TEST(EngineTest, OptionVariantsStayDeterministic) {
   }
 }
 
-// One SCC big enough for the in-place route: the cover must equal the
-// classic whole-graph solver's (which is the materialized solve of that
-// one component) at every thread count, for every algorithm.
+// One giant SCC: the cover must equal the classic whole-graph solver's at
+// every thread count, for every algorithm.
 TEST(EngineTest, GiantSingleSccMatchesClassicAcrossThreadCounts) {
   CsrGraph g = GenerateChordedCycle(2100, 2, /*seed=*/9);
   ASSERT_EQ(ComputeScc(g).num_components, 1u);
-  ASSERT_GE(g.num_vertices(), kInPlaceSize);
   for (CoverAlgorithm algo : kAll) {
     CoverOptions opts;
     opts.k = 4;
@@ -276,18 +276,13 @@ TEST(EngineTest, InPlaceOptionVariantsStayDeterministic) {
   }
 }
 
-// Several in-place components run concurrently as pool tasks, next to a
-// tail of small materialized ones: the merged cover must not depend on
-// which thread solved what.
+// Several giant components run concurrently as pool tasks, next to a tail
+// of small inline ones, each worker solving in place with its own masks:
+// the merged cover must not depend on which thread solved what.
 TEST(EngineTest, ConcurrentInPlaceComponentsMatchSequential) {
   CsrGraph g = MakeBlocks(
       {2100, 4, 2200, 12, 40, 2050, 3, 7, 33, 90, 2, 2}, /*seed=*/41);
-  const SccResult scc = ComputeScc(g);
-  int in_place = 0;
-  for (VertexId c = 0; c < scc.num_components; ++c) {
-    if (scc.component_size[c] >= kInPlaceSize) ++in_place;
-  }
-  ASSERT_EQ(in_place, 3);
+  ASSERT_EQ(ComputeScc(g).num_components, 12u);
   for (CoverAlgorithm algo : kAll) {
     CoverOptions opts;
     opts.k = 4;
@@ -342,6 +337,81 @@ TEST(EngineTest, InPlaceSolveTimesOutMidComponent) {
     ASSERT_TRUE(split.status.ok()) << "threads=" << threads;
     EXPECT_EQ(split.stats.components_timed_out, 1u) << "threads=" << threads;
     EXPECT_EQ(split.cover.size(), g.num_vertices()) << "threads=" << threads;
+  }
+}
+
+// One SearchContext carried through a chain of in-place solves, as a pool
+// worker carries it from component to component: two solves that time out
+// mid-component, then a top-down solve in another order and BUR+ solves on
+// other member sets. The kept/active/hits masks must be all-zero after
+// each solve, and every completed cover must equal the same solve on a
+// fresh context.
+TEST(EngineTest, InPlaceMasksResetAcrossSolvesAndTimeouts) {
+  CsrGraph g = GenerateChordedCycle(400, 2, /*seed=*/53);
+  std::vector<VertexId> all(g.num_vertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
+  const std::span<const VertexId> lower(all.data(), 200);
+  const std::span<const VertexId> upper(all.data() + 200, 200);
+  const std::span<const VertexId> whole(all);
+  CoverOptions opts;
+  opts.k = 5;
+
+  auto masks_clear = [](const SearchContext& ctx) {
+    auto zero = [](const auto& mask) {
+      return std::all_of(mask.begin(), mask.end(),
+                         [](auto x) { return x == 0; });
+    };
+    return zero(ctx.kept) && zero(ctx.active) && zero(ctx.hits);
+  };
+  // Descending ids: the timed-out sweep below ran ascending, so a stale
+  // prefix of its discharges would not match this sweep's decisions.
+  auto top_down = [&](std::span<const VertexId> members,
+                      SearchContext* ctx, Deadline deadline) {
+    std::vector<VertexId> order(members.rbegin(), members.rend());
+    return SolveTopDownInPlace(g, members, opts,
+                               TopDownVariant::kBlocksFilter, order, ctx,
+                               &deadline);
+  };
+  auto bur_plus = [&](std::span<const VertexId> members, SearchContext* ctx,
+                      Deadline deadline) {
+    return SolveBottomUpInPlace(g, members, opts, /*minimal=*/true, ctx,
+                                &deadline);
+  };
+
+  SearchContext shared;
+  // An already-expired deadline is polled lazily, so each solve does a
+  // fixed amount of search work, dirtying its masks, before timing out.
+  const Deadline expired = Deadline::AfterSeconds(0);
+  CoverResult r = bur_plus(lower, &shared, expired);
+  ASSERT_TRUE(r.status.IsTimedOut());
+  ASSERT_GT(r.stats.searches, 1u);
+  EXPECT_TRUE(masks_clear(shared)) << "after timed-out BUR+";
+  std::vector<VertexId> order(lower.begin(), lower.end());
+  Deadline tdb_deadline = expired;
+  r = SolveTopDownInPlace(g, lower, opts, TopDownVariant::kPlain, order,
+                          &shared, &tdb_deadline);
+  ASSERT_TRUE(r.status.IsTimedOut());
+  ASSERT_GT(r.stats.searches, 1u);
+  EXPECT_TRUE(masks_clear(shared)) << "after timed-out TDB";
+
+  SearchContext fresh_td;
+  const CoverResult want_td = top_down(lower, &fresh_td, Deadline());
+  ASSERT_TRUE(want_td.status.ok());
+  ASSERT_FALSE(want_td.cover.empty());
+  r = top_down(lower, &shared, Deadline());
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_EQ(r.cover, want_td.cover);
+  EXPECT_TRUE(masks_clear(shared)) << "after TDB++";
+
+  for (std::span<const VertexId> members : {upper, whole}) {
+    SearchContext fresh_bu;
+    const CoverResult want_bu = bur_plus(members, &fresh_bu, Deadline());
+    ASSERT_TRUE(want_bu.status.ok());
+    ASSERT_FALSE(want_bu.cover.empty());
+    r = bur_plus(members, &shared, Deadline());
+    ASSERT_TRUE(r.status.ok());
+    EXPECT_EQ(r.cover, want_bu.cover) << members.size() << " members";
+    EXPECT_TRUE(masks_clear(shared)) << "after BUR+";
   }
 }
 

@@ -15,7 +15,7 @@ TEST(SubgraphTest, ExtractsTriangleFromLargerGraph) {
   CsrGraph g = CsrGraph::FromEdges(
       6, {{1, 3}, {3, 5}, {5, 1}, {0, 1}, {3, 2}, {4, 5}});
   const std::vector<VertexId> members{1, 3, 5};
-  InducedSubgraph sub = ExtractInducedSubgraph(g, members);
+  InducedSubgraph sub = SubgraphExtractor(g).Extract(members);
   EXPECT_EQ(sub.graph.num_vertices(), 3u);
   EXPECT_EQ(sub.graph.num_edges(), 3u);
   EXPECT_EQ(sub.to_global, members);
@@ -30,7 +30,7 @@ TEST(SubgraphTest, FullVertexSetReproducesTheGraph) {
   CsrGraph g = GenerateErdosRenyi(40, 160, /*seed=*/3);
   std::vector<VertexId> all(g.num_vertices());
   std::iota(all.begin(), all.end(), 0u);
-  InducedSubgraph sub = ExtractInducedSubgraph(g, all);
+  InducedSubgraph sub = SubgraphExtractor(g).Extract(all);
   ASSERT_EQ(sub.graph.num_vertices(), g.num_vertices());
   ASSERT_EQ(sub.graph.num_edges(), g.num_edges());
   for (VertexId v = 0; v < g.num_vertices(); ++v) {
@@ -47,7 +47,7 @@ TEST(SubgraphTest, FullVertexSetReproducesTheGraph) {
 TEST(SubgraphTest, EdgesAreExactlyTheInducedOnes) {
   CsrGraph g = GenerateErdosRenyi(50, 300, /*seed=*/8);
   const std::vector<VertexId> members{2, 3, 5, 7, 11, 13, 17, 19, 23, 29};
-  InducedSubgraph sub = ExtractInducedSubgraph(g, members);
+  InducedSubgraph sub = SubgraphExtractor(g).Extract(members);
   ASSERT_EQ(sub.graph.num_vertices(), members.size());
   // Every subgraph edge exists in the parent...
   for (EdgeId e = 0; e < sub.graph.num_edges(); ++e) {
@@ -82,7 +82,7 @@ TEST(SubgraphTest, ExtractorIsReusableAcrossComponents) {
 
 TEST(SubgraphTest, EmptyMemberSet) {
   CsrGraph g = MakeDirectedCycle(4);
-  InducedSubgraph sub = ExtractInducedSubgraph(g, {});
+  InducedSubgraph sub = SubgraphExtractor(g).Extract({});
   EXPECT_EQ(sub.graph.num_vertices(), 0u);
   EXPECT_EQ(sub.graph.num_edges(), 0u);
   EXPECT_TRUE(sub.to_global.empty());
