@@ -477,6 +477,7 @@ void OrderAblation(Harness& h, double scale) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string json_path = JsonPathFromArgs(argc, argv, "bench_paper");
   const double scale = BenchScale();
   const double budget = EnvDouble("TDB_BENCH_TIMEOUT", kDefaultBudget);
   const char* verify = std::getenv("TDB_BENCH_VERIFY");
@@ -516,6 +517,6 @@ int main(int argc, char** argv) {
   json.Num("budget", budget);
   json.HostRow();
   h.WriteRows(&json);
-  const bool written = json.Write(JsonSink::PathFromArgs(argc, argv));
+  const bool written = json.Write(json_path);
   return written && h.failures().empty() ? 0 : 1;
 }

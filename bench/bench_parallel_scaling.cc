@@ -64,6 +64,8 @@ CsrGraph MakeMultiSccGraph(VertexId blocks, VertexId block_n,
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string json_path =
+      JsonPathFromArgs(argc, argv, "bench_parallel_scaling");
   const VertexId blocks = EnvInteger<VertexId>("TDB_BENCH_BLOCKS", 16);
   const VertexId block_n = EnvInteger<VertexId>("TDB_BENCH_BLOCK_N", 4000);
   const VertexId degree = EnvInteger<VertexId>("TDB_BENCH_DEGREE", 8);
@@ -155,5 +157,5 @@ int main(int argc, char** argv) {
       ok = false;
     }
   }
-  return json.Write(JsonSink::PathFromArgs(argc, argv)) && ok ? 0 : 1;
+  return json.Write(json_path) && ok ? 0 : 1;
 }

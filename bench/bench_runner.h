@@ -15,26 +15,37 @@
 
 namespace tdb::bench {
 
+/// The value of a bench's one argument, `--json PATH` ("" when absent).
+/// Called at the top of main, so a bad command line costs no sweep: an
+/// unknown argument, `--help`/`-h` or `--json` without a value prints
+/// usage and exits 2.
+inline std::string JsonPathFromArgs(int argc, char** argv,
+                                    const char* bench_name) {
+  std::string path;
+  for (int i = 1; i < argc; ++i) {
+    if (std::string(argv[i]) == "--json" && i + 1 < argc) {
+      path = argv[++i];
+    } else {
+      std::fprintf(stderr, "usage: %s [--json PATH]\n", bench_name);
+      std::exit(2);
+    }
+  }
+  return path;
+}
+
 /// Machine-readable benchmark output for the CI regression pipeline:
 /// flat key->value rows serialized as
 ///   {"bench": "<name>", "rows": [{"k1": v1, ...}, ...]}
-/// Enabled by a `--json <path>` argument pair; a bench without it runs
-/// human-readable only. tools/check_bench_regression.py consumes the
-/// files and compares them against bench/baselines/. A failed write
-/// (including one that only surfaces when the file is closed) makes
-/// Write return false, and the bench then exits 1.
+/// Enabled by a `--json <path>` argument pair (JsonPathFromArgs); a
+/// bench without it runs human-readable only.
+/// tools/check_bench_regression.py consumes the files and compares them
+/// against bench/baselines/. A failed write (including one that only
+/// surfaces when the file is closed) makes Write return false, and the
+/// bench then exits 1.
 class JsonSink {
  public:
   explicit JsonSink(std::string bench_name)
       : bench_(std::move(bench_name)) {}
-
-  /// The path following "--json" in argv, or "" when absent.
-  static std::string PathFromArgs(int argc, char** argv) {
-    for (int i = 1; i + 1 < argc; ++i) {
-      if (std::string(argv[i]) == "--json") return argv[i + 1];
-    }
-    return "";
-  }
 
   void BeginRow() { rows_.emplace_back(); }
 

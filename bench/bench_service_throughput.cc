@@ -47,6 +47,8 @@ using namespace tdb::bench;
 }  // namespace
 
 int main(int argc, char** argv) {
+  const std::string json_path =
+      JsonPathFromArgs(argc, argv, "bench_service_throughput");
   const VertexId n =
       EnvInteger<VertexId>("TDB_BENCH_SERVICE_N", 2000);
   const EdgeId base_m = EnvInteger<EdgeId>("TDB_BENCH_SERVICE_BASE_M", 6000);
@@ -353,7 +355,7 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(s.admission_probe_dfs));
   }
 
-  if (!json.Write(JsonSink::PathFromArgs(argc, argv))) return 1;
+  if (!json.Write(json_path)) return 1;
   std::printf(
       "\nReading: admission readers scale with threads while the single\n"
       "writer ingests at a fixed batch cadence; \"cover\" identical on\n"

@@ -213,7 +213,6 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
   state_.covered.insert(snap.covered.begin(), snap.covered.end());
   state_.reusable.insert(snap.reusable.begin(), snap.reusable.end());
   last_seq_ = snap.last_seq;
-  applied_seq_ = snap.last_seq;
   events_at_cut_ = snap.events_ingested;
   total_events_.store(snap.events_ingested, kRelaxed);
 
@@ -229,7 +228,7 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
   // replayed batch).
   replaying_ = true;
   for (const JournalRecord& record : records) {
-    SubmitLocked(record.edges, /*append_to_journal=*/false);
+    SubmitLocked(record.edges);
     ++recovery_.replayed_batches;
     recovery_.replayed_events += record.edges.size();
   }
@@ -242,20 +241,15 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
 CycleBreakService::~CycleBreakService() { WaitForCompaction(); }
 
 SubmitResult CycleBreakService::SubmitEdges(std::span<const Edge> batch) {
-  std::unique_lock<std::mutex> lock(writer_mu_);
-  if (journal_ != nullptr &&
-      options_.durability == DurabilityPolicy::kAlways) {
-    return SubmitGroupCommit(batch, std::move(lock));
-  }
-  return SubmitLocked(batch, /*append_to_journal=*/journal_ != nullptr);
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  return SubmitLocked(batch);
 }
 
-SubmitResult CycleBreakService::SubmitLocked(std::span<const Edge> batch,
-                                             bool append_to_journal) {
+SubmitResult CycleBreakService::SubmitLocked(std::span<const Edge> batch) {
   TDB_TRACE_SPAN("service.submit");
   SubmitResult result;
   const uint64_t seq = last_seq_ + 1;
-  if (append_to_journal) {
+  if (journal_ != nullptr && !replaying_) {
     // WAL discipline: the batch becomes durable before it is applied, so
     // a crash at any later point replays it instead of losing it. On
     // append failure nothing is applied — the journal must never lag the
@@ -274,67 +268,6 @@ SubmitResult CycleBreakService::SubmitLocked(std::span<const Edge> batch,
         seq, total_events_.load(kRelaxed),
         std::vector<Edge>(batch.begin(), batch.end())});
   }
-  return ApplyLocked(seq, batch);
-}
-
-SubmitResult CycleBreakService::SubmitGroupCommit(
-    std::span<const Edge> batch, std::unique_lock<std::mutex> lock) {
-  TDB_TRACE_SPAN("service.submit");
-  SubmitResult result;
-  // Phase 1 (writer_mu_): reserve the sequence, append unsynced, queue
-  // the pending copy — so a concurrent rotation carries this batch even
-  // before it applies.
-  const uint64_t seq = last_seq_ + 1;
-  result.status = journal_->AppendNoSync(seq, batch);
-  if (!result.status.ok()) {
-    stats_.persist_failures.fetch_add(1, kRelaxed);
-    return result;
-  }
-  stats_.journal_records.fetch_add(1, kRelaxed);
-  last_seq_ = seq;
-  total_events_.fetch_add(batch.size(), kRelaxed);
-  pending_.push_back(PendingBatch{
-      seq, total_events_.load(kRelaxed),
-      std::vector<Edge>(batch.begin(), batch.end())});
-  const std::shared_ptr<Journal> journal = journal_;
-  lock.unlock();
-  // Phase 2 (no locks): the group fsync. One leader flushes the whole
-  // appended tail; followers just wait on the commit sequence — and the
-  // next submitter is appending its phase 1 while the device stalls,
-  // which is where the grouping comes from.
-  GroupCommitInfo info;
-  result.status = journal->CommitDurable(seq, &info);
-  if (info.led) {
-    stats_.journal_group_commits.fetch_add(1, kRelaxed);
-    stats_.journal_group_size.fetch_add(info.records, kRelaxed);
-  }
-  if (!result.status.ok()) {
-    // Durable-before-apply: the batch is NOT applied. Pull its pending
-    // copy back out so no rotation ever makes a never-applied batch
-    // replayable. Failures are prefix-closed (the journal poisons), so
-    // every later sequence unwinds itself the same way and the queue
-    // stays consistent.
-    lock.lock();
-    for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-      if (it->seq == seq) {
-        pending_.erase(it);
-        break;
-      }
-    }
-    total_events_.fetch_sub(batch.size(), kRelaxed);
-    stats_.persist_failures.fetch_add(1, kRelaxed);
-    return result;
-  }
-  // Phase 3 (writer_mu_): apply strictly in sequence order — commits
-  // are prefix-closed, so every predecessor's phase 3 is coming.
-  lock.lock();
-  apply_cv_.wait(lock, [&] { return applied_seq_ == seq - 1; });
-  return ApplyLocked(seq, batch);
-}
-
-SubmitResult CycleBreakService::ApplyLocked(uint64_t seq,
-                                            std::span<const Edge> batch) {
-  SubmitResult result;
   const BatchAugmentStats s = AugmentLocked(batch);
   stats_.batches.fetch_add(1, kRelaxed);
   stats_.edges_submitted.fetch_add(s.submitted, kRelaxed);
@@ -344,8 +277,6 @@ SubmitResult CycleBreakService::ApplyLocked(uint64_t seq,
   stats_.path_queries.fetch_add(s.path_queries, kRelaxed);
   stats_.probe_dfs.fetch_add(s.probe_dfs, kRelaxed);
   stats_.prunes.fetch_add(s.prunes, kRelaxed);
-  applied_seq_ = seq;
-  apply_cv_.notify_all();
   if (ShouldCompactLocked()) CompactLocked();
   result.stats = s;
   // Recovery publishes once, after the whole replay.
@@ -436,10 +367,7 @@ bool CycleBreakService::ShouldCompactLocked() const {
 }
 
 void CycleBreakService::CompactLocked() {
-  // Cut at the applied frontier, not last_seq_: under group commit a
-  // reserved-but-unapplied batch is not in working_ yet, so it belongs
-  // to the post-cut tail.
-  const uint64_t cut_seq = applied_seq_;
+  const uint64_t cut_seq = last_seq_;
   auto solve_input = [this](const OverlayGraph& frozen,
                             CoverResult* solved) -> OverlayGraph {
     TDB_TRACE_SPAN("service.compact_solve");
@@ -513,10 +441,6 @@ void CycleBreakService::InstallCompactionLocked(OverlayGraph base,
   // for cycles mixing pre- and post-cut edges: the new vertex cover only
   // accounts for pre-cut ones.
   for (const PendingBatch& b : pending_) {
-    // Replay stops at the applied frontier: a batch past it has not run
-    // its own apply yet — that apply (group-commit phase 3) will land
-    // on the new base in sequence order.
-    if (b.seq > applied_seq_) break;
     const BatchAugmentStats replay = AugmentLocked(b.edges);
     // Replayed edges were already counted at their original submission;
     // only the fresh search work is new.

@@ -14,12 +14,15 @@
 //     two-layer shape: the snapshot's vertex cover from the last full
 //     solve plus incremental covered-edge sets (core/batch_augment.h).
 //   * SubmitEdges (the single writer, internally serialized) ingests a
-//     batch on the calling thread: insertions, one AUGMENT per new edge,
-//     one PRUNE pass — then publishes an immutable ServiceSnapshot
-//     through an EpochPtr (util/epoch_ptr.h). The snapshot's graph is a
-//     view of the writer's append-only delta log at its current length
-//     (O(1), nothing copied); only the transversal's S/W sets are copied
-//     (O(|S| + |W|)).
+//     batch on the calling thread. Durable services first append it to
+//     the write-ahead journal (flushed, or fsync'd under
+//     durability=always) — under the writer mutex, so the batch is on
+//     storage before it is applied and a failed append applies nothing.
+//     Then: insertions, one AUGMENT per new edge, one PRUNE pass — then
+//     it publishes an immutable ServiceSnapshot through an EpochPtr
+//     (util/epoch_ptr.h). The snapshot's graph is a view of the writer's
+//     append-only delta log at its current length (O(1), nothing
+//     copied); only the transversal's S/W sets are copied (O(|S| + |W|)).
 //   * CheckAdmission (any number of concurrent readers) pins the latest
 //     snapshot, runs the O(1) prechecks, and answers the rest with the
 //     same read-only meet-in-the-middle path probe ingest uses
@@ -37,7 +40,6 @@
 #define TDB_SERVICE_CYCLE_BREAK_SERVICE_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -236,24 +238,12 @@ class CycleBreakService {
   /// the result once, at the epoch the pre-close process had reached.
   Status RecoverFromStore(const StoreManifest& manifest,
                           SnapshotState snap);
-  /// The whole SubmitEdges path; `append_to_journal` is false only for
-  /// recovery replay (those records are already durable).
-  /// Requires writer_mu_.
-  SubmitResult SubmitLocked(std::span<const Edge> batch,
-                            bool append_to_journal);
-  /// The durability=always SubmitEdges path, structured for group
-  /// commit: phase 1 under writer_mu_ reserves the sequence, appends
-  /// unsynced and queues the pending batch; phase 2 drops the lock and
-  /// rides Journal::CommitDurable (one leader fsyncs the whole appended
-  /// tail while the next submitter is already appending); phase 3
-  /// retakes writer_mu_ and applies strictly in sequence order, so the
-  /// committed state equals the serialized path's bit for bit.
-  SubmitResult SubmitGroupCommit(std::span<const Edge> batch,
-                                 std::unique_lock<std::mutex> lock);
-  /// Apply half shared by every submit path: augment, stats, compaction
-  /// trigger, publish (skipped while replaying: recovery publishes once,
-  /// after the tail); advances applied_seq_. Requires writer_mu_.
-  SubmitResult ApplyLocked(uint64_t seq, std::span<const Edge> batch);
+  /// The one SubmitEdges path, for every durability policy: journal
+  /// append (flush or fsync per policy), augment, stats, compaction
+  /// trigger, publish. Recovery replay runs it too, with neither the
+  /// append (those records are already durable) nor the publish
+  /// (recovery publishes once, after the tail). Requires writer_mu_.
+  SubmitResult SubmitLocked(std::span<const Edge> batch);
   /// Writes the cut snapshot, rotates the journal (re-appending the
   /// post-cut pending batches) and commits both through the manifest.
   /// Any failure leaves the previous (snapshot, journal) pair live and
@@ -311,22 +301,13 @@ class CycleBreakService {
   SearchContext ingest_ctx_;
   std::deque<PendingBatch> pending_;  // guarded by writer_mu_
   uint64_t last_seq_ = 0;             // guarded by writer_mu_
-  /// Highest sequence whose batch is applied to working_/state_. Equals
-  /// last_seq_ except between a group-commit append (phase 1) and its
-  /// in-order apply (phase 3). Guarded by writer_mu_; apply_cv_ wakes
-  /// phase-3 waiters as the sequence advances.
-  uint64_t applied_seq_ = 0;
-  std::condition_variable apply_cv_;
   uint64_t events_at_cut_ = 0;        // guarded by writer_mu_
   /// True while Open replays the journal: suppresses re-journaling,
   /// forces synchronous compaction (deterministic replay) and skips
   /// persistence side effects (the records being replayed are the
   /// durable source of truth already).
   bool replaying_ = false;  // guarded by writer_mu_
-  /// shared_ptr so a group-commit phase 2 (fsync outside writer_mu_)
-  /// keeps its journal alive across a concurrent rotation; the pointer
-  /// itself is guarded by writer_mu_.
-  std::shared_ptr<Journal> journal_;
+  std::unique_ptr<Journal> journal_;  // guarded by writer_mu_
   std::string snapshot_file_;         // guarded by writer_mu_
   std::atomic<uint64_t> total_events_{0};
   RecoveryInfo recovery_;

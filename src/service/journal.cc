@@ -43,6 +43,16 @@ Status FsyncFile(std::FILE* f, const std::string& path) {
   return Status::OK();
 }
 
+/// fsyncs a directory so a rename inside it is durable (no-op failure
+/// tolerance: some filesystems reject directory fsync; those also do not
+/// need it).
+void SyncDirBestEffort(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) return;
+  ::fsync(fd);
+  ::close(fd);
+}
+
 }  // namespace
 
 const char* DurabilityPolicyName(DurabilityPolicy policy) {
@@ -166,7 +176,6 @@ Status Journal::Open(const std::string& path, DurabilityPolicy durability,
     info->truncated_bytes =
         file_end > valid_end ? static_cast<uint64_t>(file_end - valid_end)
                              : 0;
-    info->last_seq = expected_seq - 1;
   }
   if (file_end > valid_end && ::truncate(path.c_str(), valid_end) != 0) {
     return IoError(path, "cannot truncate torn tail");
@@ -179,7 +188,8 @@ Status Journal::Open(const std::string& path, DurabilityPolicy durability,
   return Status::OK();
 }
 
-Status Journal::AppendBytes(uint64_t seq, std::span<const Edge> batch) {
+Status Journal::Append(uint64_t seq, std::span<const Edge> batch) {
+  TDB_TRACE_SPAN("journal.append");
   if (file_ == nullptr) {
     return Status::IOError(path_ + ": journal poisoned by earlier failure");
   }
@@ -203,22 +213,6 @@ Status Journal::AppendBytes(uint64_t seq, std::span<const Edge> batch) {
     RecoverTornAppend();
     return IoError(path_, "short record write");
   }
-  return Status::OK();
-}
-
-void Journal::FinishAppend(uint64_t seq, size_t edge_count) {
-  const uint64_t record_bytes = sizeof(uint64_t) + sizeof(uint32_t) +
-                                sizeof(Edge) * edge_count +
-                                sizeof(uint32_t);
-  last_seq_ = seq;
-  valid_size_ += record_bytes;
-  appended_bytes_ += record_bytes;
-}
-
-Status Journal::Append(uint64_t seq, std::span<const Edge> batch) {
-  TDB_TRACE_SPAN("journal.append");
-  Status st = AppendBytes(seq, batch);
-  if (!st.ok()) return st;
   // A failed flush can also leave a torn partial record (some buffered
   // bytes written, some not); a failed fsync leaves the record whole but
   // unacknowledged — either way the caller will NOT apply the batch, so
@@ -234,7 +228,7 @@ Status Journal::Append(uint64_t seq, std::span<const Edge> batch) {
       }
       break;
     case DurabilityPolicy::kAlways: {
-      st = FsyncFile(file_, path_);
+      const Status st = FsyncFile(file_, path_);
       if (!st.ok()) {
         RecoverTornAppend();
         return st;
@@ -242,88 +236,16 @@ Status Journal::Append(uint64_t seq, std::span<const Edge> batch) {
       break;
     }
   }
-  FinishAppend(seq, batch.size());
-  return Status::OK();
-}
-
-Status Journal::AppendNoSync(uint64_t seq, std::span<const Edge> batch) {
-  TDB_TRACE_SPAN("journal.append");
-  {
-    std::lock_guard<std::mutex> lock(commit_mu_);
-    if (commit_poisoned_) {
-      return Status::IOError(path_ +
-                             ": journal poisoned by failed group commit");
-    }
-  }
-  Status st = AppendBytes(seq, batch);
-  if (!st.ok()) return st;
-  // Push the record to the OS page cache: stdio buffers are private to
-  // this appender, so a commit leader's fsync on a dup'd fd could not
-  // cover an unflushed record.
-  if (std::fflush(file_) != 0) {
-    RecoverTornAppend();
-    return IoError(path_, "fflush failed");
-  }
-  FinishAppend(seq, batch.size());
-  std::lock_guard<std::mutex> lock(commit_mu_);
-  appended_seq_ = seq;
-  return Status::OK();
-}
-
-Status Journal::CommitDurable(uint64_t seq, GroupCommitInfo* info) {
-  std::unique_lock<std::mutex> lock(commit_mu_);
-  for (;;) {
-    // A successful flush covers the whole appended tail, so durability
-    // is prefix-closed: records committed here ride an earlier or
-    // concurrent leader's fsync for free.
-    if (durable_seq_ >= seq) return Status::OK();
-    if (commit_poisoned_) {
-      return Status::IOError(path_ +
-                             ": journal poisoned by failed group commit");
-    }
-    if (!commit_in_flight_) break;
-    commit_cv_.wait(lock);
-  }
-  // Leader: one fsync for everything appended so far. The fd is dup'd
-  // under commit_mu_ (where file_ open/close publishes) so a concurrent
-  // torn-append recovery cannot close it out from under the fsync, and
-  // appends keep running while the device stalls — that overlap is the
-  // whole point of the group.
-  commit_in_flight_ = true;
-  const uint64_t target = appended_seq_;
-  const int fd = file_ != nullptr ? ::dup(::fileno(file_)) : -1;
-  lock.unlock();
-  bool ok = fd >= 0;
-  if (ok) {
-    TDB_TRACE_SPAN("journal.fsync");
-    ok = ::fsync(fd) == 0;
-  }
-  if (fd >= 0) ::close(fd);
-  lock.lock();
-  commit_in_flight_ = false;
-  if (!ok) {
-    commit_poisoned_ = true;
-    commit_cv_.notify_all();
-    return IoError(path_, "group-commit fsync failed");
-  }
-  if (info != nullptr) {
-    info->led = true;
-    info->records = target - durable_seq_;
-  }
-  if (target > durable_seq_) durable_seq_ = target;
-  commit_cv_.notify_all();
-  // The caller appends (publishing appended_seq_ >= seq) before
-  // committing, so the led flush always covers its own record.
+  last_seq_ = seq;
+  valid_size_ += sizeof(seq) + sizeof(count) + sizeof(Edge) * batch.size() +
+                 sizeof(checksum);
   return Status::OK();
 }
 
 void Journal::RecoverTornAppend() {
   // fclose first: it flushes whatever partial bytes stdio still buffers
   // (possibly garbage), which the truncation then removes along with
-  // anything the failed write already put in the file. Publishing the
-  // close/reopen under commit_mu_ keeps a concurrent commit leader from
-  // dup'ing a dying fd.
-  std::lock_guard<std::mutex> lock(commit_mu_);
+  // anything the failed write already put in the file.
   std::fclose(file_);
   file_ = nullptr;
   if (::truncate(path_.c_str(),
@@ -417,13 +339,6 @@ Status WriteStoreManifest(const std::string& dir,
   }
   SyncDirBestEffort(dir);
   return Status::OK();
-}
-
-void SyncDirBestEffort(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd < 0) return;
-  ::fsync(fd);
-  ::close(fd);
 }
 
 }  // namespace tdb

@@ -28,10 +28,8 @@
 #ifndef TDB_SERVICE_JOURNAL_H_
 #define TDB_SERVICE_JOURNAL_H_
 
-#include <condition_variable>
 #include <cstdio>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
 #include <vector>
@@ -51,8 +49,9 @@ enum class DurabilityPolicy {
   /// process crashes; lost only on kernel panic / power loss). The
   /// default: one fflush per batch, no fsync stall.
   kBatch,
-  /// Every record is fsync'd to the device before SubmitEdges applies it
-  /// (survives power loss). The classic WAL contract, at fsync cost.
+  /// Every record is fsync'd to the device inside Append, before
+  /// SubmitEdges applies it (survives power loss). The classic WAL
+  /// contract, at one fsync per batch.
   kAlways,
 };
 
@@ -72,31 +71,16 @@ struct JournalRecord {
   std::vector<Edge> edges;
 };
 
-/// Accounting from one CommitDurable call.
-struct GroupCommitInfo {
-  /// True iff this call performed the fsync (group leader).
-  bool led = false;
-  /// Appended records the led fsync made durable (>= 1 when led; the
-  /// whole group, not just the leader's own record).
-  uint64_t records = 0;
-};
-
 /// Result of scanning a journal at Open.
 struct JournalOpenInfo {
   /// Bytes dropped from the tail (0 when the file ended on a record
   /// boundary with a valid checksum).
   uint64_t truncated_bytes = 0;
-  /// Sequence of the last valid record (= header base_seq when none).
-  uint64_t last_seq = 0;
 };
 
-/// Append-only WAL over one file. Threading: appends (Append /
-/// AppendNoSync) must be externally serialized — the service's writer
-/// mutex does that, matching the single-writer design. CommitDurable is
-/// the one concurrent entry point: any number of threads may call it
-/// while another thread appends, which is what makes group commit under
-/// durability=always possible (appends proceed while a leader's fsync
-/// is in flight).
+/// Append-only WAL over one file. Threading: every call must be
+/// externally serialized — the service's writer mutex does that,
+/// matching the single-writer design.
 /// Replay determinism: records capture batches exactly as submitted
 /// (order preserved, rejected edges included), so replaying any valid
 /// prefix through the normal ingest path reproduces the original
@@ -131,23 +115,6 @@ class Journal {
   /// silently unreplayable, which is worse than refusing.
   Status Append(uint64_t seq, std::span<const Edge> batch);
 
-  /// The group-commit fast half: appends one record and pushes it to
-  /// the OS page cache (fflush) but defers device durability to
-  /// CommitDurable — so a later fsync by ANY thread covers it. Same
-  /// serialization requirement and failure semantics as Append.
-  Status AppendNoSync(uint64_t seq, std::span<const Edge> batch);
-
-  /// The group-commit slow half: blocks until every record up to `seq`
-  /// is on the device. Thread-safe and shared — the first caller to
-  /// find no flush in flight becomes the leader and fsyncs the whole
-  /// appended tail once; callers whose records that flush covered
-  /// return without touching the device (their wait IS the group
-  /// commit). After an fsync failure the journal refuses all further
-  /// appends and commits; records past the last durable commit may or
-  /// may not have reached the device — the standard failed-commit
-  /// ambiguity, which callers must treat as "not applied".
-  Status CommitDurable(uint64_t seq, GroupCommitInfo* info = nullptr);
-
   /// Flushes user-space buffers and fsyncs, regardless of policy (used
   /// at rotation so a new snapshot never outlives its journal's tail).
   Status Sync();
@@ -155,8 +122,6 @@ class Journal {
   const std::string& path() const { return path_; }
   uint64_t base_seq() const { return base_seq_; }
   uint64_t last_seq() const { return last_seq_; }
-  /// Bytes appended through this handle (monitoring).
-  uint64_t appended_bytes() const { return appended_bytes_; }
 
  private:
   Journal(std::string path, std::FILE* file, uint64_t base_seq,
@@ -167,21 +132,13 @@ class Journal {
         base_seq_(base_seq),
         last_seq_(last_seq),
         valid_size_(valid_size),
-        durability_(durability),
-        appended_seq_(last_seq),
-        durable_seq_(last_seq) {}
+        durability_(durability) {}
 
   /// Discards a torn partial record: closes the stream (flushing
   /// whatever garbage it holds), truncates the file back to the last
   /// durable record boundary and reopens for append. Poisons the
   /// journal (file_ stays null) when the recovery itself fails.
   void RecoverTornAppend();
-  /// Shared write half of Append/AppendNoSync: validity checks + the
-  /// record bytes, no flush and no bookkeeping (so a failed flush can
-  /// still truncate the record back out).
-  Status AppendBytes(uint64_t seq, std::span<const Edge> batch);
-  /// Bookkeeping once the record satisfied its durability policy.
-  void FinishAppend(uint64_t seq, size_t edge_count);
 
   std::string path_;
   std::FILE* file_ = nullptr;
@@ -190,18 +147,7 @@ class Journal {
   /// File size through the last fully appended record — the truncation
   /// point that makes a failed append invisible.
   uint64_t valid_size_ = 0;
-  uint64_t appended_bytes_ = 0;
   DurabilityPolicy durability_ = DurabilityPolicy::kBatch;
-
-  /// Group-commit state. commit_mu_ guards the fields below; file_
-  /// open/close also briefly publishes under it so a commit leader can
-  /// dup() the fd without racing torn-append recovery.
-  std::mutex commit_mu_;
-  std::condition_variable commit_cv_;
-  uint64_t appended_seq_ = 0;  ///< Highest record pushed to page cache.
-  uint64_t durable_seq_ = 0;   ///< Highest record fsync'd.
-  bool commit_in_flight_ = false;
-  bool commit_poisoned_ = false;
 };
 
 /// The current (snapshot, journal) pair of a store directory. File names
@@ -218,11 +164,6 @@ Status ReadStoreManifest(const std::string& dir, StoreManifest* manifest);
 /// the directory) — the commit point of snapshot installation.
 Status WriteStoreManifest(const std::string& dir,
                           const StoreManifest& manifest);
-
-/// fsyncs a directory so a rename inside it is durable (no-op failure
-/// tolerance: some filesystems reject directory fsync; those also do not
-/// need it).
-void SyncDirBestEffort(const std::string& dir);
 
 }  // namespace tdb
 

@@ -59,12 +59,6 @@ std::vector<MetricRegistry::Registration> BindServiceStats(
        stats.snapshots_written);
   bind("persist_failures", "Persistence-layer failures",
        stats.persist_failures);
-  bind("journal_group_commits",
-       "Leader fsyncs under durability=always group commit",
-       stats.journal_group_commits);
-  bind("journal_group_size",
-       "Journal appends made durable by led group commits",
-       stats.journal_group_size);
   // The byte footprint is a gauge (it can go down at a compaction
   // install), so it skips the counter view and its _total naming
   // convention.

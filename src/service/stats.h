@@ -70,11 +70,6 @@ struct ServiceStatsSnapshot {
   uint64_t journal_rotations = 0;
   uint64_t snapshots_written = 0;
   uint64_t persist_failures = 0;
-  /// Group commit under durability=always: fsync batches led by one
-  /// appender, and the cumulative appends those batches made durable
-  /// (mean group size = journal_group_size / journal_group_commits).
-  uint64_t journal_group_commits = 0;
-  uint64_t journal_group_size = 0;
   /// Resident bytes of the immutable base CSR (CsrGraph::memory_bytes).
   /// A gauge, re-stamped whenever a base is installed.
   uint64_t base_bytes = 0;
@@ -106,8 +101,6 @@ struct ServiceStats {
   std::atomic<uint64_t> journal_rotations{0};
   std::atomic<uint64_t> snapshots_written{0};
   std::atomic<uint64_t> persist_failures{0};
-  std::atomic<uint64_t> journal_group_commits{0};
-  std::atomic<uint64_t> journal_group_size{0};
   /// Gauges: written with store(), not fetch_add.
   std::atomic<uint64_t> base_bytes{0};
 
@@ -140,8 +133,6 @@ struct ServiceStats {
     out.journal_rotations = get(journal_rotations);
     out.snapshots_written = get(snapshots_written);
     out.persist_failures = get(persist_failures);
-    out.journal_group_commits = get(journal_group_commits);
-    out.journal_group_size = get(journal_group_size);
     out.base_bytes = get(base_bytes);
     return out;
   }

@@ -61,41 +61,52 @@ TEST(DurabilityPolicyTest, ParseAndName) {
 }
 
 TEST(JournalTest, AppendReopenRoundTrip) {
-  const std::string path = TempPath("roundtrip.tdbj");
-  Rng rng(11);
-  std::vector<std::vector<Edge>> batches;
-  for (size_t i = 0; i < 8; ++i) {
-    batches.push_back(RandomBatch(rng, 40, 1 + rng.NextBounded(9)));
-  }
-  batches.push_back({});  // empty batches are legal records too
-  {
-    std::unique_ptr<Journal> journal;
-    ASSERT_TRUE(Journal::Create(path, /*base_seq=*/5,
-                                DurabilityPolicy::kBatch, &journal)
-                    .ok());
-    for (size_t i = 0; i < batches.size(); ++i) {
-      ASSERT_TRUE(journal->Append(6 + i, batches[i]).ok());
+  // Every policy shares one Append; kBatch and kAlways must also have the
+  // whole record in the file (flushed, or fsync'd) when Append returns.
+  for (const DurabilityPolicy policy :
+       {DurabilityPolicy::kNone, DurabilityPolicy::kBatch,
+        DurabilityPolicy::kAlways}) {
+    SCOPED_TRACE(DurabilityPolicyName(policy));
+    const std::string path = TempPath("roundtrip.tdbj");
+    Rng rng(11);
+    std::vector<std::vector<Edge>> batches;
+    for (size_t i = 0; i < 8; ++i) {
+      batches.push_back(RandomBatch(rng, 40, 1 + rng.NextBounded(9)));
     }
-    // Out-of-order sequences are rejected.
-    EXPECT_FALSE(journal->Append(100, batches[0]).ok());
-    EXPECT_EQ(journal->last_seq(), 5 + batches.size());
+    batches.push_back({});  // empty batches are legal records too
+    {
+      std::unique_ptr<Journal> journal;
+      ASSERT_TRUE(Journal::Create(path, /*base_seq=*/5, policy, &journal)
+                      .ok());
+      uint64_t size = 16;  // magic + version + base_seq
+      for (size_t i = 0; i < batches.size(); ++i) {
+        ASSERT_TRUE(journal->Append(6 + i, batches[i]).ok());
+        size += 12 + sizeof(Edge) * batches[i].size() + 4;
+        if (policy != DurabilityPolicy::kNone) {
+          EXPECT_EQ(std::filesystem::file_size(path), size) << "record " << i;
+        }
+      }
+      // Out-of-order sequences are rejected.
+      EXPECT_FALSE(journal->Append(100, batches[0]).ok());
+      EXPECT_EQ(journal->last_seq(), 5 + batches.size());
+    }
+    std::vector<JournalRecord> records;
+    JournalOpenInfo info;
+    std::unique_ptr<Journal> journal;
+    ASSERT_TRUE(Journal::Open(path, policy, &records, &info, &journal).ok());
+    EXPECT_EQ(info.truncated_bytes, 0u);
+    EXPECT_EQ(journal->base_seq(), 5u);
+    ASSERT_EQ(records.size(), batches.size());
+    for (size_t i = 0; i < batches.size(); ++i) {
+      EXPECT_EQ(records[i].seq, 6 + i);
+      EXPECT_EQ(records[i].edges, batches[i]);
+    }
+    // The reopened journal appends where the chain left off.
+    ASSERT_TRUE(journal->Append(6 + batches.size(), batches[0]).ok());
+    EXPECT_EQ(journal->last_seq(), 6 + batches.size());
+    journal.reset();
+    std::remove(path.c_str());
   }
-  std::vector<JournalRecord> records;
-  JournalOpenInfo info;
-  std::unique_ptr<Journal> journal;
-  ASSERT_TRUE(Journal::Open(path, DurabilityPolicy::kBatch, &records,
-                            &info, &journal)
-                  .ok());
-  EXPECT_EQ(info.truncated_bytes, 0u);
-  EXPECT_EQ(journal->base_seq(), 5u);
-  ASSERT_EQ(records.size(), batches.size());
-  for (size_t i = 0; i < batches.size(); ++i) {
-    EXPECT_EQ(records[i].seq, 6 + i);
-    EXPECT_EQ(records[i].edges, batches[i]);
-  }
-  // The reopened journal appends where the chain left off.
-  ASSERT_TRUE(journal->Append(6 + batches.size(), batches[0]).ok());
-  std::remove(path.c_str());
 }
 
 TEST(JournalTest, EveryTruncationRecoversTheValidPrefix) {

@@ -86,7 +86,6 @@ struct CliArgs {
   int metrics_port = -1;  // -1 = off, 0 = kernel-assigned
   double metrics_interval = 5.0;
   double metrics_hold = 0.0;
-  size_t admission_batch = 0;
   uint32_t k = 5;
   size_t batch = 256;
   int admit_threads = 2;
@@ -118,10 +117,6 @@ void PrintUsage() {
       "  --compact-threshold N delta size triggering compaction "
       "(default 4096, 0 = never)\n"
       "  --compact-budget SEC  work-budget-split deadline per compaction\n"
-      "  --admission-batch N   readers submit admission queries in\n"
-      "                        batches of N via CheckAdmissionBatch\n"
-      "                        (one pinned snapshot per batch; 0 =\n"
-      "                        per-query)\n"
       "  --data-dir DIR        durable store (snapshot + WAL journal);\n"
       "                        reruns recover the store and resume the\n"
       "                        stream at the recovered offset\n"
@@ -213,8 +208,6 @@ bool ParseArgs(int argc, char** argv, CliArgs* args) {
       ok = DoubleFlag(arg, v, &args->metrics_interval);
     } else if (arg == "--trace-out" && (v = next()) != nullptr) {
       args->trace_out = v;
-    } else if (arg == "--admission-batch" && (v = next()) != nullptr) {
-      ok = IntFlag(arg, v, &args->admission_batch);
     } else if (arg == "--sync-compaction") {
       args->sync_compaction = true;
     } else if (arg == "--gate") {
@@ -517,35 +510,13 @@ int main(int argc, char** argv) {
     readers.emplace_back([&, t] {
       Rng rng(args.seed + 1000 + static_cast<uint64_t>(t));
       uint64_t count = 0;
-      std::vector<Edge> queries;
       while (!done.load(std::memory_order_relaxed)) {
-        if (args.admission_batch > 0) {
-          queries.clear();
-          for (size_t q = 0; q < args.admission_batch; ++q) {
-            queries.push_back(
-                Edge{static_cast<VertexId>(rng.NextBounded(universe)),
-                     static_cast<VertexId>(rng.NextBounded(universe))});
-          }
-          Timer timer;
-          (void)service.CheckAdmissionBatch(queries);
-          // One sample per query so percentiles stay comparable with
-          // the per-query mode (batch latency / batch size).
-          const double per_query =
-              timer.ElapsedSeconds() / static_cast<double>(queries.size());
-          for (size_t q = 0; q < queries.size(); ++q) {
-            admit_lat.Record(per_query);
-          }
-          count += queries.size();
-        } else {
-          const VertexId u =
-              static_cast<VertexId>(rng.NextBounded(universe));
-          const VertexId v =
-              static_cast<VertexId>(rng.NextBounded(universe));
-          Timer timer;
-          (void)service.CheckAdmission(u, v);
-          admit_lat.Record(timer.ElapsedSeconds());
-          ++count;
-        }
+        const VertexId u = static_cast<VertexId>(rng.NextBounded(universe));
+        const VertexId v = static_cast<VertexId>(rng.NextBounded(universe));
+        Timer timer;
+        (void)service.CheckAdmission(u, v);
+        admit_lat.Record(timer.ElapsedSeconds());
+        ++count;
       }
       background_queries.fetch_add(count, std::memory_order_relaxed);
     });
