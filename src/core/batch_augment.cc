@@ -41,7 +41,9 @@ bool PathProber::FindPath(const OverlayGraph& graph,
   const uint32_t dist = BidirectionalDistance(
       graph, src, dst, max_path_, ctx_,
       [&](VertexId v) { return !state.VertexCovered(v); },
-      [&](EdgeId e) { return state.covered.count(e) == 0; });
+      [&](VertexId from, EdgeId e) {
+        return !state.covered.contains(from, e);
+      });
   // No uncovered walk of <= k - 1 hops, hence no qualifying path.
   if (dist == kNoJoin) return false;
   // In the band, the shortest uncovered walk is itself a qualifying
@@ -69,7 +71,7 @@ bool PathProber::Dfs(const OverlayGraph& graph, const TransversalState& state,
   if (state.VertexCovered(u)) return false;
   bool found = false;
   graph.ForEachOut(u, [&](VertexId w, EdgeId e) {
-    if (state.covered.count(e) > 0) return true;
+    if (state.covered.contains(u, e)) return true;
     if (w == dst) {
       const uint32_t len = depth + 1;
       if (len < min_path_ || len > max_path_) return true;
@@ -102,17 +104,22 @@ bool PathProber::Dfs(const OverlayGraph& graph, const TransversalState& state,
 
 namespace {
 
-/// Edge ids along `path` (a vertex sequence whose consecutive pairs are
+/// An edge id with its source vertex, the key an S insert needs.
+struct SourcedEdge {
+  VertexId src;
+  EdgeId id;
+};
+
+/// The edges along `path` (a vertex sequence whose consecutive pairs are
 /// edges of `graph`). OverlayGraph rejects duplicate (u, v) pairs, so the
 /// first match per hop is the only one.
-void PathEdgeIds(const OverlayGraph& graph,
-                 const std::vector<VertexId>& path,
-                 std::vector<EdgeId>* edges) {
+void PathEdges(const OverlayGraph& graph, const std::vector<VertexId>& path,
+               std::vector<SourcedEdge>* edges) {
   edges->clear();
   for (size_t i = 0; i + 1 < path.size(); ++i) {
     graph.ForEachOut(path[i], [&](VertexId w, EdgeId e) {
       if (w != path[i + 1]) return true;
-      edges->push_back(e);
+      edges->push_back({path[i], e});
       return false;
     });
   }
@@ -123,32 +130,31 @@ void PathEdgeIds(const OverlayGraph& graph,
 /// one (DARC's preference — W edges already proved removable once).
 /// Every edge committed to S lands in `pending` for the PRUNE pass.
 void AugmentEdge(OverlayGraph* graph, TransversalState* state,
-                 PathProber* prober, EdgeId e, std::vector<EdgeId>* pending,
+                 PathProber* prober, EdgeId e,
+                 std::vector<SourcedEdge>* pending,
                  BatchAugmentStats* stats) {
+  const SourcedEdge closing{graph->EdgeSrc(e), e};
   std::vector<VertexId> path;
-  std::vector<EdgeId> cycle_edges;
+  std::vector<SourcedEdge> cycle_edges;
   while (!state->EdgeCovered(*graph, e)) {
-    if (!prober->FindPath(*graph, *state, graph->EdgeDst(e),
-                          graph->EdgeSrc(e), &path)) {
+    if (!prober->FindPath(*graph, *state, graph->EdgeDst(e), closing.src,
+                          &path)) {
       break;
     }
     ++stats->cycles_covered;
-    PathEdgeIds(*graph, path, &cycle_edges);
-    cycle_edges.push_back(e);
-    EdgeId w_edge = kInvalidEdge;
-    for (EdgeId ce : cycle_edges) {
-      if (state->reusable.count(ce) > 0) {
-        w_edge = ce;
-        break;
-      }
-    }
-    if (w_edge != kInvalidEdge) {
-      state->reusable.erase(w_edge);
-      state->covered.insert(w_edge);
-      pending->push_back(w_edge);
+    PathEdges(*graph, path, &cycle_edges);
+    cycle_edges.push_back(closing);
+    const auto w_edge = std::find_if(
+        cycle_edges.begin(), cycle_edges.end(), [&](const SourcedEdge& ce) {
+          return state->reusable.count(ce.id) > 0;
+        });
+    if (w_edge != cycle_edges.end()) {
+      state->reusable.erase(w_edge->id);
+      state->covered.insert(w_edge->src, w_edge->id);
+      pending->push_back(*w_edge);
     } else {
-      for (EdgeId ce : cycle_edges) {
-        state->covered.insert(ce);
+      for (const SourcedEdge& ce : cycle_edges) {
+        state->covered.insert(ce.src, ce.id);
         pending->push_back(ce);
       }
     }
@@ -159,21 +165,23 @@ void AugmentEdge(OverlayGraph* graph, TransversalState* state,
 /// otherwise-uncovered cycle needs it (to W, for later reuse) or when the
 /// base layer already covers it (for good).
 void PruneCommitted(OverlayGraph* graph, TransversalState* state,
-                    PathProber* prober, std::vector<EdgeId>* pending,
+                    PathProber* prober, std::vector<SourcedEdge>* pending,
                     BatchAugmentStats* stats) {
   while (!pending->empty()) {
-    const EdgeId e = pending->back();
+    const SourcedEdge e = pending->back();
     pending->pop_back();
-    if (state->covered.erase(e) == 0) continue;
-    if (state->EdgeCovered(*graph, e)) {
+    // The erase leaves the source's filter bit set (CoveredEdgeSet).
+    if (!state->covered.erase(e.id)) continue;
+    if (state->VertexCovered(e.src)) {
       ++stats->prunes;  // redundant: the base layer covers it anyway
       continue;
     }
-    if (prober->FindPath(*graph, *state, graph->EdgeDst(e),
-                         graph->EdgeSrc(e), nullptr)) {
-      state->covered.insert(e);  // still carries an otherwise-uncovered cycle
+    if (prober->FindPath(*graph, *state, graph->EdgeDst(e.id), e.src,
+                         nullptr)) {
+      // Still carries an otherwise-uncovered cycle.
+      state->covered.insert(e.src, e.id);
     } else {
-      state->reusable.insert(e);
+      state->reusable.insert(e.id);
       ++stats->prunes;
     }
   }
@@ -201,7 +209,7 @@ BatchAugmentStats BatchAugment(OverlayGraph* graph, TransversalState* state,
   stats.inserted = added.size();
 
   PathProber prober(options, ctx);
-  std::vector<EdgeId> pending;
+  std::vector<SourcedEdge> pending;
   for (const EdgeId e : added) {
     AugmentEdge(graph, state, &prober, e, &pending, &stats);
   }

@@ -90,9 +90,9 @@ CsrGraph MakeDirectedPath(VertexId n);
 /// between consecutive layers, no cycles. The k-hop fan from any early
 /// vertex contains width^(k-1) simple paths, so a failed plain-DFS
 /// validation costs exactly that, while block-based validation stays
-/// O(k*m) — the adversarial structure behind the paper's Figure 5, timed
-/// per search by bench_micro_search. Being a DAG, it gives a full solve
-/// nothing to do: the engine's condensation discharges every vertex.
+/// O(k*m) — the adversarial structure behind the paper's Figure 5. Being
+/// a DAG, it gives a full solve nothing to do: the engine's condensation
+/// discharges every vertex.
 ///
 /// Vertex ids: layer L slot s = L * width + s, or, with `reverse_ids`,
 /// (layers-1-L) * width + s. Reversed ids make id-ordered top-down sweeps

@@ -65,6 +65,10 @@ class OverlayGraph {
   EdgeId delta_edges() const { return size_; }
 
   const CsrGraph& base() const { return *base_; }
+  /// The shared base itself, for holders that must outlive this view.
+  const std::shared_ptr<const CsrGraph>& shared_base() const {
+    return base_;
+  }
   /// Delta edges in insertion order, copied out; entry i has id
   /// base_edges() + i.
   std::vector<Edge> delta() const;

@@ -18,11 +18,12 @@
 // paths) and PathEnum's light per-query index.
 //
 // "Open" is the caller's filter, split into a vertex and an edge test: an
-// edge a -> b is traversable iff vertex_open(a) && edge_open(edge id).
+// edge a -> b is traversable iff vertex_open(a) && edge_open(a, edge id).
 // The forward ball never leaves a closed vertex and the reverse ball never
 // follows an in-edge whose source is closed, so a closed vertex can only
 // end a path (as the target). The ingest probe closes base-cover
-// vertices and opens every edge outside S.
+// vertices and opens every edge outside S; it gets the edge's source so
+// that S's source filter can settle most tests without a hash lookup.
 //
 // The reverse ball's distances stay behind in ctx->reach_dist as labels
 // dr(x) + 1 (0 = unlabeled, i.e. dr(x) > r), so a later search toward the
@@ -66,7 +67,8 @@ inline uint32_t ReachLowerBound(const SearchContext& ctx, VertexId v,
 /// Shortest open distance source ->* target when it is at most
 /// `max_hops`, else kNoJoin. GraphT needs num_vertices() and
 /// ForEachOut/ForEachIn calling fn(neighbor, edge_id) and honoring a false
-/// return as "stop". Leaves the reverse ball of radius
+/// return as "stop". edge_open(src, edge_id) is asked about each edge with
+/// its source vertex. Leaves the reverse ball of radius
 /// ReverseRadius(max_hops) labeled in ctx->reach_dist; uses ctx->visited
 /// and the frontier buffers as forward-ball scratch. One context per
 /// concurrent caller.
@@ -92,7 +94,7 @@ uint32_t BidirectionalDistance(const GraphT& graph, VertexId source,
     next.clear();
     for (const VertexId x : frontier) {
       graph.ForEachIn(x, [&](VertexId y, EdgeId e) {
-        if (label.Get(y) != 0 || !vertex_open(y) || !edge_open(e)) {
+        if (label.Get(y) != 0 || !vertex_open(y) || !edge_open(y, e)) {
           return true;
         }
         label.Set(y, static_cast<uint8_t>(depth + 1));
@@ -120,7 +122,7 @@ uint32_t BidirectionalDistance(const GraphT& graph, VertexId source,
       next.clear();
       for (const VertexId x : frontier) {
         const bool exhausted = graph.ForEachOut(x, [&](VertexId w, EdgeId e) {
-          if (ctx->visited.IsSet(w) || !edge_open(e)) return true;
+          if (ctx->visited.IsSet(w) || !edge_open(x, e)) return true;
           ctx->visited.Set(w, 1);
           const uint8_t l = label.Get(w);
           if (l != 0) {

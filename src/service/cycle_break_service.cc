@@ -154,7 +154,7 @@ Status CycleBreakService::InitStoreFresh() {
   snap.epoch = published_.epoch();  // 1: the bootstrap publish
   snap.last_seq = 0;
   snap.events_ingested = 0;
-  snap.base = working_.base();
+  snap.base = working_.shared_base();
   snap.cover_mask = state_.base->vertex_mask;
   snap.solve_ok = state_.base->solve_status.ok();
   const std::string snapshot_file = SnapshotFileName(0);
@@ -163,7 +163,7 @@ Status CycleBreakService::InitStoreFresh() {
   const std::string journal_file = JournalFileName(0);
   std::unique_ptr<Journal> journal;
   st = Journal::Create(dir + "/" + journal_file, /*base_seq=*/0,
-                       options_.durability, &journal);
+                       options_.durability, /*tail=*/{}, &journal);
   if (!st.ok()) return st;
   journal_ = std::move(journal);
   st = WriteStoreManifest(dir, {snapshot_file, journal_file});
@@ -179,7 +179,7 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
   if (snap.epoch == 0) {
     return Status::InvalidArgument(dir + ": snapshot carries epoch 0");
   }
-  const VertexId n = snap.base.num_vertices();
+  const VertexId n = snap.base->num_vertices();
   std::vector<VertexId> cover;
   for (VertexId v = 0; v < n; ++v) {
     if (snap.cover_mask[v] != 0) cover.push_back(v);
@@ -201,8 +201,7 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
   recovery_.journal_truncated_bytes = info.truncated_bytes;
 
   std::lock_guard<std::mutex> lock(writer_mu_);
-  working_ =
-      OverlayGraph(std::make_shared<const CsrGraph>(std::move(snap.base)));
+  working_ = OverlayGraph(std::move(snap.base));
   StampBaseBytesLocked();
   state_ = TransversalState{};
   state_.base = BaseCover::FromVertexCover(
@@ -210,7 +209,9 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
       snap.solve_ok ? Status::OK()
                     : Status::Internal(
                           "restored snapshot: compaction solve had failed"));
-  state_.covered.insert(snap.covered.begin(), snap.covered.end());
+  for (const EdgeId e : snap.covered) {
+    state_.covered.insert(working_.EdgeSrc(e), e);
+  }
   state_.reusable.insert(snap.reusable.begin(), snap.reusable.end());
   last_seq_ = snap.last_seq;
   events_at_cut_ = snap.events_ingested;
@@ -473,7 +474,7 @@ void CycleBreakService::PersistCutLocked(uint64_t cut_seq) {
   snap.epoch = published_.epoch() + 1;  // the installing publish
   snap.last_seq = cut_seq;
   snap.events_ingested = events_at_cut_;  // maintained by the drop loop
-  snap.base = working_.base();
+  snap.base = working_.shared_base();
   snap.cover_mask = state_.base->vertex_mask;
   snap.solve_ok = state_.base->solve_status.ok();
   Status st = WriteSnapshotFile(snap, snapshot_path);
@@ -484,16 +485,14 @@ void CycleBreakService::PersistCutLocked(uint64_t cut_seq) {
   // Fresh journal for the post-cut era, seeded with the tail batches the
   // new snapshot does not cover (they were durable in the old journal;
   // rotation must not orphan them). The drop loop already removed
-  // everything <= cut_seq, so pending_ is exactly that tail.
+  // everything <= cut_seq, so pending_ is exactly that tail, and Create
+  // makes it durable with one fsync whatever the policy.
+  std::vector<std::span<const Edge>> tail;
+  tail.reserve(pending_.size());
+  for (const PendingBatch& b : pending_) tail.emplace_back(b.edges);
   std::unique_ptr<Journal> fresh;
-  st = Journal::Create(journal_path, cut_seq, options_.durability, &fresh);
-  if (st.ok()) {
-    for (const PendingBatch& b : pending_) {
-      st = fresh->Append(b.seq, b.edges);
-      if (!st.ok()) break;
-    }
-  }
-  if (st.ok()) st = fresh->Sync();
+  st = Journal::Create(journal_path, cut_seq, options_.durability, tail,
+                       &fresh);
   if (!st.ok()) {
     fail(/*remove_snapshot=*/true, /*remove_journal=*/true);
     return;

@@ -173,7 +173,9 @@ class CycleBreakService {
   SubmitResult SubmitEdges(std::span<const Edge> batch);
 
   /// Would admitting u -> v close an uncovered constrained cycle?
-  /// Lock-free against the latest published snapshot. A documented thin
+  /// Answered against the latest published snapshot: pinning it takes
+  /// EpochPtr's reader lock for a refcount bump, and the probe after the
+  /// pin is lock-free. A documented thin
   /// wrapper over CheckAdmissionBatch with a batch of one: single and
   /// batched queries share one evaluation path (prechecks, probe,
   /// stats), so the two call shapes cannot drift.
@@ -184,7 +186,8 @@ class CycleBreakService {
   /// against it, so all verdicts share a coherent epoch — per-query
   /// calls may straddle a publish. Verdicts are bit-identical to
   /// per-query CheckAdmission on that snapshot (CheckAdmissionBatchOn).
-  /// Lock-free; callable from any number of threads concurrently.
+  /// The pin takes EpochPtr's reader lock once; the probes after it are
+  /// lock-free. Callable from any number of threads concurrently.
   std::vector<AdmissionVerdict> CheckAdmissionBatch(
       std::span<const Edge> queries) const;
 

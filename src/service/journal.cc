@@ -93,6 +93,7 @@ Journal::~Journal() {
 
 Status Journal::Create(const std::string& path, uint64_t base_seq,
                        DurabilityPolicy durability,
+                       std::span<const std::span<const Edge>> tail,
                        std::unique_ptr<Journal>* out) {
   FilePtr f(std::fopen(path.c_str(), "wb"));
   if (f == nullptr) return IoError(path, "cannot create");
@@ -106,8 +107,17 @@ Status Journal::Create(const std::string& path, uint64_t base_seq,
       sizeof(kJournalMagic) + sizeof(version) + sizeof(base_seq);
   std::unique_ptr<Journal> journal(new Journal(
       path, f.release(), base_seq, base_seq, kHeaderBytes, durability));
-  // The header must be durable before the manifest can name this file.
-  Status st = journal->Sync();
+  for (const std::span<const Edge> batch : tail) {
+    const uint64_t seq = journal->last_seq_ + 1;
+    uint64_t bytes = 0;
+    const Status st = journal->WriteRecord(seq, batch, &bytes);
+    if (!st.ok()) return st;
+    journal->last_seq_ = seq;
+    journal->valid_size_ += bytes;
+  }
+  // The header and the tail must be durable before the manifest can name
+  // this file.
+  const Status st = FsyncFile(journal->file_, path);
   if (!st.ok()) return st;
   *out = std::move(journal);
   return Status::OK();
@@ -190,29 +200,9 @@ Status Journal::Open(const std::string& path, DurabilityPolicy durability,
 
 Status Journal::Append(uint64_t seq, std::span<const Edge> batch) {
   TDB_TRACE_SPAN("journal.append");
-  if (file_ == nullptr) {
-    return Status::IOError(path_ + ": journal poisoned by earlier failure");
-  }
-  if (seq != last_seq_ + 1) {
-    return Status::InvalidArgument(path_ + ": non-consecutive journal seq");
-  }
-  if (batch.size() > kMaxRecordEdges) {
-    return Status::InvalidArgument(path_ + ": batch exceeds record limit");
-  }
-  const uint32_t count = static_cast<uint32_t>(batch.size());
-  Crc32 crc;
-  crc.Update(&seq, sizeof(seq));
-  crc.Update(&count, sizeof(count));
-  if (count > 0) crc.Update(batch.data(), sizeof(Edge) * batch.size());
-  const uint32_t checksum = crc.value();
-  if (!WriteAll(file_, &seq, sizeof(seq)) ||
-      !WriteAll(file_, &count, sizeof(count)) ||
-      (count > 0 &&
-       !WriteAll(file_, batch.data(), sizeof(Edge) * batch.size())) ||
-      !WriteAll(file_, &checksum, sizeof(checksum))) {
-    RecoverTornAppend();
-    return IoError(path_, "short record write");
-  }
+  uint64_t bytes = 0;
+  const Status written = WriteRecord(seq, batch, &bytes);
+  if (!written.ok()) return written;
   // A failed flush can also leave a torn partial record (some buffered
   // bytes written, some not); a failed fsync leaves the record whole but
   // unacknowledged — either way the caller will NOT apply the batch, so
@@ -237,8 +227,37 @@ Status Journal::Append(uint64_t seq, std::span<const Edge> batch) {
     }
   }
   last_seq_ = seq;
-  valid_size_ += sizeof(seq) + sizeof(count) + sizeof(Edge) * batch.size() +
-                 sizeof(checksum);
+  valid_size_ += bytes;
+  return Status::OK();
+}
+
+Status Journal::WriteRecord(uint64_t seq, std::span<const Edge> batch,
+                            uint64_t* bytes) {
+  if (file_ == nullptr) {
+    return Status::IOError(path_ + ": journal poisoned by earlier failure");
+  }
+  if (seq != last_seq_ + 1) {
+    return Status::InvalidArgument(path_ + ": non-consecutive journal seq");
+  }
+  if (batch.size() > kMaxRecordEdges) {
+    return Status::InvalidArgument(path_ + ": batch exceeds record limit");
+  }
+  const uint32_t count = static_cast<uint32_t>(batch.size());
+  Crc32 crc;
+  crc.Update(&seq, sizeof(seq));
+  crc.Update(&count, sizeof(count));
+  if (count > 0) crc.Update(batch.data(), sizeof(Edge) * batch.size());
+  const uint32_t checksum = crc.value();
+  if (!WriteAll(file_, &seq, sizeof(seq)) ||
+      !WriteAll(file_, &count, sizeof(count)) ||
+      (count > 0 &&
+       !WriteAll(file_, batch.data(), sizeof(Edge) * batch.size())) ||
+      !WriteAll(file_, &checksum, sizeof(checksum))) {
+    RecoverTornAppend();
+    return IoError(path_, "short record write");
+  }
+  *bytes = sizeof(seq) + sizeof(count) + sizeof(Edge) * batch.size() +
+           sizeof(checksum);
   return Status::OK();
 }
 
@@ -253,13 +272,6 @@ void Journal::RecoverTornAppend() {
     return;  // poisoned: cannot restore a clean record boundary
   }
   file_ = std::fopen(path_.c_str(), "ab");  // null on failure = poisoned
-}
-
-Status Journal::Sync() {
-  if (file_ == nullptr) {
-    return Status::IOError(path_ + ": journal poisoned by earlier failure");
-  }
-  return FsyncFile(file_, path_);
 }
 
 namespace {

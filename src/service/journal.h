@@ -92,10 +92,13 @@ class Journal {
   Journal(const Journal&) = delete;
   Journal& operator=(const Journal&) = delete;
 
-  /// Creates a fresh journal whose records will start at base_seq + 1.
+  /// Creates a fresh journal holding `tail` as its first records (seqs
+  /// base_seq + 1, base_seq + 2, ...), durable on return whatever the
+  /// policy: the header and the tail reach the device with one fsync.
   /// Truncates any existing file at `path`.
   static Status Create(const std::string& path, uint64_t base_seq,
                        DurabilityPolicy durability,
+                       std::span<const std::span<const Edge>> tail,
                        std::unique_ptr<Journal>* out);
 
   /// Opens an existing journal: validates the header, reads every valid
@@ -115,10 +118,6 @@ class Journal {
   /// silently unreplayable, which is worse than refusing.
   Status Append(uint64_t seq, std::span<const Edge> batch);
 
-  /// Flushes user-space buffers and fsyncs, regardless of policy (used
-  /// at rotation so a new snapshot never outlives its journal's tail).
-  Status Sync();
-
   const std::string& path() const { return path_; }
   uint64_t base_seq() const { return base_seq_; }
   uint64_t last_seq() const { return last_seq_; }
@@ -133,6 +132,13 @@ class Journal {
         last_seq_(last_seq),
         valid_size_(valid_size),
         durability_(durability) {}
+
+  /// Writes one record into the stdio buffer, without the durability
+  /// policy and without advancing last_seq_/valid_size_; on a short write
+  /// the partial record is removed again (RecoverTornAppend). `bytes`
+  /// receives the record's size.
+  Status WriteRecord(uint64_t seq, std::span<const Edge> batch,
+                     uint64_t* bytes);
 
   /// Discards a torn partial record: closes the stream (flushing
   /// whatever garbage it holds), truncates the file back to the last

@@ -62,7 +62,7 @@ TransversalImage MakeTransversalImage(const ServiceSnapshot& snapshot) {
   image.delta = graph.delta();
   std::sort(image.delta.begin(), image.delta.end());
   image.cover_vertices = snapshot.cover.base->vertices;  // already sorted
-  auto fill = [&graph](const std::unordered_set<EdgeId>& set,
+  auto fill = [&graph](const auto& set,
                        std::vector<TransversalImage::EdgeEntry>* out) {
     out->reserve(set.size());
     for (const EdgeId e : set) {
@@ -128,8 +128,9 @@ Status WriteSnapshotFile(const SnapshotState& state,
   if (f == nullptr) return Status::IOError(tmp + ": cannot create");
 
   const uint32_t version = kSnapshotVersion;
-  const uint64_t n = state.base.num_vertices();
-  const uint64_t m = state.base.num_edges();
+  const CsrGraph& base = *state.base;
+  const uint64_t n = base.num_vertices();
+  const uint64_t m = base.num_edges();
   const uint64_t s_count = state.covered.size();
   const uint64_t w_count = state.reusable.size();
   const uint8_t solve_ok = state.solve_ok ? 1 : 0;
@@ -148,7 +149,7 @@ Status WriteSnapshotFile(const SnapshotState& state,
       PutField(f.get(), &crc, &w_count, sizeof(w_count)) &&
       PutField(f.get(), &crc, &solve_ok, sizeof(solve_ok));
   if (ok) {
-    st = WriteEdgeArrayBinary(state.base, f.get(), &crc);
+    st = WriteEdgeArrayBinary(base, f.get(), &crc);
     ok = st.ok();
   }
   ok = ok &&
@@ -277,8 +278,8 @@ Status ReadSnapshotFile(const std::string& path, SnapshotState* state) {
   }
 
   state->solve_ok = solve_ok != 0;
-  state->base =
-      CsrGraph::FromEdges(static_cast<VertexId>(n), std::move(edges));
+  state->base = std::make_shared<const CsrGraph>(
+      CsrGraph::FromEdges(static_cast<VertexId>(n), std::move(edges)));
   return Status::OK();
 }
 

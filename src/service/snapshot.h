@@ -4,8 +4,9 @@
 // protocol: an OverlayGraph view (shared CSR base + the shared delta log
 // up to its length at the publish) together with the transversal that
 // covers every constrained cycle of exactly that graph. Readers pin a
-// snapshot via the service's EpochPtr and run admission checks against
-// it lock-free for as long as they like — newer publishes and even
+// snapshot via the service's EpochPtr (a reader lock held for the
+// refcount bump) and then run admission checks against it lock-free for
+// as long as they like — newer publishes and even
 // compactions cannot change what a pinned state sees: the log only grows
 // past its length, and nothing else in it is ever mutated.
 #ifndef TDB_SERVICE_SNAPSHOT_H_
@@ -155,7 +156,8 @@ struct SnapshotState {
   /// Cumulative submitted edges over batches 1..last_seq (stream-resume
   /// offset for replay drivers).
   uint64_t events_ingested = 0;
-  CsrGraph base;
+  /// The base CSR, shared with the service's graph rather than copied.
+  std::shared_ptr<const CsrGraph> base;
   /// BaseCover::vertex_mask, sized to the universe.
   std::vector<uint8_t> cover_mask;
   /// BaseCover::solve_status.ok() — a false here means the cover is the

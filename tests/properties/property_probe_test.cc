@@ -10,28 +10,42 @@
 //   3. admission: CheckAdmissionBatchOn equals per-query
 //      CheckAdmissionOn, which equals a brute-force reference that
 //      enumerates every uncovered path the new edge would close, at
-//      several batch sizes and query orders.
-// The sweep covers k in 3..7 (admission: 3..6) and both 2-cycle
+//      several batch sizes and query orders;
+//   4. S's source filter stays exact: for a source that shares a filter
+//      slot with an S edge's source, for an S edge demoted to W that
+//      leaves a stale bit, and for a service recovered from a snapshot
+//      that carries a non-empty S.
+// The references test S membership against an exact copy of S, never
+// through the filter. The sweep covers k in 3..7 (admission: 3..6) and both 2-cycle
 // settings, probes along existing edges (the below-band bare edge when
 // 2-cycles are excluded), around S edges and toward base-cover hubs, and
 // shares one warm context across every probe so stale labels would show.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <memory>
 #include <queue>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "core/batch_augment.h"
 #include "graph/generators.h"
 #include "graph/overlay_graph.h"
 #include "search/bidirectional_reach.h"
+#include "service/cycle_break_service.h"
+#include "service/journal.h"
 #include "service/snapshot.h"
 #include "util/rng.h"
 
 namespace tdb {
 namespace {
+
+/// An exact copy of S, for references that must not share the filter.
+std::unordered_set<EdgeId> ExactS(const TransversalState& state) {
+  return {state.covered.begin(), state.covered.end()};
+}
 
 /// The probe as it was before the ball join: a plain DFS to k - 1 hops
 /// over uncovered edges, first path in adjacency order.
@@ -43,6 +57,7 @@ class ReferenceProber {
   bool FindPath(const OverlayGraph& graph, const TransversalState& state,
                 VertexId src, VertexId dst, std::vector<VertexId>* path) {
     path->clear();
+    s_edges_ = ExactS(state);
     on_path_.assign(1, src);
     const bool found = Dfs(graph, state, src, dst, 0, path);
     if (found) {
@@ -59,7 +74,7 @@ class ReferenceProber {
     if (state.VertexCovered(u)) return false;
     bool found = false;
     graph.ForEachOut(u, [&](VertexId w, EdgeId e) {
-      if (state.covered.count(e) > 0) return true;
+      if (s_edges_.count(e) > 0) return true;
       if (w == dst) {
         const uint32_t len = depth + 1;
         if (len < min_path_ || len > max_path_) return true;
@@ -85,6 +100,7 @@ class ReferenceProber {
 
   uint32_t min_path_;
   uint32_t max_path_;
+  std::unordered_set<EdgeId> s_edges_;
   std::vector<VertexId> on_path_;
 };
 
@@ -93,6 +109,7 @@ class ReferenceProber {
 uint32_t ReferenceDistance(const OverlayGraph& graph,
                            const TransversalState& state, VertexId src,
                            VertexId dst, uint32_t max_hops) {
+  const std::unordered_set<EdgeId> s_edges = ExactS(state);
   std::vector<uint32_t> dist(graph.num_vertices(), kNoJoin);
   std::queue<VertexId> queue;
   dist[src] = 0;
@@ -103,7 +120,7 @@ uint32_t ReferenceDistance(const OverlayGraph& graph,
     if (x == dst) return dist[x] <= max_hops ? dist[x] : kNoJoin;
     if (state.VertexCovered(x) || dist[x] >= max_hops) continue;
     graph.ForEachOut(x, [&](VertexId w, EdgeId e) {
-      if (state.covered.count(e) == 0 && dist[w] == kNoJoin) {
+      if (s_edges.count(e) == 0 && dist[w] == kNoJoin) {
         dist[w] = dist[x] + 1;
         queue.push(w);
       }
@@ -166,7 +183,9 @@ Instance MakeInstance(uint64_t seed) {
   cover.erase(std::unique(cover.begin(), cover.end()), cover.end());
   inst.state.base = BaseCover::FromVertexCover(n, cover, Status::OK());
   for (EdgeId e = 0; e < inst.graph->num_edges(); ++e) {
-    if (rng.NextBool(0.1)) inst.state.covered.insert(e);
+    if (rng.NextBool(0.1)) {
+      inst.state.covered.insert(inst.graph->EdgeSrc(e), e);
+    }
   }
   return inst;
 }
@@ -229,7 +248,9 @@ TEST(ProbeExactnessTest, BallJoinAndPrunedDfsMatchPlainDfs) {
           const uint32_t dist = BidirectionalDistance(
               g, p.src, p.dst, max_path, &ctx,
               [&](VertexId v) { return !inst.state.VertexCovered(v); },
-              [&](EdgeId e) { return inst.state.covered.count(e) == 0; });
+              [&](VertexId from, EdgeId e) {
+                return !inst.state.covered.contains(from, e);
+              });
           ASSERT_EQ(dist, expected_dist) << where;
 
           const bool expected = reference.FindPath(g, inst.state, p.src,
@@ -275,6 +296,7 @@ class BruteForceAdmission {
                       const CoverOptions& options)
       : graph_(graph),
         state_(state),
+        s_edges_(ExactS(state)),
         min_path_(options.include_two_cycles ? 1 : 2),
         max_path_(options.k - 1) {}
 
@@ -294,7 +316,7 @@ class BruteForceAdmission {
   void Extend(VertexId x, VertexId target, uint32_t depth) {
     if (depth == max_path_ || state_.VertexCovered(x)) return;
     graph_.ForEachOut(x, [&](VertexId w, EdgeId e) {
-      if (state_.covered.count(e) > 0 || on_path_[w] != 0) return true;
+      if (s_edges_.count(e) > 0 || on_path_[w] != 0) return true;
       if (w == target) {
         if (depth + 1 >= min_path_) ++paths_;
         return true;
@@ -308,6 +330,7 @@ class BruteForceAdmission {
 
   const OverlayGraph& graph_;
   const TransversalState& state_;
+  const std::unordered_set<EdgeId> s_edges_;
   uint32_t min_path_;
   uint32_t max_path_;
   std::vector<uint8_t> on_path_;
@@ -479,7 +502,7 @@ TEST(ProbeExactnessTest, BandEdgesOfTheHopBudget) {
   // An S edge in the middle, or a base-cover vertex on the way, cuts it.
   TransversalState cut = state;
   g.ForEachOut(3, [&](VertexId w, EdgeId e) {
-    if (w == 4) cut.covered.insert(e);
+    if (w == 4) cut.covered.insert(3, e);
     return true;
   });
   EXPECT_FALSE(prober.FindPath(g, cut, 0, 6, nullptr));
@@ -489,6 +512,238 @@ TEST(ProbeExactnessTest, BandEdgesOfTheHopBudget) {
   // The target itself may be base-covered: edges into it stay uncovered.
   hub.base = BaseCover::FromVertexCover(7, {6}, Status::OK());
   EXPECT_TRUE(prober.FindPath(g, hub, 0, 6, nullptr));
+}
+
+/// Checks CheckAdmissionOn against the brute-force reference for every
+/// query of `queries` over `snapshot`; returns how many would close.
+uint64_t ExpectAdmissionMatchesBruteForce(const ServiceSnapshot& snapshot,
+                                          const std::vector<Edge>& queries,
+                                          PathProber* prober,
+                                          const std::string& where) {
+  BruteForceAdmission brute(snapshot.graph, snapshot.cover,
+                            snapshot.options);
+  uint64_t closing = 0;
+  for (const Edge& q : queries) {
+    const bool reference = brute.WouldClose(q.src, q.dst);
+    const AdmissionVerdict verdict =
+        CheckAdmissionOn(snapshot, q.src, q.dst, prober);
+    EXPECT_EQ(verdict.would_close, reference)
+        << where << " u=" << q.src << " v=" << q.dst;
+    if (reference) ++closing;
+  }
+  return closing;
+}
+
+TEST(ProbeExactnessTest, FilterSlotSharedWithAnSEdgeSource) {
+  // Two sources in one filter slot (pigeonhole: among kFilterBits + 1
+  // ids two collide), of which only `a` owns an S edge. Every test of
+  // b's out-edges hits the filter and must fall through to "open".
+  std::vector<VertexId> owner(CoveredEdgeSet::kFilterBits, kInvalidVertex);
+  VertexId a = kInvalidVertex;
+  VertexId b = kInvalidVertex;
+  for (VertexId v = 0; a == kInvalidVertex; ++v) {
+    VertexId& first = owner[CoveredEdgeSet::FilterSlot(v)];
+    if (first != kInvalidVertex) {
+      a = first;
+      b = v;
+    }
+    first = v;
+  }
+  ASSERT_EQ(CoveredEdgeSet::FilterSlot(a), CoveredEdgeSet::FilterSlot(b));
+  // x and y sit in slots of their own, so only a's bit is ever set.
+  std::vector<VertexId> others;
+  for (VertexId v = b + 1; others.size() < 2; ++v) {
+    if (CoveredEdgeSet::FilterSlot(v) != CoveredEdgeSet::FilterSlot(a)) {
+      others.push_back(v);
+    }
+  }
+  const VertexId x = others[0];
+  const VertexId y = others[1];
+  const VertexId n = y + 1;
+  // The 4-cycle a -> x -> b -> y -> a, with b -> y in the delta.
+  OverlayGraph graph(std::make_shared<const CsrGraph>(
+      CsrGraph::FromEdges(n, {{a, x}, {x, b}, {y, a}})));
+  const EdgeId by = graph.AddEdge(b, y);
+  TransversalState state;
+  state.base = BaseCover::FromVertexCover(n, {}, Status::OK());
+  graph.ForEachOut(a, [&](VertexId, EdgeId e) {
+    state.covered.insert(a, e);
+    return true;
+  });
+  ASSERT_EQ(state.covered.size(), 1u);
+  EXPECT_TRUE(state.covered.MayHaveSource(b));
+  EXPECT_FALSE(state.covered.contains(b, by));
+
+  const std::vector<VertexId> vertices = {a, b, x, y};
+  std::vector<Edge> queries;
+  for (const VertexId u : vertices) {
+    for (const VertexId v : vertices) queries.push_back(Edge{u, v});
+  }
+  SearchContext ctx;
+  uint64_t closing = 0;
+  for (uint32_t k = 3; k <= 5; ++k) {
+    for (const bool two_cycles : {false, true}) {
+      CoverOptions options;
+      options.k = k;
+      options.include_two_cycles = two_cycles;
+      const ServiceSnapshot snapshot(graph, state, options);
+      PathProber prober(options, &ctx);
+      closing += ExpectAdmissionMatchesBruteForce(
+          snapshot, queries, &prober,
+          "k=" + std::to_string(k) + " two_cycles=" +
+              std::to_string(two_cycles));
+      // y -> x closes x -> b -> y -> x through b's open out-edge.
+      EXPECT_TRUE(CheckAdmissionOn(snapshot, y, x, &prober).would_close)
+          << "k=" << k;
+    }
+  }
+  EXPECT_GT(closing, 0u);
+}
+
+TEST(ProbeExactnessTest, DemotedSEdgeLeavesAStaleFilterBit) {
+  // A stream ingested batch by batch: AUGMENT commits whole cycles to S
+  // and PRUNE demotes the unneeded edges to W, leaving their sources'
+  // filter bits set. Admission must still treat every W edge as open.
+  SearchContext ctx;
+  uint64_t stale = 0;
+  uint64_t closing = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    PowerLawParams params;
+    params.n = 160;
+    params.m = 640;
+    params.theta = 0.7;
+    params.reciprocity = 0.3;
+    params.seed = seed;
+    const CsrGraph full = GeneratePowerLaw(params);
+    const VertexId n = full.num_vertices();
+    std::vector<Edge> stream;
+    for (VertexId u = 0; u < n; ++u) {
+      for (const VertexId v : full.OutNeighbors(u)) stream.push_back({u, v});
+    }
+    Rng rng(seed * 4099 + 5);
+    for (size_t i = stream.size(); i > 1; --i) {
+      std::swap(stream[i - 1], stream[rng.NextBounded(i)]);
+    }
+    for (uint32_t k = 3; k <= 5; ++k) {
+      CoverOptions options;
+      options.k = k;
+      OverlayGraph graph(std::make_shared<const CsrGraph>(
+          CsrGraph::FromEdges(n, std::vector<Edge>{})));
+      TransversalState state;
+      state.base = BaseCover::FromVertexCover(n, {}, Status::OK());
+      for (size_t at = 0; at < stream.size(); at += 16) {
+        const size_t len = std::min<size_t>(16, stream.size() - at);
+        BatchAugment(&graph, &state, options,
+                     std::span<const Edge>(stream.data() + at, len), &ctx);
+      }
+      std::unordered_set<uint32_t> s_slots;
+      for (const EdgeId e : state.covered) {
+        s_slots.insert(CoveredEdgeSet::FilterSlot(graph.EdgeSrc(e)));
+      }
+      std::vector<Edge> queries;
+      for (const EdgeId e : state.reusable) {
+        const VertexId src = graph.EdgeSrc(e);
+        ASSERT_TRUE(state.covered.MayHaveSource(src));
+        ASSERT_FALSE(state.covered.contains(src, e));
+        if (s_slots.count(CoveredEdgeSet::FilterSlot(src)) == 0) ++stale;
+        queries.push_back(Edge{graph.EdgeDst(e), src});
+      }
+      for (const EdgeId e : state.covered) {
+        queries.push_back(Edge{graph.EdgeDst(e), graph.EdgeSrc(e)});
+      }
+      for (int i = 0; i < 60; ++i) {
+        queries.push_back(Edge{static_cast<VertexId>(rng.NextBounded(n)),
+                               static_cast<VertexId>(rng.NextBounded(n))});
+      }
+      const ServiceSnapshot snapshot(graph, state, options);
+      PathProber prober(options, &ctx);
+      closing += ExpectAdmissionMatchesBruteForce(
+          snapshot, queries, &prober,
+          "seed=" + std::to_string(seed) + " k=" + std::to_string(k));
+    }
+  }
+  // Some W edge's bit must be stale (no S edge shares its slot), and the
+  // queries must reach closing verdicts.
+  EXPECT_GT(stale, 0u);
+  EXPECT_GT(closing, 0u);
+}
+
+TEST(ProbeExactnessTest, RecoveredNonEmptySKeepsItsFilter) {
+  // A store whose snapshot carries S and W (the format allows it; a
+  // compaction cut writes both empty): recovery must rebuild S through
+  // its filter, or admission would treat S edges as open.
+  const Instance inst = MakeInstance(/*seed=*/9);
+  const OverlayGraph& g = *inst.graph;
+  const std::string dir =
+      testing::TempDir() + "tdb_probe_test_recovered_s";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  SnapshotState snap;
+  snap.epoch = 1;
+  snap.base = std::make_shared<const CsrGraph>(g.ToCsr());
+  const CsrGraph& base = *snap.base;
+  snap.cover_mask = inst.state.base->vertex_mask;
+  // About a tenth of the canonical base edges in S, a few more in W.
+  Rng rng(77);
+  for (EdgeId e = 0; e < base.num_edges(); ++e) {
+    if (rng.NextBool(0.1)) {
+      snap.covered.push_back(e);
+    } else if (rng.NextBool(0.05)) {
+      snap.reusable.push_back(e);
+    }
+  }
+  ASSERT_FALSE(snap.covered.empty());
+  ASSERT_TRUE(WriteSnapshotFile(snap, dir + "/snapshot.tdbs").ok());
+  {
+    std::unique_ptr<Journal> journal;
+    ASSERT_TRUE(Journal::Create(dir + "/journal.tdbj", /*base_seq=*/0,
+                                DurabilityPolicy::kBatch, /*tail=*/{},
+                                &journal)
+                    .ok());
+  }
+  ASSERT_TRUE(
+      WriteStoreManifest(dir, {"snapshot.tdbs", "journal.tdbj"}).ok());
+
+  std::vector<Edge> queries = MakeAdmissionQueries(inst, /*seed=*/9);
+  for (const EdgeId e : snap.covered) {
+    queries.push_back(Edge{base.EdgeDst(e), base.EdgeSrc(e)});
+  }
+  SearchContext ctx;
+  uint64_t closing = 0;
+  for (const uint32_t k : {4u, 6u}) {
+    for (const bool two_cycles : {false, true}) {
+      ServiceOptions options;
+      options.cover.k = k;
+      options.cover.include_two_cycles = two_cycles;
+      options.data_dir = dir;
+      std::unique_ptr<CycleBreakService> service;
+      ASSERT_TRUE(CycleBreakService::Open(options, &service).ok());
+      const auto pinned = service->PinSnapshot();
+      const TransversalState& cover = pinned->cover;
+      ASSERT_EQ(cover.covered.size(), snap.covered.size());
+      ASSERT_EQ(cover.reusable.size(), snap.reusable.size());
+      for (const EdgeId e : snap.covered) {
+        ASSERT_TRUE(cover.covered.contains(base.EdgeSrc(e), e)) << e;
+      }
+      PathProber prober(options.cover, &ctx);
+      const std::string where = "k=" + std::to_string(k) +
+                                " two_cycles=" + std::to_string(two_cycles);
+      closing +=
+          ExpectAdmissionMatchesBruteForce(*pinned, queries, &prober, where);
+      // The service's own batched path gives the same verdicts.
+      const std::vector<AdmissionVerdict> batched =
+          service->CheckAdmissionBatch(queries);
+      for (size_t i = 0; i < queries.size(); ++i) {
+        EXPECT_EQ(batched[i].would_close,
+                  CheckAdmissionOn(*pinned, queries[i].src, queries[i].dst,
+                                   &prober)
+                      .would_close)
+            << where << " query=" << i;
+      }
+    }
+  }
+  EXPECT_GT(closing, 0u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

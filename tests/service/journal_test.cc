@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "service/cycle_break_service.h"
 #include "service/snapshot.h"
 #include "util/rng.h"
+#include "util/trace.h"
 
 namespace tdb {
 namespace {
@@ -76,7 +78,8 @@ TEST(JournalTest, AppendReopenRoundTrip) {
     batches.push_back({});  // empty batches are legal records too
     {
       std::unique_ptr<Journal> journal;
-      ASSERT_TRUE(Journal::Create(path, /*base_seq=*/5, policy, &journal)
+      ASSERT_TRUE(Journal::Create(path, /*base_seq=*/5, policy, /*tail=*/{},
+                                  &journal)
                       .ok());
       uint64_t size = 16;  // magic + version + base_seq
       for (size_t i = 0; i < batches.size(); ++i) {
@@ -109,6 +112,60 @@ TEST(JournalTest, AppendReopenRoundTrip) {
   }
 }
 
+TEST(JournalTest, CreateWritesTheTailWithOneSync) {
+  // A rotated journal starts with the batches its snapshot does not
+  // cover; Create makes header and tail durable with one fsync under
+  // every policy, where appending them would fsync each under kAlways.
+  Rng rng(13);
+  std::vector<std::vector<Edge>> batches;
+  for (size_t i = 0; i < 5; ++i) {
+    batches.push_back(RandomBatch(rng, 40, 1 + rng.NextBounded(7)));
+  }
+  batches.push_back({});
+  const std::vector<std::span<const Edge>> tail(batches.begin(),
+                                                batches.end());
+  uint64_t size = 16;  // magic + version + base_seq
+  for (const auto& b : batches) size += 12 + sizeof(Edge) * b.size() + 4;
+  for (const DurabilityPolicy policy :
+       {DurabilityPolicy::kNone, DurabilityPolicy::kAlways}) {
+    SCOPED_TRACE(DurabilityPolicyName(policy));
+    const std::string path = TempPath("tail.tdbj");
+    const std::string trace_path = TempPath("tail.trace.json");
+    trace::Reset();
+    trace::SetEnabled(true);
+    std::unique_ptr<Journal> journal;
+    ASSERT_TRUE(
+        Journal::Create(path, /*base_seq=*/9, policy, tail, &journal).ok());
+    trace::SetEnabled(false);
+    ASSERT_TRUE(trace::WriteChromeTrace(trace_path).ok());
+    const std::vector<char> bytes = ReadFileBytes(trace_path);
+    const std::string text(bytes.begin(), bytes.end());
+    size_t fsyncs = 0;
+    for (size_t at = text.find("\"journal.fsync\""); at != std::string::npos;
+         at = text.find("\"journal.fsync\"", at + 1)) {
+      ++fsyncs;
+    }
+    EXPECT_EQ(fsyncs, 1u);
+    EXPECT_EQ(text.find("\"journal.append\""), std::string::npos);
+    EXPECT_EQ(std::filesystem::file_size(path), size);
+    EXPECT_EQ(journal->last_seq(), 9 + batches.size());
+    // Appends continue the chain after the tail.
+    ASSERT_TRUE(journal->Append(10 + batches.size(), batches[0]).ok());
+    journal.reset();
+    std::vector<JournalRecord> records;
+    ASSERT_TRUE(Journal::Open(path, policy, &records, nullptr, &journal).ok());
+    ASSERT_EQ(records.size(), batches.size() + 1);
+    for (size_t i = 0; i < batches.size(); ++i) {
+      EXPECT_EQ(records[i].seq, 10 + i);
+      EXPECT_EQ(records[i].edges, batches[i]);
+    }
+    EXPECT_EQ(records.back().edges, batches[0]);
+    journal.reset();
+    std::remove(path.c_str());
+    std::remove(trace_path.c_str());
+  }
+}
+
 TEST(JournalTest, EveryTruncationRecoversTheValidPrefix) {
   // The property test's core: for EVERY byte-truncation point, Open
   // yields exactly the records whose bytes fully survive, and truncates
@@ -119,8 +176,8 @@ TEST(JournalTest, EveryTruncationRecoversTheValidPrefix) {
   std::vector<uint64_t> boundaries;  // file size after record i
   {
     std::unique_ptr<Journal> journal;
-    ASSERT_TRUE(Journal::Create(path, 0, DurabilityPolicy::kNone, &journal)
-                    .ok());
+    ASSERT_TRUE(
+        Journal::Create(path, 0, DurabilityPolicy::kNone, {}, &journal).ok());
     uint64_t size = 16;  // magic + version + base_seq
     boundaries.push_back(size);
     for (size_t i = 0; i < 6; ++i) {
@@ -166,8 +223,8 @@ TEST(JournalTest, BitFlippedTailIsDropped) {
   std::vector<std::vector<Edge>> batches;
   {
     std::unique_ptr<Journal> journal;
-    ASSERT_TRUE(Journal::Create(path, 0, DurabilityPolicy::kNone, &journal)
-                    .ok());
+    ASSERT_TRUE(
+        Journal::Create(path, 0, DurabilityPolicy::kNone, {}, &journal).ok());
     for (size_t i = 0; i < 4; ++i) {
       batches.push_back(RandomBatch(rng, 30, 3));
       ASSERT_TRUE(journal->Append(i + 1, batches.back()).ok());
@@ -198,8 +255,8 @@ TEST(JournalTest, TornHeaderIsRejected) {
   const std::string path = TempPath("header.tdbj");
   {
     std::unique_ptr<Journal> journal;
-    ASSERT_TRUE(Journal::Create(path, 0, DurabilityPolicy::kNone, &journal)
-                    .ok());
+    ASSERT_TRUE(
+        Journal::Create(path, 0, DurabilityPolicy::kNone, {}, &journal).ok());
   }
   std::vector<char> bytes = ReadFileBytes(path);
   WriteFileBytes(path, std::vector<char>(bytes.begin(),
@@ -235,13 +292,14 @@ SnapshotState MakeSnapshotState(uint64_t seed) {
   state.epoch = 40 + rng.NextBounded(10);
   state.last_seq = 17;
   state.events_ingested = 400;
-  state.base = GenerateErdosRenyi(50, 200, seed);
+  state.base =
+      std::make_shared<const CsrGraph>(GenerateErdosRenyi(50, 200, seed));
   state.cover_mask.assign(50, 0);
   for (VertexId v = 0; v < 50; ++v) {
     state.cover_mask[v] = rng.NextBounded(3) == 0 ? 1 : 0;
   }
   state.solve_ok = seed % 2 == 0;
-  const EdgeId m = state.base.num_edges();
+  const EdgeId m = state.base->num_edges();
   for (int i = 0; i < 9; ++i) state.covered.push_back(rng.NextBounded(m));
   for (int i = 0; i < 4; ++i) state.reusable.push_back(rng.NextBounded(m));
   return state;
@@ -268,7 +326,7 @@ TEST(SnapshotFileTest, RoundTrip) {
   EXPECT_EQ(loaded.cover_mask, state.cover_mask);
   EXPECT_EQ(loaded.covered, state.covered);
   EXPECT_EQ(loaded.reusable, state.reusable);
-  EXPECT_EQ(EdgesOf(loaded.base), EdgesOf(state.base));
+  EXPECT_EQ(EdgesOf(*loaded.base), EdgesOf(*state.base));
   std::remove(path.c_str());
 }
 
@@ -279,7 +337,7 @@ TEST(SnapshotFileTest, RoundTripIsByteIdentical) {
   const std::vector<char> bytes = ReadFileBytes(path);
   // The edge section follows the 8-byte magic/version and the 57-byte
   // fixed header, as (src, dst) pairs in canonical order.
-  const std::vector<Edge> edges = EdgesOf(state.base);
+  const std::vector<Edge> edges = EdgesOf(*state.base);
   const size_t edge_offset = 8 + 7 * 8 + 1;
   ASSERT_GE(bytes.size(), edge_offset + sizeof(Edge) * edges.size());
   EXPECT_EQ(std::memcmp(bytes.data() + edge_offset, edges.data(),
