@@ -4,7 +4,7 @@
 #include <numeric>
 
 #include "core/minimal_prune.h"
-#include "search/cycle_finder.h"
+#include "search/path_search.h"
 
 namespace tdb {
 
@@ -18,7 +18,7 @@ Status SweepBottomUp(const CsrGraph& graph, const CycleConstraint& constraint,
                      uint32_t* hits, std::vector<VertexId>* cover,
                      CoverStats* stats, SearchContext* context,
                      Deadline* deadline) {
-  CycleFinder finder(graph, context);
+  PlainDfs finder(graph, context);
   std::vector<VertexId> cycle;
   for (VertexId v : members) {
     if (!active[v]) continue;  // already covered; its edges are gone

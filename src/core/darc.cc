@@ -1,6 +1,7 @@
 #include "core/darc.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "graph/line_graph.h"
 #include "graph/scc.h"
@@ -63,7 +64,7 @@ DarcEdgeResult SolveDarcEdgeCover(const CsrGraph& graph,
 
   SearchContext own_context;
   SearchContext* ctx = context != nullptr ? context : &own_context;
-  BlockSearch search(graph, ctx);
+  BlockDfs search(graph, ctx);
   std::vector<VertexId> path;
   std::vector<EdgeId> path_edges;
 
@@ -159,14 +160,14 @@ DarcEdgeResult SolveDarcEdgeCover(const CsrGraph& graph,
   return result;
 }
 
-CoverResult SolveDarcDvWithContext(const CsrGraph& graph,
-                                   const CoverOptions& options,
-                                   SearchContext* context,
-                                   Deadline* deadline) {
+CoverResult SolveDarcDvInPlace(const CsrGraph& graph,
+                               std::span<const VertexId> members,
+                               const CoverOptions& options,
+                               SearchContext* context, Deadline* deadline) {
   CoverResult result;
   LineGraph line;
   result.status =
-      BuildLineGraph(graph, &line, options.line_graph_max_arcs);
+      BuildLineGraph(graph, members, &line, options.line_graph_max_arcs);
   if (!result.status.ok()) return result;
 
   // Cycle lengths are preserved by the line-graph mapping, so the same
@@ -181,8 +182,7 @@ CoverResult SolveDarcDvWithContext(const CsrGraph& graph,
   // Each selected L(G)-arc (e1 -> e2) pivots at dst(e1) in the base graph.
   std::vector<VertexId> cover;
   for (EdgeId arc : edge_result.edge_cover) {
-    const VertexId base_edge = line.graph.EdgeSrc(arc);
-    cover.push_back(graph.EdgeDst(static_cast<EdgeId>(base_edge)));
+    cover.push_back(graph.EdgeDst(line.base_edge[line.graph.EdgeSrc(arc)]));
   }
   std::sort(cover.begin(), cover.end());
   cover.erase(std::unique(cover.begin(), cover.end()), cover.end());
@@ -200,7 +200,9 @@ CoverResult SolveDarcDv(const CsrGraph& graph, const CoverOptions& options) {
                           ? Deadline::AfterSeconds(options.time_limit_seconds)
                           : Deadline();
   SearchContext context;
-  result = SolveDarcDvWithContext(graph, options, &context, &deadline);
+  std::vector<VertexId> all(graph.num_vertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
+  result = SolveDarcDvInPlace(graph, all, options, &context, &deadline);
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

@@ -20,6 +20,7 @@
 #ifndef TDB_CORE_DARC_H_
 #define TDB_CORE_DARC_H_
 
+#include <span>
 #include <vector>
 
 #include "core/cover_options.h"
@@ -57,15 +58,18 @@ DarcEdgeResult SolveDarcEdgeCover(const CsrGraph& graph,
 /// DARC-DV: the vertex-cover adaptation via the line graph.
 CoverResult SolveDarcDv(const CsrGraph& graph, const CoverOptions& options);
 
-/// Engine entry point: DARC-DV with borrowed per-worker scratch and an
-/// externally managed deadline (options.time_limit_seconds is ignored).
-/// Assumes options were validated; stats.elapsed_seconds is left zero.
-/// Note the context's per-vertex arrays grow to the *line graph's* vertex
-/// count (= the base graph's edge count).
-CoverResult SolveDarcDvWithContext(const CsrGraph& graph,
-                                   const CoverOptions& options,
-                                   SearchContext* context,
-                                   Deadline* deadline);
+/// Engine entry point for one component: DARC-DV on the line graph of
+/// the subgraph `members` (sorted ascending) induce, built straight from
+/// `graph` — no materialized component. The cover comes back in `graph`'s
+/// ids. Uses borrowed per-worker scratch and an externally managed
+/// deadline (options.time_limit_seconds is ignored). Assumes options were
+/// validated; stats.elapsed_seconds is left zero. Note the context's
+/// per-vertex arrays grow to the *line graph's* vertex count (= the
+/// component's edge count).
+CoverResult SolveDarcDvInPlace(const CsrGraph& graph,
+                               std::span<const VertexId> members,
+                               const CoverOptions& options,
+                               SearchContext* context, Deadline* deadline);
 
 }  // namespace tdb
 

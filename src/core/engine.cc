@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <numeric>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -10,7 +9,6 @@
 #include "core/darc.h"
 #include "core/top_down.h"
 #include "graph/scc.h"
-#include "graph/subgraph.h"
 #include "search/search_context.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
@@ -139,39 +137,28 @@ struct EngineRun {
   VertexId min_scc = 3;
 };
 
-/// One thread's scratch: a search context, whose masks every in-place
-/// solve borrows, and a subgraph extractor (O(n)) created on the first
-/// DARC-DV component.
-struct WorkerScratch {
-  SearchContext context;
-  std::optional<SubgraphExtractor> extractor;
-};
-
-/// One component solve, routed by algorithm. DARC-DV materializes the
-/// component (its line graph needs a CSR); every other algorithm solves in
-/// place on the parent graph, its searches restricted by the context's
-/// kept/active masks. The cover comes back in global ids.
+/// One component solve, routed by algorithm. Every algorithm solves in
+/// place on the parent graph: the top-down and bottom-up searches are
+/// restricted by the context's kept/active masks, and DARC-DV builds its
+/// line graph straight from the parent CSR restricted to the members. The
+/// cover comes back in global ids.
 CoverResult SolveComponent(const EngineRun& run,
                            std::span<const VertexId> members,
-                           WorkerScratch* scratch, Deadline* deadline) {
+                           SearchContext* context, Deadline* deadline) {
   if (run.algorithm == CoverAlgorithm::kDarcDv) {
-    if (!scratch->extractor.has_value()) scratch->extractor.emplace(run.graph);
-    InducedSubgraph sub = scratch->extractor->Extract(members);
-    CoverResult r = SolveDarcDvWithContext(sub.graph, run.options,
-                                           &scratch->context, deadline);
-    for (VertexId& v : r.cover) v = sub.to_global[v];
-    return r;
+    return SolveDarcDvInPlace(run.graph, members, run.options,
+                              context, deadline);
   }
   TDB_TRACE_SPAN("engine.solve_in_place");
   if (IsTopDown(run.algorithm)) {
     return SolveTopDownInPlace(run.graph, members, run.options,
                                VariantOf(run.algorithm),
                                GlobalOrderOf(members, run.rank),
-                               &scratch->context, deadline);
+                               context, deadline);
   }
   return SolveBottomUpInPlace(run.graph, members, run.options,
                               run.algorithm == CoverAlgorithm::kBurPlus,
-                              &scratch->context, deadline);
+                              context, deadline);
 }
 
 /// Condenses the graph fully, then solves every solvable component as one
@@ -261,7 +248,7 @@ CoverResult CondenseAndSolve(const EngineRun& run, double* scc_seconds,
   // its share keeps its full vertex set in the cover (trivially feasible
   // there) and the slot reports ok, so the merged result is a usable
   // partial cover.
-  auto solve_slot = [&](size_t slot, WorkerScratch* scratch) {
+  auto solve_slot = [&](size_t slot, SearchContext* context) {
     const std::span<const VertexId> members = scc.VerticesOf(solvable[slot]);
     Deadline deadline = split_budget
                             ? Deadline::AfterSeconds(budget_share[slot])
@@ -270,7 +257,7 @@ CoverResult CondenseAndSolve(const EngineRun& run, double* scc_seconds,
     if (deadline.ExpiredNow()) {
       r.status = Status::TimedOut("engine: budget exhausted before component");
     } else {
-      r = SolveComponent(run, members, scratch, &deadline);
+      r = SolveComponent(run, members, context, &deadline);
     }
     if (split_budget && r.status.IsTimedOut()) {
       r.cover.assign(members.begin(), members.end());
@@ -295,8 +282,8 @@ CoverResult CondenseAndSolve(const EngineRun& run, double* scc_seconds,
     }
   }
 
-  WorkerScratch inline_scratch;
-  std::vector<WorkerScratch> pool_scratch;
+  SearchContext inline_context;
+  std::vector<SearchContext> pool_contexts;
   // Pool only when there is a component to offload AND other work to
   // overlap it with; a single solvable component runs inline.
   if (num_pooled > 0 && order.size() > 1) {
@@ -307,19 +294,19 @@ CoverResult CondenseAndSolve(const EngineRun& run, double* scc_seconds,
     const int workers = std::max<int>(
         1, static_cast<int>(std::min<size_t>(run.requested, num_pooled)) -
                (has_inline_tail ? 1 : 0));
-    pool_scratch.resize(workers);
+    pool_contexts.resize(workers);
     ThreadPool pool(workers);
     for (size_t i = 0; i < num_pooled; ++i) {
       pool.Submit([&, slot = order[i]](int w) {
-        solve_slot(slot, &pool_scratch[w]);
+        solve_slot(slot, &pool_contexts[w]);
       });
     }
     for (size_t i = num_pooled; i < order.size(); ++i) {
-      solve_slot(order[i], &inline_scratch);
+      solve_slot(order[i], &inline_context);
     }
     pool.Wait();
   } else {
-    for (size_t slot : order) solve_slot(slot, &inline_scratch);
+    for (size_t slot : order) solve_slot(slot, &inline_context);
   }
 
   auto merge_context = [&](const SearchContext& context) {
@@ -327,10 +314,8 @@ CoverResult CondenseAndSolve(const EngineRun& run, double* scc_seconds,
     result.stats.block_prunes += context.stats.block_prunes;
     result.stats.filter_visits += context.stats.filter_visits;
   };
-  merge_context(inline_scratch.context);
-  for (const WorkerScratch& scratch : pool_scratch) {
-    merge_context(scratch.context);
-  }
+  merge_context(inline_context);
+  for (const SearchContext& context : pool_contexts) merge_context(context);
   MergeTagged(&slots, &result);
   return result;
 }

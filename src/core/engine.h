@@ -17,17 +17,16 @@
 //      components runs inline on the calling thread; with one thread
 //      every task runs inline. The pool is the engine's only parallelism:
 //      a component is never split across threads;
-//   4. each task picks its route by algorithm. Every BUR, BUR+, TDB, TDB+
-//      and TDB++ component solves IN PLACE on the parent graph, with
-//      searches restricted by the solver's kept/active masks — no edge
-//      copy, whatever the component's size. Only DARC-DV (its line graph
-//      needs a CSR) materializes a compact induced subgraph over dense
-//      local ids (graph/subgraph.h). Each pool thread owns one
+//   4. every component solves IN PLACE on the parent graph, whatever its
+//      algorithm and size: BUR, BUR+, TDB, TDB+ and TDB++ restrict their
+//      searches with the solver's kept/active masks, and DARC-DV builds
+//      its line graph straight from the parent CSR restricted to the
+//      members — no edge copy of the component. Each pool thread owns one
 //      SearchContext (reentrant search layer plus the solvers' masks, no
 //      locks on the hot path), so concurrent components share no mask;
-//   5. merge covers (vertex ids remapped back to the parent graph),
-//      statuses and per-worker stats, in canonical component order
-//      (ascending minimum member) regardless of scheduling.
+//   5. merge covers (already in parent ids), statuses and per-worker
+//      stats, in canonical component order (ascending minimum member)
+//      regardless of scheduling.
 //
 // `num_threads` is the only parallelism knob.
 //
@@ -39,7 +38,7 @@
 // the whole-graph candidate order once and sorting each component's
 // members by rank (member lists ascend, so BUR's id-ordered sweep
 // projects automatically, and so does DARC-DV's edge-ordered one, since its
-// local ids ascend with global ids). The engine determinism
+// line-graph nodes are the component's edges in canonical id order). The engine determinism
 // tests assert covers are identical across num_threads = 1, 2 and 8 for
 // all six algorithms, on graphs with one giant SCC and with many small
 // ones.

@@ -14,7 +14,7 @@ CyclePacking PackDisjointCycles(const CsrGraph& graph,
                           ? Deadline::AfterSeconds(options.time_limit_seconds)
                           : Deadline();
 
-  BlockSearch search(graph);
+  BlockDfs search(graph);
   std::vector<uint8_t> active(graph.num_vertices(), 1);
   std::vector<VertexId> cycle;
   for (VertexId v = 0; v < graph.num_vertices(); ++v) {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "search/cycle_finder.h"
+#include "search/path_search.h"
 
 namespace tdb {
 
@@ -12,7 +12,7 @@ Status MinimalPrune(const CsrGraph& graph, const CycleConstraint& constraint,
                     SearchContext* context) {
   // The candidate v itself enters the search as the (mask-exempt) start
   // vertex, which is exactly the paper's G - R + (v).
-  CycleFinder plain(graph, context);
+  PlainDfs plain(graph, context);
   std::vector<VertexId> kept;
   kept.reserve(cover->size());
   uint64_t drops = 0;

@@ -5,7 +5,6 @@
 #include <optional>
 
 #include "search/bfs_filter.h"
-#include "search/cycle_finder.h"
 #include "search/path_search.h"
 #include "util/rng.h"
 
@@ -46,22 +45,17 @@ std::vector<VertexId> MakeCandidateOrder(const CsrGraph& graph,
 namespace {
 
 /// The candidate sweep of SolveTopDownInPlace: processes `order`,
-/// discharging candidates into `kept`. Engines are built per variant, so
-/// a plain-DFS solve does not pay for block/BFS scratch. Returns TimedOut
-/// on budget expiry.
+/// discharging candidates into `kept`. The searcher is the variant's one
+/// instantiation, so a plain-DFS solve does not pay for block/BFS
+/// scratch. Returns TimedOut on budget expiry.
+template <bool kBlocks>
 Status SweepTopDown(const CsrGraph& graph, const CycleConstraint& constraint,
-                    TopDownVariant variant, std::span<const VertexId> order,
+                    bool filter_first, std::span<const VertexId> order,
                     uint8_t* kept, CoverStats* stats, SearchContext* context,
                     Deadline* deadline) {
-  std::optional<CycleFinder> plain;
-  std::optional<BlockSearch> blocks;
+  BoundedDfs<kBlocks> dfs(graph, context);
   std::optional<BfsFilter> filter;
-  if (variant == TopDownVariant::kPlain) {
-    plain.emplace(graph, context);
-  } else {
-    blocks.emplace(graph, context);
-  }
-  if (variant == TopDownVariant::kBlocksFilter) filter.emplace(graph, context);
+  if (filter_first) filter.emplace(graph, context);
 
   for (VertexId v : order) {
     if (filter.has_value()) {
@@ -79,10 +73,7 @@ Status SweepTopDown(const CsrGraph& graph, const CycleConstraint& constraint,
     }
     ++stats->searches;
     const SearchOutcome outcome =
-        plain.has_value()
-            ? plain->FindCycleThrough(v, constraint, kept, nullptr, deadline)
-            : blocks->FindCycleThrough(v, constraint, kept, nullptr,
-                                       deadline);
+        dfs.FindCycleThrough(v, constraint, kept, nullptr, deadline);
     if (outcome == SearchOutcome::kTimedOut) {
       return Status::TimedOut("top-down solve exceeded budget");
     }
@@ -111,9 +102,15 @@ CoverResult SolveTopDownInPlace(const CsrGraph& graph,
   uint8_t* kept = context->kept.data();
   // Constraint of the *component* (matters for `unconstrained`, whose hop
   // budget is the vertex count).
-  result.status = SweepTopDown(
-      graph, options.Constraint(static_cast<VertexId>(members.size())),
-      variant, order, kept, &result.stats, context, deadline);
+  const CycleConstraint constraint =
+      options.Constraint(static_cast<VertexId>(members.size()));
+  const bool filter_first = variant == TopDownVariant::kBlocksFilter;
+  result.status =
+      variant == TopDownVariant::kPlain
+          ? SweepTopDown<false>(graph, constraint, filter_first, order, kept,
+                                &result.stats, context, deadline)
+          : SweepTopDown<true>(graph, constraint, filter_first, order, kept,
+                               &result.stats, context, deadline);
   for (VertexId g : members) {
     if (result.status.ok() && !kept[g]) result.cover.push_back(g);
     kept[g] = 0;

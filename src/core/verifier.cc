@@ -15,7 +15,7 @@ VerifyReport VerifyCover(const CsrGraph& graph,
   std::vector<uint8_t> active(graph.num_vertices(), 1);
   for (VertexId v : cover) active[v] = 0;
 
-  BlockSearch search(graph);
+  BlockDfs search(graph);
 
   // Feasibility: no constrained cycle may survive among active vertices.
   // Any surviving cycle is found from its own first vertex, so probing

@@ -16,6 +16,9 @@
 #ifndef TDB_GRAPH_LINE_GRAPH_H_
 #define TDB_GRAPH_LINE_GRAPH_H_
 
+#include <span>
+#include <vector>
+
 #include "graph/csr_graph.h"
 #include "util/status.h"
 
@@ -23,25 +26,22 @@ namespace tdb {
 
 /// A line graph plus the bookkeeping needed to map results back to G.
 struct LineGraph {
-  /// Node i of `graph` corresponds to canonical edge id i of the base
-  /// graph; arcs connect consecutive edges.
+  /// Node i of `graph` corresponds to base edge `base_edge[i]`; arcs
+  /// connect consecutive edges. An arc (x -> y) pivots at the base
+  /// vertex EdgeDst(base_edge[x]).
   CsrGraph graph;
-
-  /// Pivot vertex of an L(G)-arc (e1 -> e2): dst of the base edge e1.
-  /// Requires the base graph; provided here to keep call sites readable.
-  static VertexId ArcPivot(const CsrGraph& base, EdgeId l_arc_src) {
-    return base.EdgeDst(l_arc_src);
-  }
+  /// The base edges inside the member set, in canonical id order.
+  std::vector<EdgeId> base_edge;
 };
 
-/// Builds L(G). Fails with ResourceExhausted if the arc count would exceed
+/// Builds L(G[members]), the line graph of the subgraph that `members`
+/// (sorted ascending, no duplicates) induce, straight from the base CSR:
+/// its nodes are the base edges with both ends in `members`, in canonical
+/// id order. Fails with ResourceExhausted if the arc count would exceed
 /// `max_arcs` (default 1<<27 ~= 134M arcs ~= 1.6 GB), mirroring the memory
 /// wall the baseline hits on billion-scale inputs.
-Status BuildLineGraph(const CsrGraph& base, LineGraph* out,
-                      EdgeId max_arcs = EdgeId{1} << 27);
-
-/// Number of arcs L(G) would have, without building it.
-EdgeId LineGraphArcCount(const CsrGraph& base);
+Status BuildLineGraph(const CsrGraph& base, std::span<const VertexId> members,
+                      LineGraph* out, EdgeId max_arcs = EdgeId{1} << 27);
 
 }  // namespace tdb
 

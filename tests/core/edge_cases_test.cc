@@ -139,9 +139,10 @@ TEST(EdgeCasesTest, TwoCycleOnlyGraph) {
 
 TEST(EdgeCasesTest, LineGraphOfEmptyAndTinyGraphs) {
   LineGraph l;
-  ASSERT_TRUE(BuildLineGraph(CsrGraph(), &l).ok());
+  ASSERT_TRUE(BuildLineGraph(CsrGraph(), {}, &l).ok());
   EXPECT_EQ(l.graph.num_vertices(), 0u);
-  ASSERT_TRUE(BuildLineGraph(MakeDirectedPath(2), &l).ok());
+  const std::vector<VertexId> both = {0, 1};
+  ASSERT_TRUE(BuildLineGraph(MakeDirectedPath(2), both, &l).ok());
   EXPECT_EQ(l.graph.num_vertices(), 1u);
   EXPECT_EQ(l.graph.num_edges(), 0u);
 }

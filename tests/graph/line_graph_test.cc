@@ -2,18 +2,49 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <vector>
+
 #include "graph/generators.h"
 #include "search/cycle_enumerator.h"
 
 namespace tdb {
 namespace {
 
+/// L(G) of the whole graph.
+Status BuildLineGraph(const CsrGraph& g, LineGraph* out,
+                      EdgeId max_arcs = EdgeId{1} << 27) {
+  std::vector<VertexId> all(g.num_vertices());
+  std::iota(all.begin(), all.end(), VertexId{0});
+  return BuildLineGraph(g, all, out, max_arcs);
+}
+
 TEST(LineGraphTest, ArcCountFormula) {
-  CsrGraph g = MakeDirectedCycle(5);
-  EXPECT_EQ(LineGraphArcCount(g), 5u);  // in(v)*out(v) = 1 each
-  CsrGraph k4 = MakeCompleteDigraph(4);
-  // Each vertex: in=3, out=3 -> 9 per vertex, 36 total.
-  EXPECT_EQ(LineGraphArcCount(k4), 36u);
+  LineGraph l;
+  ASSERT_TRUE(BuildLineGraph(MakeDirectedCycle(5), &l).ok());
+  EXPECT_EQ(l.graph.num_edges(), 5u);  // in(v)*out(v) = 1 each
+  // Each vertex of K4: in=3, out=3 -> 9 per vertex, 36 total.
+  ASSERT_TRUE(BuildLineGraph(MakeCompleteDigraph(4), &l).ok());
+  EXPECT_EQ(l.graph.num_edges(), 36u);
+}
+
+TEST(LineGraphTest, MembersRestrictNodesToInnerEdgesInCanonicalOrder) {
+  // 0 <-> 1 -> 2 -> 0 plus 2 -> 3 -> 1: members {0, 1, 2} keep the
+  // triangle and the 0 <-> 1 pair and drop every edge touching 3.
+  CsrGraph g = CsrGraph::FromEdges(
+      4, {{0, 1}, {1, 0}, {1, 2}, {2, 0}, {2, 3}, {3, 1}});
+  const std::vector<VertexId> members = {0, 1, 2};
+  LineGraph l;
+  ASSERT_TRUE(BuildLineGraph(g, members, &l).ok());
+  const std::vector<EdgeId> want = {g.FindEdge(0, 1), g.FindEdge(1, 0),
+                                    g.FindEdge(1, 2), g.FindEdge(2, 0)};
+  EXPECT_EQ(l.base_edge, want);
+  // Arcs through pivots 0, 1, 2: (2,0)->(0,1), (0,1)->(1,0), (0,1)->(1,2),
+  // (1,0)->(0,1), (1,2)->(2,0).
+  EXPECT_EQ(l.graph.num_edges(), 5u);
+  EXPECT_TRUE(l.graph.HasEdge(3, 0));
+  EXPECT_TRUE(l.graph.HasEdge(0, 2));
+  EXPECT_FALSE(l.graph.HasEdge(2, 1));
 }
 
 TEST(LineGraphTest, NodesAreBaseEdges) {
@@ -39,7 +70,7 @@ TEST(LineGraphTest, ArcsConnectConsecutiveEdges) {
   EXPECT_FALSE(l.graph.HasEdge(static_cast<VertexId>(e12),
                                static_cast<VertexId>(e13)));
   // Pivot of the arc e01 -> e12 is the shared vertex 1.
-  EXPECT_EQ(LineGraph::ArcPivot(g, e01), 1u);
+  EXPECT_EQ(g.EdgeDst(l.base_edge[e01]), 1u);
 }
 
 TEST(LineGraphTest, CycleLengthsArePreserved) {

@@ -75,7 +75,7 @@ TEST(BfsFilterTest, SoundnessOnRandomGraphs) {
   for (uint64_t seed = 0; seed < 8; ++seed) {
     CsrGraph g = GenerateErdosRenyi(80, 240, seed);
     BfsFilter filter(g);
-    BlockSearch validator(g);
+    BlockDfs validator(g);
     for (uint32_t k = 3; k <= 6; ++k) {
       CycleConstraint c{.max_hops = k, .min_len = 3};
       for (VertexId v = 0; v < g.num_vertices(); ++v) {

@@ -1,10 +1,12 @@
+// The bounded DFS kernel: PlainDfsTest covers the plain instantiation
+// (window, masks, path mode, stats, reuse) and BlockDfsTest the block
+// bounds on top of the same loop.
 #include "search/path_search.h"
 
 #include <gtest/gtest.h>
 
 #include "graph/fixtures.h"
 #include "graph/generators.h"
-#include "search/cycle_finder.h"
 
 namespace tdb {
 namespace {
@@ -13,18 +15,18 @@ CycleConstraint K(uint32_t k, uint32_t min_len = 3) {
   return CycleConstraint{.max_hops = k, .min_len = min_len};
 }
 
-TEST(BlockSearchTest, FindsTriangle) {
+TEST(BlockDfsTest, FindsTriangle) {
   CsrGraph g = MakeDirectedCycle(3);
-  BlockSearch s(g);
+  BlockDfs s(g);
   std::vector<VertexId> cycle;
   EXPECT_EQ(s.FindCycleThrough(0, K(3), nullptr, &cycle),
             SearchOutcome::kFound);
   EXPECT_EQ(cycle, (std::vector<VertexId>{0, 1, 2}));
 }
 
-TEST(BlockSearchTest, HopWindowMatchesPlainDfs) {
+TEST(BlockDfsTest, HopWindowMatchesPlainDfs) {
   CsrGraph g = MakeDirectedCycle(6);
-  BlockSearch s(g);
+  BlockDfs s(g);
   EXPECT_EQ(s.FindCycleThrough(0, K(5), nullptr, nullptr),
             SearchOutcome::kNotFound);
   EXPECT_EQ(s.FindCycleThrough(0, K(6), nullptr, nullptr),
@@ -35,17 +37,17 @@ TEST(BlockSearchTest, HopWindowMatchesPlainDfs) {
 // exclusion": with 2-cycles excluded, a depth-1 vertex owning an edge
 // back to the start must remain re-enterable at greater depth. A naive
 // failure bound k-depth+1 loses the cycle s->a->u->s here.
-TEST(BlockSearchTest, DepthOneTwoCycleSkipDoesNotPoisonBlocks) {
+TEST(BlockDfsTest, DepthOneTwoCycleSkipDoesNotPoisonBlocks) {
   // s=0, u=1, a=2. Edges: 0->1, 1->0 (2-cycle), 0->2, 2->1.
   CsrGraph g = CsrGraph::FromEdges(3, {{0, 1}, {1, 0}, {0, 2}, {2, 1}});
-  BlockSearch s(g);
+  BlockDfs s(g);
   std::vector<VertexId> cycle;
   ASSERT_EQ(s.FindCycleThrough(0, K(4), nullptr, &cycle),
             SearchOutcome::kFound);
   EXPECT_EQ(cycle, (std::vector<VertexId>{0, 2, 1}));
 }
 
-TEST(BlockSearchTest, DepthOneSkipCaseAcrossManyFanouts) {
+TEST(BlockDfsTest, DepthOneSkipCaseAcrossManyFanouts) {
   // Generalization: fan s->u_i, all u_i -> s (2-cycles), plus one long
   // detour s->a->b->u_0; cycle s->a->b->u_0->s has length 4.
   std::vector<Edge> edges;
@@ -59,46 +61,46 @@ TEST(BlockSearchTest, DepthOneSkipCaseAcrossManyFanouts) {
   edges.push_back({1, 2});
   edges.push_back({2, 3});
   CsrGraph g = CsrGraph::FromEdges(3 + kFan, edges);
-  BlockSearch s(g);
+  BlockDfs s(g);
   std::vector<VertexId> cycle;
   ASSERT_EQ(s.FindCycleThrough(0, K(4), nullptr, &cycle),
             SearchOutcome::kFound);
   EXPECT_EQ(cycle.size(), 4u);
 }
 
-TEST(BlockSearchTest, TwoCycleModeFindsBidirectionalPair) {
+TEST(BlockDfsTest, TwoCycleModeFindsBidirectionalPair) {
   CsrGraph g = CsrGraph::FromEdges(2, {{0, 1}, {1, 0}});
-  BlockSearch s(g);
+  BlockDfs s(g);
   EXPECT_EQ(s.FindCycleThrough(0, K(5, 2), nullptr, nullptr),
             SearchOutcome::kFound);
   EXPECT_EQ(s.FindCycleThrough(0, K(5, 3), nullptr, nullptr),
             SearchOutcome::kNotFound);
 }
 
-TEST(BlockSearchTest, BlockPruningFiresOnFigure5) {
+TEST(BlockDfsTest, BlockPruningFiresOnFigure5) {
   // The paper's Figure 5: after one probe of a->b_1->c->d, the block on c
   // prunes every remaining a->b_i->c probe.
   const VertexId kFan = 50;
   CsrGraph g = MakeFigure5Blocks(kFan);
-  BlockSearch s(g);
+  BlockDfs s(g);
   EXPECT_EQ(s.FindCycleThrough(0, K(5), nullptr, nullptr),
             SearchOutcome::kNotFound);
   EXPECT_GE(s.stats().block_prunes, kFan - 1);
 }
 
-TEST(BlockSearchTest, BlockPruningBeatsPlainDfsOnFanGraph) {
+TEST(BlockDfsTest, BlockPruningBeatsPlainDfsOnFanGraph) {
   const VertexId kFan = 60;
   CsrGraph g = MakeFigure5Blocks(kFan);
-  BlockSearch blocks(g);
-  CycleFinder plain(g);
+  BlockDfs blocks(g);
+  PlainDfs plain(g);
   blocks.FindCycleThrough(0, K(5), nullptr, nullptr);
   plain.FindCycleThrough(0, K(5), nullptr, nullptr);
   EXPECT_LT(blocks.stats().expansions, plain.stats().expansions);
 }
 
-TEST(BlockSearchTest, ActiveMaskRespected) {
+TEST(BlockDfsTest, ActiveMaskRespected) {
   CsrGraph g = MakeDirectedCycle(3);
-  BlockSearch s(g);
+  BlockDfs s(g);
   std::vector<uint8_t> active = {1, 0, 1};
   EXPECT_EQ(s.FindCycleThrough(0, K(3), active.data(), nullptr),
             SearchOutcome::kNotFound);
@@ -107,9 +109,9 @@ TEST(BlockSearchTest, ActiveMaskRespected) {
             SearchOutcome::kFound);
 }
 
-TEST(BlockSearchTest, PathModeWithBlockedEdges) {
+TEST(BlockDfsTest, PathModeWithBlockedEdges) {
   CsrGraph g = CsrGraph::FromEdges(4, {{0, 1}, {1, 3}, {0, 2}, {2, 3}});
-  BlockSearch s(g);
+  BlockDfs s(g);
   std::vector<uint8_t> blocked(g.num_edges(), 0);
   std::vector<VertexId> path;
   blocked[g.FindEdge(0, 1)] = 1;
@@ -121,16 +123,16 @@ TEST(BlockSearchTest, PathModeWithBlockedEdges) {
             SearchOutcome::kNotFound);
 }
 
-TEST(BlockSearchTest, PermanentBlockModeStillFindsCycles) {
+TEST(BlockDfsTest, PermanentBlockModeStillFindsCycles) {
   // Unconstrained semantics: max_hops = n, permanent blocking.
   CsrGraph g = MakeDirectedCycle(64);
-  BlockSearch s(g);
+  BlockDfs s(g);
   CycleConstraint c{.max_hops = 64, .min_len = 3, .permanent_block = true};
   EXPECT_EQ(s.FindCycleThrough(0, c, nullptr, nullptr),
             SearchOutcome::kFound);
 }
 
-TEST(BlockSearchTest, PermanentBlockLinearOnAcyclicBlowupGraph) {
+TEST(BlockDfsTest, PermanentBlockLinearOnAcyclicBlowupGraph) {
   // Layered DAG where plain DFS would re-explore exponentially many paths.
   // 2 vertices per layer, all-to-all between layers, no cycle.
   constexpr VertexId kLayers = 20;
@@ -146,7 +148,7 @@ TEST(BlockSearchTest, PermanentBlockLinearOnAcyclicBlowupGraph) {
     }
   }
   CsrGraph g = CsrGraph::FromEdges(2 * kLayers, edges);
-  BlockSearch s(g);
+  BlockDfs s(g);
   CycleConstraint c{.max_hops = 2 * kLayers,
                     .min_len = 3,
                     .permanent_block = true};
@@ -157,29 +159,170 @@ TEST(BlockSearchTest, PermanentBlockLinearOnAcyclicBlowupGraph) {
   EXPECT_LT(s.stats().expansions, 10 * g.num_edges());
 }
 
-TEST(BlockSearchTest, DeadlineExpiryReportsTimeout) {
+TEST(BlockDfsTest, DeadlineExpiryReportsTimeout) {
   // Cycle-free fan large enough that exhaustion outlasts the deadline's
   // amortized check interval.
   CsrGraph g = MakeFigure5Blocks(4000);
-  BlockSearch s(g);
+  BlockDfs s(g);
   Deadline d = Deadline::AfterSeconds(0.0);
   EXPECT_EQ(s.FindCycleThrough(0, K(6), nullptr, nullptr, &d),
             SearchOutcome::kTimedOut);
 }
 
-TEST(BlockSearchTest, ReusableAcrossEpochs) {
+TEST(BlockDfsTest, ReusableAcrossEpochs) {
   CsrGraph g = MakeFigure5Blocks(8);
-  BlockSearch s(g);
+  BlockDfs s(g);
   // Alternate failing and succeeding searches; epoch reset must isolate
   // block state between calls.
   CsrGraph cyc = MakeDirectedCycle(3);
-  BlockSearch s2(cyc);
+  BlockDfs s2(cyc);
   for (int i = 0; i < 10; ++i) {
     EXPECT_EQ(s.FindCycleThrough(0, K(5), nullptr, nullptr),
               SearchOutcome::kNotFound);
     EXPECT_EQ(s2.FindCycleThrough(0, K(3), nullptr, nullptr),
               SearchOutcome::kFound);
   }
+}
+
+TEST(PlainDfsTest, FindsTriangle) {
+  CsrGraph g = MakeDirectedCycle(3);
+  PlainDfs f(g);
+  std::vector<VertexId> cycle;
+  EXPECT_EQ(f.FindCycleThrough(0, K(3), nullptr, &cycle),
+            SearchOutcome::kFound);
+  EXPECT_EQ(cycle, (std::vector<VertexId>{0, 1, 2}));
+}
+
+TEST(PlainDfsTest, HopConstraintExcludesLongCycles) {
+  CsrGraph g = MakeDirectedCycle(6);
+  PlainDfs f(g);
+  EXPECT_EQ(f.FindCycleThrough(0, K(5), nullptr, nullptr),
+            SearchOutcome::kNotFound);
+  EXPECT_EQ(f.FindCycleThrough(0, K(6), nullptr, nullptr),
+            SearchOutcome::kFound);
+}
+
+TEST(PlainDfsTest, TwoCycleExcludedByDefaultWindow) {
+  CsrGraph g = CsrGraph::FromEdges(2, {{0, 1}, {1, 0}});
+  PlainDfs f(g);
+  EXPECT_EQ(f.FindCycleThrough(0, K(5, 3), nullptr, nullptr),
+            SearchOutcome::kNotFound);
+  EXPECT_EQ(f.FindCycleThrough(0, K(5, 2), nullptr, nullptr),
+            SearchOutcome::kFound);
+}
+
+TEST(PlainDfsTest, ActiveMaskHidesVertices) {
+  CsrGraph g = MakeDirectedCycle(3);
+  PlainDfs f(g);
+  std::vector<uint8_t> active = {1, 0, 1};  // vertex 1 removed
+  EXPECT_EQ(f.FindCycleThrough(0, K(3), active.data(), nullptr),
+            SearchOutcome::kNotFound);
+}
+
+TEST(PlainDfsTest, StartIsExemptFromMask) {
+  CsrGraph g = MakeDirectedCycle(3);
+  PlainDfs f(g);
+  std::vector<uint8_t> active = {0, 1, 1};  // start itself masked out
+  EXPECT_EQ(f.FindCycleThrough(0, K(3), active.data(), nullptr),
+            SearchOutcome::kFound);
+}
+
+TEST(PlainDfsTest, Figure4Graphs) {
+  CsrGraph a = MakeFigure4a();  // searcher keeps a reference: keep alive
+  PlainDfs fa(a);
+  EXPECT_EQ(fa.FindCycleThrough(0, K(5), nullptr, nullptr),
+            SearchOutcome::kFound);
+  CsrGraph b = MakeFigure4b();
+  PlainDfs fb(b);
+  EXPECT_EQ(fb.FindCycleThrough(0, K(5), nullptr, nullptr),
+            SearchOutcome::kNotFound);
+}
+
+TEST(PlainDfsTest, CycleOnlyReachableViaLongRoute) {
+  // Cycle 0->1->2->3->0 plus chord 0->2: with k=4 the finder must not be
+  // confused by the chord (which creates 0->2->3->0 of length 3 too).
+  CsrGraph g =
+      CsrGraph::FromEdges(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}});
+  PlainDfs f(g);
+  std::vector<VertexId> cycle;
+  ASSERT_EQ(f.FindCycleThrough(0, K(3), nullptr, &cycle),
+            SearchOutcome::kFound);
+  EXPECT_EQ(cycle.size(), 3u);
+}
+
+TEST(PlainDfsTest, PathModeBasics) {
+  CsrGraph g = MakeDirectedPath(5);
+  PlainDfs f(g);
+  std::vector<VertexId> path;
+  EXPECT_EQ(f.FindPath(0, 4, 1, 4, nullptr, nullptr, &path),
+            SearchOutcome::kFound);
+  EXPECT_EQ(path, (std::vector<VertexId>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(f.FindPath(0, 4, 1, 3, nullptr, nullptr, nullptr),
+            SearchOutcome::kNotFound);
+  EXPECT_EQ(f.FindPath(4, 0, 1, 10, nullptr, nullptr, nullptr),
+            SearchOutcome::kNotFound);
+}
+
+TEST(PlainDfsTest, PathMinHopsRejectsDirectEdge) {
+  // 0->1 direct plus 0->2->1: min_hops=2 must take the detour.
+  CsrGraph g = CsrGraph::FromEdges(3, {{0, 1}, {0, 2}, {2, 1}});
+  PlainDfs f(g);
+  std::vector<VertexId> path;
+  ASSERT_EQ(f.FindPath(0, 1, 2, 5, nullptr, nullptr, &path),
+            SearchOutcome::kFound);
+  EXPECT_EQ(path, (std::vector<VertexId>{0, 2, 1}));
+}
+
+TEST(PlainDfsTest, BlockedEdgesAreInvisible) {
+  CsrGraph g = MakeDirectedCycle(3);
+  PlainDfs f(g);
+  std::vector<uint8_t> blocked(g.num_edges(), 0);
+  blocked[g.FindEdge(1, 2)] = 1;
+  EXPECT_EQ(f.FindPath(0, 2, 1, 3, nullptr, blocked.data(), nullptr),
+            SearchOutcome::kNotFound);
+  blocked[g.FindEdge(1, 2)] = 0;
+  EXPECT_EQ(f.FindPath(0, 2, 1, 3, nullptr, blocked.data(), nullptr),
+            SearchOutcome::kFound);
+}
+
+TEST(PlainDfsTest, DeadlineExpiryReportsTimeout) {
+  // A cycle-free graph large enough that exhaustion needs more edge scans
+  // than the deadline's amortized check interval: the zero budget must be
+  // noticed mid-search.
+  CsrGraph g = MakeFigure5Blocks(4000);
+  PlainDfs f(g);
+  Deadline d = Deadline::AfterSeconds(0.0);
+  EXPECT_EQ(f.FindCycleThrough(0, K(6), nullptr, nullptr, &d),
+            SearchOutcome::kTimedOut);
+}
+
+TEST(PlainDfsTest, StatsAccumulate) {
+  CsrGraph g = MakeDirectedCycle(4);
+  PlainDfs f(g);
+  f.FindCycleThrough(0, K(4), nullptr, nullptr);
+  EXPECT_GT(f.stats().expansions, 0u);
+  EXPECT_GT(f.stats().pushes, 0u);
+  f.ResetStats();
+  EXPECT_EQ(f.stats().expansions, 0u);
+}
+
+TEST(PlainDfsTest, SearcherIsReusableAfterEachOutcome) {
+  CsrGraph g = MakeDirectedCycle(3);
+  PlainDfs f(g);
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(f.FindCycleThrough(0, K(3), nullptr, nullptr),
+              SearchOutcome::kFound);
+    EXPECT_EQ(f.FindCycleThrough(0, K(2, 3), nullptr, nullptr),
+              SearchOutcome::kNotFound);
+  }
+}
+
+TEST(PlainDfsTest, MaxHopsZeroFindsNothing) {
+  CsrGraph g = MakeDirectedCycle(3);
+  PlainDfs f(g);
+  EXPECT_EQ(f.FindCycleThrough(0, CycleConstraint{.max_hops = 0},
+                               nullptr, nullptr),
+            SearchOutcome::kNotFound);
 }
 
 }  // namespace
