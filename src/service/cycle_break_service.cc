@@ -155,8 +155,7 @@ Status CycleBreakService::InitStoreFresh() {
   snap.last_seq = 0;
   snap.events_ingested = 0;
   snap.base = working_.shared_base();
-  snap.cover_mask = state_.base->vertex_mask;
-  snap.solve_ok = state_.base->solve_status.ok();
+  snap.cover = state_.base;
   const std::string snapshot_file = SnapshotFileName(0);
   Status st = WriteSnapshotFile(snap, dir + "/" + snapshot_file);
   if (!st.ok()) return st;
@@ -179,11 +178,6 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
   if (snap.epoch == 0) {
     return Status::InvalidArgument(dir + ": snapshot carries epoch 0");
   }
-  const VertexId n = snap.base->num_vertices();
-  std::vector<VertexId> cover;
-  for (VertexId v = 0; v < n; ++v) {
-    if (snap.cover_mask[v] != 0) cover.push_back(v);
-  }
   std::vector<JournalRecord> records;
   JournalOpenInfo info;
   std::unique_ptr<Journal> journal;
@@ -204,11 +198,7 @@ Status CycleBreakService::RecoverFromStore(const StoreManifest& manifest,
   working_ = OverlayGraph(std::move(snap.base));
   StampBaseBytesLocked();
   state_ = TransversalState{};
-  state_.base = BaseCover::FromVertexCover(
-      n, std::move(cover),
-      snap.solve_ok ? Status::OK()
-                    : Status::Internal(
-                          "restored snapshot: compaction solve had failed"));
+  state_.base = std::move(snap.cover);
   for (const EdgeId e : snap.covered) {
     state_.covered.insert(working_.EdgeSrc(e), e);
   }
@@ -471,12 +461,16 @@ void CycleBreakService::PersistCutLocked(uint64_t cut_seq) {
     stats_.persist_failures.fetch_add(1, kRelaxed);
   };
   SnapshotState snap;
-  snap.epoch = published_.epoch() + 1;  // the installing publish
+  // Recovery publishes at snap.epoch plus one per replayed journal batch.
+  // The installing publish comes next (epoch + 1), and the tail batches
+  // re-appended below (pending_) were already published before it, so
+  // the stamp leaves them out: recovery then lands at the epoch this
+  // process reaches. A synchronous compaction has an empty tail.
+  snap.epoch = published_.epoch() + 1 - pending_.size();
   snap.last_seq = cut_seq;
   snap.events_ingested = events_at_cut_;  // maintained by the drop loop
   snap.base = working_.shared_base();
-  snap.cover_mask = state_.base->vertex_mask;
-  snap.solve_ok = state_.base->solve_status.ok();
+  snap.cover = state_.base;
   Status st = WriteSnapshotFile(snap, snapshot_path);
   if (!st.ok()) {
     fail(/*remove_snapshot=*/false, /*remove_journal=*/false);

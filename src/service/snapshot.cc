@@ -133,7 +133,7 @@ Status WriteSnapshotFile(const SnapshotState& state,
   const uint64_t m = base.num_edges();
   const uint64_t s_count = state.covered.size();
   const uint64_t w_count = state.reusable.size();
-  const uint8_t solve_ok = state.solve_ok ? 1 : 0;
+  const uint8_t solve_ok = state.cover->solve_status.ok() ? 1 : 0;
   Crc32 crc;
   Status st = Status::OK();
   bool ok =
@@ -153,8 +153,8 @@ Status WriteSnapshotFile(const SnapshotState& state,
     ok = st.ok();
   }
   ok = ok &&
-       PutSpan(f.get(), &crc, state.cover_mask.data(),
-               state.cover_mask.size()) &&
+       PutSpan(f.get(), &crc, state.cover->vertex_mask.data(),
+               state.cover->vertex_mask.size()) &&
        PutSpan(f.get(), &crc, state.covered.data(),
                sizeof(EdgeId) * s_count) &&
        PutSpan(f.get(), &crc, state.reusable.data(),
@@ -238,13 +238,16 @@ Status ReadSnapshotFile(const std::string& path, SnapshotState* state) {
       f.get(), m, static_cast<VertexId>(n), &crc, &edges);
   if (!edges_st.ok()) return Corrupt(path, edges_st.message().c_str());
 
-  state->cover_mask.resize(n);
-  if (n > 0 &&
-      !GetField(f.get(), &crc, state->cover_mask.data(), n)) {
+  auto cover = std::make_shared<BaseCover>();
+  cover->vertex_mask.resize(n);
+  if (n > 0 && !GetField(f.get(), &crc, cover->vertex_mask.data(), n)) {
     return Corrupt(path, "truncated cover mask");
   }
-  for (uint8_t bit : state->cover_mask) {
-    if (bit > 1) return Corrupt(path, "cover mask is not 0/1");
+  for (VertexId v = 0; v < n; ++v) {
+    if (cover->vertex_mask[v] > 1) {
+      return Corrupt(path, "cover mask is not 0/1");
+    }
+    if (cover->vertex_mask[v] != 0) cover->vertices.push_back(v);
   }
   auto read_ids = [&](uint64_t count, std::vector<EdgeId>* out) {
     out->resize(count);
@@ -277,7 +280,11 @@ Status ReadSnapshotFile(const std::string& path, SnapshotState* state) {
     return Corrupt(path, "trailing bytes after snapshot checksum");
   }
 
-  state->solve_ok = solve_ok != 0;
+  cover->solve_status =
+      solve_ok != 0 ? Status::OK()
+                    : Status::Internal(
+                          "restored snapshot: compaction solve had failed");
+  state->cover = std::move(cover);
   state->base = std::make_shared<const CsrGraph>(
       CsrGraph::FromEdges(static_cast<VertexId>(n), std::move(edges)));
   return Status::OK();

@@ -158,11 +158,10 @@ struct SnapshotState {
   uint64_t events_ingested = 0;
   /// The base CSR, shared with the service's graph rather than copied.
   std::shared_ptr<const CsrGraph> base;
-  /// BaseCover::vertex_mask, sized to the universe.
-  std::vector<uint8_t> cover_mask;
-  /// BaseCover::solve_status.ok() — a false here means the cover is the
-  /// all-vertices fallback of a failed solve.
-  bool solve_ok = true;
+  /// The base cover, shared with the service rather than copied. The file
+  /// stores its vertex mask and solve_status.ok() (a false there means the
+  /// cover is the all-vertices fallback of a failed solve).
+  std::shared_ptr<const BaseCover> cover;
   /// Incremental S/W sets, as sorted canonical base edge ids.
   std::vector<EdgeId> covered;
   std::vector<EdgeId> reusable;

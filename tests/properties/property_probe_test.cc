@@ -682,7 +682,7 @@ TEST(ProbeExactnessTest, RecoveredNonEmptySKeepsItsFilter) {
   snap.epoch = 1;
   snap.base = std::make_shared<const CsrGraph>(g.ToCsr());
   const CsrGraph& base = *snap.base;
-  snap.cover_mask = inst.state.base->vertex_mask;
+  snap.cover = inst.state.base;
   // About a tenth of the canonical base edges in S, a few more in W.
   Rng rng(77);
   for (EdgeId e = 0; e < base.num_edges(); ++e) {

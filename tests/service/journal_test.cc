@@ -294,11 +294,13 @@ SnapshotState MakeSnapshotState(uint64_t seed) {
   state.events_ingested = 400;
   state.base =
       std::make_shared<const CsrGraph>(GenerateErdosRenyi(50, 200, seed));
-  state.cover_mask.assign(50, 0);
+  std::vector<VertexId> cover;
   for (VertexId v = 0; v < 50; ++v) {
-    state.cover_mask[v] = rng.NextBounded(3) == 0 ? 1 : 0;
+    if (rng.NextBounded(3) == 0) cover.push_back(v);
   }
-  state.solve_ok = seed % 2 == 0;
+  state.cover = BaseCover::FromVertexCover(
+      50, std::move(cover),
+      seed % 2 == 0 ? Status::OK() : Status::Internal("failed solve"));
   const EdgeId m = state.base->num_edges();
   for (int i = 0; i < 9; ++i) state.covered.push_back(rng.NextBounded(m));
   for (int i = 0; i < 4; ++i) state.reusable.push_back(rng.NextBounded(m));
@@ -322,8 +324,9 @@ TEST(SnapshotFileTest, RoundTrip) {
   EXPECT_EQ(loaded.epoch, state.epoch);
   EXPECT_EQ(loaded.last_seq, state.last_seq);
   EXPECT_EQ(loaded.events_ingested, state.events_ingested);
-  EXPECT_EQ(loaded.solve_ok, state.solve_ok);
-  EXPECT_EQ(loaded.cover_mask, state.cover_mask);
+  EXPECT_EQ(loaded.cover->solve_status.ok(), state.cover->solve_status.ok());
+  EXPECT_EQ(loaded.cover->vertex_mask, state.cover->vertex_mask);
+  EXPECT_EQ(loaded.cover->vertices, state.cover->vertices);
   EXPECT_EQ(loaded.covered, state.covered);
   EXPECT_EQ(loaded.reusable, state.reusable);
   EXPECT_EQ(EdgesOf(*loaded.base), EdgesOf(*state.base));

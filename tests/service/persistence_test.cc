@@ -254,6 +254,49 @@ TEST(PersistenceTest, RecoveryPublishesOnceAtThePreCloseEpoch) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(PersistenceTest, RecoveryAfterBackgroundInstallWithTailKeepsTheEpoch) {
+  // A background compaction cuts at the first batch; the batches submitted
+  // while it solves are the tail its install replays and the rotated
+  // journal re-appends. Recovery replays that tail onto the snapshot and
+  // must publish at the epoch the closed process reached, not that epoch
+  // plus the tail length.
+  constexpr VertexId kN = 3000;
+  const std::string dir = FreshDir("background_tail");
+  ServiceOptions durable = BaseOptions();
+  durable.data_dir = dir;
+  durable.compact_delta_threshold = 1;
+  // A plain-DFS solve of a few thousand edges keeps the compaction busy
+  // far longer than the two submits that form the tail.
+  durable.compact_algorithm = CoverAlgorithm::kBur;
+  durable.cover.k = 5;
+  const auto batches = MakeBatches(kN, 3, 10, /*seed=*/91);
+  std::unique_ptr<CycleBreakService> service;
+  ASSERT_TRUE(CycleBreakService::Create(GenerateErdosRenyi(kN, 15000, 92),
+                                        durable, &service)
+                  .ok());
+  for (const auto& batch : batches) {
+    ASSERT_TRUE(service->SubmitEdges(batch).status.ok());
+  }
+  // Still uninstalled after the last submit: the tail is not empty.
+  ASSERT_EQ(service->Stats().compactions, 0u);
+  service->WaitForCompaction();
+  ASSERT_EQ(service->Stats().compactions, 1u);
+  ASSERT_EQ(service->Stats().journal_rotations, 1u);
+  const StateImage before = ImageOf(*service);
+  const uint64_t closed_epoch = service->epoch();
+  service.reset();
+
+  std::unique_ptr<CycleBreakService> recovered;
+  ASSERT_TRUE(CycleBreakService::Open(durable, &recovered).ok());
+  ASSERT_GT(recovered->recovery_info().replayed_batches, 0u);
+  EXPECT_EQ(recovered->epoch(), closed_epoch);
+  // The state is not compared: replay compacts synchronously, so it cuts
+  // where the live run's background compaction did not.
+  EXPECT_EQ(recovered->events_ingested(), before.events);
+  recovered.reset();
+  std::filesystem::remove_all(dir);
+}
+
 TEST(PersistenceTest, SubmitResultReportsJournalFailure) {
   // Once the journal cannot be appended to (here: its file is replaced
   // by a directory to force the write error), SubmitEdges must refuse to
