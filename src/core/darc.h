@@ -9,14 +9,17 @@
 //
 // DARC-DV, the vertex version benchmarked in the paper, runs DARC on the
 // directed line graph L(G) and maps every selected L(G)-arc to its pivot
-// vertex. L(G) construction is budgeted; on billion-scale hub-heavy inputs
-// it exhausts the budget and the solver reports ResourceExhausted, which is
-// how the paper's "-" entries arise.
+// vertex. The engine builds one L(G[C]) per component C straight from the
+// parent CSR restricted to C's members, so no component subgraph is
+// materialized. L(G) construction is budgeted; on billion-scale hub-heavy
+// inputs it exhausts the budget and the solver reports ResourceExhausted,
+// which is how the paper's "-" entries arise.
 //
 // Implementation note: the original DARC enumerates Δk(e) explicitly; the
-// cycle and feasibility queries here use this library's block-based search,
-// which strictly *helps* the baseline (same answers, fewer expansions), so
-// the benchmarked comparison is conservative.
+// cycle and feasibility queries here use the block instantiation of this
+// library's bounded DFS, which strictly *helps* the baseline (same
+// answers, fewer expansions), so the benchmarked comparison is
+// conservative.
 #ifndef TDB_CORE_DARC_H_
 #define TDB_CORE_DARC_H_
 

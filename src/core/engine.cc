@@ -145,11 +145,11 @@ struct EngineRun {
 CoverResult SolveComponent(const EngineRun& run,
                            std::span<const VertexId> members,
                            SearchContext* context, Deadline* deadline) {
-  if (run.algorithm == CoverAlgorithm::kDarcDv) {
-    return SolveDarcDvInPlace(run.graph, members, run.options,
-                              context, deadline);
-  }
   TDB_TRACE_SPAN("engine.solve_in_place");
+  if (run.algorithm == CoverAlgorithm::kDarcDv) {
+    return SolveDarcDvInPlace(run.graph, members, run.options, context,
+                              deadline);
+  }
   if (IsTopDown(run.algorithm)) {
     return SolveTopDownInPlace(run.graph, members, run.options,
                                VariantOf(run.algorithm),

@@ -37,11 +37,11 @@
 // each component's internal processing order by ranking every vertex in
 // the whole-graph candidate order once and sorting each component's
 // members by rank (member lists ascend, so BUR's id-ordered sweep
-// projects automatically, and so does DARC-DV's edge-ordered one, since its
-// line-graph nodes are the component's edges in canonical id order). The engine determinism
-// tests assert covers are identical across num_threads = 1, 2 and 8 for
-// all six algorithms, on graphs with one giant SCC and with many small
-// ones.
+// projects automatically, and so does DARC-DV's edge-ordered one, since
+// its line-graph nodes are the component's edges in canonical id order).
+// The engine determinism tests assert covers are identical across
+// num_threads = 1, 2 and 8 for all six algorithms, on graphs with one
+// giant SCC and with many small ones.
 //
 // Deadlines: one wall-clock budget (options.time_limit_seconds) is shared
 // by every component; each task polls a private copy of the master

@@ -11,9 +11,10 @@
 // own: the engine solves every component in place on the parent graph,
 // and the whole-graph solve is the same code with every vertex a member.
 //
-// Variants:
-//   TDB    — plain DFS validation (Algorithm 5), worst case O(n^k) each.
-//   TDB+   — block-based validation (Algorithm 9), O(k*m) each,
+// Variants, all validating with the one bounded DFS (search/path_search.h):
+//   TDB    — its plain instantiation (Algorithm 5), worst case O(n^k)
+//            each.
+//   TDB+   — its block instantiation (Algorithm 9), O(k*m) each,
 //            O(k*m*n) total (paper Theorem 6).
 //   TDB++  — TDB+ preceded by the closed-walk BFS filter (Algorithm 11).
 #ifndef TDB_CORE_TOP_DOWN_H_

@@ -1,12 +1,11 @@
 // Per-worker mutable scratch for the search engines and the solvers that
 // drive them.
 //
-// CycleFinder, BlockSearch and BfsFilter historically each owned their own
-// n-sized scratch, which made a searcher cheap to reuse sequentially but
-// impossible to run concurrently: two threads probing different vertices
-// would race on the same block/visited arrays. The scratch now lives in an
-// explicit SearchContext — one per worker thread — and the searcher classes
-// are thin reentrant views over (graph, context). A context is reused
+// The bounded DFS (search/path_search.h, plain or block-based) and
+// BfsFilter keep no scratch of their own: it lives in an explicit
+// SearchContext — one per worker thread — and the searchers are thin
+// reentrant views over (graph, context), so two threads probing different
+// vertices never share block/visited arrays. A context is reused
 // across any number of solves (the parallel engine solves every SCC of a
 // graph in place on the parent CSR, one context per worker); the Ensure*
 // helpers grow it lazily and never shrink, so reuse is allocation-free
@@ -37,11 +36,11 @@ namespace tdb {
 /// Scratch + instrumentation shared by every search engine. Not
 /// thread-safe: one context per concurrent worker.
 struct SearchContext {
-  // DFS state (CycleFinder, BlockSearch).
+  // DFS state (BoundedDfs, both instantiations).
   std::vector<uint8_t> on_path;
   std::vector<SearchFrame> stack;
 
-  // Block-based validation state (BlockSearch).
+  // Block-based validation state (BlockDfs).
   EpochArray<uint32_t> block;
   EpochArray<uint8_t> edge_to_target;
 
@@ -72,12 +71,12 @@ struct SearchContext {
   // engine family does not pay for the others' scratch (~24 bytes/vertex
   // all-in, vs 1 for a plain DFS).
 
-  /// DFS state (CycleFinder, BlockSearch): `on_path`.
+  /// DFS state (BoundedDfs): `on_path`.
   void EnsureDfsSize(VertexId n) {
     if (on_path.size() < n) on_path.resize(n, 0);
   }
 
-  /// Block-validation state (BlockSearch): `block`, `edge_to_target`.
+  /// Block-validation state (BlockDfs): `block`, `edge_to_target`.
   void EnsureBlockSize(VertexId n) {
     block.Resize(n);
     edge_to_target.Resize(n);
