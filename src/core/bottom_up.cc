@@ -99,7 +99,7 @@ CoverResult SolveBottomUp(const CsrGraph& graph, const CoverOptions& options,
   std::iota(all.begin(), all.end(), VertexId{0});
   result = SolveBottomUpInPlace(graph, all, options, minimal, &context,
                                 &deadline);
-  result.stats.expansions = context.stats.expansions;
+  result.stats.Add(context.stats);
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

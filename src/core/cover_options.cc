@@ -2,6 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdio>
+
+#include "util/metrics.h"
 
 namespace tdb {
 
@@ -77,6 +80,45 @@ CycleConstraint CoverOptions::Constraint(VertexId n) const {
     c.permanent_block = false;
   }
   return c;
+}
+
+void CoverStats::Add(const CoverStats& other) {
+#define TDB_ADD(field, help) field += other.field;
+  TDB_COVER_COUNTERS(TDB_ADD)
+#undef TDB_ADD
+}
+
+void CoverStats::Add(const SearchStats& search) {
+#define TDB_ADD(field, help) field += search.field;
+  TDB_SEARCH_COUNTERS(TDB_ADD)
+#undef TDB_ADD
+}
+
+void ExportCoverStats(const CoverStats& stats, MetricRegistry* registry) {
+#define TDB_COUNTER(field, help) \
+  registry->AddCounter("tdb_cover_" #field "_total", help) \
+      ->Increment(stats.field);
+  TDB_COVER_COUNTERS(TDB_COUNTER)
+#undef TDB_COUNTER
+#define TDB_GAUGE(field, help) \
+  registry->AddGauge("tdb_cover_" #field, help)->Set(stats.field);
+  TDB_COVER_SECONDS(TDB_GAUGE)
+#undef TDB_GAUGE
+}
+
+std::string FormatCoverStats(const CoverStats& stats) {
+  std::string line;
+#define TDB_COUNTER(field, help) \
+  line += " " #field "=" + std::to_string(stats.field);
+  TDB_COVER_COUNTERS(TDB_COUNTER)
+#undef TDB_COUNTER
+  char buf[64];
+#define TDB_SECONDS(field, help)                                      \
+  std::snprintf(buf, sizeof(buf), " " #field "=%.3f", stats.field); \
+  line += buf;
+  TDB_COVER_SECONDS(TDB_SECONDS)
+#undef TDB_SECONDS
+  return line.substr(1);
 }
 
 }  // namespace tdb

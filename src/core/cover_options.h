@@ -11,6 +11,8 @@
 
 namespace tdb {
 
+class MetricRegistry;
+
 /// The algorithms evaluated in the paper (Section VII naming).
 enum class CoverAlgorithm {
   kBur,         ///< Bottom-up (Algorithm 4), no minimal pruning.
@@ -88,45 +90,60 @@ struct CoverOptions {
   CycleConstraint Constraint(VertexId n) const;
 };
 
+/// The CoverStats counters, one row each: X(field, help). Each exports as
+/// tdb_cover_<field>_total.
+#define TDB_COVER_COUNTERS(X)                                                \
+  /* Candidate validations (top-down), FindCycle calls (bottom-up) or */    \
+  /* path queries (DARC). */                                                 \
+  X(searches, "Candidate validations / cycle searches")                      \
+  X(cycles_found, "Qualifying cycles materialized")                          \
+  TDB_SEARCH_COUNTERS(X)                                                     \
+  X(bfs_filtered, "Candidates discharged by the BFS filter")                 \
+  /* Members of components too small to host a qualifying cycle. */         \
+  X(scc_filtered, "Vertices discharged by SCC condensation")                 \
+  /* BUR+ only. */                                                           \
+  X(prune_removed, "Vertices removed by minimal pruning")                    \
+  /* split_budget_by_work only: such a component falls back to its full */  \
+  /* vertex set. A shared-clock timeout voids the result instead. */        \
+  X(components_timed_out, "Components that exhausted their budget share")    \
+  X(scc_components, "Components from condensation")
+
+/// The CoverStats wall-clock rows: X(field, help). Each exports as the
+/// gauge tdb_cover_<field>.
+#define TDB_COVER_SECONDS(X)                                                 \
+  X(elapsed_seconds, "Solve wall-clock seconds")                             \
+  /* Condensation finishes before any component solve starts, so this */   \
+  /* is all on the critical path. */                                         \
+  X(scc_seconds, "Wall-clock seconds in SCC condensation")
+
 /// Instrumentation from one solver run.
 struct CoverStats {
-  double elapsed_seconds = 0.0;
-  /// Candidate validations performed (top-down) or FindCycle calls
-  /// (bottom-up) or path queries (DARC).
-  uint64_t searches = 0;
-  /// Qualifying cycles materialized during the run.
-  uint64_t cycles_found = 0;
-  /// Adjacency entries scanned across all searches.
-  uint64_t expansions = 0;
-  /// Extensions suppressed by block bounds.
-  uint64_t block_prunes = 0;
-  /// Candidates discharged by the BFS filter.
-  uint64_t bfs_filtered = 0;
-  /// Vertices the BFS filter dequeued across all its calls (TDB++ only):
-  /// the filter's own work, which `expansions` does not include.
-  uint64_t filter_visits = 0;
-  /// Vertices the engine's SCC condensation discharged before any search:
-  /// members of components too small to host a qualifying cycle.
-  uint64_t scc_filtered = 0;
-  /// Vertices removed by the minimal-pruning pass (BUR+ only).
-  uint64_t prune_removed = 0;
+#define TDB_COVER_FIELD(field, help) uint64_t field = 0;
+  TDB_COVER_COUNTERS(TDB_COVER_FIELD)
+#undef TDB_COVER_FIELD
+#define TDB_COVER_FIELD(field, help) double field = 0.0;
+  TDB_COVER_SECONDS(TDB_COVER_FIELD)
+#undef TDB_COVER_FIELD
   /// Always 0. The engine no longer validates candidates speculatively
   /// inside a component; the field stays because existing readers of
   /// CoverStats (bench/e2e/bench_e2e.cc) still report it.
   uint64_t intra_probes = 0;
   /// Always 0, for the same reason as intra_probes.
   uint64_t intra_restarts = 0;
-  /// Components that exhausted their split work budget and fell back to
-  /// their full vertex set (split_budget_by_work mode only; always 0
-  /// otherwise — a shared-clock timeout voids the result instead).
-  uint64_t components_timed_out = 0;
-  /// Wall-clock seconds spent in SCC condensation. Condensation finishes
-  /// before any component solve starts, so this is all on the critical
-  /// path.
-  double scc_seconds = 0.0;
-  /// Components produced by the condensation front end.
-  uint64_t scc_components = 0;
+
+  /// Adds the counters of `other` or of a search context. The seconds are
+  /// wall-clock spans, which do not sum; the caller times its own run.
+  void Add(const CoverStats& other);
+  void Add(const SearchStats& search);
 };
+
+/// Registers every CoverStats row on `registry` as an owned instrument
+/// holding its value: the counters as tdb_cover_<field>_total, the seconds
+/// as gauges tdb_cover_<field>.
+void ExportCoverStats(const CoverStats& stats, MetricRegistry* registry);
+
+/// The rows as one "field=value ..." line (seconds to the millisecond).
+std::string FormatCoverStats(const CoverStats& stats);
 
 /// A solver run's outcome. `cover` is sorted ascending.
 struct CoverResult {

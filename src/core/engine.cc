@@ -96,12 +96,7 @@ void MergeTagged(std::vector<TaggedResult>* tagged, CoverResult* result) {
             });
   for (const TaggedResult& t : *tagged) {
     const CoverResult& r = t.result;
-    result->stats.searches += r.stats.searches;
-    result->stats.cycles_found += r.stats.cycles_found;
-    result->stats.bfs_filtered += r.stats.bfs_filtered;
-    result->stats.scc_filtered += r.stats.scc_filtered;
-    result->stats.prune_removed += r.stats.prune_removed;
-    result->stats.components_timed_out += r.stats.components_timed_out;
+    result->stats.Add(r.stats);
     result->cover.insert(result->cover.end(), r.cover.begin(),
                          r.cover.end());
   }
@@ -309,13 +304,10 @@ CoverResult CondenseAndSolve(const EngineRun& run, double* scc_seconds,
     for (size_t slot : order) solve_slot(slot, &inline_context);
   }
 
-  auto merge_context = [&](const SearchContext& context) {
-    result.stats.expansions += context.stats.expansions;
-    result.stats.block_prunes += context.stats.block_prunes;
-    result.stats.filter_visits += context.stats.filter_visits;
-  };
-  merge_context(inline_context);
-  for (const SearchContext& context : pool_contexts) merge_context(context);
+  result.stats.Add(inline_context.stats);
+  for (const SearchContext& context : pool_contexts) {
+    result.stats.Add(context.stats);
+  }
   MergeTagged(&slots, &result);
   return result;
 }

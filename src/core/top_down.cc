@@ -136,9 +136,7 @@ CoverResult SolveTopDown(const CsrGraph& graph, const CoverOptions& options,
                                &deadline);
   // Populated on every path, including timeouts (the partial counters are
   // exactly what a budget post-mortem needs).
-  result.stats.expansions = context.stats.expansions;
-  result.stats.block_prunes = context.stats.block_prunes;
-  result.stats.filter_visits = context.stats.filter_visits;
+  result.stats.Add(context.stats);
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

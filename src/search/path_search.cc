@@ -84,7 +84,6 @@ SearchOutcome BoundedDfs<kBlocks>::Search(
   stack.clear();
   push(s);
   on_path[s] = 1;
-  ++ctx_->stats.pushes;
 
   while (!stack.empty()) {
     SearchFrame& frame = stack.back();
@@ -102,10 +101,7 @@ SearchOutcome BoundedDfs<kBlocks>::Search(
       const VertexId w = graph_.EdgeDst(eid);
       if (w == t) {
         const uint32_t len = depth_u + 1;
-        if (len < min_hops || len > max_hops) {
-          ++ctx_->stats.closures_rejected;
-          continue;
-        }
+        if (len < min_hops || len > max_hops) continue;
         if (out != nullptr) {
           out->clear();
           for (const SearchFrame& f : stack) out->push_back(f.v);
@@ -132,7 +128,6 @@ SearchOutcome BoundedDfs<kBlocks>::Search(
         if (depth_w + 1 > max_hops) continue;
       }
       on_path[w] = 1;
-      ++ctx_->stats.pushes;
       push(w);
     } else {
       on_path[u] = 0;

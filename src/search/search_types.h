@@ -15,19 +15,22 @@ enum class SearchOutcome {
   kTimedOut,  ///< Deadline expired before the search completed.
 };
 
+/// The search counters, one row each: X(field, help). SearchStats holds
+/// them, and CoverStats carries the same rows (the help text is what
+/// tdb_cover exports).
+#define TDB_SEARCH_COUNTERS(X)                                       \
+  X(expansions, "Adjacency entries scanned")                         \
+  /* Block engines only. */                                          \
+  X(block_prunes, "Extensions suppressed by block bounds")           \
+  /* BfsFilter only; `expansions` does not include this work. */     \
+  X(filter_visits, "Vertices dequeued by the BFS filter")
+
 /// Instrumentation counters accumulated by a search engine. Counters are
 /// cumulative across calls; callers snapshot and subtract for per-call data.
 struct SearchStats {
-  /// Edges scanned (adjacency entries touched).
-  uint64_t expansions = 0;
-  /// Vertices pushed onto the DFS stack.
-  uint64_t pushes = 0;
-  /// Extensions suppressed by the block lower bound (block engines only).
-  uint64_t block_prunes = 0;
-  /// Closures rejected for violating the cycle-length window.
-  uint64_t closures_rejected = 0;
-  /// Vertices the closed-walk BFS filter dequeued (BfsFilter only).
-  uint64_t filter_visits = 0;
+#define TDB_SEARCH_FIELD(field, help) uint64_t field = 0;
+  TDB_SEARCH_COUNTERS(TDB_SEARCH_FIELD)
+#undef TDB_SEARCH_FIELD
 
   void Reset() { *this = SearchStats{}; }
 };

@@ -1,10 +1,9 @@
 // Exports ServiceStats through a MetricRegistry.
 //
-// The service's hot-path instrumentation stays exactly what it was —
-// relaxed fetch_adds on the atomics inside ServiceStats; ServiceStats::
-// Snapshot() is untouched. Binding registers zero-cost *views* of those
-// atomics under Prometheus-conventional names (`<prefix><field>_total`),
-// so exporting adds no synchronization and no extra work to ingest or
+// Binding registers zero-cost *views* of the atomics inside ServiceStats,
+// one per TDB_SERVICE_STATS row, under Prometheus-conventional names
+// (`<prefix><field>_total` for counters, `<prefix><field>` for gauges), so
+// exporting adds no synchronization and no extra work to ingest or
 // admission. Dropping the returned registrations unbinds cleanly when
 // the service dies before the process (tests, service restarts).
 #ifndef TDB_SERVICE_SERVICE_METRICS_H_
@@ -18,7 +17,7 @@
 
 namespace tdb {
 
-/// Registers a counter view per ServiceStats field onto `registry`.
+/// Registers a view per ServiceStats row onto `registry`.
 /// `stats` must outlive the returned registrations; `prefix` must make
 /// the names unique within the registry (e.g. "tdb_service_").
 std::vector<MetricRegistry::Registration> BindServiceStats(

@@ -14,7 +14,8 @@ interval apart, then terminates the process. Hard-fails on:
   * histogram bucket series that are not cumulative, missing the +Inf
     bucket, or whose +Inf count disagrees with _count;
   * any counter that moved backwards between the two scrapes, or a
-    required counter (REQUIRED_COUNTERS) missing from either scrape;
+    `tdb_service_*_total` counter of docs/OBSERVABILITY.md's name table
+    missing from either scrape;
   * a /metrics.json body that does not parse as a JSON object with
     counters/gauges/histograms keys.
 
@@ -26,6 +27,7 @@ Usage:
 import argparse
 import http.client
 import json
+import pathlib
 import re
 import subprocess
 import sys
@@ -140,16 +142,24 @@ def collect_counters(types, samples):
 
 
 # Counters every tdb_serve scrape must expose (beyond the generic checks,
-# which already hold every exposed counter to monotonicity).
-REQUIRED_COUNTERS = ("tdb_service_probe_dfs_total",
-                     "tdb_service_admission_probes_total",
-                     "tdb_service_admission_probe_dfs_total",
-                     "tdb_service_augment_nanoseconds_total",
-                     "tdb_service_publish_nanoseconds_total")
+# which already hold every exposed counter to monotonicity): the
+# tdb_service_*_total rows of the doc's name table, which a ctest keeps in
+# step with the ServiceStats list.
+DOC_PATH = pathlib.Path(__file__).resolve().parent.parent / "docs" / \
+    "OBSERVABILITY.md"
+DOC_COUNTER_RE = re.compile(r"^\| `(tdb_service_\w+_total)` \| counter \|",
+                            re.MULTILINE)
 
 
-def require_counters(counters, scrape):
-    for name in REQUIRED_COUNTERS:
+def required_counters():
+    names = DOC_COUNTER_RE.findall(DOC_PATH.read_text(encoding="utf-8"))
+    if not names:
+        fail(f"{DOC_PATH} lists no tdb_service_*_total counters")
+    return names
+
+
+def require_counters(required, counters, scrape):
+    for name in required:
         if name not in counters:
             fail(f"{scrape} scrape lacks counter {name}")
 
@@ -205,6 +215,7 @@ def main():
                         help="server command (after --)")
     args = parser.parse_args()
 
+    required = required_counters()
     process = subprocess.Popen(args.command)
     try:
         wait_for_port(args.port, process,
@@ -218,7 +229,7 @@ def main():
             fail("first scrape exposed no samples")
         check_histograms(first_types, first_samples)
         first_counters = collect_counters(first_types, first_samples)
-        require_counters(first_counters, "first")
+        require_counters(required, first_counters, "first")
 
         time.sleep(args.interval)
         status, second_body = fetch(args.port, "/metrics")
@@ -227,7 +238,7 @@ def main():
         second_types, second_samples = parse_exposition(second_body)
         check_histograms(second_types, second_samples)
         second_counters = collect_counters(second_types, second_samples)
-        require_counters(second_counters, "second")
+        require_counters(required, second_counters, "second")
 
         for name, first_value in first_counters.items():
             second_value = second_counters.get(name)
@@ -249,7 +260,8 @@ def main():
                 fail(f"/metrics.json missing {key!r}")
 
         print(f"OK: {len(first_samples)} samples, "
-              f"{len(first_counters)} counters monotonic across scrapes, "
+              f"{len(first_counters)} counters monotonic across scrapes "
+              f"({len(required)} required), "
               f"{sum(1 for t in first_types.values() if t == 'histogram')}"
               f" histograms well-formed")
     finally:

@@ -181,75 +181,25 @@ int main(int argc, char** argv) {
   }
 
   CoverResult result = SolveCycleCover(graph, algo, options);
-  if (!result.status.ok()) {
+  if (result.status.ok()) {
+    std::fprintf(stderr, "%s k=%u: cover of %zu vertices in %.3fs\n",
+                 AlgorithmName(algo), args.k, result.cover.size(),
+                 result.stats.elapsed_seconds);
+  } else {
     std::fprintf(stderr, "solve failed: %s\n",
                  result.status.ToString().c_str());
-    return 1;
   }
-  std::fprintf(stderr, "%s k=%u: cover of %zu vertices in %.3fs\n",
-               AlgorithmName(algo), args.k, result.cover.size(),
-               result.stats.elapsed_seconds);
+  // The stats go out before any failure exit: the partial counters of a
+  // timed-out solve are what a budget post-mortem needs.
   if (args.stats) {
-    std::fprintf(stderr,
-                 "searches=%llu cycles=%llu expansions=%llu "
-                 "block_prunes=%llu bfs_filtered=%llu pruned=%llu\n",
-                 static_cast<unsigned long long>(result.stats.searches),
-                 static_cast<unsigned long long>(result.stats.cycles_found),
-                 static_cast<unsigned long long>(result.stats.expansions),
-                 static_cast<unsigned long long>(result.stats.block_prunes),
-                 static_cast<unsigned long long>(result.stats.bfs_filtered),
-                 static_cast<unsigned long long>(
-                     result.stats.prune_removed));
-    std::fprintf(stderr, "scc: %.3fs, %llu components\n",
-                 result.stats.scc_seconds,
-                 static_cast<unsigned long long>(result.stats.scc_components));
+    std::fprintf(stderr, "%s\n", FormatCoverStats(result.stats).c_str());
   }
-
-  if (args.verify) {
-    VerifyReport report = VerifyCover(graph, result.cover, options);
-    std::fprintf(stderr, "verify: %s\n", report.ToString().c_str());
-    if (!report.feasible) return 1;
-  }
-
   if (!args.stats_json.empty()) {
     // Populate a private registry and reuse its JSON renderer, so the
     // dump shares its schema with tdb_serve's /metrics.json and
     // --metrics-dump files.
     MetricRegistry registry;
-    const CoverStats& cs = result.stats;
-    const auto counter = [&](const char* name, const char* help,
-                             uint64_t value) {
-      registry
-          .AddCounter(std::string("tdb_cover_") + name + "_total", help)
-          ->Increment(value);
-    };
-    counter("searches", "Candidate validations / cycle searches",
-            cs.searches);
-    counter("cycles_found", "Qualifying cycles materialized",
-            cs.cycles_found);
-    counter("expansions", "Adjacency entries scanned", cs.expansions);
-    counter("block_prunes", "Extensions suppressed by block bounds",
-            cs.block_prunes);
-    counter("bfs_filtered", "Candidates discharged by the BFS filter",
-            cs.bfs_filtered);
-    counter("filter_visits", "Vertices dequeued by the BFS filter",
-            cs.filter_visits);
-    counter("scc_filtered", "Vertices discharged by SCC condensation",
-            cs.scc_filtered);
-    counter("prune_removed", "Vertices removed by minimal pruning",
-            cs.prune_removed);
-    counter("components_timed_out",
-            "Components that exhausted their budget share",
-            cs.components_timed_out);
-    counter("scc_components", "Components from condensation",
-            cs.scc_components);
-    registry
-        .AddGauge("tdb_cover_elapsed_seconds", "Solve wall-clock seconds")
-        ->Set(cs.elapsed_seconds);
-    registry
-        .AddGauge("tdb_cover_scc_seconds",
-                  "Wall-clock seconds in SCC condensation")
-        ->Set(cs.scc_seconds);
+    ExportCoverStats(result.stats, &registry);
     registry.AddGauge("tdb_cover_cover_size", "Cover size in vertices")
         ->Set(static_cast<double>(result.cover.size()));
     const std::string body = registry.RenderJson();
@@ -263,6 +213,13 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "cannot write %s\n", args.stats_json.c_str());
       return 1;
     }
+  }
+  if (!result.status.ok()) return 1;
+
+  if (args.verify) {
+    VerifyReport report = VerifyCover(graph, result.cover, options);
+    std::fprintf(stderr, "verify: %s\n", report.ToString().c_str());
+    if (!report.feasible) return 1;
   }
 
   std::FILE* out = stdout;
