@@ -137,9 +137,9 @@ struct CoverStats {
   void Add(const SearchStats& search);
 };
 
-/// Registers every CoverStats row on `registry` as an owned instrument
-/// holding its value: the counters as tdb_cover_<field>_total, the seconds
-/// as gauges tdb_cover_<field>.
+/// Registers every CoverStats row on a fresh `registry` as an owned
+/// instrument holding its value: the counters as tdb_cover_<field>_total,
+/// the seconds as gauges tdb_cover_<field>.
 void ExportCoverStats(const CoverStats& stats, MetricRegistry* registry);
 
 /// The rows as one "field=value ..." line (seconds to the millisecond).
